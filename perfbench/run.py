@@ -14,9 +14,10 @@ output, by one JSON object ``{"correct", "attempted", "failed", "metrics"}``.
 
 ``--trace 0`` reports the end-to-end metrics of BENCHMARK.json; ``--trace 1``
 installs the span tracer of ``tracing.py`` and reports the per-layer metrics
-instead.  ``--smoke`` runs one cycle with one set-up probe, for the
-benchmark's own tests.  Run details (environment, failures, spans) are
-written under ``.bench_out/`` in the checkout.
+instead.  ``--smoke`` runs one cycle with one set-up probe pair and one
+draw of each known defect, for the benchmark's own tests.  Run details
+(environment, failures, spans) are written under ``.bench_out/`` in the
+checkout.
 
 Exit codes: 0 when the run completed (even if some checks failed: those are
 counted in ``failed``), 2 when the program under test cannot be imported
@@ -47,12 +48,20 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 
-SETUP_PROBES = 5
+SETUP_PAIRS = 6
 TAIL_BEYOND = 10
-# wall time of speed_probe() at the nominal machine speed: the two-core VM
-# the benchmark was built on, in its faster state
+DEFECT_DRAWS = 6
+WALL_CAP = 1.3
+# wall times of speed_probe() and parallel_probe() at the nominal machine
+# speed: the two-core VM the benchmark was built on, in its faster state
 REFERENCE_S = 0.005
+REFERENCE_PARALLEL_S = 0.030
+# the set-up reference task: a fresh interpreter importing the third-party
+# modules respectra imports, and its wall time at the nominal machine speed
+REFERENCE_IMPORT = "import numpy, scipy.optimize, scipy.special; print('ready', flush=True)"
+REFERENCE_IMPORT_S = 0.6
 CLI_COMMANDS = ("spectrum", "evolve", "liouville", "barrier", "validate")
+workloads = None     # imported by main() once src/ is on sys.path
 
 
 def _import_program():
@@ -115,11 +124,11 @@ def _environment(args):
 # --------------------------------------------------------------------------
 
 def speed_probe():
-    """Wall time of a fixed task of the same kind as the jobs (a Python loop
-    over small complex numpy arrays), taken around every job and set-up
-    Its ratio to REFERENCE_S is the machine's slowdown at that moment: on a
-    shared VM it swings by up to 2x within minutes, and every reported job
-    time is divided by it (the raw wall times are in the notes)."""
+    """Wall time of a fixed task of the same kind as most jobs (a Python loop
+    over small complex numpy arrays), taken around every job that runs on
+    one core.  Its ratio to REFERENCE_S is the machine's slowdown at that
+    moment: on a shared VM it swings by up to 2x within minutes, and the
+    job's time is divided by it (the raw wall times are in the notes)."""
     import numpy as np
     z = np.linspace(0.1, 20.0, 200) - 0.3j
     t0 = time.perf_counter()
@@ -128,6 +137,21 @@ def speed_probe():
         v = np.sqrt(z) * np.exp(-0.5 * z * (1.0 + i / 600.0))
         acc += complex(np.sum(v / (z[i % 200] + 0.01 - z)))
         acc += sum(complex(x) for x in v[:20])
+    return time.perf_counter() - t0
+
+
+def parallel_probe():
+    """Wall time of a dense Hermitian eigendecomposition (n = 300) on the
+    default BLAS threads, taken around every job whose time is mostly
+    multi-threaded (see ``parallel`` in workloads.py), with REFERENCE_PARALLEL_S
+    as its nominal time: such jobs keep both cores busy and follow the load
+    on both, which the one-core speed_probe() does not see."""
+    import numpy as np
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    a += a.conj().T
+    t0 = time.perf_counter()
+    np.linalg.eigh(a)
     return time.perf_counter() - t0
 
 
@@ -146,21 +170,39 @@ def _probe(args):
     shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _setup_seconds(args, probes):
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--probe",
-           "--workload", args.workload, "--seed", str(args.seed)]
-    times = []
-    for _ in range(probes):
-        t0 = time.perf_counter()
-        with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True) as proc:
-            line = proc.stdout.readline()
-            t1 = time.perf_counter()
-            proc.stdout.read()
-            code = proc.wait(timeout=120)
-        if line.strip() != "ready" or code != 0:
-            sys.exit(f"perfbench: set-up probe failed (exit {code})")
-        times.append(t1 - t0)
-    return statistics.median(times)
+def _ready_seconds(cmd):
+    """Wall time from starting ``cmd`` to its line ``ready``."""
+    t0 = time.perf_counter()
+    with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True) as proc:
+        line = proc.stdout.readline()
+        t1 = time.perf_counter()
+        proc.stdout.read()
+        code = proc.wait(timeout=120)
+    if line.strip() != "ready" or code != 0:
+        sys.exit(f"perfbench: set-up probe {cmd[1:]} failed (exit {code})")
+    return t1 - t0
+
+
+def _setup_seconds(args, pairs):
+    """Set-up time at the nominal machine speed, and its raw wall time.
+
+    ``pairs`` times, a set-up probe and the reference import run back to
+    back, in alternating order (this process has already imported everything
+    once, so the files are in the page cache).  The median over the pairs of probe time / reference time, scaled by
+    REFERENCE_IMPORT_S, is the set-up time.  Start-up is loader and import
+    work (plus a little input generation), which the
+    job-shaped speed_probe() tracks poorly, so the reference is an import
+    too; it holds only modules respectra does not own, so a change to
+    respectra's own set-up moves the probe and not the reference."""
+    probe = [sys.executable, str(Path(__file__).resolve()), "--probe",
+             "--workload", args.workload, "--seed", str(args.seed)]
+    reference = [sys.executable, "-c", REFERENCE_IMPORT]
+    probes, refs = [], []
+    for i in range(pairs):
+        for cmd in (probe, reference) if i % 2 == 0 else (reference, probe):
+            (probes if cmd is probe else refs).append(_ready_seconds(cmd))
+    ratio = statistics.median(p / r for p, r in zip(probes, refs))
+    return ratio * REFERENCE_IMPORT_S, statistics.median(probes)
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +213,7 @@ def _setup_seconds(args, probes):
 class Record:
     job: object
     wall_s: float
-    slowdown: float      # speed_probe() time / REFERENCE_S around the job
+    slowdown: float      # probe time / its reference time around the job
     reasons: list        # failure reasons; empty when every check passed
     check_wall_s: float = 0.0
 
@@ -182,13 +224,18 @@ class Record:
 
 
 class Runner:
-    def __init__(self, workload, census_wl, tracer, accuracy):
+    """Runs jobs and keeps one Record per job: ``records`` for the
+    workload's own jobs, ``census`` and ``defects`` for the traced run's
+    extra jobs (see main), each group with its own accuracy figures."""
+
+    def __init__(self, workload, tracer):
         self.wl = workload
-        self.census_wl = census_wl
         self.tracer = tracer
-        self.acc = accuracy
-        self.records = []        # Record per job
-        self.check_s = 0.0
+        self.acc = workloads.Accuracy()
+        self.records = []
+        self.census, self.census_acc = [], workloads.Accuracy()
+        self.defects, self.defect_acc = [], workloads.Accuracy()
+        self.check_s = 0.0       # checks of the workload's own jobs
         self.reruns = 0
         self.rerun_mismatch = 0
 
@@ -201,21 +248,22 @@ class Runner:
                 out = wl.run(job)
         return out, time.perf_counter() - t0
 
-    def do(self, wl, job, rerun):
-        before = speed_probe()
+    def do(self, wl, job, acc, rerun=False):
+        probe, reference = ((parallel_probe, REFERENCE_PARALLEL_S) if wl.parallel(job)
+                            else (speed_probe, REFERENCE_S))
+        before = probe()
         t0 = time.perf_counter()
         try:
             out, dt = self._timed(wl, job)
         except Exception as e:   # a raising job is a failed job, timed like the rest
             dt = time.perf_counter() - t0
-            slowdown = (before + speed_probe()) / (2 * REFERENCE_S)
-            self.records.append(Record(job, dt, slowdown, [f"raised {type(e).__name__}: {e}"]))
+            slowdown = (before + probe()) / (2 * reference)
             wl.cleanup(job)
-            return
-        slowdown = (before + speed_probe()) / (2 * REFERENCE_S)
+            return Record(job, dt, slowdown, [f"raised {type(e).__name__}: {e}"])
+        slowdown = (before + probe()) / (2 * reference)
         t0 = time.perf_counter()
         try:
-            reasons = wl.check(job, out, self.acc).reasons
+            reasons = wl.check(job, out, acc).reasons
             if rerun:
                 first = wl.fingerprint(job, out)
                 self.reruns += 1
@@ -224,40 +272,54 @@ class Runner:
         except Exception as e:
             reasons = [f"check raised {type(e).__name__}: {e}"]
         wl.cleanup(job)
-        check_wall = time.perf_counter() - t0
-        self.check_s += check_wall
-        self.records.append(Record(job, dt, slowdown, reasons, check_wall))
+        return Record(job, dt, slowdown, reasons, time.perf_counter() - t0)
 
     def loop(self, seconds, max_cycles=None):
         """Complete cycles until ``seconds`` of jobs and checks have run, counted
         at the nominal machine speed, so that the number of cycles depends on
-        the program and not on how busy the machine was."""
+        the program and not on how busy the machine was; on a machine more
+        than WALL_CAP times slower, until WALL_CAP * ``seconds`` of wall time
+        have passed, so that a run's length stays bounded."""
+        start = time.perf_counter()
         k = 0
         while True:
             for job in self.wl.cycle(k):
-                self.do(self.wl, job, self.wl.RERUN_ALL or k == 0)
+                rec = self.do(self.wl, job, self.acc, self.wl.RERUN_ALL or k == 0)
+                self.check_s += rec.check_wall_s
+                self.records.append(rec)
             k += 1
             spent = sum((rec.wall_s + rec.check_wall_s) / rec.slowdown for rec in self.records)
-            if spent >= seconds or (max_cycles and k >= max_cycles):
+            if (spent >= seconds or time.perf_counter() - start >= WALL_CAP * seconds
+                    or (max_cycles and k >= max_cycles)):
                 return k
 
-    def census(self, oracle_sizes):
-        for job in self.census_wl.census(oracle_sizes):
-            self.do(self.census_wl, job, False)
+    def run_census(self, census_wl, oracle_sizes):
+        for job in census_wl.census(oracle_sizes):
+            self.census.append(self.do(census_wl, job, self.census_acc))
+
+    def run_defects(self, seed, draws, workdir):
+        library = {name: workloads.WORKLOADS[name](seed, workdir) for name in ("exact", "kernel")}
+        for job in workloads.defect_jobs(seed, draws):
+            self.defects.append(self.do(library[job.kind], job, self.defect_acc))
 
     def overhead_pairs(self, n_jobs=4):
         """Traced / untraced time of the workload's first jobs, each run both
         ways in alternating order."""
         totals = {True: 0.0, False: 0.0}
         first = itertools.chain.from_iterable(map(self.wl.cycle, itertools.count()))
-        for i, job in enumerate(itertools.islice(first, n_jobs)):
+        jobs = list(itertools.islice(first, n_jobs))
+        self.tracer.uninstall()
+        self._timed(self.wl, jobs[0])     # warm-up: first-call costs are not tracing
+        for i, job in enumerate(jobs):
             for traced in ((True, False) if i % 2 == 0 else (False, True)):
                 if traced:
                     self.tracer.install()
                 else:
                     self.tracer.uninstall()
                 totals[traced] += self._timed(self.wl, job)[1]
-                self.wl.cleanup(job)
+        # only now: cleanup removes a CLI job's config file
+        for job in jobs:
+            self.wl.cleanup(job)
         self.tracer.install()
         self.tracer.stats.clear()
         self.tracer.spans.clear()
@@ -325,12 +387,15 @@ UNITS = {"calls": "count/job", "self_s": "s/job"}
 
 
 def per_layer(runner, overhead):
-    """Per-job means over every traced job (workload jobs and the census)."""
+    """Per-job means over the workload's own traced jobs; the census and the
+    known defects report under their own names."""
     jobs = len(runner.records)
+    labels = {rec.job.label for rec in runner.records}
     totals = defaultdict(lambda: defaultdict(float))
-    for (kind, name), stat in runner.tracer.stats.items():
-        for key, value in stat.items():
-            totals[name][key] += value
+    for (label, name), stat in runner.tracer.stats.items():
+        if label in labels:
+            for key, value in stat.items():
+                totals[name][key] += value
     metrics = {}
     for name, keys in LAYER_FUNCTIONS:
         for key in keys:
@@ -350,13 +415,27 @@ def per_layer(runner, overhead):
         metrics[f"accuracy.{key}"] = (value, "ratio" if "over_tol" in key else "abs")
     metrics["harness.check_s"] = (runner.check_s / jobs, "s/job")
     metrics["harness.trace_overhead_share"] = (overhead, "share")
+    # one census job per oracle size; zero where the census did not run
+    census = {rec.job.params["doc"]["grid"]["oracle_n"]: rec for rec in runner.census}
+    for n in workloads.CENSUS_ORACLE_N:
+        rec = census.get(n)
+        eigh = runner.tracer.stats.get((rec.job.label, "oracle.discretize"), {}) if rec else {}
+        metrics[f"census.evolve_oracle{n}.wall_s"] = (rec.wall_s if rec else 0.0, "s")
+        metrics[f"census.evolve_oracle{n}.discretize_self_s"] = (eigh.get("self_s", 0.0), "s")
+    metrics["census.oracle_gap_max"] = (runner.census_acc.values["oracle_gap_max"], "abs")
+    for name, kind, key in (("semi_ellipse_n200", "exact", "completeness_max"),
+                            ("lorentz_kernel", "kernel", "kernel_completeness_max")):
+        recs = [rec for rec in runner.defects if rec.job.kind == kind]
+        metrics[f"defect.{name}.{key}"] = (runner.defect_acc.values[key], "abs")
+        metrics[f"defect.{name}.fail_share"] = (
+            sum(1 for rec in recs if rec.reasons) / len(recs) if recs else 0.0, "share")
     return metrics
 
 
 def calls_by_label(runner):
     """Calls per job of each traced function, by job label."""
     counts = defaultdict(int)
-    for rec in runner.records:
+    for rec in runner.records + runner.census + runner.defects:
         counts[rec.job.label] += 1
     table = defaultdict(dict)
     for (kind, name), stat in runner.tracer.stats.items():
@@ -370,7 +449,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seconds", type=float, default=18.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--smoke", action="store_true",
                     help="one cycle and one set-up probe (benchmark self-test)")
@@ -382,6 +461,7 @@ def main(argv=None):
     if args.probe:
         return _probe(args)
     _import_program()
+    global workloads
     import workloads
     from tracing import Tracer
     if args.workload not in workloads.WORKLOADS:
@@ -390,34 +470,40 @@ def main(argv=None):
     env = _environment(args)
     print("environment: " + json.dumps(env, sort_keys=True))
 
-    setup_s = _setup_seconds(args, 1 if args.smoke else SETUP_PROBES)
     run_dir = OUT / f"{args.workload}-seed{args.seed}-trace{args.trace}-{os.getpid()}"
     wl = workloads.WORKLOADS[args.workload](args.seed, run_dir / "wl")
-    census_wl = workloads.CliWorkload(args.seed, run_dir / "census")
     tracer = Tracer() if args.trace else None
-    runner = Runner(wl, census_wl, tracer, workloads.Accuracy())
-    overhead = 0.0
-    if tracer is not None:
+    runner = Runner(wl, tracer)
+    if tracer is None:
+        setup_s, setup_wall_s = _setup_seconds(args, 1 if args.smoke else SETUP_PAIRS)
+        cycles = runner.loop(args.seconds, 1 if args.smoke else None)
+        metrics, notes = end_to_end(runner, setup_s)
+        notes["wall_setup_s"] = setup_wall_s
+        print("notes: " + json.dumps(notes, sort_keys=True))
+    else:
+        # the workload, then (cli only) the ROADMAP item-1 oracle sizes, then
+        # the known defects; only the first feeds the per-layer means
         tracer.install()
-        if not args.smoke:
-            overhead = runner.overhead_pairs()
-    cycles = runner.loop(args.seconds, 1 if args.smoke else None)
-    if tracer is not None:
-        sizes = workloads.CENSUS_ORACLE_N_CLI if args.workload == "cli" and not args.smoke \
-            else workloads.CENSUS_ORACLE_N
-        runner.census(sizes)
+        overhead = 0.0 if args.smoke else runner.overhead_pairs()
+        cycles = runner.loop(args.seconds, 1 if args.smoke else None)
+        if args.workload == "cli":
+            sizes = workloads.CENSUS_ORACLE_N[:1 if args.smoke else None]
+            runner.run_census(workloads.CliWorkload(args.seed, run_dir / "census"), sizes)
+        runner.run_defects(args.seed, 1 if args.smoke else DEFECT_DRAWS, run_dir / "defect")
         tracer.uninstall()
         metrics = per_layer(runner, overhead)
-    else:
-        metrics, notes = end_to_end(runner, setup_s)
-        print("notes: " + json.dumps(notes, sort_keys=True))
 
-    failures = [{"kind": rec.job.kind, "census": rec.job.census, "params": rec.job.params,
-                 "reasons": rec.reasons} for rec in runner.records if rec.reasons]
+    failures = [{"label": rec.job.label, "params": rec.job.params, "reasons": rec.reasons}
+                for rec in runner.records + runner.census if rec.reasons]
     for f in failures:
         print("FAILED " + json.dumps(f, sort_keys=True, default=str))
+    for rec in runner.defects:
+        if rec.reasons:
+            print("KNOWN DEFECT " + json.dumps({"label": rec.job.label, "params": rec.job.params,
+                                                "reasons": rec.reasons}, sort_keys=True))
     details = {"environment": env, "cycles": cycles, "failures": failures,
-               "jobs": [(rec.job.label, rec.wall_s, rec.slowdown) for rec in runner.records],
+               "jobs": [(rec.job.label, rec.wall_s, rec.slowdown)
+                        for rec in runner.records + runner.census + runner.defects],
                "metrics": {k: v for k, (v, _) in metrics.items()}}
     if tracer is not None:
         details["calls_per_job_by_label"] = calls_by_label(runner)
@@ -431,7 +517,7 @@ def main(argv=None):
 
     for name, (value, unit) in metrics.items():
         print(f"  {name:<44} {value:>16.6g} {unit}")
-    result = {"correct": not failures, "attempted": len(runner.records),
+    result = {"correct": not failures, "attempted": len(runner.records) + len(runner.census),
               "failed": len(failures),
               "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}
     print(json.dumps(result))

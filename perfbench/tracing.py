@@ -12,8 +12,8 @@ self time and a few result-derived figures are summed per (job kind,
 function).  Spans of functions that are called at most a few hundred times
 per job are kept in memory as (id, parent id, name, start, end) and
 written out at the end of the run; the hot leaves (``eval_V2``,
-``pole_kernel_integral``, ``pair_coeffs``), which run hundreds of thousands
-of times per kernel job, are only counted.
+``pole_kernel_integral``, ``pair_coeffs``), which run tens of thousands of
+times per kernel job, are only counted.
 """
 
 from __future__ import annotations

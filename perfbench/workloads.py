@@ -46,8 +46,7 @@ TOL_BOUND_STATE = 1e-10
 
 FAMILIES = ("sqrt_exp", "poly_exp", "lorentz_sqrt")
 CLI_ORACLE_N = 1000
-CENSUS_ORACLE_N = (2000,)
-CENSUS_ORACLE_N_CLI = (2000, 4000)
+CENSUS_ORACLE_N = (2000, 4000)
 
 ACCURACY_KEYS = ("pole_residual_max", "completeness_max", "generator_max",
                  "kernel_completeness_max", "oracle_gap_max", "liouville_norm_defect_max",
@@ -58,17 +57,23 @@ ACCURACY_KEYS = ("pole_residual_max", "completeness_max", "generator_max",
 class Job:
     kind: str          # exact, kernel, or the CLI command
     params: dict
-    census: bool = False
+    group: str = "workload"   # workload, census or defect (see run.py)
 
     @property
     def label(self) -> str:
-        """The kind, with the node count of library jobs and a ``-kernel``
-        suffix for CLI configs whose model has a kernel."""
+        """The kind, with the node count of library jobs, a ``-kernel``
+        suffix for CLI configs whose model has a kernel and the oracle size
+        of census configs; jobs outside the workload carry their group as a
+        prefix."""
         if "n_nodes" in self.params:
-            return f"{self.kind}-n{self.params['n_nodes']}"
-        if "kernel" in self.params["doc"].get("model", {}):
-            return f"{self.kind}-kernel"
-        return self.kind
+            base = f"{self.kind}-n{self.params['n_nodes']}"
+        elif "kernel" in self.params["doc"].get("model", {}):
+            base = f"{self.kind}-kernel"
+        elif self.group == "census":
+            base = f"{self.kind}-oracle{self.params['doc']['grid']['oracle_n']}"
+        else:
+            base = self.kind
+        return base if self.group == "workload" else f"{self.group}-{base}"
 
 
 @dataclass
@@ -110,6 +115,9 @@ class _LibraryWorkload:
     def reruns(self, job):
         return 1
 
+    def parallel(self, job):
+        return False
+
     def __init__(self, seed, workdir):
         self.seed = seed
 
@@ -144,14 +152,15 @@ class ExactWorkload(_LibraryWorkload):
 
     name = "exact"
     # one n = 800 job per seven n = 200 jobs (the n = 800 job costs about
-    # five times more): ~45 jobs per 25 s run, the median and the
+    # five times more): 32 jobs (4 cycles) per 18 s run, the median and the
     # 11th-largest job sit among the n = 200 jobs for anywhere from 2 to 10
     # cycles, and the n = 800 jobs take a third of the time, so they move
     # jobs_per_s
     SLOTS = (800, 200, 200, 200, 200, 200, 200, 200)
     # the single-panel semi-ellipse misses the 1e-6 completeness tolerance
     # at n = 200 for about half of the draws (up to 5e-5); it meets it at
-    # n = 800, so n = 200 jobs keep the default rectangle
+    # n = 800, so n = 200 jobs keep the default rectangle and the failing
+    # case is measured by defect_jobs() instead
     SHAPES = {800: ("rectangle", "semi_ellipse"), 200: ("rectangle",)}
 
     def cycle(self, k):
@@ -215,9 +224,10 @@ class KernelWorkload(_LibraryWorkload):
     name = "kernel"
     # one size: the O(N^3) cost makes job time steep in n, so with mixed
     # sizes a run with one cycle more or less moves the median and the
-    # 11th-largest job from one size to the other.  n = 72 gives ~18 jobs
-    # per 25 s run and ~1.2e5 scalar eval_V2 calls per job
-    SLOTS = (72,)
+    # 11th-largest job from one size to the other.  n = 44 gives ~32 jobs
+    # per 18 s run, enough for the 11th-largest job to sit near p65, and
+    # ~5.3e4 scalar eval_V2 calls per job
+    SLOTS = (44,)
 
     def cycle(self, k):
         rng = np.random.default_rng([self.seed, k])
@@ -256,6 +266,28 @@ class KernelWorkload(_LibraryWorkload):
 
     def fingerprint(self, job, out):
         return _digest(out["curve"].amplitude, out["inner"])
+
+
+# --------------------------------------------------------------------------
+# known defects: cases that miss a tolerance, measured outside the workloads
+# --------------------------------------------------------------------------
+
+def defect_jobs(seed, count):
+    """``count`` draws of each known failing case, under the ``defect`` group:
+    the semi-ellipse contour at n = 200 (exact jobs) and order-2
+    ``lorentz_sqrt`` kernel systems at eps >= 0.09 (kernel jobs).  Their check
+    results are measurements, not failures of the run."""
+    rng = np.random.default_rng([seed, 10**6 + 1])
+    jobs = []
+    for _ in range(count):
+        doc = _model_doc(rng, (0.05, 0.12))
+        doc.update(n_nodes=200, shape="semi_ellipse", vec_seed=int(rng.integers(2**31)))
+        jobs.append(Job("exact", doc, "defect"))
+    for _ in range(count):
+        doc = _model_doc(rng, (0.09, 0.12), (0.8, 1.2), families=("lorentz_sqrt",))
+        doc.update(n_nodes=KernelWorkload.SLOTS[0], vec_seed=int(rng.integers(2**31)))
+        jobs.append(Job("kernel", doc, "defect"))
+    return jobs
 
 
 # --------------------------------------------------------------------------
@@ -343,13 +375,13 @@ class CliWorkload:
         self.workdir = Path(workdir)
         self._next = 0
 
-    def _job(self, cfg, census=False):
+    def _job(self, cfg, group="workload"):
         self._next += 1
         ident = self._next
         cfg = dict(cfg, output_dir=str(self.workdir / f"out-{ident}"))
         path = self.workdir / f"cfg-{ident}.json"
         path.write_text(json.dumps(cfg, sort_keys=True))
-        return Job(cfg["command"], {"config": str(path), "doc": cfg}, census)
+        return Job(cfg["command"], {"config": str(path), "doc": cfg}, group)
 
     def _draw(self, rng, slot, oracle_n=CLI_ORACLE_N):
         if slot == "evolve":
@@ -370,14 +402,11 @@ class CliWorkload:
         return [self._job(self._draw(rng, slot)) for slot in self.SLOTS]
 
     def census(self, oracle_sizes):
-        """One config per command; the evolve configs use the given oracle
-        sizes.  Exercises every layer once, whatever the workload."""
+        """One kernel-free evolve config per given oracle size: the ROADMAP
+        item-1 oracle sizes, too slow for the workload's own mix."""
         self.workdir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng([self.seed, 10**6])
-        jobs = [self._job(self._draw(rng, slot), census=True)
-                for slot in ("spectrum", "evolve_kernel", "liouville", "barrier", "validate")]
-        jobs += [self._job(_evolve_config(rng, False, n), census=True) for n in oracle_sizes]
-        return jobs
+        return [self._job(_evolve_config(rng, False, n), "census") for n in oracle_sizes]
 
     def run(self, job):
         out = Path(job.params["doc"]["output_dir"])
@@ -406,6 +435,12 @@ class CliWorkload:
             except (OSError, ValueError, KeyError, IndexError) as e:
                 c.reasons.append(f"unreadable artifacts: {e!r}")
         return c
+
+    def parallel(self, job):
+        """Whether the job's time is mostly multi-threaded: the oracle's dense
+        eigh in evolve, validate's thread pool (which runs an oracle too).
+        Such jobs are scaled by run.parallel_probe()."""
+        return job.kind in ("evolve", "validate")
 
     def reruns(self, job):
         # validate's worker threads share one random generator; whether two
