@@ -19,8 +19,7 @@ Config document (JSON)::
 Unknown keys anywhere are rejected.  Outputs are byte-deterministic: floats
 use 17 significant digits, no timestamps, and every file embeds the sha256 of
 the effective config.  Exit codes: 0 success, 1 numerical failure, 2 config
-error, 3 validation failure.  The environment variable RESPECTRA_THREADS caps
-the worker count for parallel sweeps.
+error, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -28,16 +27,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import barrier as barrier_mod
-from .contour import (ContourSpec, build_contour, integrate_contour,
-                      plemelj_integral, real_axis_grid)
+from .contour import build_contour, integrate_contour, plemelj_integral, real_axis_grid
 from .dynamics import (decay_rate, default_time_grid, exponential_approx,
                        oracle_survival_curve, survival_curve)
 from .errors import ConfigError, RespectraError
@@ -156,14 +154,6 @@ def _barrier_from_cfg(cfg: dict) -> barrier_mod.BarrierSpec:
                                    hbar=float(doc.get("hbar", 1.0)))
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("RESPECTRA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
-
-
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
@@ -224,15 +214,10 @@ def cmd_liouville(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     grids = LiouvilleGrids.for_model(model, n_nodes=n_li)
     lsys = LiouvilleSystem(model, grids)
     rows = [("decay", lsys.lam_d.real, lsys.lam_d.imag), ("invariant", 0.0, 0.0)]
-    for u in grids.gamma_bar.nodes:
-        lam = lsys.lam_u1(u)
-        rows.append(("u1", float(lam.real), float(lam.imag)))
-    for up in grids.gamma.nodes:
-        lam = lsys.lam_1u(up)
-        rows.append(("1u", float(lam.real), float(lam.imag)))
-    for u, up in zip(grids.gamma_bar.nodes, grids.gamma.nodes):
-        lam = u - up
-        rows.append(("uu", float(lam.real), float(lam.imag)))
+    for branch, lams in (("u1", lsys.lam_u1(grids.gamma_bar.nodes)),
+                         ("1u", lsys.lam_1u(grids.gamma.nodes)),
+                         ("uu", grids.gamma_bar.nodes - grids.gamma.nodes)):
+        rows.extend((branch, float(lam.real), float(lam.imag)) for lam in lams)
     _write_csv(outdir / "liouville_eigenvalues.csv", ["branch", "re", "im"],
                rows, cfg_hash)
 
@@ -262,14 +247,7 @@ def cmd_barrier(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     }
     _write_json(outdir / "barrier.json", payload, cfg_hash)
     n_sweep = int(cfg["grid"].get("sweep_points", 9))
-    b_values = spec.b * np.linspace(1.0, 1.6, n_sweep)
-    threads = _n_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(
-                lambda b: barrier_mod.width_sweep(spec, [b])[0], b_values))
-    else:
-        rows = barrier_mod.width_sweep(spec, b_values)
+    rows = barrier_mod.width_sweep(spec, spec.b * np.linspace(1.0, 1.6, n_sweep))
     _write_csv(outdir / "barrier_sweep.csv",
                ["b", "barrier_length", "width", "k_tilde"],
                [(r["b"], r["barrier_length"], r["width"], r["k_tilde"]) for r in rows],
@@ -281,37 +259,36 @@ def cmd_barrier(cfg: dict, outdir: Path, cfg_hash: str) -> int:
 # validation suite
 # --------------------------------------------------------------------------
 
-def _validation_checks(model: ModelSpec, seed: int):
-    """Named fast checks over the whole stack; each returns (value, tol)."""
-    rng = np.random.default_rng(seed)
+def _validation_checks(model: ModelSpec):
+    """Named fast checks over the whole stack; each takes its own random
+    generator and returns (value, tol)."""
     grid = build_contour(model.contour)
     # identity checks need adequate resolution even for coarse user configs
-    from dataclasses import replace
     qspec = replace(model.contour, n_nodes=max(200, model.contour.n_nodes))
     qgrid = build_contour(qspec)
     rgrid = real_axis_grid(model.contour.cutoff, 400)
     om, X = model.omega_level, model.contour.cutoff
 
-    def schwarz_reflection():
+    def schwarz_reflection(rng):
         z = (rng.uniform(0.2, X * 0.8, 100)
              + 1j * rng.uniform(-model.contour.depth, model.contour.depth, 100))
         lhs = np.conj(np.asarray(eval_V(model, np.conj(z))))
         rhs = np.asarray(eval_Vbar(model, z))
         return float(np.max(np.abs(lhs - rhs))), 1e-14
 
-    def coupling_linearity():
+    def coupling_linearity(rng):
         m2 = make_model(model.form_factor.family_id, model.form_factor.params,
                         om, 2 * model.coupling, model.contour)
         z = 0.7 + 0.2j
         return float(abs(eval_V(m2, z) - 2 * eval_V(model, z))), 1e-15
 
-    def path_measure():
+    def path_measure(rng):
         return float(abs(np.sum(grid.weights) - X)), 1e-10
 
-    def path_first_moment():
+    def path_first_moment(rng):
         return float(abs(np.sum(grid.weights * grid.nodes) - X**2 / 2)), 1e-9
 
-    def deformation_identity():
+    def deformation_identity(rng):
         worst = 0.0
         for _ in range(3):
             c = rng.standard_normal(3)
@@ -323,69 +300,59 @@ def _validation_checks(model: ModelSpec, seed: int):
             worst = max(worst, abs(lhs - rhs))
         return float(worst), 1e-8
 
-    def plemelj_consistency():
+    def plemelj_consistency(rng):
         f = lambda z: np.exp(-0.7 * z) * (1 + z)
         x0 = 0.9 * om + 0.3
         lhs = integrate_contour(qgrid, lambda z: f(z) / (x0 - z))
         rhs = plemelj_integral(f, x0, "+i0", grid=rgrid)
         return float(abs(lhs - rhs)), 1e-8
 
-    def plemelj_conjugation():
+    def plemelj_conjugation(rng):
         f = lambda w: np.exp(-w)
         a = plemelj_integral(f, 1.1, "+i0", grid=rgrid)
         b = plemelj_integral(f, 1.1, "-i0", grid=rgrid)
         return float(abs(np.conj(a) - b)), 1e-12
 
-    def quadrature_order():
+    def quadrature_order(rng):
         f = lambda z: np.exp(-z) * np.cos(z.real * 0 + 1.0)
-        exact = integrate_contour(build_contour(
-            ContourSpec(model.contour.depth, X, model.contour.shape, 800)), f)
-        e1 = abs(integrate_contour(build_contour(
-            ContourSpec(model.contour.depth, X, model.contour.shape, 32)), f) - exact)
-        e2 = abs(integrate_contour(build_contour(
-            ContourSpec(model.contour.depth, X, model.contour.shape, 64)), f) - exact)
+        quad = lambda n: integrate_contour(build_contour(replace(model.contour, n_nodes=n)), f)
+        exact = quad(800)
+        e1, e2 = abs(quad(32) - exact), abs(quad(64) - exact)
         ratio = e1 / max(e2, 1e-300)
         return float(4.0 - min(ratio, 4.0)), 0.5  # passes when ratio >= 3.5
 
-    def pole_residual():
+    def pole_residual(rng):
         pr = find_pole(model)
         return float(pr.residual), 1e-12
 
-    def pole_half_plane():
+    def pole_half_plane(rng):
         pr = find_pole(model, check_unique=False)
         return float(max(0.0, pr.lambda_pole.imag if model.coupling > 0 else 0.0)), 0.0
 
-    def order1_shift_zero():
+    def order1_shift_zero(rng):
         ser = perturb_discrete(model, 1, grid)
         return float(abs(ser.lambda_at(1))), 0.0
 
-    def gauge_condition():
+    def gauge_condition(rng):
         ser = perturb_discrete(model, 2, grid)
         worst = 0.0
         for _, r, l in ser.orders[1:]:
             worst = max(worst, abs(r.d), abs(l.d))
         return float(worst), 0.0
 
-    sys_exact = [None]
+    _exact = cache(lambda: BiorthogonalSystem.from_exact(model, grid))
 
-    def _exact():
-        if sys_exact[0] is None:
-            sys_exact[0] = BiorthogonalSystem.from_exact(model, grid)
-        return sys_exact[0]
-
-    def exact_normalization():
+    def exact_normalization(rng):
         s = _exact()
         return float(abs(pair_coeffs(s.disc_left, s.disc_right, grid) - 1)), 1e-8
 
-    def exact_cross_orthogonality():
+    def exact_cross_orthogonality(rng):
         s = _exact()
-        worst = 0.0
-        for i in range(0, grid.n, max(1, grid.n // 10)):
-            worst = max(worst, abs(pair_coeffs(s.disc_left, s.cont_right[i], grid)))
-            worst = max(worst, abs(pair_coeffs(s.cont_left[i], s.disc_right, grid)))
+        worst = max(np.max(np.abs(s.cont_right.pair(s.disc_left))),
+                    np.max(np.abs(s.cont_left.pair(s.disc_right))))
         return float(worst), 1e-8
 
-    def exact_completeness():
+    def exact_completeness(rng):
         s = _exact()
         worst = 0.0
         for _ in range(3):
@@ -394,13 +361,13 @@ def _validation_checks(model: ModelSpec, seed: int):
                                    - real_axis_inner(psi, phi, rgrid)))
         return float(worst), 1e-6
 
-    def generator_reconstruction():
+    def generator_reconstruction(rng):
         s = _exact()
         psi, phi = random_analytic(rng), random_analytic(rng)
         return float(abs(s.reconstruct_H(psi, phi)
                          - real_axis_inner_H(model, psi, phi, rgrid))), 1e-6
 
-    def projector_algebra():
+    def projector_algebra(rng):
         vec = VectorCoeffs(d=complex(rng.standard_normal(), rng.standard_normal()),
                            atoms=((grid.nodes[3], 1.2 + 0j),),
                            smooth=())
@@ -410,7 +377,7 @@ def _validation_checks(model: ModelSpec, seed: int):
         zero = (double.d == 0 and not double.atoms and not double.smooth)
         return float(0.0 if (same and zero) else 1.0), 0.0
 
-    def non_self_adjoint():
+    def non_self_adjoint(rng):
         if model.coupling == 0:
             return 0.0, 0.0
         s = BiorthogonalSystem.from_perturbation(model, 2, grid)
@@ -419,19 +386,19 @@ def _validation_checks(model: ModelSpec, seed: int):
         gap = float(np.max(np.abs(smooth_l - np.conj(smooth_r))))
         return float(0.0 if gap > 1e-10 else 1.0), 0.0
 
-    def oracle_unitarity():
+    def oracle_unitarity(rng):
         d = discretize(model, 300)
         v = np.zeros(d.dimension, dtype=complex)
         v[0] = 1.0
         out = propagate(d, v, 3.0 / max(decay_rate(model), 0.05))
         return float(abs(np.linalg.norm(out) - 1.0)), 1e-12
 
-    def liouville_decay_mode():
+    def liouville_decay_mode(rng):
         zs = zero_sector_spectrum(model)
         v = complex(eval_V(model, om))
         return float(abs(zs.lam_d - 2j * np.pi * (v * np.conj(v)).real)), 1e-10
 
-    def liouville_physicality():
+    def liouville_physicality(rng):
         grids = LiouvilleGrids.for_model(model, n_nodes=64)
         zs = zero_sector_spectrum(model, grids)
         u = grids.gamma_bar.nodes[20]
@@ -446,11 +413,11 @@ def _validation_checks(model: ModelSpec, seed: int):
             worst = max(worst, val)
         return float(worst), 1e-8
 
-    def liouville_symmetry():
+    def liouville_symmetry(rng):
         grids = LiouvilleGrids.for_model(model, n_nodes=64)
         return float(eigenvalue_symmetry_defect(model, grids)), 1e-10
 
-    def probability_conservation():
+    def probability_conservation(rng):
         lsys = LiouvilleSystem(model, LiouvilleGrids.for_model(model, n_nodes=64))
         rho0 = unstable_state_functional()
         worst = 0.0
@@ -459,59 +426,37 @@ def _validation_checks(model: ModelSpec, seed: int):
             worst = max(worst, abs(st.normalization(lsys.grids) - 1))
         return float(worst), 1e-8
 
-    def barrier_bound_state():
+    def barrier_bound_state(rng):
         spec = barrier_mod.BarrierSpec(a=1.0, b=6.0, v0=0.3, v1=0.12)
         bs = barrier_mod.solve_bound_state(spec)
         return float(barrier_mod.bound_state_residual(spec, bs)), 1e-10
 
-    checks = [
-        ("schwarz_reflection", schwarz_reflection),
-        ("coupling_linearity", coupling_linearity),
-        ("path_measure", path_measure),
-        ("path_first_moment", path_first_moment),
-        ("deformation_identity", deformation_identity),
-        ("plemelj_consistency", plemelj_consistency),
-        ("plemelj_conjugation", plemelj_conjugation),
-        ("quadrature_order", quadrature_order),
-        ("pole_residual", pole_residual),
-        ("pole_half_plane", pole_half_plane),
-        ("order1_shift_zero", order1_shift_zero),
-        ("gauge_condition", gauge_condition),
-        ("exact_normalization", exact_normalization),
-        ("exact_cross_orthogonality", exact_cross_orthogonality),
-        ("exact_completeness", exact_completeness),
-        ("generator_reconstruction", generator_reconstruction),
-        ("projector_algebra", projector_algebra),
-        ("non_self_adjoint", non_self_adjoint),
-        ("oracle_unitarity", oracle_unitarity),
-        ("liouville_decay_mode", liouville_decay_mode),
-        ("liouville_physicality", liouville_physicality),
-        ("liouville_symmetry", liouville_symmetry),
-        ("probability_conservation", probability_conservation),
-        ("barrier_bound_state", barrier_bound_state),
-    ]
-    return checks
+    return [(fn.__name__, fn) for fn in (
+        schwarz_reflection, coupling_linearity, path_measure, path_first_moment,
+        deformation_identity, plemelj_consistency, plemelj_conjugation, quadrature_order,
+        pole_residual, pole_half_plane, order1_shift_zero, gauge_condition,
+        exact_normalization, exact_cross_orthogonality, exact_completeness,
+        generator_reconstruction, projector_algebra, non_self_adjoint, oracle_unitarity,
+        liouville_decay_mode, liouville_physicality, liouville_symmetry,
+        probability_conservation, barrier_bound_state)]
 
 
 def cmd_validate(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     model = _model_from_cfg(cfg) if "model" in cfg else make_model(
         "sqrt_exp", [1.0], 1.0, 0.1)
-    checks = _validation_checks(model, int(cfg["seed"]))
-    threads = _n_threads()
+    checks = _validation_checks(model)
+    # one independent stream per check: the draws of a check never depend on
+    # which checks ran before it
+    streams = np.random.SeedSequence(int(cfg["seed"])).spawn(len(checks))
 
-    def run(item):
-        name, fn = item
+    def run(name, fn, stream):
         try:
-            value, tol = fn()
+            value, tol = fn(np.random.default_rng(stream))
             return (name, value <= tol, value, tol, "")
         except RespectraError as e:
             return (name, False, np.inf, 0.0, str(e))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, checks))
-    else:
-        results = [run(c) for c in checks]
+    results = [run(name, fn, stream) for (name, fn), stream in zip(checks, streams)]
 
     width = max(len(r[0]) for r in results)
     lines = []

@@ -21,6 +21,10 @@ from scipy.special import roots_legendre
 from .errors import ContourError, EvaluationError
 
 _SHAPES = ("rectangle", "semi_ellipse")
+# rows of the sampled principal-value operator held in memory at once
+PV_BLOCK = 128
+# step of the five-point derivative stencil along the curve
+STENCIL_DELTA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -76,10 +80,15 @@ class ContourGrid:
 
     def node_index(self, u: complex, tol: float = 1e-12) -> int | None:
         """Index of the grid node equal to u, or None."""
-        i = int(np.argmin(np.abs(self.nodes - u)))
-        if abs(self.nodes[i] - u) <= tol * max(1.0, self.cutoff):
-            return i
-        return None
+        i = int(self.node_indices(u, tol)[0])
+        return i if i >= 0 else None
+
+    def node_indices(self, u, tol: float = 1e-12) -> np.ndarray:
+        """Index of the grid node equal to each point of u, -1 where none is."""
+        u = np.atleast_1d(np.asarray(u, dtype=complex))
+        idx = np.argmin(np.abs(u[:, None] - self.nodes), axis=1)
+        hit = np.abs(self.nodes[idx] - u) <= tol * max(1.0, self.cutoff)
+        return np.where(hit, idx, -1)
 
 
 def _gauss(n: int):
@@ -161,7 +170,8 @@ def integrate_contour(grid: ContourGrid, f: Callable) -> complex:
     return complex(np.sum(grid.weights * vals))
 
 
-def cderiv(f: Callable, u: complex, direction: complex = 1.0 + 0j, delta: float = 1e-3) -> complex:
+def cderiv(f: Callable, u: complex, direction: complex = 1.0 + 0j,
+           delta: float = STENCIL_DELTA) -> complex:
     """Fourth-order directional derivative df/dz at u along a unit direction."""
     t = direction / abs(direction)
     d = delta * t
@@ -219,6 +229,66 @@ def pole_kernel_integral(grid: ContourGrid, h: Callable, u: complex, side: int,
     if hu is None:
         hu = complex(h(u))
     return pv_curve(grid, h, u, h_samples=h_samples, hu=hu) - side * 1j * np.pi * hu
+
+
+class SampledPV:
+    """Principal values PV \\int h_i(z)/(u_i - z) dz at many curve points at once.
+
+    The points u_i default to every node.  A call takes each integrand h_i
+    at the nodes (one row per point (M, N), or one shared row (N,)), at u_i
+    (``hu``) and at the derivative ``stencil`` of u_i (M, 4).  The quadrature
+    is that of ``pv_curve`` (global subtraction, closed-form log term, -h_i'
+    from the five-point stencil for the removable sample at a node), summed
+    PV_BLOCK rows at a time so that no (M, N) operator is held.
+    """
+
+    def __init__(self, grid: ContourGrid, u=None):
+        self.grid = grid
+        self.u = grid.nodes if u is None else np.atleast_1d(np.asarray(u, dtype=complex))
+        if np.any((self.u == 0) | (self.u == grid.cutoff)):
+            raise EvaluationError("principal value undefined at a contour endpoint")
+        self.node = np.arange(grid.n) if u is None else grid.node_indices(self.u)
+        on = self.node >= 0
+        # weight of the node at u_i (0 off the nodes, where the stencil is unused)
+        self.node_weight = np.where(on, grid.weights[np.where(on, self.node, 0)], 0.0)
+        t = grid.tangents[np.where(on, self.node, 0)]
+        self.tangent = t / np.abs(t)
+        d = STENCIL_DELTA * self.tangent
+        self.stencil = np.stack([self.u - 2 * d, self.u - d, self.u + d, self.u + 2 * d],
+                                axis=-1)
+        # PV of the integral of dz/(u - z) from 0 to X, as in _pv_log_term
+        self.log_term = np.log(self.u) - np.log(grid.cutoff - self.u)
+
+    def __call__(self, h, hu, h_stencil, side: int = 0, F=None) -> np.ndarray:
+        """PV at every point, minus side * i*pi * h_i(u_i) for side = +1/-1
+        (the displaced-pole integral \\int h_i(z)/(u_i + side*i0 - z) dz).
+
+        With ``F`` the integrand is h_i(z) F_p(z) for targets p, F shared
+        (P, N) or per point (M, P, N); ``hu`` and ``h_stencil`` then hold the
+        product, (M, P) and (M, P, 4), and so does the result.  The node sum
+        is a matrix product: no (M, P, N) array is formed.
+        """
+        h = np.asarray(h, dtype=complex)
+        F = np.ones((1, self.grid.n)) if F is None else np.asarray(F, dtype=complex)
+        m = len(self.u)
+        hu = np.asarray(hu, dtype=complex).reshape(m, -1)        # (M, P)
+        hs = np.asarray(h_stencil, dtype=complex).reshape(m, -1, 4)
+        out = np.empty(hu.shape, dtype=complex)
+        for a in range(0, m, PV_BLOCK):
+            rows = slice(a, a + PV_BLOCK)
+            diff = self.u[rows, None] - self.grid.nodes
+            r = np.nonzero(self.node[rows] >= 0)[0]
+            diff[r, self.node[rows][r]] = np.inf   # that sample is -h_i'(u_i), added below
+            R = self.grid.weights / diff
+            Rh = R * (h[rows] if h.ndim == 2 else h)
+            Fb = F[rows] if F.ndim == 3 else F
+            s = Rh @ Fb.T if Fb.ndim == 2 else np.einsum("ij,ipj->ip", Rh, Fb)
+            out[rows] = s - hu[rows] * np.sum(R, axis=1)[:, None]
+        dh = (hs[..., 0] - 8 * hs[..., 1] + 8 * hs[..., 2] - hs[..., 3]) \
+            / (12 * STENCIL_DELTA * self.tangent[:, None])
+        out = out - self.node_weight[:, None] * dh + hu * self.log_term[:, None] \
+            - side * 1j * np.pi * hu
+        return out.reshape(np.shape(h_stencil)[:-1])
 
 
 def pv_real_axis(f: Callable, x0: float, grid: ContourGrid) -> complex:

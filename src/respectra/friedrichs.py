@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import ContourGrid, build_contour, pole_kernel_integral
+from .contour import ContourGrid, SampledPV, build_contour, pole_kernel_integral
 from .errors import ContourError, ConvergenceError, DegeneratePairError, EvaluationError
 from .model import ModelSpec, eval_V, eval_Vbar
 
@@ -207,8 +207,10 @@ def find_pole(model: ModelSpec, tol: float = 1e-13, max_iter: int = 200,
 class ExactEigvecs:
     """Exact biorthogonal system: the discrete pair and the continuum family.
 
-    Coefficients are exposed as closed-form callables over the curve; the
-    continuum family is indexed by the contour nodes.
+    The discrete pair is exposed as closed-form callables over the curve,
+    the continuum family through eta(u +- i0) at every node u: the right
+    member is the unit atom at u plus Vbar(u)/eta(u+i0) times (level + pole
+    term V(z)/(u+i0-z)); the left one mirrors it with V(u)/eta(u-i0).
     """
 
     def __init__(self, model: ModelSpec, grid: ContourGrid, pole: PoleResult):
@@ -220,9 +222,15 @@ class ExactEigvecs:
         if abs(self.eta_prime) < 1e-8:
             raise DegeneratePairError(f"eta'({lam}) ~ 0: degenerate pole")
         self.norm = 1.0 / np.sqrt(self.eta_prime)   # principal branch
-        # boundary values of eta on the curve, both sides, at every node
-        self.eta_plus = np.array([eta_boundary(model, u, +1, grid) for u in grid.nodes])
-        self.eta_minus = np.array([eta_boundary(model, u, -1, grid) for u in grid.nodes])
+        # boundary values eta(u +- i0) at every node: one curve principal
+        # value shared by both sides, which differ by the half residues
+        pv = SampledPV(grid)
+        f = _vv(model)
+        vv = f(grid.nodes)
+        J = pv(vv, vv, f(pv.stencil))
+        base = grid.nodes - model.omega_level
+        self.eta_plus = base - (J - 1j * np.pi * vv)
+        self.eta_minus = base - (J + 1j * np.pi * vv)
 
     # -- discrete pair ------------------------------------------------------
     def f_disc_d(self) -> complex:
@@ -238,30 +246,6 @@ class ExactEigvecs:
     def ftilde_disc_smooth(self) -> Callable:
         lam, c = self.pole.lambda_pole, self.norm
         return lambda z: c * eval_Vbar(self.model, z) / (lam - z)
-
-    # -- continuum family ---------------------------------------------------
-    def cont_coeffs(self, i: int) -> dict:
-        """Coefficient bundle of the right/left pair at contour node i.
-
-        Right: unit atom at u, d-component Vbar(u)/eta(u+i0), smooth part
-        Vbar(u) V(z) / eta(u+i0) with the outgoing kernel 1/(u+i0-z).
-        Left mirrors it with eta(u-i0) and the conjugate prescription.
-        """
-        u = complex(self.grid.nodes[i])
-        ep, em = complex(self.eta_plus[i]), complex(self.eta_minus[i])
-        vb_u = complex(eval_Vbar(self.model, u))
-        v_u = complex(eval_V(self.model, u))
-        right_num = (lambda z, a=vb_u / ep: a * eval_V(self.model, z))
-        left_num = (lambda z, a=v_u / em: a * eval_Vbar(self.model, z))
-        return {
-            "u": u,
-            "right_d": vb_u / ep,
-            "right_pole_num": right_num,
-            "right_side": +1,
-            "left_d": v_u / em,
-            "left_pole_num": left_num,
-            "left_side": -1,
-        }
 
 
 def exact_system(model: ModelSpec, grid: ContourGrid | None = None,

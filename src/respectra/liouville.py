@@ -231,22 +231,14 @@ class GeneralizedState:
             w = grids.real.nodes.real
             total += np.sum(grids.real.weights.real
                             * np.asarray(self.omega_smooth(w)) * np.asarray(O.o_omega(w)))
-        if self.g_up is not None and O.o_omega is not None:
-            zu = grids.gamma_bar.nodes
-            total += np.sum(grids.gamma_bar.weights * np.asarray(self.g_up(zu))
-                            * np.asarray(O.o_omega(zu)))
-        if self.g_dn is not None and O.o_omega is not None:
-            zl = grids.gamma.nodes
-            total += np.sum(grids.gamma.weights * np.asarray(self.g_dn(zl))
-                            * np.asarray(O.o_omega(zl)))
-        if self.f_om1 is not None and O.o_om1 is not None:
-            zu = grids.gamma_bar.nodes
-            total += np.sum(grids.gamma_bar.weights * np.asarray(self.f_om1(zu))
-                            * np.asarray(O.o_om1(zu)))
-        if self.f_1om is not None and O.o_1om is not None:
-            zl = grids.gamma.nodes
-            total += np.sum(grids.gamma.weights * np.asarray(self.f_1om(zl))
-                            * np.asarray(O.o_1om(zl)))
+        # curve densities against the matching observable block
+        for dens, block, g in ((self.g_up, O.o_omega, grids.gamma_bar),
+                               (self.g_dn, O.o_omega, grids.gamma),
+                               (self.f_om1, O.o_om1, grids.gamma_bar),
+                               (self.f_1om, O.o_1om, grids.gamma)):
+            if dens is not None and block is not None:
+                total += np.sum(g.weights * np.asarray(dens(g.nodes))
+                                * np.asarray(block(g.nodes)))
         if self.f_omom is not None and O.o_omom is not None:
             zu, zl = grids.gamma_bar.nodes, grids.gamma.nodes
             k = np.asarray(self.f_omom(zu[:, None], zl[None, :])) \
@@ -264,12 +256,9 @@ class GeneralizedState:
         total = sum(wt for pos, wt in self.atoms
                     if abs(complex(pos) - position) < 1e-12)
         if self.g_loc is not None and abs(self.g_loc - position) < 1e-12:
-            if self.g_up is not None:
-                total += np.sum(grids.gamma_bar.weights
-                                * np.asarray(self.g_up(grids.gamma_bar.nodes)))
-            if self.g_dn is not None:
-                total += np.sum(grids.gamma.weights
-                                * np.asarray(self.g_dn(grids.gamma.nodes)))
+            for dens, g in ((self.g_up, grids.gamma_bar), (self.g_dn, grids.gamma)):
+                if dens is not None:
+                    total += np.sum(g.weights * np.asarray(dens(g.nodes)))
         return complex(total)
 
 
@@ -323,29 +312,22 @@ class ZeroSectorResult:
     invariant_left_label: str = "omega-family"
 
 
-def _branch_shift_lower(model: ModelSpec, grids: LiouvilleGrids) -> complex:
-    """\\int over the lower curve of V^2/(z - Omega) dz (= PV + i pi V(Omega)^2)."""
-    g = grids.gamma
+def _level_moment(model: ModelSpec, g: ContourGrid, power: int) -> complex:
+    """\\int over the curve g of V Vbar / (z - Omega)^power dz.
+
+    power 1 on the lower curve is the u1 branch shift (= PV + i pi V(Omega)^2),
+    on the upper curve minus the 1u shift; power 2 gives the pair normalizers.
+    """
     v2 = eval_V(model, g.nodes) * eval_Vbar(model, g.nodes)
-    return complex(np.sum(g.weights * v2 / (g.nodes - model.omega_level)))
+    return complex(np.sum(g.weights * v2 / (g.nodes - model.omega_level) ** power))
 
 
-def _branch_shift_upper(model: ModelSpec, grids: LiouvilleGrids) -> complex:
-    g = grids.gamma_bar
-    v2 = eval_V(model, g.nodes) * eval_Vbar(model, g.nodes)
-    return complex(np.sum(g.weights * v2 / (g.nodes - model.omega_level)))
-
-
-def _eta2_lower(model: ModelSpec, grids: LiouvilleGrids) -> complex:
-    g = grids.gamma
-    v2 = eval_V(model, g.nodes) * eval_Vbar(model, g.nodes)
-    return complex(np.sum(g.weights * v2 / (g.nodes - model.omega_level) ** 2))
-
-
-def _eta2_upper(model: ModelSpec, grids: LiouvilleGrids) -> complex:
-    g = grids.gamma_bar
-    v2 = eval_V(model, g.nodes) * eval_Vbar(model, g.nodes)
-    return complex(np.sum(g.weights * v2 / (g.nodes - model.omega_level) ** 2))
+def _level_profile(model: ModelSpec) -> Callable:
+    """z -> -V(z)/(z - Omega): the first-order continuum profile of the level."""
+    def profile(z):
+        z = np.asarray(z, dtype=complex)
+        return -eval_V(model, z) / (z - model.omega_level)
+    return profile
 
 
 def zero_sector_spectrum(model: ModelSpec,
@@ -365,19 +347,13 @@ def zero_sector_spectrum(model: ModelSpec,
     if not 0.0 < om < grids.gamma.cutoff:
         raise EvaluationError("the resonance position must lie inside the continuum "
                               "window for the diagonal atom to be defined")
-    lower = _branch_shift_lower(model, grids)
-    upper = _branch_shift_upper(model, grids)
+    lower = _level_moment(model, grids.gamma, 1)
+    upper = _level_moment(model, grids.gamma_bar, 1)
     alpha = lower - upper
     # cross coefficient from the action on a unit diagonal density
     beta = complex(-lower + upper)
 
-    def om1_corr(z):
-        z = np.asarray(z, dtype=complex)
-        return -eval_V(model, z) / (z - om)
-
-    def c1om_corr(zp):
-        zp = np.asarray(zp, dtype=complex)
-        return -eval_V(model, zp) / (zp - om)
+    profile = _level_profile(model)
 
     def omom_corr(z, zp):
         z = np.asarray(z, dtype=complex)
@@ -385,11 +361,11 @@ def zero_sector_spectrum(model: ModelSpec,
         return (eval_V(model, z) * eval_V(model, zp)
                 / ((z - om) * (zp - om)))
 
-    decay_right = GeneralizedState(c1=1.0 + 0j, f_om1=om1_corr, f_1om=c1om_corr,
+    decay_right = GeneralizedState(c1=1.0 + 0j, f_om1=profile, f_1om=profile,
                                    f_omom=omom_corr)
     decay_left = LeftEigvec(label="decay", eigenvalue=alpha, c1=1.0 + 0j,
                             omega_atoms=((om, -1.0 + 0j),),
-                            om1_density=om1_corr, c1om_density=c1om_corr,
+                            om1_density=profile, c1om_density=profile,
                             omom_row=omom_corr)
     return ZeroSectorResult(lam_d=alpha, coeff_on_level=alpha, coeff_on_diagonal=beta,
                             decay_right=decay_right, decay_left=decay_left)
@@ -427,16 +403,11 @@ def branch_u1(model: ModelSpec, u: complex,
     if grids.gamma_bar.node_index(u) is None and u.imag < 0:
         raise EvaluationError(f"branch point {u} must lie on the upper curve")
     om = model.omega_level
-    lam2 = _branch_shift_lower(model, grids)
+    lam2 = _level_moment(model, grids.gamma, 1)
     a = complex(eval_V(model, u)) / (u - om)
-
-    def omom_row(zp, _a=a):
-        zp = np.asarray(zp, dtype=complex)
-        return -eval_V(model, zp) / (zp - om)
-
     left = LeftEigvec(label="u1", eigenvalue=(u - om) + lam2, c1=a,
                       omega_atoms=((u, -a),), om1_atoms=((u, 1.0 + 0j),),
-                      omom_row=omom_row)
+                      omom_row=_level_profile(model))
     return BranchSeries("u1", u, u - om, lam2, right_c1=a, left=left)
 
 
@@ -450,16 +421,11 @@ def branch_1u(model: ModelSpec, up: complex,
     if grids.gamma.node_index(up) is None and up.imag > 0:
         raise EvaluationError(f"branch point {up} must lie on the lower curve")
     om = model.omega_level
-    lam2 = -_branch_shift_upper(model, grids)
+    lam2 = -_level_moment(model, grids.gamma_bar, 1)
     a = complex(eval_V(model, up)) / (up - om)
-
-    def omom_col(z, _a=a):
-        z = np.asarray(z, dtype=complex)
-        return -eval_V(model, z) / (z - om)
-
     left = LeftEigvec(label="1u", eigenvalue=(om - up) + lam2, c1=a,
                       omega_atoms=((up, -a),), c1om_atoms=((up, 1.0 + 0j),),
-                      omom_row=omom_col)
+                      omom_row=_level_profile(model))
     return BranchSeries("1u", up, om - up, lam2, right_c1=a, left=left)
 
 
@@ -506,10 +472,10 @@ class LiouvilleSystem:
         self.grids = grids if grids is not None else LiouvilleGrids.for_model(model)
         self.zero = zero_sector_spectrum(model, self.grids)
         self.lam_d = self.zero.lam_d
-        self.shift_lower = _branch_shift_lower(model, self.grids)     # lam2 of u1
-        self.shift_upper = -_branch_shift_upper(model, self.grids)    # lam2 of 1u
-        eta2_l = _eta2_lower(model, self.grids)
-        eta2_u = _eta2_upper(model, self.grids)
+        self.shift_lower = _level_moment(model, self.grids.gamma, 1)       # lam2 of u1
+        self.shift_upper = -_level_moment(model, self.grids.gamma_bar, 1)  # lam2 of 1u
+        eta2_l = _level_moment(model, self.grids.gamma, 2)
+        eta2_u = _level_moment(model, self.grids.gamma_bar, 2)
         # pair normalizers through second order
         self.norm_d = 1.0 + eta2_l + eta2_u
         self.norm_u1 = 1.0 + eta2_l
@@ -578,27 +544,22 @@ def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
     n_u1, n_1u, n_d = system.norm_u1, system.norm_1u, system.norm_d
     lam_u1, lam_1u = system.lam_u1, system.lam_1u
 
-    def g_up(z, _c=c1r):
-        z = np.asarray(z, dtype=complex)
-        v2 = eval_V(model, z) * eval_Vbar(model, z)
-        return -_c * v2 / (z - om) ** 2 * np.exp(1j * lam_u1(z) * t) / n_u1
+    def g_density(lam, norm):
+        # omega-block density of a singly continuous branch
+        def g(z):
+            z = np.asarray(z, dtype=complex)
+            v2 = eval_V(model, z) * eval_Vbar(model, z)
+            return -c1r * v2 / (z - om) ** 2 * np.exp(1j * lam(z) * t) / norm
+        return g
 
-    def g_dn(z, _c=c1r):
-        z = np.asarray(z, dtype=complex)
-        v2 = eval_V(model, z) * eval_Vbar(model, z)
-        return -_c * v2 / (z - om) ** 2 * np.exp(1j * lam_1u(z) * t) / n_1u
-
-    def f_om1(z, _c=c1r):
-        z = np.asarray(z, dtype=complex)
-        a = eval_V(model, z) / (z - om)
-        return _c * a * (np.exp(1j * lam_u1(z) * t) / n_u1
-                         - decay_phase * np.ones_like(z))
-
-    def f_1om(z, _c=c1r):
-        z = np.asarray(z, dtype=complex)
-        a = eval_V(model, z) / (z - om)
-        return _c * a * (np.exp(1j * lam_1u(z) * t) / n_1u
-                         - decay_phase * np.ones_like(z))
+    def f_density(lam, norm):
+        # off-diagonal block density of a singly continuous branch
+        def f(z):
+            z = np.asarray(z, dtype=complex)
+            a = eval_V(model, z) / (z - om)
+            return c1r * a * (np.exp(1j * lam(z) * t) / norm
+                              - decay_phase * np.ones_like(z))
+        return f
 
     def f_omom(z, zp, _c=c1r):
         z = np.asarray(z, dtype=complex)
@@ -614,11 +575,11 @@ def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
         c1=c1r * surv,
         atoms=tuple(atoms),
         omega_smooth=rho0.omega_smooth,
-        f_om1=f_om1 if abs(c1r) > 0 else None,
-        f_1om=f_1om if abs(c1r) > 0 else None,
+        f_om1=f_density(lam_u1, n_u1) if abs(c1r) > 0 else None,
+        f_1om=f_density(lam_1u, n_1u) if abs(c1r) > 0 else None,
         f_omom=f_omom if abs(c1r) > 0 else None,
-        g_up=g_up if abs(c1r) > 0 else None,
-        g_dn=g_dn if abs(c1r) > 0 else None,
+        g_up=g_density(lam_u1, n_u1) if abs(c1r) > 0 else None,
+        g_dn=g_density(lam_1u, n_1u) if abs(c1r) > 0 else None,
         g_loc=om if abs(c1r) > 0 else None,
     )
 

@@ -133,12 +133,6 @@ class ModelSpec:
     def has_kernel(self) -> bool:
         return self.kernel is not None and self.coupling > 0
 
-    def in_region(self, z: complex) -> bool:
-        sre = _REGION_SLACK_RE * max(1.0, self.contour.cutoff)
-        sim = max(_REGION_SLACK_IM * self.contour.depth, 1e-2)
-        return (-0.01 <= z.real <= self.contour.cutoff + sre
-                and abs(z.imag) <= self.contour.depth + sim)
-
 
 def default_contour(omega_level: float, n_nodes: int = 200, depth: float = 0.5,
                     shape: str = "rectangle") -> ContourSpec:

@@ -18,17 +18,20 @@ shift is identically zero and
 The continuous branch keeps the eigenvalue exactly at u (every correction
 vanishes because the kernel carries no delta component) and is implemented
 through second order with the outgoing (+i0) kernel on the right and the
-conjugate prescription on the left.
+conjugate prescription on the left.  ``ContinuumFamily`` holds the vectors
+of a whole family of curve points as arrays and pairs them all through one
+sampled curve principal value; ``perturb_continuous`` is its one-point case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
-from .contour import ContourGrid, build_contour, pole_kernel_integral
+from .contour import ContourGrid, SampledPV, build_contour, pole_kernel_integral
 from .errors import ConfigError, DegeneratePairError, EvaluationError
 from .friedrichs import exact_system
 from .model import ModelSpec, eval_V, eval_V2, eval_Vbar
@@ -100,10 +103,6 @@ class VectorCoeffs:
     def project_continuum(self) -> "VectorCoeffs":
         return VectorCoeffs(0j, self.atoms, self.smooth)
 
-    def continuum_at(self, z: complex) -> complex:
-        """Value of the smooth continuum part at z (atoms excluded)."""
-        return complex(sum(t.at(z) for t in self.smooth)) if self.smooth else 0j
-
 
 def as_coeffs(vec: AnalyticVector) -> VectorCoeffs:
     smooth = (PlainTerm(vec.at),) if vec.profile is not None else ()
@@ -135,12 +134,10 @@ def _pair_terms(lt, rt, grid: ContourGrid) -> complex:
     lplain, rplain = isinstance(lt, PlainTerm), isinstance(rt, PlainTerm)
     if lplain and rplain:
         return complex(np.sum(grid.weights * lt.values(grid) * rt.values(grid)))
-    if lplain and not rplain:
-        h = (lambda z, f=lt.fn, g=rt.num: np.asarray(f(z)) * np.asarray(g(z)))
-        return pole_kernel_integral(grid, h, rt.pole, rt.side)
-    if rplain and not lplain:
-        h = (lambda z, f=rt.fn, g=lt.num: np.asarray(f(z)) * np.asarray(g(z)))
-        return pole_kernel_integral(grid, h, lt.pole, lt.side)
+    if lplain != rplain:
+        plain, pole = (lt, rt) if lplain else (rt, lt)
+        h = (lambda z: np.asarray(plain.fn(z)) * np.asarray(pole.num(z)))
+        return pole_kernel_integral(grid, h, pole.pole, pole.side)
     raise EvaluationError("pole-pole pairing is distributional; not supported directly")
 
 
@@ -160,33 +157,58 @@ class PerturbationSeries:
         return self.orders[k][0]
 
     def right_total(self) -> VectorCoeffs:
-        out = VectorCoeffs()
-        for _, r, _ in self.orders:
-            out = out.plus(r)
-        return out
+        return self._total(1)
 
     def left_total(self) -> VectorCoeffs:
+        return self._total(2)
+
+    def _total(self, slot: int) -> VectorCoeffs:
         out = VectorCoeffs()
-        for _, _, l in self.orders:
-            out = out.plus(l)
+        for o in self.orders:
+            out = out.plus(o[slot])
         return out
+
+
+def _kernel(model: ModelSpec, side: int) -> Callable:
+    """K(z, z') for right vectors (side=+1), its transpose for left ones."""
+    if side > 0:
+        return lambda z, zp: eval_V2(model, z, zp)
+    return lambda z, zp: eval_V2(model, zp, z)
 
 
 def _kernel_column(model: ModelSpec, grid: ContourGrid, samples: np.ndarray,
-                   transpose: bool) -> Callable:
-    """z -> \\int K(z, z') f(z') dz' (or the transposed contraction)."""
+                   side: int) -> Callable:
+    """z -> \\int K(z, z') f(z') dz' (transposed K for side=-1)."""
     wts = grid.weights * samples
 
-    def fn(z, _w=wts, _nodes=grid.nodes, _t=transpose):
+    def fn(z):
+        zz = np.atleast_1d(np.asarray(z, dtype=complex))
+        out = _kernel(model, side)(zz[:, None], grid.nodes[None, :]) @ wts
+        return complex(out[0]) if np.ndim(z) == 0 else out
+
+    return fn
+
+
+def _discrete_profile(model: ModelSpec, grid: ContourGrid, n: int, side: int,
+                      prev: list, lambdas: list) -> Callable:
+    """phi_n (side=+1) or psi_n (side=-1) of the discrete branch, given the
+    lower orders ``prev`` as (callable, node samples) and lambda_0..lambda_{n-1}."""
+    om = model.omega_level
+    if n == 1:
+        coupling = eval_V if side > 0 else eval_Vbar
+        return lambda z: coupling(model, z) / (om - np.asarray(z, dtype=complex))
+    base = [_kernel_column(model, grid, prev[-1][1], side)] if model.has_kernel() else []
+    subs = [(complex(lambdas[k]), prev[n - k - 1][0]) for k in range(2, n)]
+
+    def fn(z):
         z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        zz = np.atleast_1d(z)
-        if _t:
-            k = eval_V2(model, _nodes[None, :], zz[:, None])
-        else:
-            k = eval_V2(model, zz[:, None], _nodes[None, :])
-        out = k @ _w
-        return complex(out[0]) if scalar else out
+        acc = np.zeros_like(np.atleast_1d(z))
+        for t in base:
+            acc = acc + np.atleast_1d(np.asarray(t(z), dtype=complex))
+        for lam_k, f in subs:
+            acc = acc - lam_k * np.atleast_1d(np.asarray(f(z), dtype=complex))
+        acc = acc / (om - np.atleast_1d(z))
+        return acc[0] if z.ndim == 0 else acc
 
     return fn
 
@@ -200,59 +222,149 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
     if grid is None:
         grid = build_contour(model.contour)
     om = model.omega_level
-    nodes, wts = grid.nodes, grid.weights
-    vbar = np.asarray(eval_Vbar(model, nodes), dtype=complex)
-    v = np.asarray(eval_V(model, nodes), dtype=complex)
-
-    lambdas: list[complex] = [complex(om)]
-    rights: list[VectorCoeffs] = [VectorCoeffs(d=1.0 + 0j)]
-    lefts: list[VectorCoeffs] = [VectorCoeffs(d=1.0 + 0j)]
-    phi_fns: list[Callable | None] = [None]
-    psi_fns: list[Callable | None] = [None]
-    phi_samps: list[np.ndarray] = [np.zeros_like(nodes)]
-    psi_samps: list[np.ndarray] = [np.zeros_like(nodes)]
-
+    vbar = np.asarray(eval_Vbar(model, grid.nodes), dtype=complex)
+    lambdas = [complex(om)]
+    profiles = {+1: [], -1: []}       # (callable, node samples) of phi_n / psi_n
     for n in range(1, order + 1):
-        if n == 1:
-            # the gauge leaves no diagonal matrix element: the shift vanishes
-            lam_n = 0.0 + 0j
-            phi_fn = (lambda z: eval_V(model, z) / (om - np.asarray(z, dtype=complex)))
-            psi_fn = (lambda z: eval_Vbar(model, z) / (om - np.asarray(z, dtype=complex)))
-        else:
-            lam_n = complex(np.sum(wts * vbar * phi_samps[n - 1]))
-            terms_r: list[Callable] = []
-            terms_l: list[Callable] = []
-            if model.has_kernel():
-                terms_r.append(_kernel_column(model, grid, phi_samps[n - 1], transpose=False))
-                terms_l.append(_kernel_column(model, grid, psi_samps[n - 1], transpose=True))
-            sub = [(complex(lambdas[k]) if k >= 2 else 0j, n - k) for k in range(2, n)]
+        # the gauge leaves no diagonal matrix element: lambda_1 vanishes exactly
+        lambdas.append(0j if n == 1 else
+                       complex(np.sum(grid.weights * vbar * profiles[+1][-1][1])))
+        for side in (+1, -1):
+            fn = _discrete_profile(model, grid, n, side, profiles[side], lambdas)
+            profiles[side].append((fn, np.asarray(fn(grid.nodes), dtype=complex)))
+    right, left = ([VectorCoeffs(d=1.0 + 0j)]
+                   + [VectorCoeffs(smooth=(PlainTerm(fn, samples),))
+                      for fn, samples in profiles[side]] for side in (+1, -1))
+    return PerturbationSeries(tuple(zip(lambdas, right, left)), "discrete", complex(om))
 
-            def _make(fns, subs, base_terms):
-                def fn(z):
-                    z = np.asarray(z, dtype=complex)
-                    acc = np.zeros_like(np.atleast_1d(z))
-                    for t in base_terms:
-                        acc = acc + np.atleast_1d(np.asarray(t(z), dtype=complex))
-                    for lam_k, m in subs:
-                        if fns[m] is not None:
-                            acc = acc - lam_k * np.atleast_1d(np.asarray(fns[m](z), dtype=complex))
-                    acc = acc / (om - np.atleast_1d(z))
-                    return acc[0] if np.asarray(z).ndim == 0 else acc
-                return fn
 
-            phi_fn = _make(phi_fns, sub, terms_r)
-            psi_fn = _make(psi_fns, sub, terms_l)
-        phi_fns.append(phi_fn)
-        psi_fns.append(psi_fn)
-        phi_samps.append(np.asarray(phi_fn(nodes), dtype=complex))
-        psi_samps.append(np.asarray(psi_fn(nodes), dtype=complex))
-        if n == 1:
-            lam_n = 0.0 + 0j  # exact, not a computed small number
-        lambdas.append(lam_n)
-        rights.append(VectorCoeffs(smooth=(PlainTerm(phi_fn, phi_samps[n]),)))
-        lefts.append(VectorCoeffs(smooth=(PlainTerm(psi_fn, psi_samps[n]),)))
+def _kernel_term(model: ModelSpec, pv: SampledPV, z, side: int) -> np.ndarray:
+    """k_i(z) = \\int K(z, z') K(z', u_i) / (u_i + side*i0 - z') dz' at every
+    point u_i of ``pv`` (K transposed on the left) for targets z shared by
+    all points (P,) or given per point (M, P); shape (M, P)."""
+    kk = _kernel(model, side)
+    u, st, nodes = pv.u, pv.stencil, pv.grid.nodes
+    z = np.asarray(z, dtype=complex)
+    return pv(kk(nodes, u[:, None]), kk(z, u[:, None]) * kk(u, u)[:, None],
+              kk(z[..., None], st[:, None, :]) * kk(st, u[:, None])[:, None, :], side,
+              F=kk(z[..., None], nodes))
 
-    return PerturbationSeries(tuple(zip(lambdas, rights, lefts)), "discrete", complex(om))
+
+class ContinuumFamily:
+    """Right (side=+1) or left (side=-1) continuum eigenvectors at the curve
+    points of ``pv`` (every node by default), held as arrays.
+
+    Member i is ``d[i]`` on the level, an exact unit atom at u_i and the pole
+    term N_i(z) / (u_i + side*i0 - z) with N_i(z) = coef[i] B(z) + K(z, u_i)
+    + k_i(z), B = V on the right and Vbar on the left; the kernel column and
+    the ``_kernel_term`` k_i are present for kernel orders 1 and 2.  The
+    numerators are sampled on first use at the nodes, at u_i and at the
+    stencil of u_i: the B part as one shared row, the kernel part per member.
+    """
+
+    def __init__(self, model: ModelSpec, pv: SampledPV, side: int, d,
+                 coef=None, kernel_orders: tuple = ()):
+        self.model = model
+        self.pv = pv
+        self.grid = pv.grid
+        self.u = pv.u
+        self.side = side
+        self.d = np.asarray(d, dtype=complex)
+        self.coef = None if coef is None else np.asarray(coef, dtype=complex)
+        self.kernel_orders = tuple(kernel_orders)
+
+    def __add__(self, other: "ContinuumFamily") -> "ContinuumFamily":
+        coefs = [c for c in (self.coef, other.coef) if c is not None]
+        return ContinuumFamily(self.model, self.pv, self.side, self.d + other.d,
+                               sum(coefs) if coefs else None,
+                               self.kernel_orders + other.kernel_orders)
+
+    def _basis(self, z):
+        return (eval_V if self.side > 0 else eval_Vbar)(self.model, z)
+
+    def _kernel_part(self, pv: SampledPV, z) -> np.ndarray:
+        """Kernel part of the numerators of the points of ``pv`` at targets
+        z, shared (P,) or per point (M, P); shape (M, P)."""
+        out = _kernel(self.model, self.side)(z, pv.u[:, None]) if 1 in self.kernel_orders else 0
+        if 2 in self.kernel_orders:
+            out = out + _kernel_term(self.model, pv, z, self.side)
+        return out
+
+    def numerator(self, i: int, z):
+        """N_i(z) at any points z, evaluated afresh from the closed forms."""
+        z = np.asarray(z, dtype=complex)
+        zf = z.reshape(-1)
+        out = np.zeros(len(zf), dtype=complex)
+        if self.coef is not None:
+            out = out + self.coef[i] * self._basis(zf)
+        if self.kernel_orders:
+            out = out + self._kernel_part(SampledPV(self.grid, self.u[i]), zf)[0]
+        return out.reshape(z.shape)
+
+    def __getitem__(self, i: int) -> VectorCoeffs:
+        """Member i as a single coefficient bundle (for scalar pairings)."""
+        u = complex(self.u[i])
+        smooth = ()
+        if self.coef is not None or self.kernel_orders:
+            smooth = (PoleTerm(partial(self.numerator, i), u, self.side),)
+        return VectorCoeffs(complex(self.d[i]), ((u, 1.0 + 0j),), smooth)
+
+    def _sample(self, fn) -> tuple:
+        """fn at the nodes (N,), at the points u (M,) and at their stencils (M, 4)."""
+        n, m = self.grid.n, len(self.u)
+        pts = np.concatenate([self.grid.nodes, self.u, self.pv.stencil.ravel()])
+        vals = np.asarray(fn(pts), dtype=complex)
+        return vals[:n], vals[n:n + m], vals[n + m:].reshape(m, 4)
+
+    @cached_property
+    def _numerator_parts(self) -> list:
+        """(samples at the nodes, at u, at the stencils, scale) per numerator part."""
+        parts = []
+        if self.coef is not None:
+            parts.append(self._sample(self._basis) + (self.coef,))
+        if self.kernel_orders:
+            own = self._kernel_part(self.pv, np.column_stack([self.u, self.pv.stencil]))
+            parts.append((self._kernel_part(self.pv, self.grid.nodes), own[:, 0], own[:, 1:], 1))
+        return parts
+
+    def pair(self, vec: VectorCoeffs) -> np.ndarray:
+        """Bilinear pairing of every member with a vector made of a level
+        component and plain smooth terms: <vec|f_i> on the right, <f~_i|vec>
+        on the left."""
+        if vec.atoms or any(isinstance(t, PoleTerm) for t in vec.smooth):
+            raise EvaluationError("a family pairs only with level and plain smooth parts")
+        out = vec.d * self.d
+        if not vec.smooth:
+            return out
+        p, pu, ps = self._sample(lambda z: sum(t.at(z) for t in vec.smooth))
+        out = out + pu                          # the unit atoms at u_i
+        for num, num_u, num_s, scale in self._numerator_parts:
+            out = out + scale * self.pv(p * num, pu * num_u, ps * num_s, self.side)
+        return out
+
+
+def _branch_orders(model: ModelSpec, pv: SampledPV, order: int, side: int) -> list:
+    """Orders 1..order (at most 2) of the continuous branch at the points of
+    ``pv``, one family each.  With L = Vbar on the right and V on the left:
+    order 1 is L(u)/(u - Omega) plus the kernel column; order 2 is
+    \\int L(z) K(z, u)/(u + side*i0 - z) dz / (u - Omega) plus the numerator
+    B(z) L(u)/(u - Omega) + k_u(z)."""
+    u, om = pv.u, model.omega_level
+    if np.any((u.imag == 0.0) & (np.abs(u - om) < 1e-12)):
+        raise EvaluationError("curve point coincides with the discrete level")
+    level = eval_Vbar if side > 0 else eval_V
+    kernel = model.has_kernel()
+    d1 = level(model, u) / (u - om)
+    fams = [ContinuumFamily(model, pv, side, d1, kernel_orders=(1,) if kernel else ())]
+    if order >= 2:
+        d2 = np.zeros_like(d1)
+        if kernel:
+            kk, nodes, st = _kernel(model, side), pv.grid.nodes, pv.stencil
+            d2 = pv(level(model, nodes) * kk(nodes, u[:, None]), level(model, u) * kk(u, u),
+                    level(model, st) * kk(st, u[:, None]), side) / (u - om)
+        fams.append(ContinuumFamily(model, pv, side, d2, coef=d1,
+                                    kernel_orders=(2,) if kernel else ()))
+    return fams[:order]
 
 
 def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
@@ -267,69 +379,12 @@ def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
     if grid is None:
         grid = build_contour(model.contour)
     u = complex(u)
-    om = model.omega_level
-    if abs(u.imag) == 0.0 and abs(u - om) < 1e-12:
-        raise EvaluationError("curve point coincides with the discrete level")
-    vb_u = complex(eval_Vbar(model, u))
-    v_u = complex(eval_V(model, u))
-
-    orders = [(u, VectorCoeffs(atoms=((u, 1.0 + 0j),)),
-               VectorCoeffs(atoms=((u, 1.0 + 0j),)))]
-    if order >= 1:
-        d1 = vb_u / (u - om)
-        e1 = v_u / (u - om)
-        r_smooth = ()
-        l_smooth = ()
-        if model.has_kernel():
-            r_smooth = (PoleTerm(lambda z: eval_V2(model, z, u), u, +1),)
-            l_smooth = (PoleTerm(lambda z: eval_V2(model, u, z), u, -1),)
-        orders.append((0.0 + 0j, VectorCoeffs(d=d1, smooth=r_smooth),
-                       VectorCoeffs(d=e1, smooth=l_smooth)))
-    if order >= 2:
-        d2 = 0j
-        e2 = 0j
-        k_r = None
-        k_l = None
-        if model.has_kernel():
-            h_r = (lambda z: eval_Vbar(model, z) * eval_V2(model, z, u))
-            d2 = pole_kernel_integral(grid, h_r, u, +1) / (u - om)
-            h_l = (lambda z: eval_V(model, z) * eval_V2(model, u, z))
-            e2 = pole_kernel_integral(grid, h_l, u, -1) / (u - om)
-
-            def k_r(z, _u=u):
-                z = np.asarray(z, dtype=complex)
-                scalar = z.ndim == 0
-                out = np.array([
-                    pole_kernel_integral(grid,
-                                         lambda zp, _z=zz: eval_V2(model, _z, zp)
-                                         * eval_V2(model, zp, _u), _u, +1)
-                    for zz in np.atleast_1d(z)])
-                return out[0] if scalar else out
-
-            def k_l(z, _u=u):
-                z = np.asarray(z, dtype=complex)
-                scalar = z.ndim == 0
-                out = np.array([
-                    pole_kernel_integral(grid,
-                                         lambda zp, _z=zz: eval_V2(model, _u, zp)
-                                         * eval_V2(model, zp, _z), _u, -1)
-                    for zz in np.atleast_1d(z)])
-                return out[0] if scalar else out
-
-        d1 = vb_u / (u - om)   # also needed when order 1 was skipped
-        e1 = v_u / (u - om)
-
-        def num_r(z, _d1=d1, _k=k_r):
-            base = eval_V(model, z) * _d1
-            return base + _k(z) if _k is not None else base
-
-        def num_l(z, _e1=e1, _k=k_l):
-            base = eval_Vbar(model, z) * _e1
-            return base + _k(z) if _k is not None else base
-
-        orders.append((0.0 + 0j,
-                       VectorCoeffs(d=d2, smooth=(PoleTerm(num_r, u, +1),)),
-                       VectorCoeffs(d=e2, smooth=(PoleTerm(num_l, u, -1),))))
+    pv = SampledPV(grid, u)
+    atom = VectorCoeffs(atoms=((u, 1.0 + 0j),))
+    right, left = (_branch_orders(model, pv, order, side) for side in (+1, -1))
+    # corrections carry no atom: the unit atom is the order-0 vector
+    orders = [(u, atom, atom)] + [(0.0 + 0j, replace(r[0], atoms=()), replace(l[0], atoms=()))
+                                  for r, l in zip(right, left)]
     return PerturbationSeries(tuple(orders), "continuous", u)
 
 
@@ -347,21 +402,21 @@ class BiorthogonalSystem:
     """Assembled spectral data: normalized discrete pair + continuum family.
 
     Backed either by the order-by-order engine or by the exact solution; both
-    expose the same coefficient structures, so reconstruction and dynamics are
-    agnostic to the source.
+    expose the same structures (single coefficient bundles for the discrete
+    pair, array-backed families for the continuum), so reconstruction and
+    dynamics are agnostic to the source.
     """
 
     def __init__(self, model: ModelSpec, grid: ContourGrid, pole: complex,
                  disc_right: VectorCoeffs, disc_left: VectorCoeffs,
-                 cont_right: Sequence[VectorCoeffs], cont_left: Sequence[VectorCoeffs],
-                 source: str):
+                 cont_right: ContinuumFamily, cont_left: ContinuumFamily, source: str):
         self.model = model
         self.grid = grid
         self.pole = complex(pole)
         self.disc_right = disc_right
         self.disc_left = disc_left
-        self.cont_right = list(cont_right)
-        self.cont_left = list(cont_left)
+        self.cont_right = cont_right
+        self.cont_left = cont_left
         self.source = source
 
     @classmethod
@@ -371,12 +426,12 @@ class BiorthogonalSystem:
             grid = build_contour(model.contour)
         disc = perturb_discrete(model, order, grid)
         r, l = normalize_pair(disc.right_total(), disc.left_total(), grid)
-        cont_r, cont_l = [], []
-        for u in grid.nodes:
-            ser = perturb_continuous(model, complex(u), min(order, 2), grid)
-            cont_r.append(ser.right_total())
-            cont_l.append(ser.left_total())
-        return cls(model, grid, disc.eigenvalue, r, l, cont_r, cont_l,
+        pv = SampledPV(grid)
+        # order 0 is the unit atom of every member; the corrections add up
+        right, left = (sum(_branch_orders(model, pv, min(order, 2), side),
+                           ContinuumFamily(model, pv, side, np.zeros(grid.n)))
+                       for side in (+1, -1))
+        return cls(model, grid, disc.eigenvalue, r, l, right, left,
                    source=f"perturbation(order={order})")
 
     @classmethod
@@ -385,14 +440,12 @@ class BiorthogonalSystem:
         grid = sysx.grid
         dr = VectorCoeffs(d=sysx.f_disc_d(), smooth=(PlainTerm(sysx.f_disc_smooth()),))
         dl = VectorCoeffs(d=sysx.ftilde_disc_d(), smooth=(PlainTerm(sysx.ftilde_disc_smooth()),))
-        cont_r, cont_l = [], []
-        for i in range(grid.n):
-            c = sysx.cont_coeffs(i)
-            cont_r.append(VectorCoeffs(d=c["right_d"], atoms=((c["u"], 1.0 + 0j),),
-                                       smooth=(PoleTerm(c["right_pole_num"], c["u"], +1),)))
-            cont_l.append(VectorCoeffs(d=c["left_d"], atoms=((c["u"], 1.0 + 0j),),
-                                       smooth=(PoleTerm(c["left_pole_num"], c["u"], -1),)))
-        return cls(model, grid, sysx.pole.lambda_pole, dr, dl, cont_r, cont_l, source="exact")
+        pv = SampledPV(grid)
+        a_right = eval_Vbar(model, grid.nodes) / sysx.eta_plus
+        a_left = eval_V(model, grid.nodes) / sysx.eta_minus
+        return cls(model, grid, sysx.pole.lambda_pole, dr, dl,
+                   ContinuumFamily(model, pv, +1, a_right, a_right),
+                   ContinuumFamily(model, pv, -1, a_left, a_left), source="exact")
 
     # -- reconstruction ------------------------------------------------------
     def overlap_tables(self, psi: AnalyticVector, phi: AnalyticVector):
@@ -401,9 +454,7 @@ class BiorthogonalSystem:
         rvec = as_coeffs(phi)
         a_pole = pair_coeffs(lvec, self.disc_right, self.grid)
         b_pole = pair_coeffs(self.disc_left, rvec, self.grid)
-        a = np.array([pair_coeffs(lvec, fr, self.grid) for fr in self.cont_right])
-        b = np.array([pair_coeffs(fl, rvec, self.grid) for fl in self.cont_left])
-        return a_pole, b_pole, a, b
+        return a_pole, b_pole, self.cont_right.pair(lvec), self.cont_left.pair(rvec)
 
     def reconstruct_inner(self, psi: AnalyticVector, phi: AnalyticVector) -> complex:
         a0, b0, a, b = self.overlap_tables(psi, phi)
@@ -437,14 +488,8 @@ class BiorthogonalSystem:
             "disc_right_smooth_im": dr.imag.tolist(),
             "disc_left_smooth_re": dl.real.tolist(),
             "disc_left_smooth_im": dl.imag.tolist(),
-            "cont_right_d_re": [c.d.real for c in self.cont_right],
-            "cont_right_d_im": [c.d.imag for c in self.cont_right],
-            "cont_left_d_re": [c.d.real for c in self.cont_left],
-            "cont_left_d_im": [c.d.imag for c in self.cont_left],
+            "cont_right_d_re": self.cont_right.d.real.tolist(),
+            "cont_right_d_im": self.cont_right.d.imag.tolist(),
+            "cont_left_d_re": self.cont_left.d.real.tolist(),
+            "cont_left_d_im": self.cont_left.d.imag.tolist(),
         }
-
-
-def assemble_system(model: ModelSpec, order: int = 2,
-                    grid: ContourGrid | None = None) -> BiorthogonalSystem:
-    """Perturbative biorthogonal system through the given order."""
-    return BiorthogonalSystem.from_perturbation(model, order, grid)

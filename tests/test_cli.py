@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -116,8 +117,7 @@ def test_barrier_closed_channel_exit(tmp_path):
     assert main(["--config", _write_cfg(tmp_path, doc)]) == 1
 
 
-def test_validate_passes(tmp_path, monkeypatch):
-    monkeypatch.setenv("RESPECTRA_THREADS", "2")
+def test_validate_passes(tmp_path):
     doc = {"command": "validate", "output_dir": str(tmp_path / "o"),
            "model": MODEL, "seed": 7}
     assert main(["--config", _write_cfg(tmp_path, doc)]) == 0
@@ -151,3 +151,29 @@ def test_grid_dump_flag(tmp_path):
     lines = (tmp_path / "o" / "grid.csv").read_text().splitlines()
     assert lines[1] == "node_re,node_im,weight_re,weight_im"
     assert len(lines) == 2 + MODEL["contour"]["n_nodes"]
+
+
+RERUN_CONFIGS = {
+    "spectrum": {"model": MODEL},
+    "evolve": {"model": MODEL, "grid": {"t_points": 32, "oracle_n": 300}},
+    "liouville": {"model": dict(MODEL, epsilon=0.05),
+                  "grid": {"liouville_n": 64, "t_points": 16}},
+    "barrier": {"barrier": {"a": 0.8, "b": 10.0, "v0": 0.25, "v1": 0.092},
+                "grid": {"sweep_points": 5}},
+    "validate": {"model": MODEL, "seed": 11},
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_CONFIGS))
+def test_rerun_is_byte_identical(tmp_path, command):
+    # the same config run twice into the same cleared directory writes the
+    # same artifact bytes
+    out = tmp_path / "o"
+    doc = dict(RERUN_CONFIGS[command], command=command, output_dir=str(out))
+    cfg = _write_cfg(tmp_path, doc)
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["--config", cfg]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert runs[0] and runs[0] == runs[1]

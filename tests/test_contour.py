@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from respectra.contour import (ContourSpec, build_contour, cderiv, integrate_contour,
-                               plemelj_integral, pole_kernel_integral, pv_curve,
-                               real_axis_grid)
+from respectra.contour import (ContourSpec, SampledPV, build_contour, cderiv,
+                               integrate_contour, plemelj_integral, pole_kernel_integral,
+                               pv_curve, real_axis_grid)
 from respectra.errors import ContourError, EvaluationError
 from respectra.model import make_form_factor
 
@@ -149,6 +149,44 @@ class TestCurvePV:
     def test_endpoint_rejected(self, default_grid):
         with pytest.raises(EvaluationError):
             pv_curve(default_grid, np.exp, 0.0 + 0j)
+        with pytest.raises(EvaluationError):
+            SampledPV(default_grid, [1.0 - 0.5j, 20.0])
+
+    @pytest.mark.parametrize("shape", ["rectangle", "semi_ellipse"])
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_sampled_matches_scalar_reference(self, shape, side):
+        # the sampled operator against the per-node scalar loop, with the
+        # eta integrand V Vbar of the default coupling
+        grid = build_contour(ContourSpec(0.5, 20.0, shape, 200))
+        h = lambda z: 0.01 * z * np.exp(-z)
+        pv = SampledPV(grid)
+        got = pv(h(grid.nodes), h(grid.nodes), h(pv.stencil), side)
+        ref = np.array([pole_kernel_integral(grid, h, u, side) for u in grid.nodes])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    def test_sampled_rows_targets_and_off_node_points(self, default_grid):
+        # one integrand per point (h_i), a target axis (h_i F_p) and points
+        # between nodes of the bottom segment, against the scalar reference
+        grid = default_grid
+        mid = 0.5 * (grid.nodes[60:140:20] + grid.nodes[61:141:20])
+        u = np.concatenate([grid.nodes[::25], mid])
+        c = np.linspace(0.4, 1.2, len(u))
+        a = np.array([0.3, 0.8, 1.5])
+        h = lambda z, ci: np.sqrt(z + 0j) * np.exp(-ci * z)
+        F = lambda z, ap: np.exp(-ap * z) * (1 + z)
+        pv = SampledPV(grid, u)
+        rows = np.array([h(grid.nodes, ci) for ci in c])
+        st = pv.stencil
+        got = pv(rows, h(u, c), h(st, c[:, None]), +1)
+        got_f = pv(rows, h(u, c)[:, None] * F(u[:, None], a),
+                   (h(st, c[:, None])[:, None, :] * F(st[:, None, :], a[:, None])), -1,
+                   F=F(grid.nodes, a[:, None]))
+        for i, (ui, ci) in enumerate(zip(u, c)):
+            ref = pole_kernel_integral(grid, lambda z: h(z, ci), ui, +1)
+            assert abs(got[i] - ref) <= 1e-13 * abs(ref)
+            for p, ap in enumerate(a):
+                ref = pole_kernel_integral(grid, lambda z: h(z, ci) * F(z, ap), ui, -1)
+                assert abs(got_f[i, p] - ref) <= 1e-13 * abs(ref)
 
 
 def test_cderiv():

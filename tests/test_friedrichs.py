@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from respectra.contour import ContourSpec, build_contour
+from respectra.contour import ContourSpec, SampledPV, build_contour
 from respectra.errors import ContourError, EvaluationError
 from respectra.friedrichs import (eta, eta_boundary, eta_prime, exact_system, find_pole)
 from respectra.model import eval_V, eval_Vbar, make_model, separable_test_kernel
@@ -113,8 +113,8 @@ class TestExactSystem:
         m = make_model("sqrt_exp", [1.0], 1.0, 0.0)
         sx = exact_system(m, default_grid)
         assert sx.f_disc_d() == 1.0
-        c = sx.cont_coeffs(37)
-        assert c["right_d"] == 0.0 and c["left_d"] == 0.0
+        s = BiorthogonalSystem.from_exact(m, default_grid)
+        assert s.cont_right.d[37] == 0.0 and s.cont_left.d[37] == 0.0
 
     def test_cross_orthogonality(self, default_model, default_grid):
         s = BiorthogonalSystem.from_exact(default_model, default_grid)
@@ -141,43 +141,28 @@ class TestExactSystem:
 
 def family_superposition(system, g):
     """\\int du' g(u') f_{u'} as plain coefficients (atoms integrate to g)."""
-    from respectra.contour import pole_kernel_integral
-    grid = system.grid
+    grid, model = system.grid, system.model
     zs, ws = grid.nodes, grid.weights
-    d_parts = np.array([fr.d for fr in system.cont_right])
-    d_total = complex(np.sum(ws * g(zs) * d_parts))
-    # every right member carries the same separable numerator structure
-    # N_{u'}(z) = a(u') V(z); extract a(u') = N_{u'}(probe)/V(probe)
-    probe = complex(zs[len(zs) // 3])
-    from respectra.model import eval_V
-    vprobe = complex(eval_V(system.model, probe))
-    a = np.array([fr.smooth[0].num(probe) / vprobe for fr in system.cont_right])
+    fam = system.cont_right
+    d_total = complex(np.sum(ws * g(zs) * fam.d))
+    vv = lambda z: eval_V(model, z) * eval_Vbar(model, z)
 
-    def h_weight(up, _a=a):
-        # g(u') a(u'): node samples reuse the family coefficients, stencil
-        # points rebuild a from its closed form
-        up_arr = np.asarray(up, dtype=complex)
-        if up_arr.ndim == 1 and up_arr.shape == zs.shape and np.array_equal(up_arr, zs):
-            return g(zs) * _a
-        from respectra.friedrichs import eta_boundary
-        from respectra.model import eval_Vbar
-        scalar = up_arr.ndim == 0
-        vals = np.array([
-            complex(g(w)) * complex(eval_Vbar(system.model, w))
-            / eta_boundary(system.model, complex(w), +1, grid)
-            for w in np.atleast_1d(up_arr)])
-        return vals[0] if scalar else vals
+    def coef(w):
+        # every right member has the numerator a(u') V(z), a(u') =
+        # Vbar(u')/eta(u' + i0): read at the nodes, rebuilt from the closed
+        # form at the stencil points
+        pv = SampledPV(grid, w)
+        eta_plus = w - model.omega_level - pv(vv(zs), vv(w), vv(pv.stencil), +1)
+        return eval_Vbar(model, w) / eta_plus
 
     def smooth(z):
         z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        out = []
-        for zz in np.atleast_1d(z):
-            # \int du' h(u')/(u' + i0 - zz) = -J(pole=zz, side=-1)
-            val = -pole_kernel_integral(grid, h_weight, complex(zz), -1)
-            out.append(val * complex(eval_V(system.model, complex(zz))))
-        out = np.asarray(out) + g(np.atleast_1d(z))
-        return out[0] if scalar else out
+        zf = z.reshape(-1)
+        # \\int du' g(u') a(u') / (u' + i0 - z) = -J(pole=z, side=-1)
+        pv = SampledPV(grid, zf)
+        st = pv.stencil.ravel()
+        val = -pv(g(zs) * fam.coef, g(zf) * coef(zf), (g(st) * coef(st)).reshape(-1, 4), -1)
+        return (val * eval_V(model, zf) + g(zf)).reshape(z.shape)
 
     return VectorCoeffs(d=d_total, smooth=(PlainTerm(smooth),))
 

@@ -117,11 +117,13 @@ def test_continuum_matches_exact_expansion(default_spec, default_grid):
         u = complex(default_grid.nodes[i])
         ser = perturb_continuous(m, u, 2, default_grid)
         d_pert = ser.right_total().d
-        c = sx.cont_coeffs(i)
+        # exact right member: Vbar(u)/eta(u+i0) on the level and as the
+        # coefficient of the numerator V(z)
+        a_exact = eval_Vbar(m, u) / sx.eta_plus[i]
         probe = 1.8 - 0.4j
         n_pert = ser.orders[2][1].smooth[0].num(probe)
-        n_exact = c["right_pole_num"](probe)
-        diffs[eps] = abs(d_pert - c["right_d"]) + abs(n_pert - n_exact)
+        n_exact = a_exact * eval_V(m, probe)
+        diffs[eps] = abs(d_pert - a_exact) + abs(n_pert - n_exact)
     assert diffs[0.1] / diffs[0.05] > 6.0   # third-order scaling (8x)
 
 
@@ -267,6 +269,19 @@ class TestSeparableKernel:
         # remainders scale as the 4th / 6th power of the coupling
         assert 10.0 <= gap2[0.2] / gap2[0.1] <= 26.0
         assert 30.0 <= gap4[0.2] / gap4[0.1] <= 110.0
+
+    def test_family_pairing_matches_member_pairing(self):
+        # the array pairing of the kernel families (orders 1 and 2 with the
+        # double integral) against the scalar pairing of single members
+        spec = ContourSpec(0.5, 20.0, "rectangle", 48)
+        m = make_model("sqrt_exp", [1.0], 1.0, 0.1, spec, kernel="separable_sqrt_exp")
+        grid = build_contour(spec)
+        s = BiorthogonalSystem.from_perturbation(m, 2, grid)
+        vec = as_coeffs(random_analytic(np.random.default_rng(3)))
+        for fam in (s.cont_right, s.cont_left):
+            got = fam.pair(vec)[::5]
+            ref = np.array([pair_coeffs(vec, fam[i], grid) for i in range(0, grid.n, 5)])
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_kernel_contributes_to_continuum_branch(self, default_spec, default_grid):
         m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec,
