@@ -16,10 +16,11 @@ Config document (JSON)::
                "liouville_n": i, "sweep_points": i}
     }
 
-Unknown keys anywhere are rejected.  Outputs are byte-deterministic: floats
-use 17 significant digits, no timestamps, and every file embeds the sha256 of
-the effective config.  Exit codes: 0 success, 1 numerical failure, 2 config
-error, 3 validation failure.
+Unknown keys anywhere are rejected, and so are sections that are not JSON
+objects and numeric fields that are not JSON numbers.  Outputs are
+byte-deterministic: floats use 17 significant digits, no timestamps, and every
+file embeds the sha256 of the effective config.  Exit codes: 0 success, 1
+numerical failure, 2 config error, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .friedrichs import find_pole
 from .liouville import (LiouvilleGrids, LiouvilleSystem, branch_1u, branch_u1,
                         branch_uu, check_physicality, eigenvalue_symmetry_defect,
                         evolve_state, unstable_state_functional, zero_sector_spectrum)
-from .model import ModelSpec, eval_V, eval_Vbar, make_model, model_from_dict
+from .model import (ModelSpec, config_number, config_section, eval_V, eval_Vbar, make_model,
+                    model_from_dict)
 from .oracle import discretize, propagate
 from .perturbation import (BiorthogonalSystem, VectorCoeffs, pair_coeffs,
                            perturb_discrete)
@@ -54,6 +56,7 @@ SPEC_VERSION = "1"
 _TOP_KEYS = {"command", "model", "barrier", "output_dir", "seed", "tolerances", "grid"}
 _GRID_KEYS = {"oracle_n", "t_points", "horizon", "liouville_n", "sweep_points"}
 _TOL_KEYS = {"pole"}
+_INT_KEYS = {"oracle_n", "t_points", "liouville_n", "sweep_points"}
 _COMMANDS = ("spectrum", "evolve", "liouville", "barrier", "validate")
 
 
@@ -105,12 +108,18 @@ def load_config(path: str, overrides: dict) -> dict:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     if doc.get("command") not in _COMMANDS:
         raise ConfigError(f"command must be one of {_COMMANDS}")
-    grid = doc.get("grid", {})
-    if set(grid) - _GRID_KEYS:
-        raise ConfigError(f"unknown grid keys {sorted(set(grid) - _GRID_KEYS)}")
-    tols = doc.get("tolerances", {})
-    if set(tols) - _TOL_KEYS:
-        raise ConfigError(f"unknown tolerance keys {sorted(set(tols) - _TOL_KEYS)}")
+    for key in ("model", "barrier"):
+        config_section(doc, key)
+    for key, allowed in (("grid", _GRID_KEYS), ("tolerances", _TOL_KEYS)):
+        section = config_section(doc, key)
+        if set(section) - allowed:
+            raise ConfigError(f"unknown {key} keys {sorted(set(section) - allowed)}")
+        for name, value in section.items():
+            config_number(value, f"{key} {name}", integer=name in _INT_KEYS)
+    if "seed" in doc:
+        config_number(doc["seed"], "seed", integer=True)
+    if not isinstance(doc.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir must be a string, got {doc['output_dir']!r}")
     cfg = dict(doc)
     cfg.setdefault("output_dir", "out")
     cfg.setdefault("seed", 1234)
@@ -140,7 +149,7 @@ def _model_from_cfg(cfg: dict) -> ModelSpec:
 def _barrier_from_cfg(cfg: dict) -> barrier_mod.BarrierSpec:
     if "barrier" not in cfg:
         raise ConfigError("command 'barrier' needs a 'barrier' section")
-    doc = cfg["barrier"]
+    doc = config_section(cfg, "barrier")
     allowed = {"a", "b", "v0", "v1", "mu", "hbar"}
     unknown = set(doc) - allowed
     if unknown:
@@ -148,10 +157,8 @@ def _barrier_from_cfg(cfg: dict) -> barrier_mod.BarrierSpec:
     for key in ("a", "b", "v0", "v1"):
         if key not in doc:
             raise ConfigError(f"barrier section missing {key!r}")
-    return barrier_mod.BarrierSpec(a=float(doc["a"]), b=float(doc["b"]),
-                                   v0=float(doc["v0"]), v1=float(doc["v1"]),
-                                   mu=float(doc.get("mu", 1.0)),
-                                   hbar=float(doc.get("hbar", 1.0)))
+    vals = {key: float(config_number(doc.get(key, 1.0), f"barrier {key}")) for key in allowed}
+    return barrier_mod.BarrierSpec(**vals)
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +168,9 @@ def _barrier_from_cfg(cfg: dict) -> barrier_mod.BarrierSpec:
 def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     model = _model_from_cfg(cfg)
     tol = float(cfg["tolerances"].get("pole", 1e-13))
-    ser = perturb_discrete(model, 2)
+    # one grid for every stage; the pole is solved once, at the config tolerance
+    grid = build_contour(model.contour)
+    ser = perturb_discrete(model, 2, grid)
     lam2 = ser.eigenvalue
     payload = {
         "omega": model.omega_level,
@@ -170,7 +179,7 @@ def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
         "order1_shift": [ser.lambda_at(1).real, ser.lambda_at(1).imag] if len(ser.orders) > 1 else [0.0, 0.0],
     }
     if not model.has_kernel():
-        pole = find_pole(model, tol=tol)
+        pole = find_pole(model, tol=tol, grid=grid)
         payload.update({
             "lambda_exact": [pole.lambda_pole.real, pole.lambda_pole.imag],
             "gap": abs(pole.lambda_pole - lam2),
@@ -178,11 +187,11 @@ def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
             "iterations": pole.iterations,
             "method": pole.method,
         })
-        system = BiorthogonalSystem.from_exact(model)
+        system = BiorthogonalSystem.from_exact(model, grid, pole)
     else:
         payload.update({"lambda_exact": None,
                         "note": "kernel present: closed-form pole unavailable"})
-        system = BiorthogonalSystem.from_perturbation(model, 2)
+        system = BiorthogonalSystem.from_perturbation(model, 2, grid)
     _write_json(outdir / "spectrum.json", payload, cfg_hash)
     _write_json(outdir / "system.json", system.to_dict(), cfg_hash)
     return 0

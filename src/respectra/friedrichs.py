@@ -6,65 +6,93 @@ between the path and the positive axis is the resonance pole; the residue
 derivative eta'(pole) fixes the normalization of the discrete pair, and the
 continuum pair needs the two boundary values eta(u +- i0) on the curve.
 
+``SampledEta`` samples V Vbar once per grid; the pole solve, the exact
+system and the scalar functions below all read its moments.
+
 This module is the ground truth the perturbative engine is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .contour import ContourGrid, SampledPV, build_contour, pole_kernel_integral
+from .contour import ContourGrid, SampledPV, build_contour
 from .errors import ContourError, ConvergenceError, DegeneratePairError, EvaluationError
 from .model import ModelSpec, eval_V, eval_Vbar
 
 
-def _vv(model: ModelSpec) -> Callable:
-    """The product V(z) Vbar(z) entering every eta-type integral."""
-    return lambda z: eval_V(model, z) * eval_Vbar(model, z)
+class SampledEta:
+    """eta(lambda) = lambda - Omega - \\int V Vbar / (lambda - z) dz on one grid.
 
+    w_j V(z_j) Vbar(z_j) and the node spacing are sampled once; the moments,
+    eta, eta' and the boundary values eta(u +- i0) all read them.
+    """
 
-def _require_friedrichs(model: ModelSpec):
-    if model.has_kernel():
-        raise EvaluationError("exact solution requires a vanishing continuum kernel")
+    def __init__(self, model: ModelSpec, grid: ContourGrid | None = None):
+        if model.has_kernel():
+            raise EvaluationError("exact solution requires a vanishing continuum kernel")
+        self.model = model
+        self.grid = build_contour(model.contour) if grid is None else grid
+        self.omega = model.omega_level
+        self.free = model.coupling == 0.0
+        self.vv = self._vv_at(self.grid.nodes)
+        self.wvv = self.grid.weights * self.vv
+        self.spacing = float(np.median(np.abs(np.diff(self.grid.nodes))))
 
+    def _vv_at(self, z):
+        return eval_V(self.model, z) * eval_Vbar(self.model, z)
 
-def _min_node_gap(grid: ContourGrid, lam: complex) -> float:
-    return float(np.min(np.abs(grid.nodes - lam)))
+    def terms(self, lam, power: int = 1) -> np.ndarray:
+        """The summands w_j V Vbar(z_j) / (lambda - z_j)^power of a moment,
+        nodes along a last axis added to the shape of lambda."""
+        d = np.asarray(lam)[..., None] - self.grid.nodes
+        return self.wvv / (d if power == 1 else d ** power)   # complex x**1 is slow
 
+    def moment(self, lam, power: int = 1):
+        """sum_j w_j V Vbar(z_j) / (lambda - z_j)^power at a scalar lambda or
+        at every point of an array of them."""
+        total = np.sum(self.terms(lam, power), axis=-1)
+        return complex(total) if np.ndim(lam) == 0 else total
 
-def _node_spacing(grid: ContourGrid) -> float:
-    return float(np.median(np.abs(np.diff(grid.nodes))))
+    def off_curve(self, lam: complex) -> bool:
+        """Whether lambda keeps at least one node spacing from every node."""
+        return float(np.min(np.abs(self.grid.nodes - lam))) >= self.spacing
+
+    def __call__(self, lam: complex) -> complex:
+        """eta(lambda) for lambda off the curve."""
+        if self.free:
+            return complex(lam - self.omega)
+        if not self.off_curve(lam):
+            raise EvaluationError(
+                f"lambda={lam} lies within one node spacing of the contour; "
+                "the quadrature of eta is near-singular there")
+        return complex(lam - self.omega - self.moment(lam))
+
+    def prime(self, lam: complex) -> complex:
+        """Analytic derivative of the quadrature sum, d eta / d lambda."""
+        if self.free:
+            return 1.0 + 0j
+        return complex(1.0 + self.moment(lam, 2))
+
+    def boundary(self, u=None) -> tuple[np.ndarray, np.ndarray]:
+        """eta(u + i0) and eta(u - i0) at the curve points u (every node by
+        default): one curve principal value plus or minus the half residue."""
+        pv = SampledPV(self.grid, u)
+        vv = self.vv if u is None else self._vv_at(pv.u)
+        J = pv(self.vv, vv, self._vv_at(pv.stencil))
+        base = pv.u - self.omega
+        return base - (J - 1j * np.pi * vv), base - (J + 1j * np.pi * vv)
 
 
 def eta(model: ModelSpec, lam: complex, grid: ContourGrid | None = None) -> complex:
     """lambda - Omega - \\int V Vbar / (lambda - z) dz for lambda off the curve."""
-    _require_friedrichs(model)
-    if grid is None:
-        grid = build_contour(model.contour)
-    if model.coupling == 0.0:
-        return complex(lam - model.omega_level)
-    if _min_node_gap(grid, lam) < _node_spacing(grid):
-        raise EvaluationError(
-            f"lambda={lam} lies within one node spacing of the contour; "
-            "the quadrature of eta is near-singular there")
-    f = _vv(model)
-    vals = f(grid.nodes)
-    return complex(lam - model.omega_level - np.sum(grid.weights * vals / (lam - grid.nodes)))
+    return SampledEta(model, grid)(lam)
 
 
 def eta_prime(model: ModelSpec, lam: complex, grid: ContourGrid | None = None) -> complex:
     """Analytic derivative of the quadrature sum, d eta / d lambda."""
-    _require_friedrichs(model)
-    if grid is None:
-        grid = build_contour(model.contour)
-    if model.coupling == 0.0:
-        return 1.0 + 0j
-    f = _vv(model)
-    vals = f(grid.nodes)
-    return complex(1.0 + np.sum(grid.weights * vals / (lam - grid.nodes) ** 2))
+    return SampledEta(model, grid).prime(lam)
 
 
 def eta_boundary(model: ModelSpec, u: complex, side: int,
@@ -73,14 +101,10 @@ def eta_boundary(model: ModelSpec, u: complex, side: int,
 
     side=+1 approaches from the region between the curve and the real axis.
     """
-    _require_friedrichs(model)
-    if grid is None:
-        grid = build_contour(model.contour)
-    if model.coupling == 0.0:
-        return complex(u - model.omega_level)
-    f = _vv(model)
-    J = pole_kernel_integral(grid, f, u, side)
-    return complex(u - model.omega_level - J)
+    if side not in (+1, -1):
+        raise ValueError("side must be +1 or -1")
+    plus, minus = SampledEta(model, grid).boundary(u)
+    return complex((plus if side > 0 else minus)[0])
 
 
 @dataclass(frozen=True)
@@ -91,45 +115,36 @@ class PoleResult:
     method: str
 
 
-def _newton(model, grid, lam0, tol, max_iter):
+def _newton(eta: SampledEta, lam0, tol, max_iter):
     lam = lam0
     for it in range(1, max_iter + 1):
-        r = eta(model, lam, grid)
+        r = eta(lam)
         if abs(r) <= tol:
             return lam, abs(r), it
-        dp = eta_prime(model, lam, grid)
-        lam = lam - r / dp
-    r = eta(model, lam, grid)
+        lam = lam - r / eta.prime(lam)
+    r = eta(lam)
     if abs(r) <= tol:
         return lam, abs(r), max_iter
     raise ConvergenceError(f"Newton iteration stalled at |eta|={abs(r):.3e}",
                            last_iterate=lam, residual=abs(r))
 
 
-def _scan_for_extra_zeros(model, grid, found, tol):
+def _scan_for_extra_zeros(eta: SampledEta, found, tol):
     """Coarse |eta| scan in the strip; Newton-polish distinct minima and fail
     if any converge to a second zero."""
-    d, X = model.contour.depth, model.contour.cutoff
-    om = model.omega_level
+    d, X = eta.model.contour.depth, eta.model.contour.cutoff
     res = np.linspace(0.02 * X, 0.98 * X, 36)
     ims = -d * np.geomspace(1e-3, 0.9, 10)
     lams = (res[:, None] + 1j * ims[None, :]).ravel()
-    f = _vv(model)
-    vals = f(grid.nodes)
-    et = lams - om - (vals * grid.weights) @ (1.0 / (lams[None, :] - grid.nodes[:, None]))
-    order = np.argsort(np.abs(et))
+    order = np.argsort(np.abs(lams - eta.omega - eta.moment(lams)))
     seen_other = []
     for idx in order[:6]:
-        lam0 = lams[idx]
         try:
-            lam, _, _ = _newton(model, grid, lam0, max(tol, 1e-11), 40)
+            lam, _, _ = _newton(eta, lams[idx], max(tol, 1e-11), 40)
         except (ConvergenceError, EvaluationError):
             continue
-        inside = (0.0 < lam.real < X and -d < lam.imag < 0.0
-                  and _min_node_gap(grid, lam) >= _node_spacing(grid))
-        if not inside:
-            continue
-        if abs(lam - found) > 1e-6 * max(1.0, abs(found)):
+        inside = 0.0 < lam.real < X and -d < lam.imag < 0.0 and eta.off_curve(lam)
+        if inside and abs(lam - found) > 1e-6 * max(1.0, abs(found)):
             seen_other.append(lam)
     if seen_other:
         raise ContourError(f"eta has additional zeros in the strip, e.g. {seen_other[0]}; "
@@ -143,26 +158,22 @@ def find_pole(model: ModelSpec, tol: float = 1e-13, max_iter: int = 200,
     A plain fixed-point iteration lambda <- Omega + \\int V Vbar/(lambda - z)
     starting at Omega is tried first; Newton on eta is the fallback.
     """
-    _require_friedrichs(model)
-    if grid is None:
-        grid = build_contour(model.contour)
-    om = model.omega_level
-    if model.coupling == 0.0:
+    return _solve_pole(SampledEta(model, grid), tol, max_iter, check_unique)
+
+
+def _solve_pole(eta: SampledEta, tol: float = 1e-13, max_iter: int = 200,
+                check_unique: bool = True) -> PoleResult:
+    om, depth = eta.omega, eta.model.contour.depth
+    if eta.free:
         return PoleResult(complex(om), 0.0, 0, "fixed_point")
-    f = _vv(model)
-    vals = f(grid.nodes)
-
-    def step(lam):
-        return complex(om + np.sum(grid.weights * vals / (lam - grid.nodes)))
-
     # second-order estimate of the width: if it already reaches the contour
     # depth, the zero sits at or below the curve and the strip quadrature of
     # eta cannot see it
-    lam2_est = step(complex(om))
-    if abs(lam2_est.imag) >= 0.8 * model.contour.depth:
+    lam2_est = complex(om + eta.moment(complex(om)))
+    if abs(lam2_est.imag) >= 0.8 * depth:
         raise ContourError(
             f"estimated pole {lam2_est} lies at or below the contour depth "
-            f"{model.contour.depth}; re-deepen the contour and recompute")
+            f"{depth}; re-deepen the contour and recompute")
 
     lam = complex(om)
     method = "fixed_point"
@@ -171,8 +182,8 @@ def find_pole(model: ModelSpec, tol: float = 1e-13, max_iter: int = 200,
     converged = False
     try:
         for it in range(1, max_iter + 1):
-            lam_new = step(lam)
-            res = abs(eta(model, lam_new, grid))
+            lam_new = complex(om + eta.moment(lam))
+            res = abs(eta(lam_new))
             lam = lam_new
             it_used = it
             if res <= tol:
@@ -182,11 +193,11 @@ def find_pole(model: ModelSpec, tol: float = 1e-13, max_iter: int = 200,
                 break  # not contracting; fall back to Newton
             prev_res = res
         if not converged:
-            lam, res, extra = _newton(model, grid, lam, tol, max_iter)
+            lam, res, extra = _newton(eta, lam, tol, max_iter)
             method = "newton"
             it_used += extra
         else:
-            res = abs(eta(model, lam, grid))
+            res = abs(eta(lam))
     except EvaluationError as e:
         # iterates driven onto the curve: the zero is not inside the strip
         raise ContourError(
@@ -195,65 +206,48 @@ def find_pole(model: ModelSpec, tol: float = 1e-13, max_iter: int = 200,
 
     if lam.imag >= 0:
         raise ConvergenceError(f"pole {lam} not in the lower half plane", last_iterate=lam)
-    if abs(lam.imag) >= model.contour.depth:
+    if abs(lam.imag) >= depth:
         raise ContourError(
-            f"pole {lam} lies at or below the contour depth {model.contour.depth}; "
+            f"pole {lam} lies at or below the contour depth {depth}; "
             "re-deepen the contour and recompute")
+    if not 0.0 < lam.real < eta.model.contour.cutoff:
+        # e.g. a level pushed below the threshold: a zero on the negative axis
+        raise ContourError(f"pole {lam} lies outside the continuum window "
+                           f"0 < Re < {eta.model.contour.cutoff} of the strip")
     if check_unique:
-        _scan_for_extra_zeros(model, grid, lam, tol)
+        _scan_for_extra_zeros(eta, lam, tol)
     return PoleResult(lam, float(res), it_used, method)
 
 
+@dataclass(frozen=True)
 class ExactEigvecs:
-    """Exact biorthogonal system: the discrete pair and the continuum family.
+    """Exact biorthogonal system as arrays.
 
-    The discrete pair is exposed as closed-form callables over the curve,
-    the continuum family through eta(u +- i0) at every node u: the right
-    member is the unit atom at u plus Vbar(u)/eta(u+i0) times (level + pole
+    The discrete pair is norm * (level + V(z)/(pole - z)) on the right, Vbar
+    on the left, norm = eta'(pole)^(-1/2).  The right continuum member at a
+    node u is the unit atom at u plus Vbar(u)/eta(u+i0) times (level + pole
     term V(z)/(u+i0-z)); the left one mirrors it with V(u)/eta(u-i0).
     """
 
-    def __init__(self, model: ModelSpec, grid: ContourGrid, pole: PoleResult):
-        self.model = model
-        self.grid = grid
-        self.pole = pole
-        lam = pole.lambda_pole
-        self.eta_prime = eta_prime(model, lam, grid)
-        if abs(self.eta_prime) < 1e-8:
-            raise DegeneratePairError(f"eta'({lam}) ~ 0: degenerate pole")
-        self.norm = 1.0 / np.sqrt(self.eta_prime)   # principal branch
-        # boundary values eta(u +- i0) at every node: one curve principal
-        # value shared by both sides, which differ by the half residues
-        pv = SampledPV(grid)
-        f = _vv(model)
-        vv = f(grid.nodes)
-        J = pv(vv, vv, f(pv.stencil))
-        base = grid.nodes - model.omega_level
-        self.eta_plus = base - (J - 1j * np.pi * vv)
-        self.eta_minus = base - (J + 1j * np.pi * vv)
-
-    # -- discrete pair ------------------------------------------------------
-    def f_disc_d(self) -> complex:
-        return complex(self.norm)
-
-    def f_disc_smooth(self) -> Callable:
-        lam, c = self.pole.lambda_pole, self.norm
-        return lambda z: c * eval_V(self.model, z) / (lam - z)
-
-    def ftilde_disc_d(self) -> complex:
-        return complex(self.norm)
-
-    def ftilde_disc_smooth(self) -> Callable:
-        lam, c = self.pole.lambda_pole, self.norm
-        return lambda z: c * eval_Vbar(self.model, z) / (lam - z)
+    model: ModelSpec
+    grid: ContourGrid
+    pole: PoleResult
+    eta_prime: complex
+    norm: complex
+    eta_plus: np.ndarray
+    eta_minus: np.ndarray
 
 
 def exact_system(model: ModelSpec, grid: ContourGrid | None = None,
                  pole: PoleResult | None = None) -> ExactEigvecs:
-    """Solve the model exactly: pole, normalization and both eigenvector families."""
-    _require_friedrichs(model)
-    if grid is None:
-        grid = build_contour(model.contour)
+    """Solve the model exactly: pole, normalization and both eigenvector
+    families, on one sampled eta; a pole already solved on ``grid`` is reused."""
+    eta = SampledEta(model, grid)
     if pole is None:
-        pole = find_pole(model, grid=grid)
-    return ExactEigvecs(model, grid, pole)
+        pole = _solve_pole(eta)
+    lam = pole.lambda_pole
+    ep = eta.prime(lam)
+    if abs(ep) < 1e-8:
+        raise DegeneratePairError(f"eta'({lam}) ~ 0: degenerate pole")
+    return ExactEigvecs(model, eta.grid, pole, ep, 1.0 / np.sqrt(ep),   # principal branch
+                        *eta.boundary())

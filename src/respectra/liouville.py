@@ -8,7 +8,9 @@ are functionals on that algebra; delta atoms on the singular diagonal are
 kept symbolic (position, weight) and paired analytically, never sampled.
 
 Requires a coupling that is real on the positive axis and no
-continuum-continuum kernel; all branch formulas are second order.
+continuum-continuum kernel; all branch formulas are second order.  The
+branch shifts, the decay eigenvalue and the pair normalizers are moments of
+one ``friedrichs.SampledEta`` per curve.
 
 Sign conventions: the evolution factor is exp(+i lambda t), which sends the
 decay eigenvalue lambda_d = 2 pi i V(Omega)^2 to the damping exp(-2 pi
@@ -26,6 +28,7 @@ import numpy as np
 
 from .contour import ContourGrid, build_contour, real_axis_grid
 from .errors import ConfigError, EvaluationError
+from .friedrichs import SampledEta
 from .model import ModelSpec, eval_V, eval_Vbar
 from .oracle import DiscretizedSystem
 
@@ -312,14 +315,10 @@ class ZeroSectorResult:
     invariant_left_label: str = "omega-family"
 
 
-def _level_moment(model: ModelSpec, g: ContourGrid, power: int) -> complex:
-    """\\int over the curve g of V Vbar / (z - Omega)^power dz.
-
-    power 1 on the lower curve is the u1 branch shift (= PV + i pi V(Omega)^2),
-    on the upper curve minus the 1u shift; power 2 gives the pair normalizers.
-    """
-    v2 = eval_V(model, g.nodes) * eval_Vbar(model, g.nodes)
-    return complex(np.sum(g.weights * v2 / (g.nodes - model.omega_level) ** power))
+def _curve_etas(model: ModelSpec, grids: LiouvilleGrids) -> list[SampledEta]:
+    """eta sampled on the lower and on the upper curve: minus its first moment
+    at Omega is \\int V Vbar/(z - Omega) dz over that curve."""
+    return [SampledEta(model, g) for g in (grids.gamma, grids.gamma_bar)]
 
 
 def _level_profile(model: ModelSpec) -> Callable:
@@ -343,12 +342,17 @@ def zero_sector_spectrum(model: ModelSpec,
     _require_liouville_model(model)
     if grids is None:
         grids = LiouvilleGrids.for_model(model)
+    lower, upper = (-e.moment(model.omega_level) for e in _curve_etas(model, grids))
+    return _zero_sector(model, grids, lower, upper)
+
+
+def _zero_sector(model: ModelSpec, grids: LiouvilleGrids, lower: complex,
+                 upper: complex) -> ZeroSectorResult:
+    """The zero sector from \\int V^2/(z - Omega) over the lower and the upper curve."""
     om = model.omega_level
     if not 0.0 < om < grids.gamma.cutoff:
         raise EvaluationError("the resonance position must lie inside the continuum "
                               "window for the diagonal atom to be defined")
-    lower = _level_moment(model, grids.gamma, 1)
-    upper = _level_moment(model, grids.gamma_bar, 1)
     alpha = lower - upper
     # cross coefficient from the action on a unit diagonal density
     beta = complex(-lower + upper)
@@ -403,7 +407,7 @@ def branch_u1(model: ModelSpec, u: complex,
     if grids.gamma_bar.node_index(u) is None and u.imag < 0:
         raise EvaluationError(f"branch point {u} must lie on the upper curve")
     om = model.omega_level
-    lam2 = _level_moment(model, grids.gamma, 1)
+    lam2 = -SampledEta(model, grids.gamma).moment(om)
     a = complex(eval_V(model, u)) / (u - om)
     left = LeftEigvec(label="u1", eigenvalue=(u - om) + lam2, c1=a,
                       omega_atoms=((u, -a),), om1_atoms=((u, 1.0 + 0j),),
@@ -421,7 +425,7 @@ def branch_1u(model: ModelSpec, up: complex,
     if grids.gamma.node_index(up) is None and up.imag > 0:
         raise EvaluationError(f"branch point {up} must lie on the lower curve")
     om = model.omega_level
-    lam2 = -_level_moment(model, grids.gamma_bar, 1)
+    lam2 = SampledEta(model, grids.gamma_bar).moment(om)
     a = complex(eval_V(model, up)) / (up - om)
     left = LeftEigvec(label="1u", eigenvalue=(om - up) + lam2, c1=a,
                       omega_atoms=((up, -a),), c1om_atoms=((up, 1.0 + 0j),),
@@ -470,22 +474,17 @@ class LiouvilleSystem:
         _require_liouville_model(model)
         self.model = model
         self.grids = grids if grids is not None else LiouvilleGrids.for_model(model)
-        self.zero = zero_sector_spectrum(model, self.grids)
+        om = model.omega_level
+        self._etas = _curve_etas(model, self.grids)
+        lower, upper = (-e.moment(om) for e in self._etas)
+        self.zero = _zero_sector(model, self.grids, lower, upper)
         self.lam_d = self.zero.lam_d
-        self.shift_lower = _level_moment(model, self.grids.gamma, 1)       # lam2 of u1
-        self.shift_upper = -_level_moment(model, self.grids.gamma_bar, 1)  # lam2 of 1u
-        eta2_l = _level_moment(model, self.grids.gamma, 2)
-        eta2_u = _level_moment(model, self.grids.gamma_bar, 2)
+        self.shift_lower, self.shift_upper = lower, -upper   # lam2 of u1 and of 1u
+        eta2_l, eta2_u = (e.moment(om, 2) for e in self._etas)
         # pair normalizers through second order
         self.norm_d = 1.0 + eta2_l + eta2_u
         self.norm_u1 = 1.0 + eta2_l
         self.norm_1u = 1.0 + eta2_u
-        om = model.omega_level
-        gu, gl = self.grids.gamma_bar, self.grids.gamma
-        self._mu_up = (eval_V(model, gu.nodes) * eval_Vbar(model, gu.nodes)
-                       / (gu.nodes - om) ** 2)
-        self._mu_dn = (eval_V(model, gl.nodes) * eval_Vbar(model, gl.nodes)
-                       / (gl.nodes - om) ** 2)
 
     def lam_u1(self, u) -> np.ndarray:
         return np.asarray(u, dtype=complex) - self.model.omega_level + self.shift_lower
@@ -495,9 +494,10 @@ class LiouvilleSystem:
 
     def branch_sums(self, t: float) -> tuple[complex, complex]:
         """Normalized upper/lower branch background integrals at time t."""
-        gu, gl = self.grids.gamma_bar, self.grids.gamma
-        up = np.sum(gu.weights * self._mu_up * np.exp(1j * self.lam_u1(gu.nodes) * t))
-        dn = np.sum(gl.weights * self._mu_dn * np.exp(1j * self.lam_1u(gl.nodes) * t))
+        om = self.model.omega_level
+        lower, upper = self._etas
+        up = np.sum(upper.terms(om, 2) * np.exp(1j * self.lam_u1(upper.grid.nodes) * t))
+        dn = np.sum(lower.terms(om, 2) * np.exp(1j * self.lam_1u(lower.grid.nodes) * t))
         return complex(up / self.norm_u1), complex(dn / self.norm_1u)
 
     def survival(self, t: float) -> complex:

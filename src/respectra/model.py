@@ -9,6 +9,7 @@ constant multiplies the form factor linearly and the kernel quadratically.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -156,13 +157,32 @@ def make_model(family_id: str, params, omega_level: float, coupling: float,
                      form_factor=ff, kernel=kernel, contour=contour_spec)
 
 
+def config_number(value, name: str, integer: bool = False):
+    """``value`` checked to be a JSON number (an integral one if ``integer``)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if integer and not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def config_section(doc: dict, key: str) -> dict:
+    """The JSON object under ``key`` (empty if absent)."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {section!r}")
+    return section
+
+
 def model_from_dict(doc: dict) -> ModelSpec:
     """Model from a JSON-style document.
 
     Keys: family (str), params (list, optional), omega (float), epsilon (float),
     contour {depth, cutoff, n_nodes, shape} (optional), kernel (str, optional).
-    Unknown keys are rejected.
+    Unknown keys and values of the wrong JSON type are rejected.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"model must be a JSON object, got {doc!r}")
     allowed = {"family", "params", "omega", "epsilon", "contour", "kernel"}
     unknown = set(doc) - allowed
     if unknown:
@@ -170,20 +190,32 @@ def model_from_dict(doc: dict) -> ModelSpec:
     for key in ("family", "omega", "epsilon"):
         if key not in doc:
             raise ConfigError(f"model document missing required key {key!r}")
+    for key in ("family", "kernel"):
+        if key in doc and not isinstance(doc[key], str):
+            raise ConfigError(f"model {key} must be a string, got {doc[key]!r}")
+    params = doc.get("params", ())
+    if not isinstance(params, (list, tuple)):
+        raise ConfigError(f"model params must be a list, got {params!r}")
+    params = [config_number(p, "model params entry") for p in params]
+    omega = float(config_number(doc["omega"], "model omega"))
+    epsilon = float(config_number(doc["epsilon"], "model epsilon"))
     cspec = None
     if "contour" in doc:
-        cdoc = doc["contour"]
+        cdoc = config_section(doc, "contour")
         callowed = {"depth", "cutoff", "n_nodes", "shape"}
         cunknown = set(cdoc) - callowed
         if cunknown:
             raise ConfigError(f"unknown contour keys {sorted(cunknown)}")
-        base = default_contour(float(doc["omega"]))
-        cspec = ContourSpec(depth=float(cdoc.get("depth", base.depth)),
-                            cutoff=float(cdoc.get("cutoff", base.cutoff)),
-                            shape=str(cdoc.get("shape", base.shape)),
-                            n_nodes=int(cdoc.get("n_nodes", base.n_nodes)))
-    return make_model(doc["family"], doc.get("params", ()), float(doc["omega"]),
-                      float(doc["epsilon"]), cspec, doc.get("kernel"))
+        base = default_contour(omega)
+        num = {key: config_number(cdoc.get(key, getattr(base, key)), f"contour {key}",
+                                  integer=key == "n_nodes")
+               for key in ("depth", "cutoff", "n_nodes")}
+        shape = cdoc.get("shape", base.shape)
+        if not isinstance(shape, str):
+            raise ConfigError(f"contour shape must be a string, got {shape!r}")
+        cspec = ContourSpec(depth=float(num["depth"]), cutoff=float(num["cutoff"]),
+                            shape=shape, n_nodes=int(num["n_nodes"]))
+    return make_model(doc["family"], params, omega, epsilon, cspec, doc.get("kernel"))
 
 
 def _check_region(model: ModelSpec, z):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .contour import ContourGrid, SampledPV, build_contour, pole_kernel_integral
 from .errors import ConfigError, DegeneratePairError, EvaluationError
-from .friedrichs import exact_system
+from .friedrichs import PoleResult, exact_system
 from .model import ModelSpec, eval_V, eval_V2, eval_Vbar
 from .states import AnalyticVector
 
@@ -435,15 +435,17 @@ class BiorthogonalSystem:
                    source=f"perturbation(order={order})")
 
     @classmethod
-    def from_exact(cls, model: ModelSpec, grid: ContourGrid | None = None) -> "BiorthogonalSystem":
-        sysx = exact_system(model, grid)
-        grid = sysx.grid
-        dr = VectorCoeffs(d=sysx.f_disc_d(), smooth=(PlainTerm(sysx.f_disc_smooth()),))
-        dl = VectorCoeffs(d=sysx.ftilde_disc_d(), smooth=(PlainTerm(sysx.ftilde_disc_smooth()),))
+    def from_exact(cls, model: ModelSpec, grid: ContourGrid | None = None,
+                   pole: PoleResult | None = None) -> "BiorthogonalSystem":
+        """Exact system; ``pole``, if given, must be solved on ``grid``."""
+        sysx = exact_system(model, grid, pole)
+        grid, lam, c = sysx.grid, sysx.pole.lambda_pole, sysx.norm
+        dr, dl = (VectorCoeffs(d=complex(c), smooth=(PlainTerm(
+            lambda z, b=b: c * b(model, z) / (lam - z)),)) for b in (eval_V, eval_Vbar))
         pv = SampledPV(grid)
         a_right = eval_Vbar(model, grid.nodes) / sysx.eta_plus
         a_left = eval_V(model, grid.nodes) / sysx.eta_minus
-        return cls(model, grid, sysx.pole.lambda_pole, dr, dl,
+        return cls(model, grid, lam, dr, dl,
                    ContinuumFamily(model, pv, +1, a_right, a_right),
                    ContinuumFamily(model, pv, -1, a_left, a_left), source="exact")
 

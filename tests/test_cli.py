@@ -145,6 +145,33 @@ def test_spectrum_emits_system_samples(tmp_path):
     assert len(payload["cont_right_d_re"]) == MODEL["contour"]["n_nodes"]
 
 
+def test_spectrum_system_uses_the_config_pole(tmp_path):
+    # system.json is assembled on the pole spectrum.json reports, solved once
+    # at the configured tolerance
+    doc = {"command": "spectrum", "output_dir": str(tmp_path / "o"), "model": MODEL}
+    assert main(["--config", _write_cfg(tmp_path, doc), "--tolerance", "1e-6"]) == 0
+    spectrum = json.loads((tmp_path / "o" / "spectrum.json").read_text())
+    system = json.loads((tmp_path / "o" / "system.json").read_text())
+    assert system["pole"] == spectrum["lambda_exact"]
+
+
+MALFORMED = {
+    "grid_not_object": {"command": "evolve", "model": MODEL, "grid": 5},
+    "omega_string": {"command": "spectrum", "model": dict(MODEL, omega="one")},
+    "n_nodes_string": {"command": "spectrum", "model": dict(MODEL, contour={"n_nodes": "x"})},
+    "oracle_n_string": {"command": "evolve", "model": MODEL, "grid": {"oracle_n": "many"}},
+    "barrier_string": {"command": "barrier",
+                       "barrier": {"a": "x", "b": 10.0, "v0": 0.25, "v1": 0.092}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_value_is_config_error(tmp_path, capsys, name):
+    doc = dict(MALFORMED[name], output_dir=str(tmp_path / "o"))
+    assert main(["--config", _write_cfg(tmp_path, doc)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_grid_dump_flag(tmp_path):
     doc = {"command": "spectrum", "output_dir": str(tmp_path / "o"), "model": MODEL}
     assert main(["--config", _write_cfg(tmp_path, doc), "--dump-grid"]) == 0

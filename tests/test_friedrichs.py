@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from respectra.contour import ContourSpec, SampledPV, build_contour
-from respectra.errors import ContourError, EvaluationError
-from respectra.friedrichs import (eta, eta_boundary, eta_prime, exact_system, find_pole)
+from respectra.errors import ContourError, EvaluationError, RespectraError
+from respectra.friedrichs import (SampledEta, eta, eta_boundary, eta_prime, exact_system,
+                                  find_pole)
 from respectra.model import eval_V, eval_Vbar, make_model, separable_test_kernel
 from respectra.perturbation import BiorthogonalSystem, PlainTerm, VectorCoeffs, pair_coeffs
 from respectra.states import random_analytic, real_axis_inner, real_axis_inner_H
@@ -104,6 +106,34 @@ class TestFindPole:
         assert gap < 1e-8
 
 
+@given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
+       param=st.floats(0.2, 3.0), omega=st.floats(0.2, 5.0),
+       eps=st.floats(0.0, 0.5).filter(lambda e: e == 0.0 or e >= 1e-4),
+       depth=st.floats(0.02, 2.0), shape=st.sampled_from(["rectangle", "semi_ellipse"]),
+       cutoff=st.floats(5.0, 40.0), n_nodes=st.integers(16, 400))
+def test_pole_in_strip_or_typed_error(family, param, omega, eps, depth, shape, cutoff,
+                                      n_nodes):
+    # every model either yields a pole between the curve and the positive
+    # axis whose residual is |eta| there, or fails with a package error
+    tol = 1e-13
+    try:
+        m = make_model(family, [param], omega, eps, ContourSpec(depth, cutoff, shape, n_nodes))
+        grid = build_contour(m.contour)
+        pr = find_pole(m, tol=tol, grid=grid)
+    except RespectraError:
+        return
+    lam = pr.lambda_pole
+    assert 0.0 < lam.real < cutoff and -depth < lam.imag <= 0.0
+    assert pr.residual <= tol
+    assert pr.residual == abs(eta(m, lam, grid))
+    # the moments over an array of lambda are the scalar moments
+    se = SampledEta(m, grid)
+    lams = lam + np.array([0.0, 0.3, -0.2 + 0.1j, 1.0 - 0.05j])
+    for power in (1, 2):
+        ref = np.array([se.moment(x, power) for x in lams])
+        assert np.all(np.abs(se.moment(lams, power) - ref) <= 1e-14 * np.abs(ref))
+
+
 class TestExactSystem:
     def test_discrete_normalization(self, default_model, default_grid):
         s = BiorthogonalSystem.from_exact(default_model, default_grid)
@@ -112,7 +142,7 @@ class TestExactSystem:
     def test_free_limit_vectors(self, default_grid):
         m = make_model("sqrt_exp", [1.0], 1.0, 0.0)
         sx = exact_system(m, default_grid)
-        assert sx.f_disc_d() == 1.0
+        assert sx.norm == 1.0
         s = BiorthogonalSystem.from_exact(m, default_grid)
         assert s.cont_right.d[37] == 0.0 and s.cont_left.d[37] == 0.0
 
