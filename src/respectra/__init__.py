@@ -14,9 +14,8 @@ from .errors import (AnalyticityError, ChannelClosedError, ConfigError, ContourE
                      RespectraError)
 from .friedrichs import PoleResult, eta, eta_boundary, eta_prime, exact_system, find_pole
 from .liouville import (BlockObservable, GeneralizedState, LiouvilleGrids,
-                        LiouvilleSystem, apply_L, branch_1u, branch_u1, branch_uu,
-                        check_physicality, evolve_state, identity_observable,
-                        unstable_state_functional, zero_sector_spectrum)
+                        LiouvilleSystem, apply_L, check_physicality, evolve_state,
+                        identity_observable, unstable_state_functional)
 from .model import (FormFactor, FormFactor2, ModelSpec, eval_V, eval_V2, eval_Vbar,
                     make_model, model_from_dict, separable_test_kernel)
 from .oracle import DiscretizedSystem, commutator_apply, discretize, propagate

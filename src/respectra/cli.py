@@ -41,9 +41,8 @@ from .dynamics import (decay_rate, default_time_grid, exponential_approx,
                        oracle_survival_curve, survival_curve)
 from .errors import ConfigError, RespectraError
 from .friedrichs import find_pole
-from .liouville import (LiouvilleGrids, LiouvilleSystem, branch_1u, branch_u1,
-                        branch_uu, check_physicality, eigenvalue_symmetry_defect,
-                        evolve_state, unstable_state_functional, zero_sector_spectrum)
+from .liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality, evolve_state,
+                        unstable_state_functional)
 from .model import (ModelSpec, config_number, config_section, eval_V, eval_Vbar, make_model,
                     model_from_dict)
 from .oracle import discretize, propagate
@@ -277,6 +276,12 @@ def _validation_checks(model: ModelSpec):
     qgrid = build_contour(qspec)
     rgrid = real_axis_grid(model.contour.cutoff, 400)
     om, X = model.omega_level, model.contour.cutoff
+    # objects several checks read are built once, on first use; a build that
+    # raises fails every check that reads it
+    _pole = cache(lambda: find_pole(model, grid=grid))
+    _series = cache(lambda: perturb_discrete(model, 2, grid))
+    _exact = cache(lambda: BiorthogonalSystem.from_exact(model, grid, _pole()))
+    _lsys = cache(lambda: LiouvilleSystem(model, LiouvilleGrids.for_model(model, n_nodes=64)))
 
     def schwarz_reflection(rng):
         z = (rng.uniform(0.2, X * 0.8, 100)
@@ -331,25 +336,20 @@ def _validation_checks(model: ModelSpec):
         return float(4.0 - min(ratio, 4.0)), 0.5  # passes when ratio >= 3.5
 
     def pole_residual(rng):
-        pr = find_pole(model)
-        return float(pr.residual), 1e-12
+        return float(_pole().residual), 1e-12
 
     def pole_half_plane(rng):
-        pr = find_pole(model, check_unique=False)
-        return float(max(0.0, pr.lambda_pole.imag if model.coupling > 0 else 0.0)), 0.0
+        lam = _pole().lambda_pole
+        return float(max(0.0, lam.imag if model.coupling > 0 else 0.0)), 0.0
 
     def order1_shift_zero(rng):
-        ser = perturb_discrete(model, 1, grid)
-        return float(abs(ser.lambda_at(1))), 0.0
+        return float(abs(_series().lambda_at(1))), 0.0
 
     def gauge_condition(rng):
-        ser = perturb_discrete(model, 2, grid)
         worst = 0.0
-        for _, r, l in ser.orders[1:]:
+        for _, r, l in _series().orders[1:]:
             worst = max(worst, abs(r.d), abs(l.d))
         return float(worst), 0.0
-
-    _exact = cache(lambda: BiorthogonalSystem.from_exact(model, grid))
 
     def exact_normalization(rng):
         s = _exact()
@@ -403,19 +403,18 @@ def _validation_checks(model: ModelSpec):
         return float(abs(np.linalg.norm(out) - 1.0)), 1e-12
 
     def liouville_decay_mode(rng):
-        zs = zero_sector_spectrum(model)
         v = complex(eval_V(model, om))
-        return float(abs(zs.lam_d - 2j * np.pi * (v * np.conj(v)).real)), 1e-10
+        return float(abs(LiouvilleSystem(model).lam_d
+                         - 2j * np.pi * (v * np.conj(v)).real)), 1e-10
 
     def liouville_physicality(rng):
-        grids = LiouvilleGrids.for_model(model, n_nodes=64)
-        zs = zero_sector_spectrum(model, grids)
-        u = grids.gamma_bar.nodes[20]
+        lsys = _lsys()
+        u = lsys.grids.gamma_bar.nodes[20]
         worst = 0.0
-        for eig in (zs.decay_left,
-                    branch_u1(model, u, grids).left,
-                    branch_1u(model, np.conj(u), grids).left,
-                    branch_uu(model, u, np.conj(u), grids).left):
+        for eig in (lsys.zero.decay_left,
+                    lsys.branch_u1(u).left,
+                    lsys.branch_1u(np.conj(u)).left,
+                    lsys.branch_uu(u, np.conj(u)).left):
             ok, val = check_physicality(model, eig)
             if not ok:
                 return float(val), 1e-8
@@ -423,11 +422,10 @@ def _validation_checks(model: ModelSpec):
         return float(worst), 1e-8
 
     def liouville_symmetry(rng):
-        grids = LiouvilleGrids.for_model(model, n_nodes=64)
-        return float(eigenvalue_symmetry_defect(model, grids)), 1e-10
+        return _lsys().symmetry_defect(), 1e-10
 
     def probability_conservation(rng):
-        lsys = LiouvilleSystem(model, LiouvilleGrids.for_model(model, n_nodes=64))
+        lsys = _lsys()
         rho0 = unstable_state_functional()
         worst = 0.0
         for t in (0.0, 1.0 / max(decay_rate(model), 0.05)):

@@ -8,9 +8,13 @@ are functionals on that algebra; delta atoms on the singular diagonal are
 kept symbolic (position, weight) and paired analytically, never sampled.
 
 Requires a coupling that is real on the positive axis and no
-continuum-continuum kernel; all branch formulas are second order.  The
-branch shifts, the decay eigenvalue and the pair normalizers are moments of
-one ``friedrichs.SampledEta`` per curve.
+continuum-continuum kernel; all branch formulas are second order.
+``LiouvilleSystem`` is the one place that samples the two curves: one
+``friedrichs.SampledEta`` and the level profile a = V/(z - Omega) per curve
+give the zero sector, the branch eigenpairs and their shifts, the pair
+normalizers and the relaxed states.  A relaxed state holds its curve
+densities as node samples on the system's grids (the kernel-block density
+as rank-one factor pairs) and pairs them only on those grids.
 
 Sign conventions: the evolution factor is exp(+i lambda t), which sends the
 decay eigenvalue lambda_d = 2 pi i V(Omega)^2 to the damping exp(-2 pi
@@ -29,7 +33,7 @@ import numpy as np
 from .contour import ContourGrid, build_contour, real_axis_grid
 from .errors import ConfigError, EvaluationError
 from .friedrichs import SampledEta
-from .model import ModelSpec, eval_V, eval_Vbar
+from .model import ModelSpec, eval_V
 from .oracle import DiscretizedSystem
 
 
@@ -206,26 +210,37 @@ class GeneralizedState:
     """Functional on the observable algebra.
 
     The singular diagonal carries explicit atoms plus a smooth real-axis
-    density; relaxed states additionally carry curve densities paired against
-    the analytically continued omega block (their localized content at the
-    resonance position is reported by ``atom_weight``).
+    density.  Relaxed states additionally carry curve densities sampled at
+    the nodes of ``grids``: ``f_om1`` and ``g_up`` on the upper curve,
+    ``f_1om`` and ``g_dn`` on the lower one, and the kernel-block density as
+    rank-one factor pairs ``f_omom = ((x_k, y_k), ...)``, the density at
+    (z_i, z'_j) being sum_k x_k[i] y_k[j].  The g densities pair with the
+    analytically continued omega block; their localized content at the
+    resonance position ``g_loc`` is reported by ``atom_weight``.
     """
 
     c1: complex = 0j
     atoms: tuple = ()                       # ((position, weight), ...)
     omega_smooth: Callable | None = None
-    f_om1: Callable | None = None           # density on the upper curve
-    f_1om: Callable | None = None           # density on the lower curve
-    f_omom: Callable | None = None          # kernel density (upper, lower)
-    g_up: Callable | None = None            # omega-block density on the upper curve
-    g_dn: Callable | None = None            # omega-block density on the lower curve
+    f_om1: np.ndarray | None = None         # density on the upper curve
+    f_1om: np.ndarray | None = None         # density on the lower curve
+    f_omom: tuple = ()                      # ((upper factor, lower factor), ...)
+    g_up: np.ndarray | None = None          # omega-block density on the upper curve
+    g_dn: np.ndarray | None = None          # omega-block density on the lower curve
     g_loc: float | None = None              # localization point of the g densities
+    grids: LiouvilleGrids | None = None     # grids the curve densities are sampled on
 
     def is_p0_supported(self) -> bool:
-        return self.f_om1 is None and self.f_1om is None and self.f_omom is None \
+        return self.f_om1 is None and self.f_1om is None and not self.f_omom \
             and self.g_up is None and self.g_dn is None
 
+    def _check_grids(self, grids: LiouvilleGrids):
+        if grids is not self.grids and not self.is_p0_supported():
+            raise EvaluationError("the curve densities of this state are sampled on "
+                                  "other grids")
+
     def expect(self, O: BlockObservable, grids: LiouvilleGrids) -> complex:
+        self._check_grids(grids)
         total = self.c1 * O.o1
         if self.atoms and O.o_omega is not None:
             for pos, wt in self.atoms:
@@ -234,19 +249,15 @@ class GeneralizedState:
             w = grids.real.nodes.real
             total += np.sum(grids.real.weights.real
                             * np.asarray(self.omega_smooth(w)) * np.asarray(O.o_omega(w)))
+        up, dn = grids.gamma_bar, grids.gamma
         # curve densities against the matching observable block
-        for dens, block, g in ((self.g_up, O.o_omega, grids.gamma_bar),
-                               (self.g_dn, O.o_omega, grids.gamma),
-                               (self.f_om1, O.o_om1, grids.gamma_bar),
-                               (self.f_1om, O.o_1om, grids.gamma)):
+        for dens, block, g in ((self.g_up, O.o_omega, up), (self.g_dn, O.o_omega, dn),
+                               (self.f_om1, O.o_om1, up), (self.f_1om, O.o_1om, dn)):
             if dens is not None and block is not None:
-                total += np.sum(g.weights * np.asarray(dens(g.nodes))
-                                * np.asarray(block(g.nodes)))
-        if self.f_omom is not None and O.o_omom is not None:
-            zu, zl = grids.gamma_bar.nodes, grids.gamma.nodes
-            k = np.asarray(self.f_omom(zu[:, None], zl[None, :])) \
-                * np.asarray(O.o_omom(zu[:, None], zl[None, :]))
-            total += grids.gamma_bar.weights @ k @ grids.gamma.weights
+                total += np.sum(g.weights * dens * np.asarray(block(g.nodes)))
+        if self.f_omom and O.o_omom is not None:
+            k = np.asarray(O.o_omom(up.nodes[:, None], dn.nodes[None, :]))
+            total += sum((up.weights * x) @ k @ (dn.weights * y) for x, y in self.f_omom)
         return complex(total)
 
     def normalization(self, grids: LiouvilleGrids) -> complex:
@@ -256,12 +267,13 @@ class GeneralizedState:
         """Weight concentrated at the given diagonal position: explicit atoms
         plus the localized content of the curve densities (whose poles sit at
         ``g_loc``)."""
+        self._check_grids(grids)
         total = sum(wt for pos, wt in self.atoms
                     if abs(complex(pos) - position) < 1e-12)
         if self.g_loc is not None and abs(self.g_loc - position) < 1e-12:
             for dens, g in ((self.g_up, grids.gamma_bar), (self.g_dn, grids.gamma)):
                 if dens is not None:
-                    total += np.sum(g.weights * np.asarray(dens(g.nodes)))
+                    total += np.sum(g.weights * dens)
         return complex(total)
 
 
@@ -276,8 +288,8 @@ def unstable_state_functional() -> GeneralizedState:
 
 @dataclass(frozen=True)
 class LeftEigvec:
-    """Left eigenfunctional reduced to the pieces that pair with block
-    observables; continuum functional blocks are carried as callables."""
+    """Left eigenfunctional reduced to the atoms that pair with block
+    observables."""
 
     label: str
     eigenvalue: complex
@@ -286,9 +298,6 @@ class LeftEigvec:
     om1_atoms: tuple = ()                    # atoms in the omega-1 block (upper curve)
     c1om_atoms: tuple = ()                   # atoms in the 1-omega block (lower curve)
     omom_atoms: tuple = ()                   # atoms in the kernel block
-    om1_density: Callable | None = None
-    c1om_density: Callable | None = None
-    omom_row: Callable | None = None
 
     def pair_identity(self) -> complex:
         """(this | I): only the 1 and omega blocks of the identity exist."""
@@ -315,66 +324,6 @@ class ZeroSectorResult:
     invariant_left_label: str = "omega-family"
 
 
-def _curve_etas(model: ModelSpec, grids: LiouvilleGrids) -> list[SampledEta]:
-    """eta sampled on the lower and on the upper curve: minus its first moment
-    at Omega is \\int V Vbar/(z - Omega) dz over that curve."""
-    return [SampledEta(model, g) for g in (grids.gamma, grids.gamma_bar)]
-
-
-def _level_profile(model: ModelSpec) -> Callable:
-    """z -> -V(z)/(z - Omega): the first-order continuum profile of the level."""
-    def profile(z):
-        z = np.asarray(z, dtype=complex)
-        return -eval_V(model, z) / (z - model.omega_level)
-    return profile
-
-
-def zero_sector_spectrum(model: ModelSpec,
-                         grids: LiouvilleGrids | None = None) -> ZeroSectorResult:
-    """Degenerate second-order solve on the invariant subspace.
-
-    The effective operator maps the level population to itself with
-    coefficient alpha = \\int_lower V^2/(z - Omega) - \\int_upper V^2/(z - Omega)
-    and maps diagonal densities to the level with the opposite coefficient, so
-    the sector splits into the decay mode (eigenvalue alpha) and the invariant
-    continuum family (eigenvalue 0).
-    """
-    _require_liouville_model(model)
-    if grids is None:
-        grids = LiouvilleGrids.for_model(model)
-    lower, upper = (-e.moment(model.omega_level) for e in _curve_etas(model, grids))
-    return _zero_sector(model, grids, lower, upper)
-
-
-def _zero_sector(model: ModelSpec, grids: LiouvilleGrids, lower: complex,
-                 upper: complex) -> ZeroSectorResult:
-    """The zero sector from \\int V^2/(z - Omega) over the lower and the upper curve."""
-    om = model.omega_level
-    if not 0.0 < om < grids.gamma.cutoff:
-        raise EvaluationError("the resonance position must lie inside the continuum "
-                              "window for the diagonal atom to be defined")
-    alpha = lower - upper
-    # cross coefficient from the action on a unit diagonal density
-    beta = complex(-lower + upper)
-
-    profile = _level_profile(model)
-
-    def omom_corr(z, zp):
-        z = np.asarray(z, dtype=complex)
-        zp = np.asarray(zp, dtype=complex)
-        return (eval_V(model, z) * eval_V(model, zp)
-                / ((z - om) * (zp - om)))
-
-    decay_right = GeneralizedState(c1=1.0 + 0j, f_om1=profile, f_1om=profile,
-                                   f_omom=omom_corr)
-    decay_left = LeftEigvec(label="decay", eigenvalue=alpha, c1=1.0 + 0j,
-                            omega_atoms=((om, -1.0 + 0j),),
-                            om1_density=profile, c1om_density=profile,
-                            omom_row=omom_corr)
-    return ZeroSectorResult(lam_d=alpha, coeff_on_level=alpha, coeff_on_diagonal=beta,
-                            decay_right=decay_right, decay_left=decay_left)
-
-
 @dataclass(frozen=True)
 class BranchSeries:
     """Eigenpair of a continuum branch through second order: lambda_0 the
@@ -390,95 +339,43 @@ class BranchSeries:
 
     @property
     def eigenvalue(self) -> complex:
-        return self.lam0 + self.lam2
+        return self.left.eigenvalue
 
     @property
     def lam1(self) -> complex:
         return 0.0 + 0j
 
 
-def branch_u1(model: ModelSpec, u: complex,
-              grids: LiouvilleGrids | None = None) -> BranchSeries:
-    """Branch built on the upper-curve point u against the level."""
-    _require_liouville_model(model)
-    if grids is None:
-        grids = LiouvilleGrids.for_model(model)
-    u = complex(u)
-    if grids.gamma_bar.node_index(u) is None and u.imag < 0:
-        raise EvaluationError(f"branch point {u} must lie on the upper curve")
-    om = model.omega_level
-    lam2 = -SampledEta(model, grids.gamma).moment(om)
-    a = complex(eval_V(model, u)) / (u - om)
-    left = LeftEigvec(label="u1", eigenvalue=(u - om) + lam2, c1=a,
-                      omega_atoms=((u, -a),), om1_atoms=((u, 1.0 + 0j),),
-                      omom_row=_level_profile(model))
-    return BranchSeries("u1", u, u - om, lam2, right_c1=a, left=left)
+def _node(grid: ContourGrid, u: complex, curve: str) -> int:
+    i = grid.node_index(complex(u))
+    if i is None:
+        raise EvaluationError(f"branch point {u} must be a node of the {curve} curve")
+    return i
 
-
-def branch_1u(model: ModelSpec, up: complex,
-              grids: LiouvilleGrids | None = None) -> BranchSeries:
-    """Branch built on the level against the lower-curve point u'."""
-    _require_liouville_model(model)
-    if grids is None:
-        grids = LiouvilleGrids.for_model(model)
-    up = complex(up)
-    if grids.gamma.node_index(up) is None and up.imag > 0:
-        raise EvaluationError(f"branch point {up} must lie on the lower curve")
-    om = model.omega_level
-    lam2 = SampledEta(model, grids.gamma_bar).moment(om)
-    a = complex(eval_V(model, up)) / (up - om)
-    left = LeftEigvec(label="1u", eigenvalue=(om - up) + lam2, c1=a,
-                      omega_atoms=((up, -a),), c1om_atoms=((up, 1.0 + 0j),),
-                      omom_row=_level_profile(model))
-    return BranchSeries("1u", up, om - up, lam2, right_c1=a, left=left)
-
-
-def branch_uu(model: ModelSpec, u: complex, up: complex,
-              grids: LiouvilleGrids | None = None) -> BranchSeries:
-    """Doubly continuous branch: the interaction produces no shift at all."""
-    _require_liouville_model(model)
-    if grids is None:
-        grids = LiouvilleGrids.for_model(model)
-    u, up = complex(u), complex(up)
-    om = model.omega_level
-    au = complex(eval_V(model, u)) / (u - om)
-    aup = complex(eval_V(model, up)) / (up - om)
-    left = LeftEigvec(label="uu", eigenvalue=u - up, c1=0j,
-                      omom_atoms=(((u, up), 1.0 + 0j),),
-                      om1_atoms=((u, aup),), c1om_atoms=((up, au),))
-    return BranchSeries("uu", u, u - up, 0.0 + 0j, right_c1=0j, left=left)
-
-
-def eigenvalue_symmetry_defect(model: ModelSpec,
-                               grids: LiouvilleGrids | None = None) -> float:
-    """max over paired nodes of |lam_1u(u') + conj(lam_u1(conj u'))|."""
-    if grids is None:
-        grids = LiouvilleGrids.for_model(model)
-    worst = 0.0
-    for i in range(0, grids.gamma.n, max(1, grids.gamma.n // 16)):
-        up = complex(grids.gamma.nodes[i])
-        l_1u = branch_1u(model, up, grids).eigenvalue
-        l_u1 = branch_u1(model, np.conj(up), grids).eigenvalue
-        worst = max(worst, abs(l_1u + np.conj(l_u1)))
-    return worst
-
-
-# --------------------------------------------------------------------------
-# relaxation
-# --------------------------------------------------------------------------
 
 class LiouvilleSystem:
-    """Precomputed spectral data for relaxation of invariant-sector states."""
+    """Spectrum of the extended generator on one set of grids.
+
+    This is the only code that samples the two curves: one ``SampledEta``
+    and the level profile a = V(z)/(z - Omega) per curve give the zero
+    sector ``zero``, the branch eigenpairs, the pair normalizers and the
+    relaxed states of ``evolve_state``.
+    """
 
     def __init__(self, model: ModelSpec, grids: LiouvilleGrids | None = None):
         _require_liouville_model(model)
         self.model = model
         self.grids = grids if grids is not None else LiouvilleGrids.for_model(model)
         om = model.omega_level
-        self._etas = _curve_etas(model, self.grids)
+        if not 0.0 < om < self.grids.gamma.cutoff:
+            raise EvaluationError("the resonance position must lie inside the continuum "
+                                  "window for the diagonal atom to be defined")
+        self._etas = tuple(SampledEta(model, g)
+                           for g in (self.grids.gamma, self.grids.gamma_bar))
+        self.a_lower, self.a_upper = (eval_V(model, e.grid.nodes) / (e.grid.nodes - om)
+                                      for e in self._etas)
+        # \int V^2/(z - Omega) over the lower and over the upper curve
         lower, upper = (-e.moment(om) for e in self._etas)
-        self.zero = _zero_sector(model, self.grids, lower, upper)
-        self.lam_d = self.zero.lam_d
         self.shift_lower, self.shift_upper = lower, -upper   # lam2 of u1 and of 1u
         eta2_l, eta2_u = (e.moment(om, 2) for e in self._etas)
         # pair normalizers through second order
@@ -486,11 +383,60 @@ class LiouvilleSystem:
         self.norm_u1 = 1.0 + eta2_l
         self.norm_1u = 1.0 + eta2_u
 
+        # Degenerate second-order solve on the invariant subspace: the level
+        # population maps to itself with coefficient alpha = lower - upper and
+        # diagonal densities map to the level with the opposite coefficient,
+        # so the sector splits into the decay mode (eigenvalue alpha) and the
+        # invariant continuum family (eigenvalue 0).
+        self.lam_d = alpha = lower - upper
+        decay_right = GeneralizedState(c1=1.0 + 0j, f_om1=-self.a_upper, f_1om=-self.a_lower,
+                                       f_omom=((self.a_upper, self.a_lower),),
+                                       grids=self.grids)
+        decay_left = LeftEigvec(label="decay", eigenvalue=alpha, c1=1.0 + 0j,
+                                omega_atoms=((om, -1.0 + 0j),))
+        self.zero = ZeroSectorResult(lam_d=alpha, coeff_on_level=alpha,
+                                     coeff_on_diagonal=complex(-lower + upper),
+                                     decay_right=decay_right, decay_left=decay_left)
+
     def lam_u1(self, u) -> np.ndarray:
         return np.asarray(u, dtype=complex) - self.model.omega_level + self.shift_lower
 
     def lam_1u(self, up) -> np.ndarray:
         return self.model.omega_level - np.asarray(up, dtype=complex) + self.shift_upper
+
+    def branch_u1(self, u: complex) -> BranchSeries:
+        """Branch built on the upper-curve node u against the level."""
+        i = _node(self.grids.gamma_bar, u, "upper")
+        u, a = complex(self.grids.gamma_bar.nodes[i]), complex(self.a_upper[i])
+        left = LeftEigvec(label="u1", eigenvalue=complex(self.lam_u1(u)), c1=a,
+                          omega_atoms=((u, -a),), om1_atoms=((u, 1.0 + 0j),))
+        return BranchSeries("u1", u, u - self.model.omega_level, self.shift_lower,
+                            right_c1=a, left=left)
+
+    def branch_1u(self, up: complex) -> BranchSeries:
+        """Branch built on the level against the lower-curve node u'."""
+        i = _node(self.grids.gamma, up, "lower")
+        up, a = complex(self.grids.gamma.nodes[i]), complex(self.a_lower[i])
+        left = LeftEigvec(label="1u", eigenvalue=complex(self.lam_1u(up)), c1=a,
+                          omega_atoms=((up, -a),), c1om_atoms=((up, 1.0 + 0j),))
+        return BranchSeries("1u", up, self.model.omega_level - up, self.shift_upper,
+                            right_c1=a, left=left)
+
+    def branch_uu(self, u: complex, up: complex) -> BranchSeries:
+        """Doubly continuous branch: the interaction produces no shift at all."""
+        i = _node(self.grids.gamma_bar, u, "upper")
+        j = _node(self.grids.gamma, up, "lower")
+        u, up = complex(self.grids.gamma_bar.nodes[i]), complex(self.grids.gamma.nodes[j])
+        left = LeftEigvec(label="uu", eigenvalue=u - up, c1=0j,
+                          omom_atoms=(((u, up), 1.0 + 0j),),
+                          om1_atoms=((u, complex(self.a_lower[j])),),
+                          c1om_atoms=((up, complex(self.a_upper[i])),))
+        return BranchSeries("uu", u, u - up, 0.0 + 0j, right_c1=0j, left=left)
+
+    def symmetry_defect(self) -> float:
+        """max over paired nodes u' = conj(u) of |lam_1u(u') + conj(lam_u1(u))|."""
+        return float(np.max(np.abs(self.lam_1u(self.grids.gamma.nodes)
+                                   + np.conj(self.lam_u1(self.grids.gamma_bar.nodes)))))
 
     def branch_sums(self, t: float) -> tuple[complex, complex]:
         """Normalized upper/lower branch background integrals at time t."""
@@ -506,6 +452,10 @@ class LiouvilleSystem:
         return complex(np.exp(1j * self.lam_d * t) / self.norm_d + b_up + b_dn)
 
 
+# --------------------------------------------------------------------------
+# relaxation
+# --------------------------------------------------------------------------
+
 def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
                  system: LiouvilleSystem | None = None) -> GeneralizedState:
     """Relaxed state functional at time t >= 0.
@@ -519,6 +469,9 @@ def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
     divided by its second-order normalization.  Probability is conserved
     identically and the level population plus the weight grown at the
     resonance position sum to the initial population by construction.
+
+    The curve densities of the result are node samples on ``system.grids``;
+    the kernel-block density is kept as three rank-one factor pairs.
     """
     if t < 0:
         raise ConfigError("negative times are refused: upper-shifted eigenvalues "
@@ -540,48 +493,30 @@ def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
             atoms[0] = (om, atoms[0][1] + wt)
         else:
             atoms.append((pos, wt))
+    state = GeneralizedState(c1=c1r * surv, atoms=tuple(atoms),
+                             omega_smooth=rho0.omega_smooth, grids=system.grids)
+    if abs(c1r) == 0:
+        return state
 
-    n_u1, n_1u, n_d = system.norm_u1, system.norm_1u, system.norm_d
-    lam_u1, lam_1u = system.lam_u1, system.lam_1u
-
-    def g_density(lam, norm):
-        # omega-block density of a singly continuous branch
-        def g(z):
-            z = np.asarray(z, dtype=complex)
-            v2 = eval_V(model, z) * eval_Vbar(model, z)
-            return -c1r * v2 / (z - om) ** 2 * np.exp(1j * lam(z) * t) / norm
-        return g
-
-    def f_density(lam, norm):
-        # off-diagonal block density of a singly continuous branch
-        def f(z):
-            z = np.asarray(z, dtype=complex)
-            a = eval_V(model, z) / (z - om)
-            return c1r * a * (np.exp(1j * lam(z) * t) / norm
-                              - decay_phase * np.ones_like(z))
-        return f
-
-    def f_omom(z, zp, _c=c1r):
-        z = np.asarray(z, dtype=complex)
-        zp = np.asarray(zp, dtype=complex)
-        a = eval_V(model, z) / (z - om) * eval_V(model, zp) / (zp - om)
-        bracket = (decay_phase
-                   - np.exp(1j * lam_u1(z) * t) / n_u1
-                   - np.exp(1j * lam_1u(zp) * t) / n_1u
-                   + np.exp(1j * (z - zp) * t))
-        return _c * a * bracket
-
-    return GeneralizedState(
-        c1=c1r * surv,
-        atoms=tuple(atoms),
-        omega_smooth=rho0.omega_smooth,
-        f_om1=f_density(lam_u1, n_u1) if abs(c1r) > 0 else None,
-        f_1om=f_density(lam_1u, n_1u) if abs(c1r) > 0 else None,
-        f_omom=f_omom if abs(c1r) > 0 else None,
-        g_up=g_density(lam_u1, n_u1) if abs(c1r) > 0 else None,
-        g_dn=g_density(lam_1u, n_1u) if abs(c1r) > 0 else None,
-        g_loc=om if abs(c1r) > 0 else None,
-    )
+    lower, upper = system._etas
+    zu, zl = upper.grid.nodes, lower.grid.nodes
+    a_u, a_l = system.a_upper, system.a_lower
+    n_u1, n_1u = system.norm_u1, system.norm_1u
+    ph_u1 = np.exp(1j * system.lam_u1(zu) * t)
+    ph_1u = np.exp(1j * system.lam_1u(zl) * t)
+    # off-diagonal block densities of the singly continuous branches
+    f_om1 = c1r * a_u * (ph_u1 / n_u1 - decay_phase)
+    f_1om = c1r * a_l * (ph_1u / n_1u - decay_phase)
+    # a(z) a(z') [decay - u1(z) - 1u(z') + exp(i (z - z') t)]
+    f_omom = ((-f_om1, a_l),
+              (c1r * a_u, -a_l * ph_1u / n_1u),
+              (c1r * a_u * np.exp(1j * zu * t), a_l * np.exp(-1j * zl * t)))
+    return replace(
+        state, f_om1=f_om1, f_1om=f_1om, f_omom=f_omom,
+        # omega-block densities of the singly continuous branches
+        g_up=-c1r * upper.vv / (zu - om) ** 2 * ph_u1 / n_u1,
+        g_dn=-c1r * lower.vv / (zl - om) ** 2 * ph_1u / n_1u,
+        g_loc=om)
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ constant multiplies the form factor linearly and the kernel quadratically.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .contour import ContourSpec
-from .errors import AnalyticityError, ConfigError
+from .errors import AnalyticityError, ConfigError, ContourError
 
 _REGION_SLACK_RE = 0.05
 _REGION_SLACK_IM = 0.05
@@ -158,9 +159,16 @@ def make_model(family_id: str, params, omega_level: float, coupling: float,
 
 
 def config_number(value, name: str, integer: bool = False):
-    """``value`` checked to be a JSON number (an integral one if ``integer``)."""
+    """``value`` checked to be a finite JSON number (an integral one if
+    ``integer``)."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:       # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number")
     if integer and not float(value).is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
@@ -213,8 +221,12 @@ def model_from_dict(doc: dict) -> ModelSpec:
         shape = cdoc.get("shape", base.shape)
         if not isinstance(shape, str):
             raise ConfigError(f"contour shape must be a string, got {shape!r}")
-        cspec = ContourSpec(depth=float(num["depth"]), cutoff=float(num["cutoff"]),
-                            shape=shape, n_nodes=int(num["n_nodes"]))
+        try:
+            cspec = ContourSpec(depth=float(num["depth"]), cutoff=float(num["cutoff"]),
+                                shape=shape, n_nodes=int(num["n_nodes"]))
+        except ContourError as e:
+            # a contour the document asks for but cannot have is a config mistake
+            raise ConfigError(str(e)) from e
     return make_model(doc["family"], params, omega, epsilon, cspec, doc.get("kernel"))
 
 

@@ -17,10 +17,8 @@ from respectra.contour import ContourSpec, build_contour
 from respectra.dynamics import (decay_rate, default_time_grid, oracle_survival_curve,
                                 survival_curve, transition_amplitude_slope0)
 from respectra.friedrichs import find_pole
-from respectra.liouville import (LiouvilleGrids, LiouvilleSystem, branch_1u,
-                                 branch_u1, branch_uu, check_physicality,
-                                 evolve_state, unstable_state_functional,
-                                 zero_sector_spectrum)
+from respectra.liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality,
+                                 evolve_state, unstable_state_functional)
 from respectra.model import eval_V, make_model
 from respectra.oracle import discretize
 from respectra.perturbation import BiorthogonalSystem, pair_coeffs, perturb_discrete
@@ -145,7 +143,7 @@ def test_criterion_5_liouville_decay_mode():
     t0 = time.perf_counter()
     m = make_model("sqrt_exp", [1.0], 1.0, 0.1,
                    ContourSpec(depth=0.5, cutoff=20.0, n_nodes=200))
-    zs = zero_sector_spectrum(m)
+    zs = LiouvilleSystem(m).zero
     v2 = float(np.real(eval_V(m, 1.0) ** 2))
     err = abs(zs.lam_d - 2j * np.pi * v2)
     ok = err <= 1e-10
@@ -187,13 +185,14 @@ def test_criterion_7_physicality():
     m = make_model("sqrt_exp", [1.0], 1.0, 0.1,
                    ContourSpec(depth=0.5, cutoff=20.0, n_nodes=128))
     grids = LiouvilleGrids.for_model(m)
-    worst = abs(zero_sector_spectrum(m, grids).decay_left.pair_identity())
+    lsys = LiouvilleSystem(m, grids)
+    worst = abs(lsys.zero.decay_left.pair_identity())
     for i in range(4, grids.gamma_bar.n, grids.gamma_bar.n // 8):
         u = complex(grids.gamma_bar.nodes[i])
         up = complex(grids.gamma.nodes[i])
-        worst = max(worst, abs(branch_u1(m, u, grids).left.pair_identity()))
-        worst = max(worst, abs(branch_1u(m, up, grids).left.pair_identity()))
-        worst = max(worst, abs(branch_uu(m, u, up, grids).left.pair_identity()))
+        worst = max(worst, abs(lsys.branch_u1(u).left.pair_identity()))
+        worst = max(worst, abs(lsys.branch_1u(up).left.pair_identity()))
+        worst = max(worst, abs(lsys.branch_uu(u, up).left.pair_identity()))
     from respectra.liouville import LeftEigvec
     inv = LeftEigvec(label="invariant", eigenvalue=0.0,
                      omega_atoms=((2.0, 1.0 + 0j),))

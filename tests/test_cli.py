@@ -156,8 +156,14 @@ def test_spectrum_system_uses_the_config_pole(tmp_path):
 
 
 MALFORMED = {
+    "contour_shape_unknown": {"command": "spectrum",
+                              "model": dict(MODEL, contour={"shape": "circle"})},
+    "contour_too_few_nodes": {"command": "spectrum",
+                              "model": dict(MODEL, contour={"n_nodes": 8})},
+    "epsilon_not_finite": {"command": "spectrum", "model": dict(MODEL, epsilon=float("nan"))},
     "grid_not_object": {"command": "evolve", "model": MODEL, "grid": 5},
     "omega_string": {"command": "spectrum", "model": dict(MODEL, omega="one")},
+    "param_beyond_float": {"command": "spectrum", "model": dict(MODEL, params=[10**400])},
     "n_nodes_string": {"command": "spectrum", "model": dict(MODEL, contour={"n_nodes": "x"})},
     "oracle_n_string": {"command": "evolve", "model": MODEL, "grid": {"oracle_n": "many"}},
     "barrier_string": {"command": "barrier",

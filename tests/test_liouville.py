@@ -5,12 +5,10 @@ from respectra.contour import ContourGrid, ContourSpec
 from respectra.dynamics import decay_rate, oracle_survival_curve
 from respectra.errors import ConfigError, EvaluationError
 from respectra.liouville import (BlockObservable, GeneralizedState, LiouvilleGrids,
-                                 LiouvilleSystem, apply_L, branch_1u, branch_u1,
-                                 branch_uu, check_physicality,
-                                 eigenvalue_symmetry_defect, evolve_state,
-                                 identity_observable, level_projector_observable,
-                                 matrix_blocks, observable_to_matrix,
-                                 unstable_state_functional, zero_sector_spectrum)
+                                 LiouvilleSystem, apply_L, check_physicality,
+                                 evolve_state, identity_observable,
+                                 level_projector_observable, matrix_blocks,
+                                 observable_to_matrix, unstable_state_functional)
 from respectra.model import eval_V, make_model, separable_test_kernel
 from respectra.oracle import commutator_apply, discretize
 
@@ -24,6 +22,11 @@ def li_model():
 @pytest.fixture(scope="module")
 def li_grids(li_model):
     return LiouvilleGrids.for_model(li_model)
+
+
+@pytest.fixture(scope="module")
+def li_sys(li_model, li_grids):
+    return LiouvilleSystem(li_model, li_grids)
 
 
 def _rnd_profile(rng):
@@ -102,8 +105,8 @@ def test_hermiticity_defect(li_grids, rng):
 
 
 class TestZeroSector:
-    def test_decay_eigenvalue(self, li_model, li_grids):
-        zs = zero_sector_spectrum(li_model, li_grids)
+    def test_decay_eigenvalue(self, li_model, li_sys):
+        zs = li_sys.zero
         v2 = float(np.real(eval_V(li_model, 1.0) ** 2))
         assert abs(zs.lam_d - 2j * np.pi * v2) < 1e-10
         assert abs(zs.lam_d.real) < 1e-12
@@ -112,7 +115,7 @@ class TestZeroSector:
     def test_free_limit(self, li_grids):
         m0 = make_model("sqrt_exp", [1.0], 1.0, 0.0,
                         ContourSpec(depth=0.5, cutoff=20.0, n_nodes=128))
-        assert zero_sector_spectrum(m0, li_grids).lam_d == 0.0
+        assert LiouvilleSystem(m0, li_grids).zero.lam_d == 0.0
 
     def test_level_outside_window_rejected(self):
         # diagonal atom at the level is undefined when the grids' continuum
@@ -123,11 +126,11 @@ class TestZeroSector:
             make_model("sqrt_exp", [1.0], 0.5, 0.05,
                        ContourSpec(depth=0.2, cutoff=1.2, n_nodes=64)))
         with pytest.raises(EvaluationError):
-            zero_sector_spectrum(m, narrow)
+            LiouvilleSystem(m, narrow)
 
-    def test_zero_sector_orthogonality_atoms(self, li_model, li_grids):
+    def test_zero_sector_orthogonality_atoms(self, li_model, li_sys):
         # symbolic atom bookkeeping of the degenerate sector
-        zs = zero_sector_spectrum(li_model, li_grids)
+        zs = li_sys.zero
         # (Psi_d|Phi_d): level against level (curve blocks are orthogonal to
         # the invariant-sector functionals)
         assert zs.decay_left.c1 * zs.decay_right.c1 == 1.0
@@ -164,34 +167,51 @@ class TestBranches:
         m0 = make_model("sqrt_exp", [1.0], 1.0, 0.0,
                         ContourSpec(depth=0.5, cutoff=20.0, n_nodes=128))
         u = complex(li_grids.gamma_bar.nodes[40])
-        b = branch_u1(m0, u, li_grids)
+        b = LiouvilleSystem(m0, li_grids).branch_u1(u)
         assert b.eigenvalue == u - 1.0 and b.lam2 == 0.0
 
-    def test_upper_shift(self, li_model, li_grids):
+    def test_upper_shift(self, li_model, li_grids, li_sys):
         v2 = float(np.real(eval_V(li_model, 1.0) ** 2))
         u = complex(li_grids.gamma_bar.nodes[40])
-        b = branch_u1(li_model, u, li_grids)
+        b = li_sys.branch_u1(u)
         assert abs(b.lam2.imag - np.pi * v2) < 1e-10
-        bp = branch_1u(li_model, np.conj(u), li_grids)
+        bp = li_sys.branch_1u(np.conj(u))
         assert abs(bp.lam2.imag - np.pi * v2) < 1e-10
         assert b.lam1 == 0.0
 
-    def test_uu_no_shift(self, li_model, li_grids):
+    def test_uu_no_shift(self, li_grids, li_sys):
         u = complex(li_grids.gamma_bar.nodes[33])
-        b = branch_uu(li_model, u, np.conj(u), li_grids)
+        b = li_sys.branch_uu(u, np.conj(u))
         assert b.lam2 == 0.0 and b.eigenvalue == u - np.conj(u)
 
-    def test_eigenvalue_symmetry(self, li_model, li_grids):
-        assert eigenvalue_symmetry_defect(li_model, li_grids) < 1e-10
+    def test_eigenvalue_symmetry(self, li_sys):
+        assert li_sys.symmetry_defect() < 1e-10
 
-    def test_physicality(self, li_model, li_grids):
-        zs = zero_sector_spectrum(li_model, li_grids)
-        ok, val = check_physicality(li_model, zs.decay_left)
+    def test_eigenvalues_are_the_written_cloud(self, li_grids, li_sys):
+        # each branch eigenpair carries the eigenvalue the liouville command
+        # writes for its node
+        for i in (0, 25, li_grids.gamma.n - 1):
+            u, up = li_grids.gamma_bar.nodes[i], li_grids.gamma.nodes[i]
+            assert li_sys.branch_u1(u).eigenvalue == li_sys.lam_u1(u)
+            assert li_sys.branch_1u(up).eigenvalue == li_sys.lam_1u(up)
+            assert li_sys.branch_uu(u, up).eigenvalue == u - up
+
+    def test_branch_point_must_be_a_node(self, li_grids, li_sys):
+        u = complex(li_grids.gamma_bar.nodes[25])
+        with pytest.raises(EvaluationError):
+            li_sys.branch_u1(u + 1e-3)
+        with pytest.raises(EvaluationError):
+            li_sys.branch_1u(u)              # an upper-curve point
+        with pytest.raises(EvaluationError):
+            li_sys.branch_uu(u, u)
+
+    def test_physicality(self, li_model, li_grids, li_sys):
+        ok, val = check_physicality(li_model, li_sys.zero.decay_left)
         assert ok and val == 0.0
         u = complex(li_grids.gamma_bar.nodes[25])
-        for b in (branch_u1(li_model, u, li_grids),
-                  branch_1u(li_model, np.conj(u), li_grids),
-                  branch_uu(li_model, u, np.conj(u), li_grids)):
+        for b in (li_sys.branch_u1(u),
+                  li_sys.branch_1u(np.conj(u)),
+                  li_sys.branch_uu(u, np.conj(u))):
             ok, val = check_physicality(li_model, b.left)
             assert ok and val <= 1e-8
 
@@ -208,8 +228,9 @@ class TestEvolution:
         with pytest.raises(ConfigError):
             evolve_state(li_model, unstable_state_functional(), -1.0)
 
-    def test_non_invariant_input_refused(self, li_model):
-        rho = GeneralizedState(c1=1.0 + 0j, f_om1=lambda z: z * 0)
+    def test_non_invariant_input_refused(self, li_model, li_grids):
+        rho = GeneralizedState(c1=1.0 + 0j, f_om1=np.zeros(li_grids.gamma_bar.n, complex),
+                               grids=li_grids)
         with pytest.raises(ConfigError):
             evolve_state(li_model, rho, 1.0)
 
@@ -254,6 +275,51 @@ class TestEvolution:
         orac = oracle_survival_curve(li_model, ts, n_levels=1500)
         assert np.max(np.abs(c1 - orac.survival)) < 4.5e-3
 
+
+    def test_five_block_pairing(self, li_model, li_grids, li_sys, rng):
+        # the sampled densities of a relaxed state paired with every block
+        # equal a quadrature of the closed-form densities
+        om, rate = li_model.omega_level, decay_rate(li_model)
+        zu, zl = li_grids.gamma_bar.nodes, li_grids.gamma.nodes
+        wu, wl = li_grids.gamma_bar.weights, li_grids.gamma.weights
+        a = lambda z: eval_V(li_model, z) / (z - om)
+        f, g, h = _rnd_profile(rng), _rnd_profile(rng), _rnd_profile(rng)
+        kern = lambda z, zp: np.exp(-0.2 * z - 0.3 * zp - 0.05 * z * zp)
+        blocks = {"o_omega": BlockObservable(o_omega=f), "o_om1": BlockObservable(o_om1=g),
+                  "o_1om": BlockObservable(o_1om=h), "o_omom": BlockObservable(o_omom=kern),
+                  "all": BlockObservable(o1=0.7 + 0j, o_omega=f, o_om1=g, o_1om=h,
+                                         o_omom=kern)}
+        for t in (0.5 / rate, 2.0 / rate):
+            st = evolve_state(li_model, unstable_state_functional(), t, li_sys)
+            dp = np.exp(1j * li_sys.lam_d * t) / li_sys.norm_d
+            e_u1 = np.exp(1j * li_sys.lam_u1(zu) * t) / li_sys.norm_u1
+            e_1u = np.exp(1j * li_sys.lam_1u(zl) * t) / li_sys.norm_1u
+            f_om1 = a(zu) * (e_u1 - dp)
+            f_1om = a(zl) * (e_1u - dp)
+            z, zp = zu[:, None], zl[None, :]
+            f_omom = a(z) * a(zp) * (dp - e_u1[:, None] - e_1u[None, :]
+                                     + np.exp(1j * (z - zp) * t))
+            g_up = -a(zu) ** 2 * e_u1
+            g_dn = -a(zl) ** 2 * e_1u
+            ref = {"o_omega": (1 - dp) * f(om) + np.sum(wu * g_up * f(zu))
+                   + np.sum(wl * g_dn * f(zl)),
+                   "o_om1": np.sum(wu * f_om1 * g(zu)),
+                   "o_1om": np.sum(wl * f_1om * h(zl)),
+                   "o_omom": wu @ (f_omom * kern(z, zp)) @ wl}
+            ref["all"] = 0.7 * st.c1 + sum(ref.values())
+            for name, O in blocks.items():
+                got = st.expect(O, li_grids)
+                assert abs(got - ref[name]) <= 1e-12 * abs(ref[name]), name
+
+    def test_pairing_refuses_other_grids(self, li_model, li_sys):
+        st = evolve_state(li_model, unstable_state_functional(), 1.0, li_sys)
+        other = LiouvilleGrids.for_model(li_model)
+        with pytest.raises(EvaluationError):
+            st.expect(identity_observable(), other)
+        with pytest.raises(EvaluationError):
+            st.atom_weight(li_model.omega_level, other)
+        with pytest.raises(EvaluationError):
+            li_sys.zero.decay_right.expect(identity_observable(), other)
 
 def test_level_projector_expectation(li_model, li_grids):
     rho = unstable_state_functional()

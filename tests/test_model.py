@@ -1,10 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from respectra.contour import ContourSpec
 from respectra.errors import AnalyticityError, ConfigError
-from respectra.model import (eval_V, eval_V2, eval_Vbar, make_model, model_from_dict,
-                             separable_test_kernel)
+from respectra.model import (ModelSpec, eval_V, eval_V2, eval_Vbar, make_model,
+                             model_from_dict, separable_test_kernel)
 from respectra.states import random_analytic, real_axis_inner
 import scipy.integrate as si
 
@@ -104,6 +107,43 @@ def test_model_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         model_from_dict({"family": "sqrt_exp", "epsilon": 0.1})
 
+
+
+VALID_DOC = {"family": "lorentz_sqrt", "params": [2.0], "omega": 1.0, "epsilon": 0.1,
+             "kernel": "separable_sqrt_exp",
+             "contour": {"depth": 0.5, "cutoff": 20.0, "n_nodes": 64, "shape": "rectangle"}}
+# dotted names are fields of the contour section; four of the ten, so that
+# most documents carry a drawn contour value
+DOC_FIELDS = ["family", "params", "omega", "epsilon", "kernel", "contour",
+              "contour.depth", "contour.cutoff", "contour.n_nodes", "contour.shape"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=4)
+
+
+@given(fields=st.lists(st.sampled_from(DOC_FIELDS), min_size=1, max_size=2, unique=True),
+       data=st.data())
+def test_model_from_dict_fuzz(fields, data):
+    # a valid document with one or two fields replaced by arbitrary JSON
+    # values gives a model or a config error; the only other outcome is the
+    # form-factor pole the replaced values put inside the contour depth
+    doc = copy.deepcopy(VALID_DOC)
+    for field in fields:
+        value = data.draw(JSON_VALUES, label=field)
+        section, _, key = field.rpartition(".")
+        target = doc[section] if section else doc
+        if isinstance(target, dict):
+            target[key] = value
+    try:
+        model = model_from_dict(doc)
+    except ConfigError:
+        return
+    except AnalyticityError as e:
+        assert "inside the contour depth" in str(e)
+        return
+    assert isinstance(model, ModelSpec)
 
 def test_reference_inner_product_against_quad(axis_grid, rng):
     psi = random_analytic(rng)
