@@ -16,7 +16,7 @@ above the well's own resonance poles (guarded at evaluation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -102,6 +102,12 @@ def solve_bound_state(spec: BarrierSpec) -> BoundState:
                       a_outside=float(n * np.cos(q * a) * np.exp(kappa * a)))
 
 
+def _level_shift(spec: BarrierSpec, bs: BoundState) -> float:
+    """First-order shift v11 = -v1 a_out^2 e^(-2 kappa b) / kappa of the bound
+    level by the potential drop beyond |x| > b."""
+    return -spec.v1 * bs.a_outside**2 * np.exp(-2 * bs.kappa * spec.b) / bs.kappa
+
+
 def bound_state_residual(spec: BarrierSpec, bs: BoundState) -> float:
     return abs(bs.q * np.tan(bs.q * spec.a) - bs.kappa)
 
@@ -184,7 +190,7 @@ def matrix_elements(spec: BarrierSpec, k_grid=None) -> dict:
     if k_grid is None:
         k_grid = default_k_grid(spec)
     k_grid = np.asarray(k_grid, dtype=float)
-    v11 = -spec.v1 * bs.a_outside**2 * np.exp(-2 * bs.kappa * spec.b) / bs.kappa
+    v11 = _level_shift(spec, bs)
     v1k = np.array([coupling_vs_k(spec, bs, complex(k)).real for k in k_grid])
     states = [even_scattering_state(spec, float(k)) for k in k_grid]
     n = len(k_grid)
@@ -219,7 +225,7 @@ def default_k_grid(spec: BarrierSpec, n: int = 48) -> np.ndarray:
 def resonance_width(spec: BarrierSpec) -> BarrierResonance:
     """Second-order complex shift of the bound level through the open channel."""
     bs = solve_bound_state(spec)
-    v11 = -spec.v1 * bs.a_outside**2 * np.exp(-2 * bs.kappa * spec.b) / bs.kappa
+    v11 = _level_shift(spec, bs)
     gap = (bs.e1 + v11) - (spec.v0 - spec.v1)
     if gap <= 0:
         raise ChannelClosedError(
@@ -241,7 +247,7 @@ def to_friedrichs_model(spec: BarrierSpec, depth: float | None = None,
     Jacobian, V(w) = v_1k(k(w)) sqrt(mu / (hbar^2 k(w))).
     """
     bs = solve_bound_state(spec)
-    v11 = -spec.v1 * bs.a_outside**2 * np.exp(-2 * bs.kappa * spec.b) / bs.kappa
+    v11 = _level_shift(spec, bs)
     omega_eff = (bs.e1 + v11) - (spec.v0 - spec.v1)
     if omega_eff <= 0:
         raise ChannelClosedError("closed channel: the mapped level would not sit "
@@ -268,9 +274,7 @@ def width_sweep(spec: BarrierSpec, b_values) -> list[dict]:
     """Width as a function of the barrier length (all other parameters fixed)."""
     rows = []
     for b in b_values:
-        s = BarrierSpec(a=spec.a, b=float(b), v0=spec.v0, v1=spec.v1,
-                        mu=spec.mu, hbar=spec.hbar, min_ratio=spec.min_ratio)
-        r = resonance_width(s)
+        r = resonance_width(replace(spec, b=float(b)))
         rows.append({"b": float(b), "barrier_length": float(b - spec.a),
                      "width": r.width, "k_tilde": r.k_tilde})
     return rows

@@ -95,10 +95,13 @@ def _write_csv(path: Path, header: list[str], rows, cfg_hash: str):
 
 def load_config(path: str, overrides: dict) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ConfigError(f"config file cannot be read: {e}") from e
+    except ValueError as e:
+        # invalid JSON or UTF-8, or an integer literal beyond Python's digit limit
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")

@@ -8,6 +8,11 @@ built-in form factors) integrate with spectral accuracy.
 
 Delta distributions on the curve are never sampled: an atom at position u
 pairs with a function f as f(u) with unit weight.
+
+``SampledPV`` is the one principal-value quadrature.  It takes integrands as
+functions and evaluates them itself, at the nodes and at each curve point
+with its derivative stencil; ``pole_kernel_integral`` (a curve point) and
+``plemelj_integral`` (a point of a real-axis grid) are its one-point cases.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import ContourError, EvaluationError
 _SHAPES = ("rectangle", "semi_ellipse")
 # rows of the sampled principal-value operator held in memory at once
 PV_BLOCK = 128
-# step of the five-point derivative stencil along the curve
+# step of the five-point derivative stencil along the curve, at |u| >= 1
 STENCIL_DELTA = 1e-3
 
 
@@ -170,76 +175,29 @@ def integrate_contour(grid: ContourGrid, f: Callable) -> complex:
     return complex(np.sum(grid.weights * vals))
 
 
-def cderiv(f: Callable, u: complex, direction: complex = 1.0 + 0j,
-           delta: float = STENCIL_DELTA) -> complex:
-    """Fourth-order directional derivative df/dz at u along a unit direction."""
-    t = direction / abs(direction)
-    d = delta * t
-    f1 = f(u + d)
-    f2 = f(u + 2 * d)
-    fm1 = f(u - d)
-    fm2 = f(u - 2 * d)
-    return (fm2 - 8 * fm1 + 8 * f1 - f2) / (12 * delta * t)
-
-
-def _pv_log_term(grid: ContourGrid, u: complex) -> complex:
-    # PV of \int dz / (u - z) along the path from 0 to X; principal logs are
-    # safe because u and X - u stay in the closed right half plane here.
-    X = grid.cutoff
-    if u == 0 or u == X:
-        raise EvaluationError("principal value undefined at a contour endpoint")
-    return complex(np.log(u) - np.log(X - u))
-
-
-def pv_curve(grid: ContourGrid, h: Callable, u: complex,
-             h_samples=None, hu: complex | None = None) -> complex:
-    """Principal value of \\int h(z)/(u - z) dz for u on the grid's curve.
-
-    The singularity is subtracted globally:
-    PV = \\int [h(z) - h(u)]/(u - z) dz + h(u) * PV \\int dz/(u - z),
-    with the second factor known in closed form.  If u coincides with a node
-    the removable 0/0 sample is replaced by -h'(u) from a five-point stencil
-    along the local tangent.
-    """
-    if hu is None:
-        hu = complex(h(u))
-    vals = np.asarray(h(grid.nodes), dtype=complex) if h_samples is None \
-        else np.asarray(h_samples, dtype=complex)
-    diff = u - grid.nodes
-    idx = grid.node_index(u)
-    if idx is not None:
-        diff = diff.copy()
-        diff[idx] = 1.0  # placeholder, replaced below
-    q = (vals - hu) / diff
-    if idx is not None:
-        q[idx] = -cderiv(h, u, grid.tangents[idx])
-    return complex(np.sum(grid.weights * q) + hu * _pv_log_term(grid, u))
-
-
-def pole_kernel_integral(grid: ContourGrid, h: Callable, u: complex, side: int,
-                         h_samples=None, hu: complex | None = None) -> complex:
+def pole_kernel_integral(grid: ContourGrid, h: Callable, u: complex, side: int) -> complex:
     """\\int h(z) / (u + side*i0 - z) dz along the curve, u on the curve.
 
     ``side=+1`` displaces u toward the region between the curve and the real
     axis (the outgoing prescription), ``side=-1`` the other way.  Realized as
-    the curve principal value minus side * i*pi * h(u).
+    the curve principal value minus side * i*pi * h(u), by ``SampledPV`` at
+    the one point u.
     """
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
-    if hu is None:
-        hu = complex(h(u))
-    return pv_curve(grid, h, u, h_samples=h_samples, hu=hu) - side * 1j * np.pi * hu
+    return complex(SampledPV(grid, u)(h, side)[0])
 
 
 class SampledPV:
     """Principal values PV \\int h_i(z)/(u_i - z) dz at many curve points at once.
 
-    The points u_i default to every node.  A call takes each integrand h_i
-    at the nodes (one row per point (M, N), or one shared row (N,)), at u_i
-    (``hu``) and at the derivative ``stencil`` of u_i (M, 4).  The quadrature
-    is that of ``pv_curve`` (global subtraction, closed-form log term, -h_i'
-    from the five-point stencil for the removable sample at a node), summed
-    PV_BLOCK rows at a time so that no (M, N) operator is held.
+    The points u_i default to every node.  The singularity is subtracted
+    globally, PV = \\int [h_i(z) - h_i(u_i)]/(u_i - z) dz + h_i(u_i) PV
+    \\int dz/(u_i - z), the second factor in closed form.  Where u_i is a
+    node, the removable 0/0 sample is -h_i'(u_i) from a five-point stencil
+    along the tangent, of step STENCIL_DELTA * min(1, |u_i|) so that it never
+    reaches the branch point at the origin.  Rows are summed PV_BLOCK at a
+    time, so no (M, N) operator is held.
     """
 
     def __init__(self, grid: ContourGrid, u=None):
@@ -252,27 +210,38 @@ class SampledPV:
         # weight of the node at u_i (0 off the nodes, where the stencil is unused)
         self.node_weight = np.where(on, grid.weights[np.where(on, self.node, 0)], 0.0)
         t = grid.tangents[np.where(on, self.node, 0)]
-        self.tangent = t / np.abs(t)
-        d = STENCIL_DELTA * self.tangent
-        self.stencil = np.stack([self.u - 2 * d, self.u - d, self.u + d, self.u + 2 * d],
-                                axis=-1)
-        # PV of the integral of dz/(u - z) from 0 to X, as in _pv_log_term
+        self._tangent = t / np.abs(t)
+        # the step stays below |u_i|, clear of the branch point at the origin
+        self._delta = STENCIL_DELTA * np.minimum(1.0, np.abs(self.u))
+        d = self._delta * self._tangent
+        # u_i and its stencil, evaluated together
+        self._points = np.stack([self.u, self.u - 2 * d, self.u - d, self.u + d,
+                                 self.u + 2 * d], axis=-1)
+        # PV of the integral of dz/(u - z) from 0 to X; principal logs are
+        # safe because u and X - u stay in the closed right half plane here
         self.log_term = np.log(self.u) - np.log(grid.cutoff - self.u)
 
-    def __call__(self, h, hu, h_stencil, side: int = 0, F=None) -> np.ndarray:
+    def __call__(self, h: Callable, side: int = 0, F: Callable | None = None) -> np.ndarray:
         """PV at every point, minus side * i*pi * h_i(u_i) for side = +1/-1
         (the displaced-pole integral \\int h_i(z)/(u_i + side*i0 - z) dz).
 
-        With ``F`` the integrand is h_i(z) F_p(z) for targets p, F shared
-        (P, N) or per point (M, P, N); ``hu`` and ``h_stencil`` then hold the
-        product, (M, P) and (M, P, 4), and so does the result.  The node sum
-        is a matrix product: no (M, P, N) array is formed.
+        ``h(z)`` takes curve points (1, K), shared by every point, or (M, K),
+        row i belonging to u_i, and returns h_i(z) with the shape (1 or M, K)
+        of its broadcast.  With ``F`` the integrand is h_i(z) F_p(z) for
+        targets p, ``F(z)`` of shape (1 or M, P, K), and the result is (M, P)
+        instead of (M,).  The node sum is a matrix product: no (M, P, N)
+        array is formed unless F itself is per point.
         """
-        h = np.asarray(h, dtype=complex)
-        F = np.ones((1, self.grid.n)) if F is None else np.asarray(F, dtype=complex)
+        nodes = self.grid.nodes[None, :]
+        hn = np.asarray(h(nodes), dtype=complex)                      # (1 or M, N)
+        hp = np.asarray(h(self._points), dtype=complex)[:, None, :]   # (M, 1, 5)
+        if F is None:
+            Fn = np.ones((1, 1, self.grid.n))
+        else:
+            Fn = np.asarray(F(nodes), dtype=complex)                   # (1 or M, P, N)
+            hp = hp * np.asarray(F(self._points), dtype=complex)       # (M, P, 5)
         m = len(self.u)
-        hu = np.asarray(hu, dtype=complex).reshape(m, -1)        # (M, P)
-        hs = np.asarray(h_stencil, dtype=complex).reshape(m, -1, 4)
+        hu = hp[..., 0]                                                # (M, P)
         out = np.empty(hu.shape, dtype=complex)
         for a in range(0, m, PV_BLOCK):
             rows = slice(a, a + PV_BLOCK)
@@ -280,32 +249,14 @@ class SampledPV:
             r = np.nonzero(self.node[rows] >= 0)[0]
             diff[r, self.node[rows][r]] = np.inf   # that sample is -h_i'(u_i), added below
             R = self.grid.weights / diff
-            Rh = R * (h[rows] if h.ndim == 2 else h)
-            Fb = F[rows] if F.ndim == 3 else F
-            s = Rh @ Fb.T if Fb.ndim == 2 else np.einsum("ij,ipj->ip", Rh, Fb)
+            Rh = R * (hn[rows] if len(hn) > 1 else hn)
+            s = Rh @ Fn[0].T if len(Fn) == 1 else np.einsum("ij,ipj->ip", Rh, Fn[rows])
             out[rows] = s - hu[rows] * np.sum(R, axis=1)[:, None]
-        dh = (hs[..., 0] - 8 * hs[..., 1] + 8 * hs[..., 2] - hs[..., 3]) \
-            / (12 * STENCIL_DELTA * self.tangent[:, None])
+        dh = (hp[..., 1] - 8 * hp[..., 2] + 8 * hp[..., 3] - hp[..., 4]) \
+            / (12 * self._delta[:, None] * self._tangent[:, None])
         out = out - self.node_weight[:, None] * dh + hu * self.log_term[:, None] \
             - side * 1j * np.pi * hu
-        return out.reshape(np.shape(h_stencil)[:-1])
-
-
-def pv_real_axis(f: Callable, x0: float, grid: ContourGrid) -> complex:
-    """PV \\int_0^X f(w)/(w - x0) dw on a real-axis grid via global subtraction."""
-    X = grid.cutoff
-    if not 0 < x0 < X:
-        raise EvaluationError(f"principal-value point {x0} outside (0, {X})")
-    f0 = complex(f(x0))
-    w = grid.nodes.real
-    vals = np.asarray(f(w), dtype=complex)
-    diff = w - x0
-    mask = np.abs(diff) < 1e-13 * max(1.0, X)
-    diff[mask] = 1.0
-    q = (vals - f0) / diff
-    if mask.any():
-        q[mask] = cderiv(f, x0)
-    return complex(np.sum(grid.weights.real * q) + f0 * np.log((X - x0) / x0))
+        return out if F is not None else out[:, 0]
 
 
 def plemelj_integral(f: Callable, x0: float, side: str,
@@ -314,13 +265,15 @@ def plemelj_integral(f: Callable, x0: float, side: str,
     """Boundary value \\int_0^X f(w) / (x0 - w +- i0) dw.
 
     side "+i0" gives -i*pi*f(x0) - PV \\int f/(w - x0); side "-i0" is the
-    conjugate prescription +i*pi*f(x0) - PV \\int f/(w - x0).
+    conjugate prescription +i*pi*f(x0) - PV \\int f/(w - x0).  Computed by
+    ``SampledPV`` at x0 on a real-axis grid.
     """
     signs = {"+i0": +1, "-i0": -1, +1: +1, -1: -1}
     if side not in signs:
         raise ValueError(f"side must be '+i0' or '-i0', got {side!r}")
-    s = signs[side]
     if grid is None:
         grid = real_axis_grid(cutoff, n_nodes)
-    pv = pv_real_axis(f, x0, grid)
-    return complex(-s * 1j * np.pi * f(x0) - pv)
+    X = grid.cutoff
+    if not 0 < x0 < X:
+        raise EvaluationError(f"principal-value point {x0} outside (0, {X})")
+    return complex(SampledPV(grid, x0)(f, signs[side])[0])

@@ -80,7 +80,7 @@ class SampledEta:
         default): one curve principal value plus or minus the half residue."""
         pv = SampledPV(self.grid, u)
         vv = self.vv if u is None else self._vv_at(pv.u)
-        J = pv(self.vv, vv, self._vv_at(pv.stencil))
+        J = pv(self._vv_at)
         base = pv.u - self.omega
         return base - (J - 1j * np.pi * vv), base - (J + 1j * np.pi * vv)
 

@@ -20,13 +20,14 @@ vanishes because the kernel carries no delta component) and is implemented
 through second order with the outgoing (+i0) kernel on the right and the
 conjugate prescription on the left.  ``ContinuumFamily`` holds the vectors
 of a whole family of curve points as arrays and pairs them all through one
-sampled curve principal value; ``perturb_continuous`` is its one-point case.
+sampled curve principal value, ``SampledPV``, which is handed the integrands
+as functions; ``perturb_continuous`` is its one-point case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -183,7 +184,7 @@ def _kernel_column(model: ModelSpec, grid: ContourGrid, samples: np.ndarray,
 
     def fn(z):
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = _kernel(model, side)(zz[:, None], grid.nodes[None, :]) @ wts
+        out = _kernel(model, side)(zz[..., None], grid.nodes) @ wts
         return complex(out[0]) if np.ndim(z) == 0 else out
 
     return fn
@@ -241,13 +242,9 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
 def _kernel_term(model: ModelSpec, pv: SampledPV, z, side: int) -> np.ndarray:
     """k_i(z) = \\int K(z, z') K(z', u_i) / (u_i + side*i0 - z') dz' at every
     point u_i of ``pv`` (K transposed on the left) for targets z shared by
-    all points (P,) or given per point (M, P); shape (M, P)."""
-    kk = _kernel(model, side)
-    u, st, nodes = pv.u, pv.stencil, pv.grid.nodes
-    z = np.asarray(z, dtype=complex)
-    return pv(kk(nodes, u[:, None]), kk(z, u[:, None]) * kk(u, u)[:, None],
-              kk(z[..., None], st[:, None, :]) * kk(st, u[:, None])[:, None, :], side,
-              F=kk(z[..., None], nodes))
+    all points (1, P) or given per point (M, P); shape (M, P)."""
+    kk, u = _kernel(model, side), pv.u[:, None]
+    return pv(lambda zp: kk(zp, u), side, F=lambda zp: kk(z[..., None], zp[:, None, :]))
 
 
 class ContinuumFamily:
@@ -257,9 +254,9 @@ class ContinuumFamily:
     Member i is ``d[i]`` on the level, an exact unit atom at u_i and the pole
     term N_i(z) / (u_i + side*i0 - z) with N_i(z) = coef[i] B(z) + K(z, u_i)
     + k_i(z), B = V on the right and Vbar on the left; the kernel column and
-    the ``_kernel_term`` k_i are present for kernel orders 1 and 2.  The
-    numerators are sampled on first use at the nodes, at u_i and at the
-    stencil of u_i: the B part as one shared row, the kernel part per member.
+    the ``_kernel_term`` k_i are present for kernel orders 1 and 2.  Pairings
+    hand the numerators to the principal value as functions: the B part as
+    one shared row, the kernel part per member.
     """
 
     def __init__(self, model: ModelSpec, pv: SampledPV, side: int, d,
@@ -284,7 +281,7 @@ class ContinuumFamily:
 
     def _kernel_part(self, pv: SampledPV, z) -> np.ndarray:
         """Kernel part of the numerators of the points of ``pv`` at targets
-        z, shared (P,) or per point (M, P); shape (M, P)."""
+        z, shared (1, P) or per point (M, P); shape (M, P)."""
         out = _kernel(self.model, self.side)(z, pv.u[:, None]) if 1 in self.kernel_orders else 0
         if 2 in self.kernel_orders:
             out = out + _kernel_term(self.model, pv, z, self.side)
@@ -298,7 +295,7 @@ class ContinuumFamily:
         if self.coef is not None:
             out = out + self.coef[i] * self._basis(zf)
         if self.kernel_orders:
-            out = out + self._kernel_part(SampledPV(self.grid, self.u[i]), zf)[0]
+            out = out + self._kernel_part(SampledPV(self.grid, self.u[i]), zf[None, :])[0]
         return out.reshape(z.shape)
 
     def __getitem__(self, i: int) -> VectorCoeffs:
@@ -309,24 +306,6 @@ class ContinuumFamily:
             smooth = (PoleTerm(partial(self.numerator, i), u, self.side),)
         return VectorCoeffs(complex(self.d[i]), ((u, 1.0 + 0j),), smooth)
 
-    def _sample(self, fn) -> tuple:
-        """fn at the nodes (N,), at the points u (M,) and at their stencils (M, 4)."""
-        n, m = self.grid.n, len(self.u)
-        pts = np.concatenate([self.grid.nodes, self.u, self.pv.stencil.ravel()])
-        vals = np.asarray(fn(pts), dtype=complex)
-        return vals[:n], vals[n:n + m], vals[n + m:].reshape(m, 4)
-
-    @cached_property
-    def _numerator_parts(self) -> list:
-        """(samples at the nodes, at u, at the stencils, scale) per numerator part."""
-        parts = []
-        if self.coef is not None:
-            parts.append(self._sample(self._basis) + (self.coef,))
-        if self.kernel_orders:
-            own = self._kernel_part(self.pv, np.column_stack([self.u, self.pv.stencil]))
-            parts.append((self._kernel_part(self.pv, self.grid.nodes), own[:, 0], own[:, 1:], 1))
-        return parts
-
     def pair(self, vec: VectorCoeffs) -> np.ndarray:
         """Bilinear pairing of every member with a vector made of a level
         component and plain smooth terms: <vec|f_i> on the right, <f~_i|vec>
@@ -336,10 +315,12 @@ class ContinuumFamily:
         out = vec.d * self.d
         if not vec.smooth:
             return out
-        p, pu, ps = self._sample(lambda z: sum(t.at(z) for t in vec.smooth))
-        out = out + pu                          # the unit atoms at u_i
-        for num, num_u, num_s, scale in self._numerator_parts:
-            out = out + scale * self.pv(p * num, pu * num_u, ps * num_s, self.side)
+        f = lambda z: sum(t.at(z) for t in vec.smooth)
+        out = out + f(self.u)                   # the unit atoms at u_i
+        if self.coef is not None:
+            out = out + self.coef * self.pv(lambda z: f(z) * self._basis(z), self.side)
+        if self.kernel_orders:
+            out = out + self.pv(lambda z: f(z) * self._kernel_part(self.pv, z), self.side)
         return out
 
 
@@ -359,9 +340,8 @@ def _branch_orders(model: ModelSpec, pv: SampledPV, order: int, side: int) -> li
     if order >= 2:
         d2 = np.zeros_like(d1)
         if kernel:
-            kk, nodes, st = _kernel(model, side), pv.grid.nodes, pv.stencil
-            d2 = pv(level(model, nodes) * kk(nodes, u[:, None]), level(model, u) * kk(u, u),
-                    level(model, st) * kk(st, u[:, None]), side) / (u - om)
+            kk = _kernel(model, side)
+            d2 = pv(lambda z: level(model, z) * kk(z, u[:, None]), side) / (u - om)
         fams.append(ContinuumFamily(model, pv, side, d2, coef=d1,
                                     kernel_orders=(2,) if kernel else ()))
     return fams[:order]

@@ -178,6 +178,26 @@ def test_malformed_value_is_config_error(tmp_path, capsys, name):
     assert "config error" in capsys.readouterr().err
 
 
+def _long_seed(tmp_path):
+    # an integer literal beyond Python's 4300-digit int-string limit
+    p = tmp_path / "cfg.json"
+    p.write_text('{"command": "spectrum", "seed": ' + "7" * 5001 + "}")
+    return str(p)
+
+
+def _not_utf8(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(b'{"command": "spectrum", "output_dir": "\xff\xfe"}')
+    return str(p)
+
+
+@pytest.mark.parametrize("make", [_long_seed, _not_utf8, lambda tmp_path: str(tmp_path)],
+                         ids=["seed_5001_digits", "not_utf8", "directory"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, make):
+    assert main(["--config", make(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_grid_dump_flag(tmp_path):
     doc = {"command": "spectrum", "output_dir": str(tmp_path / "o"), "model": MODEL}
     assert main(["--config", _write_cfg(tmp_path, doc), "--dump-grid"]) == 0

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from respectra.contour import (ContourSpec, SampledPV, build_contour, cderiv,
-                               integrate_contour, plemelj_integral, pole_kernel_integral,
-                               pv_curve, real_axis_grid)
+from respectra.contour import (ContourSpec, SampledPV, build_contour, integrate_contour,
+                               plemelj_integral, pole_kernel_integral, real_axis_grid)
 from respectra.errors import ContourError, EvaluationError
 from respectra.model import make_form_factor
 
@@ -148,21 +147,35 @@ class TestCurvePV:
 
     def test_endpoint_rejected(self, default_grid):
         with pytest.raises(EvaluationError):
-            pv_curve(default_grid, np.exp, 0.0 + 0j)
+            pole_kernel_integral(default_grid, np.exp, 0.0 + 0j, +1)
         with pytest.raises(EvaluationError):
             SampledPV(default_grid, [1.0 - 0.5j, 20.0])
 
     @pytest.mark.parametrize("shape", ["rectangle", "semi_ellipse"])
     @pytest.mark.parametrize("side", [+1, -1])
-    def test_sampled_matches_scalar_reference(self, shape, side):
-        # the sampled operator against the per-node scalar loop, with the
-        # eta integrand V Vbar of the default coupling
+    @pytest.mark.parametrize("h, dh", [
+        # entire, the eta integrand V Vbar of the default coupling
+        (lambda z: 0.01 * z * np.exp(-z), lambda z: 0.01 * (1 - z) * np.exp(-z)),
+        # branch point at the origin, as the sqrt_exp form factor
+        (lambda z: np.sqrt(z) * np.exp(-0.7 * z) * (1 + z),
+         lambda z: np.exp(-0.7 * z) * ((1 + z) / (2 * np.sqrt(z))
+                                       + np.sqrt(z) * (1 - 0.7 * (1 + z))))],
+        ids=["entire", "sqrt"])
+    def test_sampled_matches_analytic_derivative(self, shape, side, h, dh):
+        # the sampled operator at every node against a node-by-node loop
+        # whose removable diagonal is the analytic -h'(u)
         grid = build_contour(ContourSpec(0.5, 20.0, shape, 200))
-        h = lambda z: 0.01 * z * np.exp(-z)
-        pv = SampledPV(grid)
-        got = pv(h(grid.nodes), h(grid.nodes), h(pv.stencil), side)
-        ref = np.array([pole_kernel_integral(grid, h, u, side) for u in grid.nodes])
-        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+        z, w, X = grid.nodes, grid.weights, grid.cutoff
+        ref = np.empty(grid.n, dtype=complex)
+        for i, u in enumerate(z):
+            off = np.arange(grid.n) != i
+            q = np.empty(grid.n, dtype=complex)
+            q[off] = (h(z[off]) - h(u)) / (u - z[off])
+            q[i] = -dh(u)
+            ref[i] = np.sum(w * q) + h(u) * (np.log(u) - np.log(X - u)) \
+                - side * 1j * np.pi * h(u)
+        got = SampledPV(grid)(h, side)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
 
     def test_sampled_rows_targets_and_off_node_points(self, default_grid):
         # one integrand per point (h_i), a target axis (h_i F_p) and points
@@ -175,26 +188,14 @@ class TestCurvePV:
         h = lambda z, ci: np.sqrt(z + 0j) * np.exp(-ci * z)
         F = lambda z, ap: np.exp(-ap * z) * (1 + z)
         pv = SampledPV(grid, u)
-        rows = np.array([h(grid.nodes, ci) for ci in c])
-        st = pv.stencil
-        got = pv(rows, h(u, c), h(st, c[:, None]), +1)
-        got_f = pv(rows, h(u, c)[:, None] * F(u[:, None], a),
-                   (h(st, c[:, None])[:, None, :] * F(st[:, None, :], a[:, None])), -1,
-                   F=F(grid.nodes, a[:, None]))
+        got = pv(lambda z: h(z, c[:, None]), +1)
+        got_f = pv(lambda z: h(z, c[:, None]), -1, F=lambda z: F(z[:, None, :], a[:, None]))
         for i, (ui, ci) in enumerate(zip(u, c)):
             ref = pole_kernel_integral(grid, lambda z: h(z, ci), ui, +1)
             assert abs(got[i] - ref) <= 1e-13 * abs(ref)
             for p, ap in enumerate(a):
                 ref = pole_kernel_integral(grid, lambda z: h(z, ci) * F(z, ap), ui, -1)
                 assert abs(got_f[i, p] - ref) <= 1e-13 * abs(ref)
-
-
-def test_cderiv():
-    f = lambda z: np.exp(0.7 * z) * np.sin(z)
-    d = cderiv(f, 0.4 + 0.2j, direction=np.exp(0.3j))
-    exact = 0.7 * np.exp(0.7 * (0.4 + 0.2j)) * np.sin(0.4 + 0.2j) \
-        + np.exp(0.7 * (0.4 + 0.2j)) * np.cos(0.4 + 0.2j)
-    assert abs(d - exact) < 1e-10
 
 
 def test_real_axis_grid_handles_quarter_powers():

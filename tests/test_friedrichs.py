@@ -179,19 +179,17 @@ def family_superposition(system, g):
 
     def coef(w):
         # every right member has the numerator a(u') V(z), a(u') =
-        # Vbar(u')/eta(u' + i0): read at the nodes, rebuilt from the closed
-        # form at the stencil points
-        pv = SampledPV(grid, w)
-        eta_plus = w - model.omega_level - pv(vv(zs), vv(w), vv(pv.stencil), +1)
-        return eval_Vbar(model, w) / eta_plus
+        # Vbar(u')/eta(u' + i0), rebuilt from the closed form (at the nodes
+        # it is the family's coef)
+        pv = SampledPV(grid, np.ravel(w))
+        eta_plus = pv.u - model.omega_level - pv(vv, +1)
+        return (eval_Vbar(model, pv.u) / eta_plus).reshape(np.shape(w))
 
     def smooth(z):
         z = np.asarray(z, dtype=complex)
         zf = z.reshape(-1)
         # \\int du' g(u') a(u') / (u' + i0 - z) = -J(pole=z, side=-1)
-        pv = SampledPV(grid, zf)
-        st = pv.stencil.ravel()
-        val = -pv(g(zs) * fam.coef, g(zf) * coef(zf), (g(st) * coef(st)).reshape(-1, 4), -1)
+        val = -SampledPV(grid, zf)(lambda w: g(w) * coef(w), -1)
         return (val * eval_V(model, zf) + g(zf)).reshape(z.shape)
 
     return VectorCoeffs(d=d_total, smooth=(PlainTerm(smooth),))
