@@ -18,7 +18,8 @@ from .liouville import (BlockObservable, GeneralizedState, LiouvilleGrids,
                         identity_observable, unstable_state_functional)
 from .model import (FormFactor, FormFactor2, ModelSpec, eval_V, eval_V2, eval_Vbar,
                     make_model, model_from_dict, separable_test_kernel)
-from .oracle import DiscretizedSystem, commutator_apply, discretize, propagate
+from .oracle import (DiscretizedSystem, SecularSystem, commutator_apply, discretize,
+                     oracle_system, propagate, secular_system)
 from .perturbation import (BiorthogonalSystem, PerturbationSeries, VectorCoeffs,
                            normalize_pair, pair_coeffs, perturb_continuous,
                            perturb_discrete)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from functools import cache
@@ -45,7 +46,7 @@ from .liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality, evol
                         unstable_state_functional)
 from .model import (ModelSpec, config_number, config_section, eval_V, eval_Vbar, make_model,
                     model_from_dict)
-from .oracle import discretize, propagate
+from .oracle import discretize, propagate, recurrence_time
 from .perturbation import (BiorthogonalSystem, VectorCoeffs, pair_coeffs,
                            perturb_discrete)
 from .states import random_analytic, real_axis_inner, real_axis_inner_H
@@ -209,7 +210,15 @@ def cmd_evolve(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     else:
         system = BiorthogonalSystem.from_exact(model)
     spec_curve = survival_curve(system, ts)
-    oracle_curve = oracle_survival_curve(model, ts, int(grid_cfg.get("oracle_n", 2000)))
+    n_oracle = int(grid_cfg.get("oracle_n", 2000))
+    t_rec = recurrence_time(n_oracle, model.contour.cutoff)
+    if ts[-1] > t_rec:
+        # past it the midpoint grid revives and the oracle column means nothing
+        raise ConfigError(f"the oracle grid of oracle_n = {n_oracle} bins revives at "
+                          f"t = {t_rec:.6g}, before the last time {ts[-1]:.6g}; "
+                          f"oracle_n >= {math.ceil(n_oracle * ts[-1] / t_rec)} "
+                          "covers the horizon")
+    oracle_curve = oracle_survival_curve(model, ts, n_oracle)
     expo = exponential_approx(model, ts)
     rows = zip(ts, spec_curve.survival, oracle_curve.survival, np.atleast_1d(expo))
     _write_csv(outdir / "evolve.csv",

@@ -1,6 +1,11 @@
 """Time evolution from the spectral decomposition, the exponential law, and
 the finite-matrix reference amplitudes.
 
+The reference ("oracle") amplitudes propagate the midpoint-grid matrix of
+``respectra.oracle`` exactly: through its secular roots when the model has no
+kernel or a factored one, through a dense eigendecomposition otherwise or
+when a dense ``sys`` is passed.
+
 The spectral amplitude is the pole term plus the curve integral,
 A(t) = e^{-i lambda t} <Psi|f> <f~|Phi> + \\int du e^{-iut} <Psi|f_u><f~_u|Phi>;
 on the deformed path every continuum factor decays for t > 0, which is the
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ModelSpec, eval_V
-from .oracle import DiscretizedSystem, amplitude_curve, discretize
+from .oracle import DiscretizedSystem, SecularSystem, amplitude_curve, oracle_system
 from .perturbation import BiorthogonalSystem
 from .states import AnalyticVector, unstable_state
 
@@ -94,7 +99,7 @@ def default_time_grid(model: ModelSpec, n_points: int = 200, horizon: float = 5.
     return np.linspace(0.0, horizon / rate, n_points)
 
 
-def _vector_on_grid(vec: AnalyticVector, sys: DiscretizedSystem) -> np.ndarray:
+def _vector_on_grid(vec: AnalyticVector, sys: DiscretizedSystem | SecularSystem) -> np.ndarray:
     out = np.zeros(sys.dimension, dtype=complex)
     out[0] = vec.d
     out[1:] = vec.at(sys.grid) * np.sqrt(sys.d_omega)
@@ -103,18 +108,19 @@ def _vector_on_grid(vec: AnalyticVector, sys: DiscretizedSystem) -> np.ndarray:
 
 def oracle_amplitude(model: ModelSpec, psi: AnalyticVector, phi: AnalyticVector,
                      t, n_levels: int = 2000, omega_max: float | None = None,
-                     sys: DiscretizedSystem | None = None) -> np.ndarray | complex:
-    """Reference amplitude from the dense discretization (exact propagation)."""
+                     sys: DiscretizedSystem | SecularSystem | None = None
+                     ) -> np.ndarray | complex:
+    """Reference amplitude of the n_levels-bin discretization (exact propagation)."""
     ts = _check_times(t)
     if sys is None:
-        sys = discretize(model, n_levels, omega_max)
+        sys = oracle_system(model, n_levels, omega_max)
     amps = amplitude_curve(sys, _vector_on_grid(psi, sys), _vector_on_grid(phi, sys), ts)
     return complex(amps[0]) if np.ndim(t) == 0 else amps
 
 
 def oracle_survival_curve(model: ModelSpec, t_grid, n_levels: int = 2000,
                           omega_max: float | None = None,
-                          sys: DiscretizedSystem | None = None) -> DecayCurve:
+                          sys: DiscretizedSystem | SecularSystem | None = None) -> DecayCurve:
     psi = unstable_state()
     amp = oracle_amplitude(model, psi, psi, t_grid, n_levels, omega_max, sys)
     amp = np.atleast_1d(amp)

@@ -46,11 +46,14 @@ class FormFactor2:
     """Continuum-continuum kernel, jointly analytic in both arguments.
 
     Registry kernels must be regular (no delta component on the diagonal) and
-    Hermitian on the real axis.
+    Hermitian on the real axis.  A separable kernel fn2(z, z') = h(z) h(z')
+    with h real on the positive axis may declare its ``factor`` h, which
+    lets the oracle solve it in O(n^2) instead of by a dense eigh.
     """
 
     family_id: str
     fn2: Callable = field(repr=False)
+    factor: Callable | None = field(repr=False, default=None)
 
     def eval2(self, z, zp):
         return self.fn2(z, zp)
@@ -106,7 +109,7 @@ def separable_test_kernel() -> FormFactor2:
     the kernel is manifestly regular on the diagonal.
     """
     h = _sqrt_exp((1.0,))
-    return FormFactor2("separable_sqrt_exp", lambda z, zp: h(z) * h(zp))
+    return FormFactor2("separable_sqrt_exp", lambda z, zp: h(z) * h(zp), factor=h)
 
 
 @dataclass(frozen=True)

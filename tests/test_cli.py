@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from respectra import oracle
 from respectra.cli import main
 
 
@@ -67,7 +68,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 def test_evolve_outputs(tmp_path):
     doc = {"command": "evolve", "output_dir": str(tmp_path / "o"), "model": MODEL,
-           "grid": {"t_points": 201, "oracle_n": 400}}
+           "grid": {"t_points": 201, "oracle_n": 800}}
     assert main(["--config", _write_cfg(tmp_path, doc)]) == 0
     lines = (tmp_path / "o" / "evolve.csv").read_text().strip().splitlines()
     assert lines[0].startswith("# config_sha256=")
@@ -79,12 +80,37 @@ def test_evolve_outputs(tmp_path):
 
 def test_evolve_deterministic(tmp_path):
     doc = {"command": "evolve", "output_dir": str(tmp_path / "o"), "model": MODEL,
-           "grid": {"t_points": 32, "oracle_n": 300}}
+           "grid": {"t_points": 32, "oracle_n": 800}}
     cfg = _write_cfg(tmp_path, doc)
     assert main(["--config", cfg]) == 0
     first = (tmp_path / "o" / "evolve.csv").read_bytes()
     assert main(["--config", cfg]) == 0
     assert (tmp_path / "o" / "evolve.csv").read_bytes() == first
+
+
+def test_evolve_past_the_oracle_recurrence_is_config_error(tmp_path, capsys):
+    # eps = 0.03 puts the 5/rate horizon at t = 2403; 1000 bins on [0, 20]
+    # revive at t = 2 pi 1000 / 20 = 314, where the oracle column stops
+    # meaning anything; 7651 bins are the fewest that reach the horizon
+    doc = {"command": "evolve", "output_dir": str(tmp_path / "o"),
+           "model": dict(MODEL, epsilon=0.03), "grid": {"oracle_n": 1000}}
+    assert main(["--config", _write_cfg(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "oracle_n >= 7651" in err
+    assert not (tmp_path / "o" / "evolve.csv").exists()
+
+
+@pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
+def test_evolve_oracle_needs_no_dense_eigh(tmp_path, monkeypatch, kernel):
+    # kernel-free and factored-kernel models take the O(n^2) secular oracle
+    def dense(*args, **kwargs):
+        raise AssertionError("evolve fell back to the dense O(n^3) oracle")
+
+    monkeypatch.setattr(oracle, "discretize", dense)
+    model = dict(MODEL, kernel=kernel) if kernel else MODEL
+    doc = {"command": "evolve", "output_dir": str(tmp_path / "o"), "model": model,
+           "grid": {"t_points": 32, "oracle_n": 800}}
+    assert main(["--config", _write_cfg(tmp_path, doc)]) == 0
 
 
 def test_liouville_outputs(tmp_path):
@@ -208,7 +234,7 @@ def test_grid_dump_flag(tmp_path):
 
 RERUN_CONFIGS = {
     "spectrum": {"model": MODEL},
-    "evolve": {"model": MODEL, "grid": {"t_points": 32, "oracle_n": 300}},
+    "evolve": {"model": MODEL, "grid": {"t_points": 32, "oracle_n": 800}},
     "liouville": {"model": dict(MODEL, epsilon=0.05),
                   "grid": {"liouville_n": 64, "t_points": 16}},
     "barrier": {"barrier": {"a": 0.8, "b": 10.0, "v0": 0.25, "v1": 0.092},

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from respectra.dynamics import _vector_on_grid
 from respectra.errors import ConfigError, EvaluationError
 from respectra.model import FormFactor2, make_model
-from respectra.oracle import commutator_apply, discretize, propagate
+from respectra.oracle import (DiscretizedSystem, SecularSystem, amplitude_curve,
+                              commutator_apply, discretize, oracle_system, propagate,
+                              secular_roots, secular_system)
+from respectra.states import random_analytic
 
 
 def test_free_limit_spectrum():
@@ -60,7 +65,7 @@ def test_level_repulsion_grows_with_coupling():
     gaps = {}
     for eps in (0.05, 0.1):
         m = make_model("sqrt_exp", [1.0], 1.0, eps)
-        d = discretize(m, 1000)
+        d = secular_system(m, 1000)
         gaps[eps] = np.sort(np.abs(d.eigenvalues - 1.0))[0]
     assert gaps[0.1] > 1.5 * gaps[0.05]
 
@@ -75,7 +80,7 @@ def test_nearest_gap_scales_like_sqrt_bin():
         vals = []
         for off in np.linspace(0.0, 1.0, 6, endpoint=False):
             m = make_model("sqrt_exp", [1.0], 1.0 + off * dw, 0.1)
-            d = discretize(m, n)
+            d = secular_system(m, n)
             vals.append(np.sort(np.abs(d.eigenvalues - m.omega_level))[0])
         mean_gaps.append(np.mean(vals))
     slope = np.polyfit(np.log([20.0 / n for n in ns]), np.log(mean_gaps), 1)[0]
@@ -89,3 +94,78 @@ def test_self_convergence(default_model):
     a = oracle_survival_curve(default_model, ts, n_levels=1000)
     b = oracle_survival_curve(default_model, ts, n_levels=2000)
     assert np.max(np.abs(a.survival - b.survival)) < 1e-4
+
+
+@pytest.mark.parametrize("a,b", [(-1.3, 1.0), (1.0, 0.0), (-1.0, 0.0)],
+                         ids=["arrowhead", "rank_one_up", "rank_one_down"])
+def test_secular_roots_are_eigenvalues(a, b):
+    # a + b lam - sum_j c_j / (lam - p_j) = 0 is the characteristic equation
+    # of the arrowhead [[-a, z^T], [z, diag(p)]] (b = 1) and of
+    # diag(p) + a z z^T (b = 0, a = +-1), with z = sqrt(c)
+    rng = np.random.default_rng(4)
+    p = np.sort(rng.uniform(0.0, 3.0, 40))
+    z = rng.uniform(0.01, 0.3, 40)
+    if b:
+        H = np.diag(np.r_[-a, p])
+        H[0, 1:] = H[1:, 0] = z
+    else:
+        H = np.diag(p) + a * np.outer(z, z)
+    origin, tau = secular_roots(a, b, p, z * z)
+    assert np.max(np.abs(p[origin] + tau - np.linalg.eigvalsh(H))) <= 1e-14
+
+
+def _dense_gaps(m, n, seed, omega_max=None, ts=np.linspace(0.0, 60.0, 7)):
+    """Eigenvalue, level-weight and amplitude gaps between the structured and
+    the dense solution of the same matrix."""
+    s, d = secular_system(m, n, omega_max), discretize(m, n, omega_max)
+    rng = np.random.default_rng(seed)
+    psi, phi = random_analytic(rng), random_analytic(rng)
+    left, right = _vector_on_grid(psi, d), _vector_on_grid(phi, d)
+    return (np.max(np.abs(s.eigenvalues - d.eigenvalues)),
+            np.max(np.abs(s.level_weights - np.abs(d.transform[0]) ** 2)),
+            np.max(np.abs(amplitude_curve(s, left, right, ts)
+                          - amplitude_curve(d, left, right, ts))))
+
+
+@given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
+       param=st.floats(1.0, 3.0), omega=st.floats(0.1, 2.0),
+       eps=st.floats(0.0, 0.5).filter(lambda e: e == 0.0 or e >= 1e-4),
+       n=st.integers(100, 600), kernel=st.booleans(), seed=st.integers(0, 2**16))
+def test_secular_matches_dense(family, param, omega, eps, n, kernel, seed):
+    # levels up to 2 keep the default cutoff at 20; the dense eigh's own
+    # level-weight error grows with the cutoff (1.4e-12 at cutoff 80,
+    # omega = 8, against 3.6e-15 for the secular weights in a 40-digit check)
+    m = make_model(family, [param], omega, eps,
+                   kernel="separable_sqrt_exp" if kernel else None)
+    eig, weight, amp = _dense_gaps(m, n, seed)
+    assert eig <= 1e-12 and weight <= 1e-12 and amp <= 1e-11
+
+
+@pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
+@pytest.mark.parametrize("family,param,omega,eps", [
+    ("sqrt_exp", 1.0, 1.0, 0.0),                   # nothing couples
+    ("poly_exp", 30.0, 1.0, 0.3),                  # V underflows to 0 past w ~ 12
+    ("sqrt_exp", 1.0, (10 + 0.5) * (20.0 / 200), 0.1),   # level on a bin midpoint
+], ids=["eps0", "underflowing_tail", "level_on_midpoint"])
+def test_secular_matches_dense_at_edges(family, param, omega, eps, kernel):
+    m = make_model(family, [param], omega, eps, kernel=kernel)
+    eig, weight, amp = _dense_gaps(m, 200, 5)
+    assert eig <= 1e-12 and weight <= 1e-12 and amp <= 1e-11
+
+
+def test_secular_roots_stop_at_the_rounding_floor():
+    # a property search found this root, next to the level, where the
+    # secular function only reaches the rounding of its own terms: Newton
+    # steps of 1e-17 stalled it until the sweep limit
+    m = make_model("sqrt_exp", [4.09878867055183], 8.73652970419443, 0.12,
+                   kernel="separable_sqrt_exp")
+    eig, weight, amp = _dense_gaps(m, 700, 0, omega_max=0.7858520535283344 * 20.0)
+    assert eig <= 1e-12 and weight <= 1e-12 and amp <= 1e-11
+
+
+def test_oracle_system_is_dense_only_for_unfactored_kernels():
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, kernel="separable_sqrt_exp")
+    assert isinstance(oracle_system(m, 150), SecularSystem)
+    bare = make_model("sqrt_exp", [1.0], 1.0, 0.1,
+                      kernel=FormFactor2("unfactored", m.kernel.fn2))
+    assert isinstance(oracle_system(bare, 150), DiscretizedSystem)
