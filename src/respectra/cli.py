@@ -463,6 +463,11 @@ def _validation_checks(model: ModelSpec):
 def cmd_validate(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     model = _model_from_cfg(cfg) if "model" in cfg else make_model(
         "sqrt_exp", [1.0], 1.0, 0.1)
+    if model.has_kernel():
+        # the pole, exact-system and Liouville checks solve the kernel-free model
+        raise ConfigError(f"validate needs a model without a continuum kernel, got kernel "
+                          f"{model.kernel.family_id!r}; the exact kernel solution it would "
+                          "check against is ROADMAP item 3")
     checks = _validation_checks(model)
     # one independent stream per check: the draws of a check never depend on
     # which checks ran before it

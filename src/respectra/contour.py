@@ -9,15 +9,22 @@ built-in form factors) integrate with spectral accuracy.
 Delta distributions on the curve are never sampled: an atom at position u
 pairs with a function f as f(u) with unit weight.
 
+Gauss-Legendre rules are computed once per size and shared, read-only, by
+every grid built from them.
+
 ``SampledPV`` is the one principal-value quadrature.  It takes integrands as
 functions and evaluates them itself, at the nodes and at each curve point
 with its derivative stencil; ``pole_kernel_integral`` (a curve point) and
 ``plemelj_integral`` (a point of a real-axis grid) are its one-point cases.
+An integrand shared by all points costs one Cauchy reciprocal and one matrix
+product per block of points, for any number of targets, each with its own
+side of the pole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -96,9 +103,15 @@ class ContourGrid:
         return np.where(hit, idx, -1)
 
 
+@lru_cache(maxsize=128)
 def _gauss(n: int):
+    """n-point Gauss-Legendre rule on [0, 1]; one read-only pair per n, shared
+    by every grid that uses it."""
     x, w = roots_legendre(n)
-    return (x + 1.0) / 2.0, w / 2.0   # on [0, 1]
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _split_counts(n: int) -> tuple[int, int, int]:
@@ -197,7 +210,11 @@ class SampledPV:
     node, the removable 0/0 sample is -h_i'(u_i) from a five-point stencil
     along the tangent, of step STENCIL_DELTA * min(1, |u_i|) so that it never
     reaches the branch point at the origin.  Rows are summed PV_BLOCK at a
-    time, so no (M, N) operator is held.
+    time, so no (M, N) operator is held.  A block of an integrand shared by
+    all points is one reciprocal C_ij = 1/(u_i - z_j) and one product
+    C @ [w h F_p | w], whose last column is the row sum the subtraction
+    needs.  ``side`` may differ per target, so several displaced-pole
+    integrals of one set of points share a sweep.
     """
 
     def __init__(self, grid: ContourGrid, u=None):
@@ -221,7 +238,15 @@ class SampledPV:
         # safe because u and X - u stay in the closed right half plane here
         self.log_term = np.log(self.u) - np.log(grid.cutoff - self.u)
 
-    def __call__(self, h: Callable, side: int = 0, F: Callable | None = None) -> np.ndarray:
+    def _cauchy(self, rows: slice) -> np.ndarray:
+        """C_ij = 1/(u_i - z_j) for a block of points, 0 where u_i is z_j
+        (that sample is -h_i'(u_i), added from the stencil)."""
+        diff = self.u[rows, None] - self.grid.nodes
+        r = np.nonzero(self.node[rows] >= 0)[0]
+        diff[r, self.node[rows][r]] = np.inf
+        return np.reciprocal(diff, out=diff)
+
+    def __call__(self, h: Callable, side=0, F: Callable | None = None) -> np.ndarray:
         """PV at every point, minus side * i*pi * h_i(u_i) for side = +1/-1
         (the displaced-pole integral \\int h_i(z)/(u_i + side*i0 - z) dz).
 
@@ -229,29 +254,35 @@ class SampledPV:
         row i belonging to u_i, and returns h_i(z) with the shape (1 or M, K)
         of its broadcast.  With ``F`` the integrand is h_i(z) F_p(z) for
         targets p, ``F(z)`` of shape (1 or M, P, K), and the result is (M, P)
-        instead of (M,).  The node sum is a matrix product: no (M, P, N)
-        array is formed unless F itself is per point.
+        instead of (M,); ``side`` is then a scalar or one value per target,
+        shape (P,).  The node sum is a matrix product: no (M, P, N) array is
+        formed unless F itself is per point.
         """
+        w = self.grid.weights
         nodes = self.grid.nodes[None, :]
-        hn = np.asarray(h(nodes), dtype=complex)                      # (1 or M, N)
+        wh = w * np.asarray(h(nodes), dtype=complex)                   # (1 or M, N)
         hp = np.asarray(h(self._points), dtype=complex)[:, None, :]   # (M, 1, 5)
         if F is None:
             Fn = np.ones((1, 1, self.grid.n))
         else:
             Fn = np.asarray(F(nodes), dtype=complex)                   # (1 or M, P, N)
             hp = hp * np.asarray(F(self._points), dtype=complex)       # (M, P, 5)
-        m = len(self.u)
+        shared = len(wh) == 1 and len(Fn) == 1
+        if shared:
+            G = np.concatenate([(wh * Fn[0]).T, w[:, None]], axis=1)   # (N, P + 1)
         hu = hp[..., 0]                                                # (M, P)
         out = np.empty(hu.shape, dtype=complex)
-        for a in range(0, m, PV_BLOCK):
+        for a in range(0, len(self.u), PV_BLOCK):
             rows = slice(a, a + PV_BLOCK)
-            diff = self.u[rows, None] - self.grid.nodes
-            r = np.nonzero(self.node[rows] >= 0)[0]
-            diff[r, self.node[rows][r]] = np.inf   # that sample is -h_i'(u_i), added below
-            R = self.grid.weights / diff
-            Rh = R * (hn[rows] if len(hn) > 1 else hn)
-            s = Rh @ Fn[0].T if len(Fn) == 1 else np.einsum("ij,ipj->ip", Rh, Fn[rows])
-            out[rows] = s - hu[rows] * np.sum(R, axis=1)[:, None]
+            C = self._cauchy(rows)
+            if shared:
+                S = C @ G
+                s, row_sum = S[:, :-1], S[:, -1]
+            else:
+                Ch = C * (wh[rows] if len(wh) > 1 else wh)
+                s = Ch @ Fn[0].T if len(Fn) == 1 else np.einsum("ij,ipj->ip", Ch, Fn[rows])
+                row_sum = C @ w
+            out[rows] = s - hu[rows] * row_sum[:, None]
         dh = (hp[..., 1] - 8 * hp[..., 2] + 8 * hp[..., 3] - hp[..., 4]) \
             / (12 * self._delta[:, None] * self._tangent[:, None])
         out = out - self.node_weight[:, None] * dh + hu * self.log_term[:, None] \

@@ -22,6 +22,9 @@ conjugate prescription on the left.  ``ContinuumFamily`` holds the vectors
 of a whole family of curve points as arrays and pairs them all through one
 sampled curve principal value, ``SampledPV``, which is handed the integrands
 as functions; ``perturb_continuous`` is its one-point case.
+``pair_families`` pairs several families on one ``SampledPV`` in one sweep:
+the overlap tables of a reconstruction pair the right family with the bra
+and the left family with the ket as two targets with sides +1 and -1.
 """
 
 from __future__ import annotations
@@ -310,18 +313,38 @@ class ContinuumFamily:
         """Bilinear pairing of every member with a vector made of a level
         component and plain smooth terms: <vec|f_i> on the right, <f~_i|vec>
         on the left."""
+        return pair_families([(self, vec)])[0]
+
+
+def pair_families(pairs) -> list:
+    """``ContinuumFamily.pair`` for several (family, vector) pairs whose
+    families share one ``SampledPV``, in one sweep: the shared numerator part
+    coef_i B(z) of every pair is one target of a single principal value, with
+    its family's side.  Kernel numerators differ per member and keep one
+    sweep per family."""
+    fams = [fam for fam, _ in pairs]
+    pv = fams[0].pv
+    for fam, vec in pairs:
+        if fam.pv is not pv:
+            raise EvaluationError("families paired in one sweep must share their SampledPV")
         if vec.atoms or any(isinstance(t, PoleTerm) for t in vec.smooth):
             raise EvaluationError("a family pairs only with level and plain smooth parts")
-        out = vec.d * self.d
-        if not vec.smooth:
-            return out
-        f = lambda z: sum(t.at(z) for t in vec.smooth)
-        out = out + f(self.u)                   # the unit atoms at u_i
-        if self.coef is not None:
-            out = out + self.coef * self.pv(lambda z: f(z) * self._basis(z), self.side)
-        if self.kernel_orders:
-            out = out + self.pv(lambda z: f(z) * self._kernel_part(self.pv, z), self.side)
-        return out
+    out = [vec.d * fam.d for fam, vec in pairs]
+    profile = [lambda z, ts=vec.smooth: sum(t.at(z) for t in ts) for _, vec in pairs]
+    smooth = [p for p, (_, vec) in enumerate(pairs) if vec.smooth]
+    for p in smooth:
+        out[p] = out[p] + profile[p](pv.u)        # the unit atoms at u_i
+    basis = [p for p in smooth if fams[p].coef is not None]
+    if basis:
+        F = lambda z: np.stack([profile[p](z) * fams[p]._basis(z) for p in basis], axis=-2)
+        J = pv(np.ones_like, np.array([fams[p].side for p in basis]), F)
+        for k, p in enumerate(basis):
+            out[p] = out[p] + fams[p].coef * J[:, k]
+    for p in smooth:
+        if fams[p].kernel_orders:
+            h = lambda z, f=profile[p], fam=fams[p]: f(z) * fam._kernel_part(pv, z)
+            out[p] = out[p] + pv(h, fams[p].side)
+    return out
 
 
 def _branch_orders(model: ModelSpec, pv: SampledPV, order: int, side: int) -> list:
@@ -436,7 +459,8 @@ class BiorthogonalSystem:
         rvec = as_coeffs(phi)
         a_pole = pair_coeffs(lvec, self.disc_right, self.grid)
         b_pole = pair_coeffs(self.disc_left, rvec, self.grid)
-        return a_pole, b_pole, self.cont_right.pair(lvec), self.cont_left.pair(rvec)
+        a, b = pair_families([(self.cont_right, lvec), (self.cont_left, rvec)])
+        return a_pole, b_pole, a, b
 
     def reconstruct_inner(self, psi: AnalyticVector, phi: AnalyticVector) -> complex:
         a0, b0, a, b = self.overlap_tables(psi, phi)

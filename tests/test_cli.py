@@ -152,6 +152,16 @@ def test_validate_passes(tmp_path):
     assert all(row.split(",")[1] == "1" for row in table[2:])
 
 
+def test_validate_refuses_a_kernel_model(tmp_path, capsys):
+    # refused before any check runs, not failed check by check
+    doc = {"command": "validate", "output_dir": str(tmp_path / "o"),
+           "model": dict(MODEL, kernel="separable_sqrt_exp"), "seed": 7}
+    assert main(["--config", _write_cfg(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "separable_sqrt_exp" in err and "ROADMAP item 3" in err
+    assert not (tmp_path / "o" / "validate.csv").exists()
+
+
 def test_cli_overrides(tmp_path):
     doc = {"command": "spectrum", "output_dir": str(tmp_path / "ignored"),
            "model": MODEL}

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from respectra.contour import (ContourSpec, SampledPV, build_contour, integrate_contour,
-                               plemelj_integral, pole_kernel_integral, real_axis_grid)
+from respectra.contour import (ContourSpec, SampledPV, _gauss, build_contour,
+                               integrate_contour, plemelj_integral, pole_kernel_integral,
+                               real_axis_grid)
 from respectra.errors import ContourError, EvaluationError
 from respectra.model import make_form_factor
 
@@ -25,6 +26,27 @@ def test_path_integrals(shape):
     assert grid.n == 200
     assert abs(np.sum(grid.weights) - 20.0) < 1e-10
     assert abs(np.sum(grid.weights * grid.nodes) - 20.0**2 / 2) < 1e-9
+
+
+@pytest.mark.parametrize("shape", ["rectangle", "semi_ellipse"])
+def test_repeated_builds_are_bit_identical(shape):
+    # the Gauss-Legendre rules are computed once per size and shared
+    spec = ContourSpec(depth=0.5, cutoff=20.0, shape=shape, n_nodes=200)
+    a, b = build_contour(spec), build_contour(spec)
+    for x, y in ((a.nodes, b.nodes), (a.weights, b.weights), (a.tangents, b.tangents)):
+        assert x.tobytes() == y.tobytes()
+    r1, r2 = real_axis_grid(20.0, 400), real_axis_grid(20.0, 400)
+    assert r1.nodes.tobytes() == r2.nodes.tobytes()
+    assert r1.weights.tobytes() == r2.weights.tobytes()
+
+
+def test_cached_rules_are_read_only():
+    x, w = _gauss(24)
+    assert _gauss(24)[0] is x
+    for arr in (x, w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_conjugate_grid(default_grid):
@@ -178,8 +200,9 @@ class TestCurvePV:
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
 
     def test_sampled_rows_targets_and_off_node_points(self, default_grid):
-        # one integrand per point (h_i), a target axis (h_i F_p) and points
-        # between nodes of the bottom segment, against the scalar reference
+        # one integrand per point (h_i), a target axis (h_i F_p), a shared
+        # integrand with one side per target and points between nodes of the
+        # bottom segment, against the scalar reference
         grid = default_grid
         mid = 0.5 * (grid.nodes[60:140:20] + grid.nodes[61:141:20])
         u = np.concatenate([grid.nodes[::25], mid])
@@ -190,12 +213,16 @@ class TestCurvePV:
         pv = SampledPV(grid, u)
         got = pv(lambda z: h(z, c[:, None]), +1)
         got_f = pv(lambda z: h(z, c[:, None]), -1, F=lambda z: F(z[:, None, :], a[:, None]))
+        sides = np.array([+1, -1, +1])
+        got_s = pv(lambda z: h(z, 0.6), sides, F=lambda z: F(z[:, None, :], a[:, None]))
         for i, (ui, ci) in enumerate(zip(u, c)):
             ref = pole_kernel_integral(grid, lambda z: h(z, ci), ui, +1)
             assert abs(got[i] - ref) <= 1e-13 * abs(ref)
             for p, ap in enumerate(a):
                 ref = pole_kernel_integral(grid, lambda z: h(z, ci) * F(z, ap), ui, -1)
                 assert abs(got_f[i, p] - ref) <= 1e-13 * abs(ref)
+                ref = pole_kernel_integral(grid, lambda z: h(z, 0.6) * F(z, ap), ui, sides[p])
+                assert abs(got_s[i, p] - ref) <= 1e-13 * abs(ref)
 
 
 def test_real_axis_grid_handles_quarter_powers():

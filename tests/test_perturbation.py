@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from respectra.contour import ContourSpec, build_contour
-from respectra.errors import DegeneratePairError
+from respectra.contour import ContourSpec, SampledPV, build_contour
+from respectra.errors import DegeneratePairError, EvaluationError
 from respectra.friedrichs import eta_prime, find_pole
 from respectra.model import eval_V, eval_V2, eval_Vbar, make_model
-from respectra.perturbation import (BiorthogonalSystem, PlainTerm, VectorCoeffs,
-                                    as_coeffs, normalize_pair, pair_coeffs,
-                                    perturb_continuous, perturb_discrete)
+from respectra.perturbation import (BiorthogonalSystem, ContinuumFamily, PlainTerm,
+                                    VectorCoeffs, as_coeffs, normalize_pair, pair_coeffs,
+                                    pair_families, perturb_continuous, perturb_discrete)
 from respectra.states import AnalyticVector, random_analytic, real_axis_inner
 
 # PV of w e^-w / (w - 1) over the positive axis, 40-digit reference
@@ -56,6 +57,25 @@ def test_gap_to_exact_pole_is_fourth_order(default_spec):
         gaps[eps] = abs(find_pole(m).lambda_pole - lam2)
     assert 11.0 <= gaps[0.2] / gaps[0.1] <= 22.0
     assert 11.0 <= gaps[0.1] / gaps[0.05] <= 22.0
+
+
+# form-factor parameter range of each family (as in the benchmark's draws,
+# widened for the two exponential families)
+_PARAM_RANGE = {"sqrt_exp": (0.5, 2.0), "poly_exp": (0.5, 2.0), "lorentz_sqrt": (1.5, 3.0)}
+
+
+@given(family=st.sampled_from(sorted(_PARAM_RANGE)), frac=st.floats(0.0, 1.0),
+       omega=st.floats(0.8, 1.5), eps=st.floats(0.03, 0.1))
+def test_order2_gap_to_exact_pole_is_fourth_order(family, frac, omega, eps):
+    # the kernel-free series is even in the coupling: halving it shrinks the
+    # gap between the exact pole and the order-2 eigenvalue 16x
+    lo, hi = _PARAM_RANGE[family]
+    gaps = []
+    for e in (eps, eps / 2):
+        m = make_model(family, [lo + frac * (hi - lo)], omega, e,
+                       ContourSpec(0.5, 20.0, "rectangle", 400))
+        gaps.append(abs(find_pole(m).lambda_pole - perturb_discrete(m, 2).eigenvalue))
+    assert 14.0 <= gaps[0] / gaps[1] <= 18.0
 
 
 def test_continuum_rejects_the_level_position(default_model, default_grid):
@@ -283,6 +303,16 @@ class TestSeparableKernel:
             ref = np.array([pair_coeffs(vec, fam[i], grid) for i in range(0, grid.n, 5)])
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_kernel_reconstruction_matches_recorded_value(self, default_spec):
+        # order-2 reconstruct_inner of a kernel system, recorded before the
+        # two families were paired in one sweep
+        m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel="separable_sqrt_exp")
+        s = BiorthogonalSystem.from_perturbation(m, 2)
+        rng = np.random.default_rng(7)
+        psi, phi = random_analytic(rng), random_analytic(rng)
+        ref = -0.7297511103422434 + 0.5330794624363246j
+        assert abs(s.reconstruct_inner(psi, phi) - ref) <= 1e-13 * abs(ref)
+
     def test_kernel_contributes_to_continuum_branch(self, default_spec, default_grid):
         m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec,
                        kernel="separable_sqrt_exp")
@@ -301,3 +331,29 @@ def test_pair_with_analytic_vector(default_model, default_grid, axis_grid):
     a = pair_coeffs(vec, s.disc_right, default_grid)
     b = pair_coeffs(vec, s.disc_right, default_grid)
     assert a == b
+
+
+@pytest.mark.parametrize("n", [200, 800])
+@pytest.mark.parametrize("shape", ["rectangle", "semi_ellipse"])
+@pytest.mark.parametrize("family, param", [("sqrt_exp", 1.0), ("poly_exp", 1.0),
+                                           ("lorentz_sqrt", 2.0)])
+def test_overlap_tables_match_one_family_pairings(n, shape, family, param):
+    # both families in one sweep (two targets, sides +1 and -1) against the
+    # one-family pairing of each
+    spec = ContourSpec(0.5, 20.0, shape, n)
+    s = BiorthogonalSystem.from_exact(make_model(family, [param], 1.0, 0.08, spec))
+    rng = np.random.default_rng(n)
+    psi, phi = random_analytic(rng), random_analytic(rng)
+    _, _, a, b = s.overlap_tables(psi, phi)
+    for got, ref in ((a, s.cont_right.pair(as_coeffs(psi))),
+                     (b, s.cont_left.pair(as_coeffs(phi)))):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_families_of_one_sweep_share_their_points(default_model, default_grid):
+    fams = [ContinuumFamily(default_model, SampledPV(default_grid), side,
+                            np.zeros(default_grid.n), np.ones(default_grid.n))
+            for side in (+1, -1)]
+    vec = as_coeffs(random_analytic(np.random.default_rng(1)))
+    with pytest.raises(EvaluationError):
+        pair_families([(fams[0], vec), (fams[1], vec)])
