@@ -19,8 +19,9 @@ Config document (JSON)::
 Unknown keys anywhere are rejected, and so are sections that are not JSON
 objects and numeric fields that are not JSON numbers.  Outputs are
 byte-deterministic: floats use 17 significant digits, no timestamps, and every
-file embeds the sha256 of the effective config.  Exit codes: 0 success, 1
-numerical failure, 2 config error, 3 validation failure.
+file embeds the sha256 of the effective config without its ``output_dir``, so
+the same physics under two ``--out`` directories writes the same bytes.  Exit
+codes: 0 success, 1 numerical failure, 2 config error, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -65,7 +66,11 @@ def _fmt(x: float) -> str:
 
 
 def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    """sha256 of the effective config without ``output_dir``: where the
+    artifacts go is not part of what they describe, so one config written to
+    two directories gives the same bytes."""
+    physics = {k: v for k, v in cfg.items() if k != "output_dir"}
+    blob = json.dumps(physics, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

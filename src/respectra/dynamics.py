@@ -56,7 +56,7 @@ def transition_amplitude_curve(system: BiorthogonalSystem, psi: AnalyticVector,
     a0, b0, a, b = system.overlap_tables(psi, phi)
     pole_phase = np.exp(-1j * system.pole * ts)
     m = system.grid.weights * a * b
-    cont = np.exp(-1j * np.outer(ts, system.grid.nodes)) @ m
+    cont = np.exp(np.multiply.outer(ts, -1j * system.grid.nodes)) @ m
     return pole_phase * (a0 * b0) + cont
 
 

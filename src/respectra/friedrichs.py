@@ -7,7 +7,10 @@ derivative eta'(pole) fixes the normalization of the discrete pair, and the
 continuum pair needs the two boundary values eta(u +- i0) on the curve.
 
 ``SampledEta`` samples V Vbar once per grid; the pole solve, the exact
-system and the scalar functions below all read its moments.
+system and the scalar functions below all read its moments.  The pole solve
+ends with a scan for other zeros in the strip: a coarse grid ranked by one
+Cauchy product, its best points polished together by ``_newton_batch``,
+which finds bit for bit the zeros a scalar ``_newton`` finds from each.
 
 This module is the ground truth the perturbative engine is checked against.
 """
@@ -129,20 +132,50 @@ def _newton(eta: SampledEta, lam0, tol, max_iter):
                            last_iterate=lam, residual=abs(r))
 
 
+def _newton_batch(eta: SampledEta, lam0: np.ndarray, tol, max_iter) -> np.ndarray:
+    """``_newton`` from every start of ``lam0`` at once, on arrays.
+
+    Returns the zeros in the order of the starts, NaN where ``_newton`` would
+    raise: an iterate within one node spacing of the curve, or no
+    |eta| <= tol after ``max_iter`` steps."""
+    lam = np.array(lam0, dtype=complex)
+    out = np.full(lam.shape, np.nan, dtype=complex)
+    idx = np.arange(lam.size)           # the starts still iterating
+    for it in range(max_iter + 1):
+        idx = idx[np.min(np.abs(eta.grid.nodes - lam[idx, None]), axis=-1) >= eta.spacing]
+        x = lam[idx]
+        r = x - eta.omega - eta.moment(x)
+        hit = np.abs(r) <= tol
+        out[idx[hit]] = x[hit]
+        idx, x, r = idx[~hit], x[~hit], r[~hit]
+        if it == max_iter or idx.size == 0:
+            break
+        # the quotient in Python's complex arithmetic, as ``_newton`` takes it
+        # (numpy rounds complex division differently), so every zero is bit
+        # for bit the one a lone ``_newton`` from its start finds
+        quot = [complex(a) / complex(b) for a, b in zip(r, 1.0 + eta.moment(x, 2))]
+        lam[idx] = x - np.array(quot, dtype=complex)
+    return out
+
+
 def _scan_for_extra_zeros(eta: SampledEta, found, tol):
     """Coarse |eta| scan in the strip; Newton-polish distinct minima and fail
-    if any converge to a second zero."""
+    if any converge to a second zero.
+
+    The 360 grid points are ranked by one Cauchy product 1/(lambda - z) @
+    w V Vbar, and the 6 best are polished together by ``_newton_batch``."""
     d, X = eta.model.contour.depth, eta.model.contour.cutoff
     res = np.linspace(0.02 * X, 0.98 * X, 36)
     ims = -d * np.geomspace(1e-3, 0.9, 10)
     lams = (res[:, None] + 1j * ims[None, :]).ravel()
-    order = np.argsort(np.abs(lams - eta.omega - eta.moment(lams)))
+    C = lams[:, None] - eta.grid.nodes
+    np.reciprocal(C, out=C)
+    order = np.argsort(np.abs(lams - eta.omega - C @ eta.wvv))
     seen_other = []
-    for idx in order[:6]:
-        try:
-            lam, _, _ = _newton(eta, lams[idx], max(tol, 1e-11), 40)
-        except (ConvergenceError, EvaluationError):
+    for lam in _newton_batch(eta, lams[order[:6]], max(tol, 1e-11), 40):
+        if np.isnan(lam):
             continue
+        lam = complex(lam)
         inside = 0.0 < lam.real < X and -d < lam.imag < 0.0 and eta.off_curve(lam)
         if inside and abs(lam - found) > 1e-6 * max(1.0, abs(found)):
             seen_other.append(lam)

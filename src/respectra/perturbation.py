@@ -24,7 +24,9 @@ sampled curve principal value, ``SampledPV``, which is handed the integrands
 as functions; ``perturb_continuous`` is its one-point case.
 ``pair_families`` pairs several families on one ``SampledPV`` in one sweep:
 the overlap tables of a reconstruction pair the right family with the bra
-and the left family with the ket as two targets with sides +1 and -1.
+and the left family with the ket as two targets with sides +1 and -1.  A
+system keeps the tables of its last (Psi, Phi) pair, read-only, so the
+inner product and the generator of one pair cost one sweep.
 """
 
 from __future__ import annotations
@@ -421,6 +423,7 @@ class BiorthogonalSystem:
         self.cont_right = cont_right
         self.cont_left = cont_left
         self.source = source
+        self._overlap_memo = None
 
     @classmethod
     def from_perturbation(cls, model: ModelSpec, order: int = 2,
@@ -454,13 +457,25 @@ class BiorthogonalSystem:
 
     # -- reconstruction ------------------------------------------------------
     def overlap_tables(self, psi: AnalyticVector, phi: AnalyticVector):
-        """Per-mode products <Psi|f_m> and <f~_m|Phi> (pole entry first)."""
+        """Per-mode products <Psi|f_m> and <f~_m|Phi> (pole entry first).
+
+        The tables of the last pair are kept, keyed by the identity of
+        ``psi`` and ``phi`` (both frozen, and held so that their ids stay
+        taken), so ``reconstruct_inner`` then ``reconstruct_H`` on one pair
+        run one sweep.  The arrays are read-only: every caller shares them."""
+        if self._overlap_memo is not None:
+            memo_psi, memo_phi, tables = self._overlap_memo
+            if memo_psi is psi and memo_phi is phi:
+                return tables
         lvec = as_coeffs(psi)
         rvec = as_coeffs(phi)
         a_pole = pair_coeffs(lvec, self.disc_right, self.grid)
         b_pole = pair_coeffs(self.disc_left, rvec, self.grid)
         a, b = pair_families([(self.cont_right, lvec), (self.cont_left, rvec)])
-        return a_pole, b_pole, a, b
+        a.flags.writeable = b.flags.writeable = False
+        tables = (a_pole, b_pole, a, b)
+        self._overlap_memo = (psi, phi, tables)
+        return tables
 
     def reconstruct_inner(self, psi: AnalyticVector, phi: AnalyticVector) -> complex:
         a0, b0, a, b = self.overlap_tables(psi, phi)

@@ -234,6 +234,18 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, make):
     assert "config error" in capsys.readouterr().err
 
 
+def test_output_dir_is_not_part_of_the_artifacts(tmp_path):
+    # the config hash leaves out where the artifacts go: one config written
+    # to two directories (by output_dir and by --out) gives the same bytes
+    doc = {"command": "spectrum", "output_dir": str(tmp_path / "a"), "model": MODEL}
+    cfg = _write_cfg(tmp_path, doc)
+    assert main(["--config", cfg]) == 0
+    assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    runs = [{p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
+            for d in ("a", "b")]
+    assert runs[0] and runs[0] == runs[1]
+
+
 def test_grid_dump_flag(tmp_path):
     doc = {"command": "spectrum", "output_dir": str(tmp_path / "o"), "model": MODEL}
     assert main(["--config", _write_cfg(tmp_path, doc), "--dump-grid"]) == 0

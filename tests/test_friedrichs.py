@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from respectra.contour import ContourSpec, SampledPV, build_contour
-from respectra.errors import ContourError, EvaluationError, RespectraError
-from respectra.friedrichs import (SampledEta, eta, eta_boundary, eta_prime, exact_system,
-                                  find_pole)
+from respectra.errors import ContourError, ConvergenceError, EvaluationError, RespectraError
+from respectra.friedrichs import (SampledEta, _newton, _newton_batch, eta, eta_boundary,
+                                  eta_prime, exact_system, find_pole)
 from respectra.model import eval_V, eval_Vbar, make_model, separable_test_kernel
 from respectra.perturbation import BiorthogonalSystem, PlainTerm, VectorCoeffs, pair_coeffs
 from respectra.states import random_analytic, real_axis_inner, real_axis_inner_H
@@ -96,6 +96,16 @@ class TestFindPole:
     def test_unique_pole_scan_passes(self, default_model):
         find_pole(default_model, check_unique=True)
 
+    def test_second_zero_in_the_strip_is_refused(self):
+        # a strong coupling whose eta has a second zero near 0.1908 - 0.5753i,
+        # below the pole 0.6285 - 0.1197i that the solve itself finds
+        m = make_model("poly_exp", [1.6405057455466898], 0.6394595514379333,
+                       0.7740707818134304,
+                       ContourSpec(0.6603008494493032, 10.0, "rectangle", 341))
+        assert find_pole(m, check_unique=False).residual <= 1e-13
+        with pytest.raises(ContourError, match=r"additional zeros .* \(0\.1908\d*-0\.5753"):
+            find_pole(m)
+
     def test_shape_insensitivity(self, default_model):
         # the semi-ellipse path is kept for sensitivity runs: same pole
         m_e = make_model("sqrt_exp", [1.0], 1.0, 0.1,
@@ -104,6 +114,33 @@ class TestFindPole:
                          ContourSpec(0.5, 20.0, "rectangle", 240))
         gap = abs(find_pole(m_e).lambda_pole - find_pole(m_r).lambda_pole)
         assert gap < 1e-8
+
+
+@given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
+       param=st.floats(0.2, 3.0), omega=st.floats(0.2, 5.0), eps=st.floats(0.05, 0.8),
+       depth=st.floats(0.1, 1.5), shape=st.sampled_from(["rectangle", "semi_ellipse"]),
+       n_nodes=st.integers(16, 400), max_iter=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_batched_polish_is_newton_per_start(family, param, omega, eps, depth, shape, n_nodes,
+                                            max_iter, seed):
+    # the scan's batched Newton against one scalar _newton per start: the
+    # same zero bit for bit, NaN exactly where _newton raises (a start on a
+    # node, an iterate near the curve, no convergence within max_iter)
+    try:
+        se = SampledEta(make_model(family, [param], omega, eps,
+                                   ContourSpec(depth, 10.0, shape, n_nodes)))
+    except RespectraError:
+        return
+    rng = np.random.default_rng(seed)
+    starts = np.concatenate([rng.uniform(0.0, 10.0, 10) - 1j * rng.uniform(0.0, depth, 10),
+                             se.grid.nodes[[0, n_nodes // 2]]])
+    ref = []
+    for lam0 in starts:
+        try:
+            ref.append(_newton(se, lam0, 1e-11, max_iter)[0])
+        except (ConvergenceError, EvaluationError):
+            ref.append(np.nan)
+    assert np.array_equal(_newton_batch(se, starts, 1e-11, max_iter),
+                          np.array(ref, dtype=complex), equal_nan=True)
 
 
 @given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from respectra import perturbation
 from respectra.contour import ContourSpec, SampledPV, build_contour
 from respectra.errors import DegeneratePairError, EvaluationError
 from respectra.friedrichs import eta_prime, find_pole
@@ -348,6 +351,39 @@ def test_overlap_tables_match_one_family_pairings(n, shape, family, param):
     for got, ref in ((a, s.cont_right.pair(as_coeffs(psi))),
                      (b, s.cont_left.pair(as_coeffs(phi)))):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
+def test_overlap_tables_of_the_last_pair_are_kept(default_spec, monkeypatch, kernel):
+    # reconstruct_inner then reconstruct_H on one pair make one pairing
+    # sweep; another psi object, even an equal one, is paired afresh; the
+    # kept tables are read-only and bit-identical to a fresh system's
+    calls = []
+
+    def counting(pairs, _real=perturbation.pair_families):
+        calls.append(len(pairs))
+        return _real(pairs)
+
+    def build():
+        m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
+        return (BiorthogonalSystem.from_exact(m) if kernel is None
+                else BiorthogonalSystem.from_perturbation(m, 2))
+
+    s = build()
+    rng = np.random.default_rng(17)
+    psi, phi = random_analytic(rng), random_analytic(rng)
+    monkeypatch.setattr(perturbation, "pair_families", counting)
+    s.reconstruct_inner(psi, phi)
+    s.reconstruct_H(psi, phi)
+    tables = s.overlap_tables(psi, phi)
+    assert calls == [2]
+    for arr in tables[2:]:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    s.overlap_tables(replace(psi), phi)
+    assert calls == [2, 2]
+    for got, ref in zip(tables, build().overlap_tables(psi, phi)):
+        assert np.array_equal(got, ref)
 
 
 def test_families_of_one_sweep_share_their_points(default_model, default_grid):
