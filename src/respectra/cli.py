@@ -48,7 +48,7 @@ from .liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality, evol
 from .model import (ModelSpec, config_number, config_section, eval_V, eval_Vbar, make_model,
                     model_from_dict)
 from .oracle import discretize, propagate, recurrence_time
-from .perturbation import (BiorthogonalSystem, VectorCoeffs, pair_coeffs,
+from .perturbation import (BiorthogonalSystem, PlainTerm, VectorCoeffs, pair_coeffs,
                            perturb_discrete)
 from .states import random_analytic, real_axis_inner, real_axis_inner_H
 
@@ -133,6 +133,10 @@ def load_config(path: str, overrides: dict) -> dict:
     cfg.setdefault("seed", 1234)
     cfg.setdefault("tolerances", {})
     cfg.setdefault("grid", {})
+    if cfg["command"] == "validate":
+        # with no model section, validate checks this model (and --nodes sizes it)
+        cfg.setdefault("model", {"family": "sqrt_exp", "params": [1.0], "omega": 1.0,
+                                 "epsilon": 0.1})
     if overrides.get("out") is not None:
         cfg["output_dir"] = overrides["out"]
     if overrides.get("seed") is not None:
@@ -184,7 +188,7 @@ def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
         "omega": model.omega_level,
         "epsilon": model.coupling,
         "lambda_pert2": [lam2.real, lam2.imag],
-        "order1_shift": [ser.lambda_at(1).real, ser.lambda_at(1).imag] if len(ser.orders) > 1 else [0.0, 0.0],
+        "order1_shift": [ser.lambda_at(1).real, ser.lambda_at(1).imag],
     }
     if not model.has_kernel():
         pole = find_pole(model, tol=tol, grid=grid)
@@ -395,12 +399,11 @@ def _validation_checks(model: ModelSpec):
 
     def projector_algebra(rng):
         vec = VectorCoeffs(d=complex(rng.standard_normal(), rng.standard_normal()),
-                           atoms=((grid.nodes[3], 1.2 + 0j),),
-                           smooth=())
-        back = vec.project_d().plus(vec.project_continuum())
-        same = (back.d == vec.d and back.atoms == vec.atoms)
+                           smooth=(PlainTerm(lambda z: np.exp(-0.4 * z)),))
+        back = vec.project_d() + vec.project_continuum()
+        same = (back.d == vec.d and back.smooth == vec.smooth)
         double = vec.project_d().project_continuum()
-        zero = (double.d == 0 and not double.atoms and not double.smooth)
+        zero = (double.d == 0 and not double.smooth)
         return float(0.0 if (same and zero) else 1.0), 0.0
 
     def non_self_adjoint(rng):
@@ -466,8 +469,7 @@ def _validation_checks(model: ModelSpec):
 
 
 def cmd_validate(cfg: dict, outdir: Path, cfg_hash: str) -> int:
-    model = _model_from_cfg(cfg) if "model" in cfg else make_model(
-        "sqrt_exp", [1.0], 1.0, 0.1)
+    model = _model_from_cfg(cfg)
     if model.has_kernel():
         # the pole, exact-system and Liouville checks solve the kernel-free model
         raise ConfigError(f"validate needs a model without a continuum kernel, got kernel "

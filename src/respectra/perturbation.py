@@ -1,11 +1,13 @@
 """Order-by-order biorthogonal eigensystem of the deformed generator.
 
 Vectors are coefficient bundles over the basis {discrete level, curve points}:
-a d-component, exact delta atoms (position, weight), and smooth terms.  Smooth
-terms are either plain analytic functions on the curve or "pole terms"
-N(z) / (u + side*i0 - z) whose pairings go through the curve principal value
-plus half residue.  Left vectors are functionals stored independently of the
-right ones; no pairing ever conjugates.
+a d-component and smooth terms, plain analytic functions on the curve.
+Continuum eigenvectors exist only as families, ``ContinuumFamily``: the
+members at a set of curve points held as arrays, each a level component, an
+exact unit atom at its point and a pole term N(z) / (u + side*i0 - z) whose
+pairings go through the curve principal value plus half residue.  Left
+vectors are functionals stored independently of the right ones; no pairing
+ever conjugates.
 
 The discrete branch implements the recursion to arbitrary order n: with the
 usual gauge (vanishing d-component of every correction) the order-1 eigenvalue
@@ -21,7 +23,8 @@ through second order with the outgoing (+i0) kernel on the right and the
 conjugate prescription on the left.  ``ContinuumFamily`` holds the vectors
 of a whole family of curve points as arrays and pairs them all through one
 sampled curve principal value, ``SampledPV``, which is handed the integrands
-as functions; ``perturb_continuous`` is its one-point case.
+as functions; ``perturb_continuous`` returns one-point families on
+``SampledPV(grid, u)``.
 ``pair_families`` pairs several families on one ``SampledPV`` in one sweep:
 the overlap tables of a reconstruction pair the right family with the bra
 and the left family with the ket as two targets with sides +1 and -1.  A
@@ -31,13 +34,12 @@ inner product and the generator of one pair cost one sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .contour import ContourGrid, SampledPV, build_contour, pole_kernel_integral
+from .contour import ContourGrid, SampledPV, build_contour
 from .errors import ConfigError, DegeneratePairError, EvaluationError
 from .friedrichs import PoleResult, exact_system
 from .model import ModelSpec, eval_V, eval_V2, eval_Vbar
@@ -66,85 +68,40 @@ class PlainTerm:
 
 
 @dataclass(frozen=True)
-class PoleTerm:
-    """Distribution kernel N(z) / (u + side*i0 - z) with analytic numerator."""
-
-    num: Callable
-    pole: complex
-    side: int
-
-    def at(self, z):
-        # pointwise value away from the pole position
-        z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z - self.pole) < 1e-12):
-            raise EvaluationError("pole term evaluated at its own singular point")
-        return np.asarray(self.num(z), dtype=complex) / (self.pole - z)
-
-    def scaled(self, c: complex) -> "PoleTerm":
-        fn = self.num
-        return PoleTerm(lambda z, _f=fn, _c=c: _c * _f(z), self.pole, self.side)
-
-
-@dataclass(frozen=True)
 class VectorCoeffs:
-    """d-component + exact atoms + smooth terms; used for kets and functionals."""
+    """d-component + plain smooth terms; used for kets and functionals."""
 
     d: complex = 0j
-    atoms: tuple = ()
     smooth: tuple = ()
 
     def scaled(self, c: complex) -> "VectorCoeffs":
-        return VectorCoeffs(self.d * c,
-                            tuple((u, w * c) for u, w in self.atoms),
-                            tuple(t.scaled(c) for t in self.smooth))
+        return VectorCoeffs(self.d * c, tuple(t.scaled(c) for t in self.smooth))
 
-    def plus(self, other: "VectorCoeffs") -> "VectorCoeffs":
-        return VectorCoeffs(self.d + other.d, self.atoms + other.atoms,
-                            self.smooth + other.smooth)
+    def __add__(self, other: "VectorCoeffs") -> "VectorCoeffs":
+        return VectorCoeffs(self.d + other.d, self.smooth + other.smooth)
 
     # block selectors: the projector algebra of the unperturbed generator
     def project_d(self) -> "VectorCoeffs":
-        return VectorCoeffs(self.d, (), ())
+        return VectorCoeffs(self.d)
 
     def project_continuum(self) -> "VectorCoeffs":
-        return VectorCoeffs(0j, self.atoms, self.smooth)
+        return VectorCoeffs(0j, self.smooth)
 
 
 def as_coeffs(vec: AnalyticVector) -> VectorCoeffs:
     smooth = (PlainTerm(vec.at),) if vec.profile is not None else ()
-    return VectorCoeffs(complex(vec.d), (), smooth)
+    return VectorCoeffs(complex(vec.d), smooth)
 
 
 def pair_coeffs(left: VectorCoeffs, right: VectorCoeffs, grid: ContourGrid) -> complex:
-    """Bilinear pairing <left|right> on the curve.
-
-    Atom-atom products are distributional (delta on the curve) and are
-    rejected; callers integrate over the family first when such a pairing is
-    needed weakly.
-    """
+    """Bilinear pairing <left|right> on the curve: d d plus the quadrature of
+    every product of smooth terms.  Continuum members pair through
+    ``ContinuumFamily.pair``."""
     total = left.d * right.d
-    if left.atoms and right.atoms:
-        raise EvaluationError("atom-atom pairing is a curve delta; integrate the "
-                              "family against a smooth weight first")
-    for u, w in right.atoms:
-        total += w * sum(t.at(u) for t in left.smooth)
-    for v, b in left.atoms:
-        total += b * sum(t.at(v) for t in right.smooth)
     for lt in left.smooth:
         for rt in right.smooth:
-            total += _pair_terms(lt, rt, grid)
+            total += np.sum(grid.weights * lt.values(grid) * rt.values(grid))
     return complex(total)
-
-
-def _pair_terms(lt, rt, grid: ContourGrid) -> complex:
-    lplain, rplain = isinstance(lt, PlainTerm), isinstance(rt, PlainTerm)
-    if lplain and rplain:
-        return complex(np.sum(grid.weights * lt.values(grid) * rt.values(grid)))
-    if lplain != rplain:
-        plain, pole = (lt, rt) if lplain else (rt, lt)
-        h = (lambda z: np.asarray(plain.fn(z)) * np.asarray(pole.num(z)))
-        return pole_kernel_integral(grid, h, pole.pole, pole.side)
-    raise EvaluationError("pole-pole pairing is distributional; not supported directly")
 
 
 @dataclass(frozen=True)
@@ -162,17 +119,16 @@ class PerturbationSeries:
     def lambda_at(self, k: int) -> complex:
         return self.orders[k][0]
 
-    def right_total(self) -> VectorCoeffs:
+    def right_total(self):
         return self._total(1)
 
-    def left_total(self) -> VectorCoeffs:
+    def left_total(self):
         return self._total(2)
 
-    def _total(self, slot: int) -> VectorCoeffs:
-        out = VectorCoeffs()
-        for o in self.orders:
-            out = out.plus(o[slot])
-        return out
+    def _total(self, slot: int):
+        """Sum of the orders: a ``VectorCoeffs`` on the discrete branch, a
+        one-point ``ContinuumFamily`` on the continuous one."""
+        return sum((o[slot] for o in self.orders[1:]), self.orders[0][slot])
 
 
 def _kernel(model: ModelSpec, side: int) -> Callable:
@@ -256,19 +212,20 @@ class ContinuumFamily:
     """Right (side=+1) or left (side=-1) continuum eigenvectors at the curve
     points of ``pv`` (every node by default), held as arrays.
 
-    Member i is ``d[i]`` on the level, an exact unit atom at u_i and the pole
-    term N_i(z) / (u_i + side*i0 - z) with N_i(z) = coef[i] B(z) + K(z, u_i)
+    Member i is ``d[i]`` on the level, an exact unit atom at u_i (implicit:
+    every member has it, and a sum of families keeps one) and the pole term
+    N_i(z) / (u_i + side*i0 - z) with N_i(z) = coef[i] B(z) + K(z, u_i)
     + k_i(z), B = V on the right and Vbar on the left; the kernel column and
     the ``_kernel_term`` k_i are present for kernel orders 1 and 2.  Pairings
     hand the numerators to the principal value as functions: the B part as
-    one shared row, the kernel part per member.
+    one shared row, the kernel part per member.  A single member is a
+    one-point family, on ``SampledPV(grid, u_i)``.
     """
 
     def __init__(self, model: ModelSpec, pv: SampledPV, side: int, d,
                  coef=None, kernel_orders: tuple = ()):
         self.model = model
         self.pv = pv
-        self.grid = pv.grid
         self.u = pv.u
         self.side = side
         self.d = np.asarray(d, dtype=complex)
@@ -284,32 +241,13 @@ class ContinuumFamily:
     def _basis(self, z):
         return (eval_V if self.side > 0 else eval_Vbar)(self.model, z)
 
-    def _kernel_part(self, pv: SampledPV, z) -> np.ndarray:
-        """Kernel part of the numerators of the points of ``pv`` at targets
-        z, shared (1, P) or per point (M, P); shape (M, P)."""
-        out = _kernel(self.model, self.side)(z, pv.u[:, None]) if 1 in self.kernel_orders else 0
+    def _kernel_part(self, z) -> np.ndarray:
+        """Kernel part of the numerators of the members at targets z, shared
+        (1, P) or per member (M, P); shape (M, P)."""
+        out = _kernel(self.model, self.side)(z, self.u[:, None]) if 1 in self.kernel_orders else 0
         if 2 in self.kernel_orders:
-            out = out + _kernel_term(self.model, pv, z, self.side)
+            out = out + _kernel_term(self.model, self.pv, z, self.side)
         return out
-
-    def numerator(self, i: int, z):
-        """N_i(z) at any points z, evaluated afresh from the closed forms."""
-        z = np.asarray(z, dtype=complex)
-        zf = z.reshape(-1)
-        out = np.zeros(len(zf), dtype=complex)
-        if self.coef is not None:
-            out = out + self.coef[i] * self._basis(zf)
-        if self.kernel_orders:
-            out = out + self._kernel_part(SampledPV(self.grid, self.u[i]), zf[None, :])[0]
-        return out.reshape(z.shape)
-
-    def __getitem__(self, i: int) -> VectorCoeffs:
-        """Member i as a single coefficient bundle (for scalar pairings)."""
-        u = complex(self.u[i])
-        smooth = ()
-        if self.coef is not None or self.kernel_orders:
-            smooth = (PoleTerm(partial(self.numerator, i), u, self.side),)
-        return VectorCoeffs(complex(self.d[i]), ((u, 1.0 + 0j),), smooth)
 
     def pair(self, vec: VectorCoeffs) -> np.ndarray:
         """Bilinear pairing of every member with a vector made of a level
@@ -326,11 +264,8 @@ def pair_families(pairs) -> list:
     sweep per family."""
     fams = [fam for fam, _ in pairs]
     pv = fams[0].pv
-    for fam, vec in pairs:
-        if fam.pv is not pv:
-            raise EvaluationError("families paired in one sweep must share their SampledPV")
-        if vec.atoms or any(isinstance(t, PoleTerm) for t in vec.smooth):
-            raise EvaluationError("a family pairs only with level and plain smooth parts")
+    if any(fam.pv is not pv for fam in fams):
+        raise EvaluationError("families paired in one sweep must share their SampledPV")
     out = [vec.d * fam.d for fam, vec in pairs]
     profile = [lambda z, ts=vec.smooth: sum(t.at(z) for t in ts) for _, vec in pairs]
     smooth = [p for p, (_, vec) in enumerate(pairs) if vec.smooth]
@@ -344,7 +279,7 @@ def pair_families(pairs) -> list:
             out[p] = out[p] + fams[p].coef * J[:, k]
     for p in smooth:
         if fams[p].kernel_orders:
-            h = lambda z, f=profile[p], fam=fams[p]: f(z) * fam._kernel_part(pv, z)
+            h = lambda z, f=profile[p], fam=fams[p]: f(z) * fam._kernel_part(z)
             out[p] = out[p] + pv(h, fams[p].side)
     return out
 
@@ -374,10 +309,15 @@ def _branch_orders(model: ModelSpec, pv: SampledPV, order: int, side: int) -> li
 
 def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
                        grid: ContourGrid | None = None) -> PerturbationSeries:
-    """Continuous branch at curve point u, through second order.
+    """Continuous branch at curve point u, through second order, as one-point
+    families on ``SampledPV(grid, u)``.
 
-    The eigenvalue stays exactly u; corrections live in the d-component and in
-    pole terms with the outgoing kernel (right) / its conjugate (left).
+    The eigenvalue stays exactly u.  Order 0 is the bare member (no level
+    part, the unit atom at u); the corrections live in the d-component and in
+    pole terms with the outgoing kernel (right) / its conjugate (left).  The
+    totals are the members that ``BiorthogonalSystem.from_perturbation``
+    holds at u.  Every family carries the unit atom, so pair the totals, not
+    the orders one by one.
     """
     if order < 0 or order > 2:
         raise ConfigError("continuous branch is implemented through order 2")
@@ -385,11 +325,9 @@ def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
         grid = build_contour(model.contour)
     u = complex(u)
     pv = SampledPV(grid, u)
-    atom = VectorCoeffs(atoms=((u, 1.0 + 0j),))
+    bare = (ContinuumFamily(model, pv, side, np.zeros(1)) for side in (+1, -1))
     right, left = (_branch_orders(model, pv, order, side) for side in (+1, -1))
-    # corrections carry no atom: the unit atom is the order-0 vector
-    orders = [(u, atom, atom)] + [(0.0 + 0j, replace(r[0], atoms=()), replace(l[0], atoms=()))
-                                  for r, l in zip(right, left)]
+    orders = [(u, *bare)] + [(0j, r, l) for r, l in zip(right, left)]
     return PerturbationSeries(tuple(orders), "continuous", u)
 
 
@@ -492,8 +430,7 @@ class BiorthogonalSystem:
         def smooth_samples(vc: VectorCoeffs):
             out = np.zeros_like(zs)
             for t in vc.smooth:
-                if isinstance(t, PlainTerm):
-                    out = out + t.values(self.grid)
+                out = out + t.values(self.grid)
             return out
         dr = smooth_samples(self.disc_right)
         dl = smooth_samples(self.disc_left)

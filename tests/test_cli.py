@@ -143,13 +143,36 @@ def test_barrier_closed_channel_exit(tmp_path):
     assert main(["--config", _write_cfg(tmp_path, doc)]) == 1
 
 
+VALIDATE_CHECKS = [
+    "schwarz_reflection", "coupling_linearity", "path_measure", "path_first_moment",
+    "deformation_identity", "plemelj_consistency", "plemelj_conjugation", "quadrature_order",
+    "pole_residual", "pole_half_plane", "order1_shift_zero", "gauge_condition",
+    "exact_normalization", "exact_cross_orthogonality", "exact_completeness",
+    "generator_reconstruction", "projector_algebra", "non_self_adjoint", "oracle_unitarity",
+    "liouville_decay_mode", "liouville_physicality", "liouville_symmetry",
+    "probability_conservation", "barrier_bound_state"]
+
+
+def _assert_validate_table(out):
+    rows = [row.split(",") for row in (out / "validate.csv").read_text().splitlines()[2:]]
+    assert [row[0] for row in rows] == VALIDATE_CHECKS
+    assert all(row[1] == "1" for row in rows)
+
+
 def test_validate_passes(tmp_path):
     doc = {"command": "validate", "output_dir": str(tmp_path / "o"),
            "model": MODEL, "seed": 7}
     assert main(["--config", _write_cfg(tmp_path, doc)]) == 0
-    table = (tmp_path / "o" / "validate.csv").read_text().splitlines()
-    assert len(table) >= 2 + 15          # at least 15 named checks
-    assert all(row.split(",")[1] == "1" for row in table[2:])
+    _assert_validate_table(tmp_path / "o")
+
+
+def test_validate_without_a_model_takes_the_node_override(tmp_path):
+    # a model-less validate config checks the default model, and --nodes
+    # sizes its contour like any other model's
+    doc = {"command": "validate", "output_dir": str(tmp_path / "o"), "seed": 7}
+    assert main(["--config", _write_cfg(tmp_path, doc), "--nodes", "300", "--dump-grid"]) == 0
+    _assert_validate_table(tmp_path / "o")
+    assert len((tmp_path / "o" / "grid.csv").read_text().splitlines()) == 2 + 300
 
 
 def test_validate_refuses_a_kernel_model(tmp_path, capsys):

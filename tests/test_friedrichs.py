@@ -185,12 +185,9 @@ class TestExactSystem:
 
     def test_cross_orthogonality(self, default_model, default_grid):
         s = BiorthogonalSystem.from_exact(default_model, default_grid)
-        worst = 0.0
-        for i in range(5, default_grid.n, default_grid.n // 10):
-            worst = max(worst, abs(pair_coeffs(s.disc_left, s.cont_right[i],
-                                               default_grid)))
-            worst = max(worst, abs(pair_coeffs(s.cont_left[i], s.disc_right,
-                                               default_grid)))
+        picks = slice(5, None, default_grid.n // 10)
+        worst = max(np.max(np.abs(s.cont_right.pair(s.disc_left)[picks])),
+                    np.max(np.abs(s.cont_left.pair(s.disc_right)[picks])))
         assert worst < 1e-8
 
     def test_weak_delta(self, default_model, default_grid):
@@ -199,11 +196,9 @@ class TestExactSystem:
         # pairing <f~_u|G> must reproduce g(u)
         s = BiorthogonalSystem.from_exact(default_model, default_grid)
         g = lambda z: np.exp(-0.6 * z) * (1.0 + 0.5 * z)
-        G = family_superposition(s, g)
+        paired = s.cont_left.pair(family_superposition(s, g))
         for i in (default_grid.n // 4, default_grid.n // 2):
-            got = pair_coeffs(s.cont_left[i], G, default_grid)
-            u = complex(default_grid.nodes[i])
-            assert abs(got - g(u)) < 1e-6
+            assert abs(paired[i] - g(default_grid.nodes[i])) < 1e-6
 
 
 def family_superposition(system, g):

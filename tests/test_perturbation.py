@@ -36,10 +36,12 @@ def test_gauge_conditions_exact(default_model, default_grid):
     ser = perturb_discrete(default_model, 2, default_grid)
     for _, r, l in ser.orders[1:]:
         assert r.d == 0.0 and l.d == 0.0
-    cont = perturb_continuous(default_model, complex(default_grid.nodes[60]), 2,
-                              default_grid)
-    atoms = cont.right_total().atoms
-    assert len(atoms) == 1 and atoms[0][1] == 1.0
+    u = complex(default_grid.nodes[60])
+    cont = perturb_continuous(default_model, u, 2, default_grid)
+    # order 0 is the bare member: the unit atom at u and nothing else
+    for bare in cont.orders[0][1:]:
+        assert bare.u.tolist() == [u] and bare.d[0] == 0.0 and bare.coef is None
+    assert cont.right_total().u.tolist() == [u]
 
 
 def test_second_order_eigenvalue_closed_form(default_model, default_grid):
@@ -93,11 +95,9 @@ def test_continuum_free_limit(default_grid):
     u = complex(default_grid.nodes[30])
     ser = perturb_continuous(m, u, 2, default_grid)
     total = ser.right_total()
-    assert total.d == 0.0
-    assert total.atoms == ((u, 1.0 + 0j),)
+    assert total.d[0] == 0.0 and total.u.tolist() == [u]
     # zero-coupling pole terms are identically zero numerators
-    for t in total.smooth:
-        assert abs(t.num(2.0 - 0.3j)) == 0.0
+    assert total.coef[0] == 0.0 and total.kernel_orders == ()
 
 
 def test_free_system_reconstruction(default_grid, axis_grid, rng):
@@ -114,19 +114,16 @@ def test_continuum_branch_explicit_coefficients(default_model, default_grid):
     u = complex(default_grid.nodes[55])
     ser = perturb_continuous(default_model, u, 2, default_grid)
     om = 1.0
-    d1 = ser.orders[1][1].d
+    d1 = ser.orders[1][1].d[0]
     assert abs(d1 - eval_Vbar(default_model, u) / (u - om)) < 1e-16
     # second-order numerator is V(z) * Vbar(u)/(u - Omega)
-    t2 = ser.orders[2][1].smooth[0]
-    z = 2.5 - 0.5j
-    expect = eval_V(default_model, z) * eval_Vbar(default_model, u) / (u - om)
-    assert abs(t2.num(z) - expect) < 1e-16
-    assert t2.pole == u and t2.side == +1
-    # left mirrors with the conjugate prescription
-    l2 = ser.orders[2][2].smooth[0]
+    t2 = ser.orders[2][1]
+    assert abs(t2.coef[0] - eval_Vbar(default_model, u) / (u - om)) < 1e-16
+    assert t2.u.tolist() == [u] and t2.side == +1 and t2.kernel_orders == ()
+    # left mirrors with the conjugate prescription: Vbar(z) * V(u)/(u - Omega)
+    l2 = ser.orders[2][2]
     assert l2.side == -1
-    assert abs(l2.num(z) - eval_Vbar(default_model, z) * eval_V(default_model, u)
-               / (u - om)) < 1e-16
+    assert abs(l2.coef[0] - eval_V(default_model, u) / (u - om)) < 1e-16
 
 
 def test_continuum_matches_exact_expansion(default_spec, default_grid):
@@ -138,15 +135,14 @@ def test_continuum_matches_exact_expansion(default_spec, default_grid):
         sx = exact_system(m, default_grid)
         i = default_grid.n // 2
         u = complex(default_grid.nodes[i])
-        ser = perturb_continuous(m, u, 2, default_grid)
-        d_pert = ser.right_total().d
+        total = perturb_continuous(m, u, 2, default_grid).right_total()
         # exact right member: Vbar(u)/eta(u+i0) on the level and as the
         # coefficient of the numerator V(z)
         a_exact = eval_Vbar(m, u) / sx.eta_plus[i]
         probe = 1.8 - 0.4j
-        n_pert = ser.orders[2][1].smooth[0].num(probe)
+        n_pert = total.coef[0] * eval_V(m, probe)
         n_exact = a_exact * eval_V(m, probe)
-        diffs[eps] = abs(d_pert - a_exact) + abs(n_pert - n_exact)
+        diffs[eps] = abs(total.d[0] - a_exact) + abs(n_pert - n_exact)
     assert diffs[0.1] / diffs[0.05] > 6.0   # third-order scaling (8x)
 
 
@@ -190,26 +186,23 @@ def test_biorthogonality_residual_scaling(default_spec, default_grid):
     for eps in (0.1, 0.05):
         m = make_model("sqrt_exp", [1.0], 1.0, eps, default_spec)
         s = BiorthogonalSystem.from_perturbation(m, 2, default_grid)
-        worst = abs(pair_coeffs(s.disc_left, s.disc_right, default_grid) - 1.0)
-        for i in range(10, default_grid.n, default_grid.n // 8):
-            worst = max(worst, abs(pair_coeffs(s.disc_left, s.cont_right[i],
-                                               default_grid)))
-            worst = max(worst, abs(pair_coeffs(s.cont_left[i], s.disc_right,
-                                               default_grid)))
+        picks = slice(10, None, default_grid.n // 8)
+        worst = max(abs(pair_coeffs(s.disc_left, s.disc_right, default_grid) - 1.0),
+                    np.max(np.abs(s.cont_right.pair(s.disc_left)[picks])),
+                    np.max(np.abs(s.cont_left.pair(s.disc_right)[picks])))
         res[eps] = worst
     assert res[0.05] <= 2.0 * (0.5 ** 3) * res[0.1]
 
 
-def test_projector_algebra(rng, default_grid):
+def test_projector_algebra(rng):
     vec = VectorCoeffs(d=complex(rng.standard_normal(), rng.standard_normal()),
-                       atoms=((complex(default_grid.nodes[7]), 0.8 + 0.1j),),
                        smooth=(PlainTerm(lambda z: np.exp(-z)),))
     pd = vec.project_d()
     pc = vec.project_continuum()
-    back = pd.plus(pc)
-    assert back.d == vec.d and back.atoms == vec.atoms and back.smooth == vec.smooth
+    back = pd + pc
+    assert back.d == vec.d and back.smooth == vec.smooth
     assert pd.project_continuum().d == 0
-    assert not pd.project_continuum().atoms
+    assert not pd.project_continuum().smooth
     assert pc.project_d().d == 0
 
 
@@ -295,7 +288,8 @@ class TestSeparableKernel:
 
     def test_family_pairing_matches_member_pairing(self):
         # the array pairing of the kernel families (orders 1 and 2 with the
-        # double integral) against the scalar pairing of single members
+        # double integral) against member i paired alone, as a one-point
+        # family on SampledPV(grid, u_i)
         spec = ContourSpec(0.5, 20.0, "rectangle", 48)
         m = make_model("sqrt_exp", [1.0], 1.0, 0.1, spec, kernel="separable_sqrt_exp")
         grid = build_contour(spec)
@@ -303,7 +297,10 @@ class TestSeparableKernel:
         vec = as_coeffs(random_analytic(np.random.default_rng(3)))
         for fam in (s.cont_right, s.cont_left):
             got = fam.pair(vec)[::5]
-            ref = np.array([pair_coeffs(vec, fam[i], grid) for i in range(0, grid.n, 5)])
+            ref = np.array([ContinuumFamily(m, SampledPV(grid, fam.u[i]), fam.side,
+                                            fam.d[i:i + 1], fam.coef[i:i + 1],
+                                            fam.kernel_orders).pair(vec)[0]
+                            for i in range(0, grid.n, 5)])
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_kernel_reconstruction_matches_recorded_value(self, default_spec):
@@ -321,8 +318,26 @@ class TestSeparableKernel:
                        kernel="separable_sqrt_exp")
         u = complex(default_grid.nodes[50])
         ser = perturb_continuous(m, u, 2, default_grid)
-        assert len(ser.orders[1][1].smooth) == 1      # first-order kernel column
-        assert abs(ser.orders[2][1].d) > 0            # second-order d-component
+        assert ser.orders[1][1].kernel_orders == (1,)  # first-order kernel column
+        assert abs(ser.orders[2][1].d[0]) > 0         # second-order d-component
+
+
+@pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
+def test_one_point_series_is_the_assembled_member(default_spec, default_grid, kernel):
+    # perturb_continuous at node u_i sums to the member that from_perturbation
+    # holds at u_i: the same arrays, and the same pairing up to rounding
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
+    s = BiorthogonalSystem.from_perturbation(m, 2, default_grid)
+    vec = as_coeffs(random_analytic(np.random.default_rng(23)))
+    for i in (7, default_grid.n // 2, default_grid.n - 3):
+        ser = perturb_continuous(m, default_grid.nodes[i], 2, default_grid)
+        for member, fam in ((ser.right_total(), s.cont_right),
+                            (ser.left_total(), s.cont_left)):
+            assert member.side == fam.side and member.kernel_orders == fam.kernel_orders
+            assert np.array_equal(member.d, fam.d[i:i + 1])
+            assert np.array_equal(member.coef, fam.coef[i:i + 1])
+            got, ref = member.pair(vec)[0], fam.pair(vec)[i]
+            assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_pair_with_analytic_vector(default_model, default_grid, axis_grid):
