@@ -14,8 +14,9 @@ from .errors import (AnalyticityError, ChannelClosedError, ConfigError, ContourE
                      RespectraError)
 from .friedrichs import PoleResult, eta, eta_boundary, eta_prime, exact_system, find_pole
 from .liouville import (BlockObservable, GeneralizedState, LiouvilleGrids,
-                        LiouvilleSystem, apply_L, check_physicality, evolve_state,
-                        identity_observable, unstable_state_functional)
+                        LiouvilleSystem, RelaxationCurve, apply_L, check_physicality,
+                        evolve_state, identity_observable, relaxation_curve,
+                        unstable_state_functional)
 from .model import (FormFactor, FormFactor2, ModelSpec, eval_V, eval_V2, eval_Vbar,
                     make_model, model_from_dict, separable_test_kernel)
 from .oracle import (DiscretizedSystem, SecularSystem, commutator_apply, discretize,

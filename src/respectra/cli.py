@@ -44,7 +44,7 @@ from .dynamics import (decay_rate, default_time_grid, exponential_approx,
 from .errors import ConfigError, RespectraError
 from .friedrichs import find_pole
 from .liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality, evolve_state,
-                        unstable_state_functional)
+                        relaxation_curve, unstable_state_functional)
 from .model import (ModelSpec, config_number, config_section, eval_V, eval_Vbar, make_model,
                     model_from_dict)
 from .oracle import discretize, propagate, recurrence_time
@@ -252,16 +252,11 @@ def cmd_liouville(cfg: dict, outdir: Path, cfg_hash: str) -> int:
 
     ts = default_time_grid(model, int(grid_cfg.get("t_points", 200)),
                            float(grid_cfg.get("horizon", 5.0)))
-    rho0 = unstable_state_functional()
-    traj = []
-    for t in ts:
-        st = evolve_state(model, rho0, float(t), lsys)
-        traj.append((float(t), st.c1.real,
-                     st.atom_weight(model.omega_level, grids).real,
-                     st.normalization(grids).real))
+    curve = relaxation_curve(model, unstable_state_functional(), ts, lsys)
     _write_csv(outdir / "liouville_trajectory.csv",
                ["t", "rho_level", "atom_weight_at_level", "rho_identity"],
-               traj, cfg_hash)
+               zip(ts, curve.level.real, curve.atom_weight.real, curve.normalization.real),
+               cfg_hash)
     return 0
 
 
@@ -473,8 +468,8 @@ def cmd_validate(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     if model.has_kernel():
         # the pole, exact-system and Liouville checks solve the kernel-free model
         raise ConfigError(f"validate needs a model without a continuum kernel, got kernel "
-                          f"{model.kernel.family_id!r}; the exact kernel solution it would "
-                          "check against is ROADMAP item 3")
+                          f"{model.kernel.family_id!r}: there is no exact solution with a "
+                          "continuum kernel to check against")
     checks = _validation_checks(model)
     # one independent stream per check: the draws of a check never depend on
     # which checks ran before it

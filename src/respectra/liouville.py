@@ -16,6 +16,13 @@ normalizers and the relaxed states.  A relaxed state holds its curve
 densities as node samples on the system's grids (the kernel-block density
 as rank-one factor pairs) and pairs them only on those grids.
 
+Relaxation reads one phase table of the system: the decay phase and the
+branch phases exp(i lambda t) over the nodes, at many times at once, with
+the branch sums they give.  ``evolve_state`` builds the state at one time
+from it; ``relaxation_curve`` takes the level population, the weight at the
+resonance position and the normalization at every time of a grid straight
+from the table, without building a state.
+
 Sign conventions: the evolution factor is exp(+i lambda t), which sends the
 decay eigenvalue lambda_d = 2 pi i V(Omega)^2 to the damping exp(-2 pi
 V(Omega)^2 t).  The curve-1 branch lives on the upper curve, the 1-curve
@@ -35,6 +42,8 @@ from .errors import ConfigError, EvaluationError
 from .friedrichs import SampledEta
 from .model import ModelSpec, eval_V
 from .oracle import DiscretizedSystem
+
+_TABLE_ENTRIES = 2**16    # complex phases per block of a time table (1 MB)
 
 
 def _require_liouville_model(model: ModelSpec):
@@ -359,7 +368,7 @@ class LiouvilleSystem:
     This is the only code that samples the two curves: one ``SampledEta``
     and the level profile a = V(z)/(z - Omega) per curve give the zero
     sector ``zero``, the branch eigenpairs, the pair normalizers and the
-    relaxed states of ``evolve_state``.
+    phase table of ``evolve_state`` and ``relaxation_curve``.
     """
 
     def __init__(self, model: ModelSpec, grids: LiouvilleGrids | None = None):
@@ -377,7 +386,11 @@ class LiouvilleSystem:
         # \int V^2/(z - Omega) over the lower and over the upper curve
         lower, upper = (-e.moment(om) for e in self._etas)
         self.shift_lower, self.shift_upper = lower, -upper   # lam2 of u1 and of 1u
-        eta2_l, eta2_u = (e.moment(om, 2) for e in self._etas)
+        # the t-independent weights of the branch sums, w V Vbar / (z - Omega)^2
+        # per curve, and of the omega-block densities, V Vbar / (z - Omega)^2
+        self._w_1u, self._w_u1 = (e.terms(om, 2) for e in self._etas)
+        self._g_1u, self._g_u1 = (e.vv / (e.grid.nodes - om) ** 2 for e in self._etas)
+        eta2_l, eta2_u = complex(np.sum(self._w_1u)), complex(np.sum(self._w_u1))
         # pair normalizers through second order
         self.norm_d = 1.0 + eta2_l + eta2_u
         self.norm_u1 = 1.0 + eta2_l
@@ -397,6 +410,8 @@ class LiouvilleSystem:
         self.zero = ZeroSectorResult(lam_d=alpha, coeff_on_level=alpha,
                                      coeff_on_diagonal=complex(-lower + upper),
                                      decay_right=decay_right, decay_left=decay_left)
+        self._lam_u1 = self.lam_u1(self.grids.gamma_bar.nodes)
+        self._lam_1u = self.lam_1u(self.grids.gamma.nodes)
 
     def lam_u1(self, u) -> np.ndarray:
         return np.asarray(u, dtype=complex) - self.model.omega_level + self.shift_lower
@@ -435,26 +450,50 @@ class LiouvilleSystem:
 
     def symmetry_defect(self) -> float:
         """max over paired nodes u' = conj(u) of |lam_1u(u') + conj(lam_u1(u))|."""
-        return float(np.max(np.abs(self.lam_1u(self.grids.gamma.nodes)
-                                   + np.conj(self.lam_u1(self.grids.gamma_bar.nodes)))))
+        return float(np.max(np.abs(self._lam_1u + np.conj(self._lam_u1))))
 
-    def branch_sums(self, t: float) -> tuple[complex, complex]:
-        """Normalized upper/lower branch background integrals at time t."""
-        om = self.model.omega_level
-        lower, upper = self._etas
-        up = np.sum(upper.terms(om, 2) * np.exp(1j * self.lam_u1(upper.grid.nodes) * t))
-        dn = np.sum(lower.terms(om, 2) * np.exp(1j * self.lam_1u(lower.grid.nodes) * t))
-        return complex(up / self.norm_u1), complex(dn / self.norm_1u)
+    def _phase_table(self, ts) -> tuple:
+        """At the times ts: the decay phase exp(i lam_d t) / N_d, shape (T,),
+        the branch phases exp(i lam_u1 t) on the upper and exp(i lam_1u t) on
+        the lower nodes, shape (T, n), and the normalized upper and lower
+        branch sums they give, shape (T,)."""
+        ts = np.asarray(ts, dtype=float)
+        ph_u1 = np.exp(np.multiply.outer(ts, 1j * self._lam_u1))
+        ph_1u = np.exp(np.multiply.outer(ts, 1j * self._lam_1u))
+        return (np.exp(1j * self.lam_d * ts) / self.norm_d, ph_u1, ph_1u,
+                ph_u1 @ self._w_u1 / self.norm_u1, ph_1u @ self._w_1u / self.norm_1u)
 
-    def survival(self, t: float) -> complex:
-        """(rho_t | level population) for the bare-level initial functional."""
-        b_up, b_dn = self.branch_sums(t)
-        return complex(np.exp(1j * self.lam_d * t) / self.norm_d + b_up + b_dn)
+    def _curve_sums(self, ts: np.ndarray) -> tuple:
+        """The decay phase and both branch sums at every t of ts; the phase
+        table is formed a block of times at a time, so its memory stays
+        bounded however many times there are."""
+        rows = max(1, _TABLE_ENTRIES // len(self._w_u1))
+        out = np.empty((3, len(ts)), dtype=complex)
+        for s in range(0, len(ts), rows):
+            decay, _, _, b_up, b_dn = self._phase_table(ts[s:s + rows])
+            out[:, s:s + rows] = decay, b_up, b_dn
+        return tuple(out)
+
+    def branch_sums(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized upper/lower branch background integrals at every t of ts."""
+        return self._curve_sums(np.atleast_1d(np.asarray(ts, dtype=float)))[1:]
 
 
 # --------------------------------------------------------------------------
 # relaxation
 # --------------------------------------------------------------------------
+
+def _relaxation_system(model: ModelSpec, rho0: GeneralizedState, ts: np.ndarray,
+                       system: LiouvilleSystem | None) -> LiouvilleSystem:
+    """The system to relax rho0 on, once the times and rho0 are admitted."""
+    if np.any(ts < 0):
+        raise ConfigError("negative times are refused: upper-shifted eigenvalues "
+                          "would grow exponentially")
+    if not rho0.is_p0_supported():
+        raise ConfigError("relaxation supports functionals on the invariant sector "
+                          "(population, diagonal atoms, diagonal density) only")
+    return system if system is not None else LiouvilleSystem(model)
+
 
 def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
                  system: LiouvilleSystem | None = None) -> GeneralizedState:
@@ -473,18 +512,10 @@ def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
     The curve densities of the result are node samples on ``system.grids``;
     the kernel-block density is kept as three rank-one factor pairs.
     """
-    if t < 0:
-        raise ConfigError("negative times are refused: upper-shifted eigenvalues "
-                          "would grow exponentially")
-    if not rho0.is_p0_supported():
-        raise ConfigError("evolve_state supports functionals on the invariant sector "
-                          "(population, diagonal atoms, diagonal density) only")
-    if system is None:
-        system = LiouvilleSystem(model)
+    system = _relaxation_system(model, rho0, np.asarray(t, dtype=float), system)
     om = model.omega_level
     c1r = complex(rho0.c1)
-    decay_phase = np.exp(1j * system.lam_d * t) / system.norm_d
-    b_up, b_dn = system.branch_sums(t)
+    decay_phase, ph_u1, ph_1u, b_up, b_dn = (x[0] for x in system._phase_table([t]))
     surv = complex(decay_phase + b_up + b_dn)
 
     atoms = [(om, c1r * (1.0 - decay_phase))]
@@ -498,12 +529,9 @@ def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
     if abs(c1r) == 0:
         return state
 
-    lower, upper = system._etas
-    zu, zl = upper.grid.nodes, lower.grid.nodes
+    zu, zl = system.grids.gamma_bar.nodes, system.grids.gamma.nodes
     a_u, a_l = system.a_upper, system.a_lower
     n_u1, n_1u = system.norm_u1, system.norm_1u
-    ph_u1 = np.exp(1j * system.lam_u1(zu) * t)
-    ph_1u = np.exp(1j * system.lam_1u(zl) * t)
     # off-diagonal block densities of the singly continuous branches
     f_om1 = c1r * a_u * (ph_u1 / n_u1 - decay_phase)
     f_1om = c1r * a_l * (ph_1u / n_1u - decay_phase)
@@ -514,9 +542,47 @@ def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
     return replace(
         state, f_om1=f_om1, f_1om=f_1om, f_omom=f_omom,
         # omega-block densities of the singly continuous branches
-        g_up=-c1r * upper.vv / (zu - om) ** 2 * ph_u1 / n_u1,
-        g_dn=-c1r * lower.vv / (zl - om) ** 2 * ph_1u / n_1u,
+        g_up=-c1r * system._g_u1 * ph_u1 / n_u1,
+        g_dn=-c1r * system._g_1u * ph_1u / n_1u,
         g_loc=om)
+
+
+@dataclass(frozen=True)
+class RelaxationCurve:
+    """What ``evolve_state`` reports of the relaxed state, at every time of a
+    grid: ``level`` its c1, ``atom_weight`` its weight at the resonance
+    position and ``normalization`` (rho_t | I)."""
+
+    level: np.ndarray
+    atom_weight: np.ndarray
+    normalization: np.ndarray
+
+
+def relaxation_curve(model: ModelSpec, rho0: GeneralizedState, ts,
+                     system: LiouvilleSystem | None = None) -> RelaxationCurve:
+    """The level population, the weight at the resonance position and the
+    normalization of ``evolve_state(model, rho0, t, system)`` at every t of
+    ts, from the system's phase table over the whole grid.
+
+    The state is never built: its omega-block densities pair with the
+    identity to -rho0.c1 times the branch sums, so each column is made of the
+    decay phase, the branch sums and the time-independent atoms and diagonal
+    density of rho0."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    system = _relaxation_system(model, rho0, ts, system)
+    om = model.omega_level
+    c1r = complex(rho0.c1)
+    decay, b_up, b_dn = system._curve_sums(ts)
+    at_level = sum(wt for pos, wt in rho0.atoms if abs(complex(pos) - om) < 1e-12)
+    others = sum(wt for pos, wt in rho0.atoms if abs(complex(pos) - om) >= 1e-12)
+    if rho0.omega_smooth is not None:
+        w = system.grids.real.nodes.real
+        others += np.sum(system.grids.real.weights.real * np.asarray(rho0.omega_smooth(w)))
+    level = c1r * (decay + b_up + b_dn)
+    g_up, g_dn = -c1r * b_up, -c1r * b_dn
+    explicit = c1r * (1.0 - decay) + at_level
+    return RelaxationCurve(level, explicit + g_up + g_dn,
+                           level + explicit + others + g_up + g_dn)
 
 
 # --------------------------------------------------------------------------

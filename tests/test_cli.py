@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from respectra import oracle
+from respectra import cli, oracle
 from respectra.cli import main
 
 
@@ -122,8 +122,24 @@ def test_liouville_outputs(tmp_path):
     tags = {line.split(",")[0] for line in cloud[2:]}
     assert tags == {"decay", "invariant", "u1", "1u", "uu"}
     traj = (tmp_path / "o" / "liouville_trajectory.csv").read_text().splitlines()
-    last = traj[-1].split(",")
-    assert abs(float(last[3]) - 1.0) < 1e-8      # probability column stays 1
+    assert traj[1] == "t,rho_level,atom_weight_at_level,rho_identity"
+    rows = np.array([line.split(",") for line in traj[2:]], dtype=float)
+    assert rows.shape == (16, 4)
+    # probability stays 1, and what leaves the level grows at the resonance
+    assert np.max(np.abs(rows[:, 3] - 1.0)) <= 1e-8
+    assert np.max(np.abs(rows[:, 2] + rows[:, 1] - 1.0)) <= 1e-12
+
+
+def test_liouville_trajectory_builds_no_state_per_time(tmp_path, monkeypatch):
+    # the trajectory is one array pass over the time grid, not a loop of states
+    def per_time(*args, **kwargs):
+        raise AssertionError("liouville built a relaxed state per time point")
+
+    monkeypatch.setattr(cli, "evolve_state", per_time)
+    doc = {"command": "liouville", "output_dir": str(tmp_path / "o"),
+           "model": dict(MODEL, epsilon=0.05),
+           "grid": {"liouville_n": 64, "t_points": 16}}
+    assert main(["--config", _write_cfg(tmp_path, doc)]) == 0
 
 
 def test_barrier_outputs(tmp_path):
@@ -181,7 +197,8 @@ def test_validate_refuses_a_kernel_model(tmp_path, capsys):
            "model": dict(MODEL, kernel="separable_sqrt_exp"), "seed": 7}
     assert main(["--config", _write_cfg(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
-    assert "separable_sqrt_exp" in err and "ROADMAP item 3" in err
+    assert "separable_sqrt_exp" in err
+    assert "no exact solution with a continuum kernel" in err
     assert not (tmp_path / "o" / "validate.csv").exists()
 
 

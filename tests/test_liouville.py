@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from respectra.contour import ContourGrid, ContourSpec
-from respectra.dynamics import decay_rate, oracle_survival_curve
+from respectra.dynamics import decay_rate, default_time_grid, oracle_survival_curve
 from respectra.errors import ConfigError, EvaluationError
 from respectra.liouville import (BlockObservable, GeneralizedState, LiouvilleGrids,
                                  LiouvilleSystem, apply_L, check_physicality,
                                  evolve_state, identity_observable,
                                  level_projector_observable, matrix_blocks,
-                                 observable_to_matrix, unstable_state_functional)
+                                 observable_to_matrix, relaxation_curve,
+                                 unstable_state_functional)
 from respectra.model import eval_V, make_model, separable_test_kernel
 from respectra.oracle import commutator_apply, discretize
 
@@ -320,6 +321,44 @@ class TestEvolution:
             st.atom_weight(li_model.omega_level, other)
         with pytest.raises(EvaluationError):
             li_sys.zero.decay_right.expect(identity_observable(), other)
+
+class TestRelaxationCurve:
+    @pytest.mark.parametrize("n_nodes", [100, 150])
+    def test_matches_the_state_at_each_time(self, n_nodes):
+        m = make_model("sqrt_exp", [1.0], 1.0, 0.1,
+                       ContourSpec(depth=0.5, cutoff=20.0, n_nodes=n_nodes))
+        lsys = LiouvilleSystem(m)
+        om, grids = m.omega_level, lsys.grids
+        ts = default_time_grid(m, 200)
+        starts = (unstable_state_functional(),
+                  # an atom off the resonance, one on it and a diagonal density
+                  GeneralizedState(c1=0.5 + 0j, atoms=((3.0, 0.3 + 0j), (om, 0.1 + 0j)),
+                                   omega_smooth=lambda w: 0.1 * np.exp(-w)))
+        for rho0 in starts:
+            curve = relaxation_curve(m, rho0, ts, lsys)
+            states = [evolve_state(m, rho0, float(t), lsys) for t in ts]
+            for got, want in ((curve.level, [st.c1 for st in states]),
+                              (curve.atom_weight, [st.atom_weight(om, grids) for st in states]),
+                              (curve.normalization, [st.normalization(grids) for st in states])):
+                want = np.array(want)
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_refuses_what_evolve_state_refuses(self, li_model, li_grids, li_sys):
+        with pytest.raises(ConfigError):
+            relaxation_curve(li_model, unstable_state_functional(), [0.0, 1.0, -1.0], li_sys)
+        rho = GeneralizedState(c1=1.0 + 0j, f_om1=np.zeros(li_grids.gamma_bar.n, complex),
+                               grids=li_grids)
+        with pytest.raises(ConfigError):
+            relaxation_curve(li_model, rho, [1.0], li_sys)
+
+    def test_branch_sums_in_blocks_of_times(self, li_model, li_sys, monkeypatch):
+        # a phase table cut into blocks of times gives the table in one piece
+        ts = np.linspace(0.0, 40.0, 37)
+        whole = li_sys.branch_sums(ts)
+        monkeypatch.setattr("respectra.liouville._TABLE_ENTRIES", 5 * li_sys.grids.gamma.n)
+        for a, b in zip(whole, li_sys.branch_sums(ts)):
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))
+
 
 def test_level_projector_expectation(li_model, li_grids):
     rho = unstable_state_functional()

@@ -114,6 +114,24 @@ def test_secular_roots_are_eigenvalues(a, b):
     assert np.max(np.abs(p[origin] + tau - np.linalg.eigvalsh(H))) <= 1e-14
 
 
+def test_amplitude_curve_is_the_phase_sum(default_model):
+    # cos/sin of one real phase table against exp(-i t lambda) @ modes, both
+    # for real modes (the level-only survival) and for complex ones
+    ts = np.linspace(0.0, 60.0, 200)
+    s = secular_system(default_model, 1000)
+    level = np.zeros(s.dimension, dtype=complex)
+    level[0] = 1.0
+    modes = s.modes(level, level)
+    assert not np.any(modes.imag)
+    rng = np.random.default_rng(11)
+    d = discretize(default_model, 300)
+    v = rng.standard_normal((2, d.dimension)) + 1j * rng.standard_normal((2, d.dimension))
+    left, right = v / np.linalg.norm(v, axis=1, keepdims=True)
+    for sys, l, r in ((s, level, level), (d, left, right)):
+        direct = np.exp(-1j * np.outer(ts, sys.eigenvalues)) @ sys.modes(l, r)
+        assert np.max(np.abs(amplitude_curve(sys, l, r, ts) - direct)) <= 1e-14
+
+
 def _dense_gaps(m, n, seed, omega_max=None, ts=np.linspace(0.0, 60.0, 7)):
     """Eigenvalue, level-weight and amplitude gaps between the structured and
     the dense solution of the same matrix."""
