@@ -48,9 +48,8 @@ from .liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality, evol
 from .model import (ModelSpec, config_number, config_section, eval_V, eval_Vbar, make_model,
                     model_from_dict)
 from .oracle import discretize, propagate, recurrence_time
-from .perturbation import (BiorthogonalSystem, PlainTerm, VectorCoeffs, pair_coeffs,
-                           perturb_discrete)
-from .states import random_analytic, real_axis_inner, real_axis_inner_H
+from .perturbation import BiorthogonalSystem, pair_coeffs, perturb_discrete
+from .states import AnalyticVector, random_analytic, real_axis_inner, real_axis_inner_H
 
 SPEC_VERSION = "1"
 
@@ -59,10 +58,6 @@ _GRID_KEYS = {"oracle_n", "t_points", "horizon", "liouville_n", "sweep_points"}
 _TOL_KEYS = {"pole"}
 _INT_KEYS = {"oracle_n", "t_points", "liouville_n", "sweep_points"}
 _COMMANDS = ("spectrum", "evolve", "liouville", "barrier", "validate")
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17e}"
 
 
 def _config_hash(cfg: dict) -> str:
@@ -82,20 +77,24 @@ def _write_json(path: Path, payload: dict, cfg_hash: str):
 
 
 def _cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
         return str(int(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return _fmt(x)
-    return str(x)
+    return "%.17e" % x if isinstance(x, (float, np.floating)) else str(x)
+
+
+def _column(cells) -> list[str]:
+    """One CSV column as text, a float column formatted in one pass over its
+    ``tolist()``: floats with 17 significant digits, integers and booleans
+    as integers, anything else by ``str``."""
+    if all(isinstance(x, (float, np.floating)) for x in cells):
+        return ["%.17e" % x for x in np.asarray(cells, dtype=float).tolist()]
+    return [_cell(x) for x in cells]
 
 
 def _write_csv(path: Path, header: list[str], rows, cfg_hash: str):
     lines = [f"# config_sha256={cfg_hash} spec_version={SPEC_VERSION}",
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(x) for x in row))
+    lines.extend(map(",".join, zip(*(_column(col) for col in zip(*rows)))))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -214,19 +213,20 @@ def cmd_evolve(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     grid_cfg = cfg["grid"]
     ts = default_time_grid(model, int(grid_cfg.get("t_points", 200)),
                            float(grid_cfg.get("horizon", 5.0)))
+    n_oracle = int(grid_cfg.get("oracle_n", 2000))
+    t_rec = recurrence_time(n_oracle, model.contour.cutoff)
+    if ts[-1] > t_rec:
+        # past it the midpoint grid revives and the oracle column means
+        # nothing; refused before any spectral work
+        raise ConfigError(f"the oracle grid of oracle_n = {n_oracle} bins revives at "
+                          f"t = {t_rec:.6g}, before the last time {ts[-1]:.6g}; "
+                          f"oracle_n >= {math.ceil(n_oracle * ts[-1] / t_rec)} "
+                          "covers the horizon")
     if model.has_kernel():
         system = BiorthogonalSystem.from_perturbation(model, 2)
     else:
         system = BiorthogonalSystem.from_exact(model)
     spec_curve = survival_curve(system, ts)
-    n_oracle = int(grid_cfg.get("oracle_n", 2000))
-    t_rec = recurrence_time(n_oracle, model.contour.cutoff)
-    if ts[-1] > t_rec:
-        # past it the midpoint grid revives and the oracle column means nothing
-        raise ConfigError(f"the oracle grid of oracle_n = {n_oracle} bins revives at "
-                          f"t = {t_rec:.6g}, before the last time {ts[-1]:.6g}; "
-                          f"oracle_n >= {math.ceil(n_oracle * ts[-1] / t_rec)} "
-                          "covers the horizon")
     oracle_curve = oracle_survival_curve(model, ts, n_oracle)
     expo = exponential_approx(model, ts)
     rows = zip(ts, spec_curve.survival, oracle_curve.survival, np.atleast_1d(expo))
@@ -393,21 +393,20 @@ def _validation_checks(model: ModelSpec):
                          - real_axis_inner_H(model, psi, phi, rgrid))), 1e-6
 
     def projector_algebra(rng):
-        vec = VectorCoeffs(d=complex(rng.standard_normal(), rng.standard_normal()),
-                           smooth=(PlainTerm(lambda z: np.exp(-0.4 * z)),))
+        vec = AnalyticVector(complex(rng.standard_normal(), rng.standard_normal()),
+                             lambda z: np.exp(-0.4 * z))
         back = vec.project_d() + vec.project_continuum()
-        same = (back.d == vec.d and back.smooth == vec.smooth)
+        same = (back.d == vec.d and back.profile is vec.profile)
         double = vec.project_d().project_continuum()
-        zero = (double.d == 0 and not double.smooth)
+        zero = (double.d == 0 and double.profile is None)
         return float(0.0 if (same and zero) else 1.0), 0.0
 
     def non_self_adjoint(rng):
         if model.coupling == 0:
             return 0.0, 0.0
         s = BiorthogonalSystem.from_perturbation(model, 2, grid)
-        smooth_r = sum(t.values(grid) for t in s.disc_right.smooth)
-        smooth_l = sum(t.values(grid) for t in s.disc_left.smooth)
-        gap = float(np.max(np.abs(smooth_l - np.conj(smooth_r))))
+        gap = float(np.max(np.abs(s.disc_left.at(grid.nodes)
+                                  - np.conj(s.disc_right.at(grid.nodes)))))
         return float(0.0 if gap > 1e-10 else 1.0), 0.0
 
     def oracle_unitarity(rng):

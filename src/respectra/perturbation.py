@@ -1,7 +1,12 @@
 """Order-by-order biorthogonal eigensystem of the deformed generator.
 
-Vectors are coefficient bundles over the basis {discrete level, curve points}:
-a d-component and smooth terms, plain analytic functions on the curve.
+The discrete eigenvectors and their order-by-order corrections are
+``states.AnalyticVector``s, a level component plus one analytic profile, as
+the test vectors are; ``pair_coeffs`` pairs two of them.  A discrete-order
+profile called on its own grid's ``nodes`` array (that very object) returns
+the samples it was built from, so pairing on the system's grid evaluates no
+kernel column again, while any other argument, another grid's nodes
+included, evaluates the profile.
 Continuum eigenvectors exist only as families, ``ContinuumFamily``: the
 members at a set of curve points held as arrays, each a level component, an
 exact unit atom at its point and a pole term N(z) / (u + side*i0 - z) whose
@@ -46,61 +51,13 @@ from .model import ModelSpec, eval_V, eval_V2, eval_Vbar
 from .states import AnalyticVector
 
 
-@dataclass(frozen=True)
-class PlainTerm:
-    """Smooth coefficient function on the curve."""
-
-    fn: Callable
-    samples: np.ndarray | None = None
-
-    def values(self, grid: ContourGrid) -> np.ndarray:
-        if self.samples is not None:
-            return self.samples
-        return np.asarray(self.fn(grid.nodes), dtype=complex)
-
-    def at(self, z):
-        return self.fn(z)
-
-    def scaled(self, c: complex) -> "PlainTerm":
-        fn = self.fn
-        samples = None if self.samples is None else self.samples * c
-        return PlainTerm(lambda z, _f=fn, _c=c: _c * _f(z), samples)
-
-
-@dataclass(frozen=True)
-class VectorCoeffs:
-    """d-component + plain smooth terms; used for kets and functionals."""
-
-    d: complex = 0j
-    smooth: tuple = ()
-
-    def scaled(self, c: complex) -> "VectorCoeffs":
-        return VectorCoeffs(self.d * c, tuple(t.scaled(c) for t in self.smooth))
-
-    def __add__(self, other: "VectorCoeffs") -> "VectorCoeffs":
-        return VectorCoeffs(self.d + other.d, self.smooth + other.smooth)
-
-    # block selectors: the projector algebra of the unperturbed generator
-    def project_d(self) -> "VectorCoeffs":
-        return VectorCoeffs(self.d)
-
-    def project_continuum(self) -> "VectorCoeffs":
-        return VectorCoeffs(0j, self.smooth)
-
-
-def as_coeffs(vec: AnalyticVector) -> VectorCoeffs:
-    smooth = (PlainTerm(vec.at),) if vec.profile is not None else ()
-    return VectorCoeffs(complex(vec.d), smooth)
-
-
-def pair_coeffs(left: VectorCoeffs, right: VectorCoeffs, grid: ContourGrid) -> complex:
+def pair_coeffs(left: AnalyticVector, right: AnalyticVector, grid: ContourGrid) -> complex:
     """Bilinear pairing <left|right> on the curve: d d plus the quadrature of
-    every product of smooth terms.  Continuum members pair through
-    ``ContinuumFamily.pair``."""
+    the product of the two profiles (none when either is missing).
+    Continuum members pair through ``ContinuumFamily.pair``."""
     total = left.d * right.d
-    for lt in left.smooth:
-        for rt in right.smooth:
-            total += np.sum(grid.weights * lt.values(grid) * rt.values(grid))
+    if left.profile is not None and right.profile is not None:
+        total += np.sum(grid.weights * left.at(grid.nodes) * right.at(grid.nodes))
     return complex(total)
 
 
@@ -126,7 +83,7 @@ class PerturbationSeries:
         return self._total(2)
 
     def _total(self, slot: int):
-        """Sum of the orders: a ``VectorCoeffs`` on the discrete branch, a
+        """Sum of the orders: an ``AnalyticVector`` on the discrete branch, a
         one-point ``ContinuumFamily`` on the continuous one."""
         return sum((o[slot] for o in self.orders[1:]), self.orders[0][slot])
 
@@ -184,7 +141,8 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
     if grid is None:
         grid = build_contour(model.contour)
     om = model.omega_level
-    vbar = np.asarray(eval_Vbar(model, grid.nodes), dtype=complex)
+    nodes = grid.nodes
+    vbar = np.asarray(eval_Vbar(model, nodes), dtype=complex)
     lambdas = [complex(om)]
     profiles = {+1: [], -1: []}       # (callable, node samples) of phi_n / psi_n
     for n in range(1, order + 1):
@@ -193,10 +151,15 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
                        complex(np.sum(grid.weights * vbar * profiles[+1][-1][1])))
         for side in (+1, -1):
             fn = _discrete_profile(model, grid, n, side, profiles[side], lambdas)
-            profiles[side].append((fn, np.asarray(fn(grid.nodes), dtype=complex)))
-    right, left = ([VectorCoeffs(d=1.0 + 0j)]
-                   + [VectorCoeffs(smooth=(PlainTerm(fn, samples),))
-                      for fn, samples in profiles[side]] for side in (+1, -1))
+            samples = np.asarray(fn(nodes), dtype=complex)
+            samples.flags.writeable = False
+            # called on this grid's own nodes array, a profile returns its
+            # samples instead of evaluating the kernel column again
+            profiles[side].append(
+                (lambda z, fn=fn, samples=samples: samples if z is nodes else fn(z), samples))
+    right, left = ([AnalyticVector(d=1.0 + 0j)]
+                   + [AnalyticVector(profile=fn) for fn, _ in profiles[side]]
+                   for side in (+1, -1))
     return PerturbationSeries(tuple(zip(lambdas, right, left)), "discrete", complex(om))
 
 
@@ -249,10 +212,10 @@ class ContinuumFamily:
             out = out + _kernel_term(self.model, self.pv, z, self.side)
         return out
 
-    def pair(self, vec: VectorCoeffs) -> np.ndarray:
-        """Bilinear pairing of every member with a vector made of a level
-        component and plain smooth terms: <vec|f_i> on the right, <f~_i|vec>
-        on the left."""
+    def pair(self, vec: AnalyticVector) -> np.ndarray:
+        """Bilinear pairing of every member with a vector, a level component
+        plus one analytic profile: <vec|f_i> on the right, <f~_i|vec> on the
+        left."""
         return pair_families([(self, vec)])[0]
 
 
@@ -266,20 +229,20 @@ def pair_families(pairs) -> list:
     pv = fams[0].pv
     if any(fam.pv is not pv for fam in fams):
         raise EvaluationError("families paired in one sweep must share their SampledPV")
+    vecs = [vec for _, vec in pairs]
     out = [vec.d * fam.d for fam, vec in pairs]
-    profile = [lambda z, ts=vec.smooth: sum(t.at(z) for t in ts) for _, vec in pairs]
-    smooth = [p for p, (_, vec) in enumerate(pairs) if vec.smooth]
-    for p in smooth:
-        out[p] = out[p] + profile[p](pv.u)        # the unit atoms at u_i
-    basis = [p for p in smooth if fams[p].coef is not None]
+    profiled = [p for p, vec in enumerate(vecs) if vec.profile is not None]
+    for p in profiled:
+        out[p] = out[p] + vecs[p].at(pv.u)        # the unit atoms at u_i
+    basis = [p for p in profiled if fams[p].coef is not None]
     if basis:
-        F = lambda z: np.stack([profile[p](z) * fams[p]._basis(z) for p in basis], axis=-2)
+        F = lambda z: np.stack([vecs[p].at(z) * fams[p]._basis(z) for p in basis], axis=-2)
         J = pv(np.ones_like, np.array([fams[p].side for p in basis]), F)
         for k, p in enumerate(basis):
             out[p] = out[p] + fams[p].coef * J[:, k]
-    for p in smooth:
+    for p in profiled:
         if fams[p].kernel_orders:
-            h = lambda z, f=profile[p], fam=fams[p]: f(z) * fam._kernel_part(z)
+            h = lambda z, vec=vecs[p], fam=fams[p]: vec.at(z) * fam._kernel_part(z)
             out[p] = out[p] + pv(h, fams[p].side)
     return out
 
@@ -331,8 +294,8 @@ def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
     return PerturbationSeries(tuple(orders), "continuous", u)
 
 
-def normalize_pair(right: VectorCoeffs, left: VectorCoeffs,
-                   grid: ContourGrid) -> tuple[VectorCoeffs, VectorCoeffs]:
+def normalize_pair(right: AnalyticVector, left: AnalyticVector,
+                   grid: ContourGrid) -> tuple[AnalyticVector, AnalyticVector]:
     """Scale both members by 1/sqrt(<left|right>) (principal branch)."""
     n = pair_coeffs(left, right, grid)
     if abs(n) < 1e-14:
@@ -345,13 +308,13 @@ class BiorthogonalSystem:
     """Assembled spectral data: normalized discrete pair + continuum family.
 
     Backed either by the order-by-order engine or by the exact solution; both
-    expose the same structures (single coefficient bundles for the discrete
-    pair, array-backed families for the continuum), so reconstruction and
-    dynamics are agnostic to the source.
+    expose the same structures (``AnalyticVector``s for the discrete pair,
+    array-backed families for the continuum), so reconstruction and dynamics
+    are agnostic to the source.
     """
 
     def __init__(self, model: ModelSpec, grid: ContourGrid, pole: complex,
-                 disc_right: VectorCoeffs, disc_left: VectorCoeffs,
+                 disc_right: AnalyticVector, disc_left: AnalyticVector,
                  cont_right: ContinuumFamily, cont_left: ContinuumFamily, source: str):
         self.model = model
         self.grid = grid
@@ -384,8 +347,8 @@ class BiorthogonalSystem:
         """Exact system; ``pole``, if given, must be solved on ``grid``."""
         sysx = exact_system(model, grid, pole)
         grid, lam, c = sysx.grid, sysx.pole.lambda_pole, sysx.norm
-        dr, dl = (VectorCoeffs(d=complex(c), smooth=(PlainTerm(
-            lambda z, b=b: c * b(model, z) / (lam - z)),)) for b in (eval_V, eval_Vbar))
+        dr, dl = (AnalyticVector(complex(c), lambda z, b=b: c * b(model, z) / (lam - z))
+                  for b in (eval_V, eval_Vbar))
         pv = SampledPV(grid)
         a_right = eval_Vbar(model, grid.nodes) / sysx.eta_plus
         a_left = eval_V(model, grid.nodes) / sysx.eta_minus
@@ -405,11 +368,9 @@ class BiorthogonalSystem:
             memo_psi, memo_phi, tables = self._overlap_memo
             if memo_psi is psi and memo_phi is phi:
                 return tables
-        lvec = as_coeffs(psi)
-        rvec = as_coeffs(phi)
-        a_pole = pair_coeffs(lvec, self.disc_right, self.grid)
-        b_pole = pair_coeffs(self.disc_left, rvec, self.grid)
-        a, b = pair_families([(self.cont_right, lvec), (self.cont_left, rvec)])
+        a_pole = pair_coeffs(psi, self.disc_right, self.grid)
+        b_pole = pair_coeffs(self.disc_left, phi, self.grid)
+        a, b = pair_families([(self.cont_right, psi), (self.cont_left, phi)])
         a.flags.writeable = b.flags.writeable = False
         tables = (a_pole, b_pole, a, b)
         self._overlap_memo = (psi, phi, tables)
@@ -427,13 +388,8 @@ class BiorthogonalSystem:
     def to_dict(self) -> dict:
         """Node-sampled serialization of the assembled system."""
         zs = self.grid.nodes
-        def smooth_samples(vc: VectorCoeffs):
-            out = np.zeros_like(zs)
-            for t in vc.smooth:
-                out = out + t.values(self.grid)
-            return out
-        dr = smooth_samples(self.disc_right)
-        dl = smooth_samples(self.disc_left)
+        # added to zeros, a vanishing sample is written 0.0, never -0.0
+        dr, dl = (np.zeros_like(zs) + v.at(zs) for v in (self.disc_right, self.disc_left))
         return {
             "source": self.source,
             "pole": [self.pole.real, self.pole.imag],

@@ -1,9 +1,11 @@
-"""Analytic test vectors and their real-axis reference pairings.
+"""Vectors of the bilinear representation and their real-axis reference pairings.
 
-A vector is stored in the bilinear representation: the ket side holds the
-amplitude function <z|Phi>, the bra side holds <Psi|z> directly, so pairings
-never conjugate.  Profiles must continue analytically to the half plane named
-by ``side`` ("lower" for kets, "upper" for bras, "both" for either use).
+Every ket and every functional of the package, test vectors and the
+order-by-order eigenvectors alike, is an ``AnalyticVector``: a level
+component plus one analytic profile.  The ket side holds the amplitude
+function <z|Phi>, the bra side holds <Psi|z> directly, so pairings never
+conjugate.  Profiles must continue analytically to the half plane named by
+``side`` ("lower" for kets, "upper" for bras, "both" for either use).
 """
 
 from __future__ import annotations
@@ -35,6 +37,25 @@ class AnalyticVector:
         if self.profile is None:
             return np.zeros_like(np.asarray(z, dtype=complex))
         return np.asarray(self.profile(z), dtype=complex)
+
+    def scaled(self, c: complex) -> "AnalyticVector":
+        p = self.profile
+        return AnalyticVector(self.d * c, None if p is None else lambda z: c * p(z), self.side)
+
+    def __add__(self, other: "AnalyticVector") -> "AnalyticVector":
+        """Level parts add and profiles add, for vectors of one ``side``."""
+        if other.side != self.side:
+            raise ValueError(f"cannot add a {other.side!r} vector to a {self.side!r} one")
+        p, q = self.profile, other.profile
+        profile = p if q is None else q if p is None else lambda z: p(z) + q(z)
+        return AnalyticVector(self.d + other.d, profile, self.side)
+
+    # block selectors: the projector algebra of the unperturbed generator
+    def project_d(self) -> "AnalyticVector":
+        return AnalyticVector(self.d, None, self.side)
+
+    def project_continuum(self) -> "AnalyticVector":
+        return AnalyticVector(0j, self.profile, self.side)
 
 
 def unstable_state() -> AnalyticVector:

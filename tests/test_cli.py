@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,10 +89,15 @@ def test_evolve_deterministic(tmp_path):
     assert (tmp_path / "o" / "evolve.csv").read_bytes() == first
 
 
-def test_evolve_past_the_oracle_recurrence_is_config_error(tmp_path, capsys):
+def test_evolve_past_the_oracle_recurrence_is_config_error(tmp_path, capsys, monkeypatch):
     # eps = 0.03 puts the 5/rate horizon at t = 2403; 1000 bins on [0, 20]
     # revive at t = 2 pi 1000 / 20 = 314, where the oracle column stops
-    # meaning anything; 7651 bins are the fewest that reach the horizon
+    # meaning anything; 7651 bins are the fewest that reach the horizon.
+    # The refusal comes before the spectral system is built.
+    def build(*args, **kwargs):
+        raise AssertionError("evolve built the spectral system before refusing")
+
+    monkeypatch.setattr(cli.BiorthogonalSystem, "from_exact", build)
     doc = {"command": "evolve", "output_dir": str(tmp_path / "o"),
            "model": dict(MODEL, epsilon=0.03), "grid": {"oracle_n": 1000}}
     assert main(["--config", _write_cfg(tmp_path, doc)]) == 2
@@ -294,27 +300,97 @@ def test_grid_dump_flag(tmp_path):
     assert len(lines) == 2 + MODEL["contour"]["n_nodes"]
 
 
+KERNEL_MODEL = dict(MODEL, kernel="separable_sqrt_exp")
+
 RERUN_CONFIGS = {
-    "spectrum": {"model": MODEL},
-    "evolve": {"model": MODEL, "grid": {"t_points": 32, "oracle_n": 800}},
-    "liouville": {"model": dict(MODEL, epsilon=0.05),
+    "spectrum": {"command": "spectrum", "model": MODEL},
+    "spectrum_kernel": {"command": "spectrum", "model": KERNEL_MODEL},
+    "evolve": {"command": "evolve", "model": MODEL,
+               "grid": {"t_points": 32, "oracle_n": 800}},
+    "evolve_kernel": {"command": "evolve", "model": KERNEL_MODEL,
+                      "grid": {"t_points": 32, "oracle_n": 800}},
+    "liouville": {"command": "liouville", "model": dict(MODEL, epsilon=0.05),
                   "grid": {"liouville_n": 64, "t_points": 16}},
-    "barrier": {"barrier": {"a": 0.8, "b": 10.0, "v0": 0.25, "v1": 0.092},
+    "barrier": {"command": "barrier",
+                "barrier": {"a": 0.8, "b": 10.0, "v0": 0.25, "v1": 0.092},
                 "grid": {"sweep_points": 5}},
-    "validate": {"model": MODEL, "seed": 11},
+    "validate": {"command": "validate", "model": MODEL, "seed": 11},
 }
 
+# the artifacts of every RERUN_CONFIGS entry, one directory each
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
-@pytest.mark.parametrize("command", sorted(RERUN_CONFIGS))
-def test_rerun_is_byte_identical(tmp_path, command):
+
+def _run(tmp_path, name) -> Path:
+    """Run RERUN_CONFIGS[name] into the cleared directory tmp_path/o."""
+    out = tmp_path / "o"
+    shutil.rmtree(out, ignore_errors=True)
+    assert main(["--config", _write_cfg(tmp_path, dict(RERUN_CONFIGS[name],
+                                                       output_dir=str(out)))]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RERUN_CONFIGS))
+def test_rerun_is_byte_identical(tmp_path, name):
     # the same config run twice into the same cleared directory writes the
     # same artifact bytes
-    out = tmp_path / "o"
-    doc = dict(RERUN_CONFIGS[command], command=command, output_dir=str(out))
-    cfg = _write_cfg(tmp_path, doc)
-    runs = []
-    for _ in range(2):
-        shutil.rmtree(out, ignore_errors=True)
-        assert main(["--config", cfg]) == 0
-        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    runs = [{p.name: p.read_bytes() for p in sorted(_run(tmp_path, name).iterdir())}
+            for _ in range(2)]
     assert runs[0] and runs[0] == runs[1]
+
+
+def _split(path: Path):
+    """An artifact as (skeleton, float arrays): the floats of a JSON value or
+    list, and every float column of a CSV, become arrays; the skeleton holds
+    the rest (text, integers, shape) with a marker in their place."""
+    arrays = []
+
+    def take(values):
+        arrays.append(np.array(values, dtype=float))
+        return "<float>"
+
+    if path.suffix == ".json":
+        def walk(x):
+            if isinstance(x, float) or (isinstance(x, list) and x
+                                        and all(isinstance(v, float) for v in x)):
+                return take(x)
+            if isinstance(x, dict):
+                return {k: walk(v) for k, v in x.items()}
+            return [walk(v) for v in x] if isinstance(x, list) else x
+        return walk(json.loads(path.read_text())), arrays
+    lines = path.read_text().splitlines()
+    skeleton = lines[:2]
+    for col in zip(*(line.split(",") for line in lines[2:])):
+        try:
+            values = [float(c) for c in col]
+        except ValueError:
+            values = None
+        integers = all(c.lstrip("-").isdigit() for c in col)
+        skeleton.append(list(col) if values is None or integers else take(values))
+    return skeleton, arrays
+
+
+@pytest.mark.parametrize("name", sorted(RERUN_CONFIGS))
+def test_artifacts_match_the_recorded_ones(tmp_path, name):
+    # every number within 1e-12 of the recorded artifacts, relative to the
+    # largest magnitude of its array; text and integers exactly as recorded
+    out = _run(tmp_path, name)
+    files = sorted(p.name for p in out.iterdir())
+    assert files == sorted(p.name for p in (GOLDEN / name).iterdir())
+    for fname in files:
+        skeleton, arrays = _split(out / fname)
+        ref_skeleton, ref_arrays = _split(GOLDEN / name / fname)
+        assert skeleton == ref_skeleton, fname
+        for got, ref in zip(arrays, ref_arrays):
+            assert got.shape == ref.shape, fname
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), fname
+
+
+if __name__ == "__main__":
+    # re-record tests/golden: PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+    for name in sorted(RERUN_CONFIGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = _run(Path(tmp), name)
+            shutil.rmtree(GOLDEN / name, ignore_errors=True)
+            shutil.copytree(out, GOLDEN / name)

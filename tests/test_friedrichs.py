@@ -7,8 +7,8 @@ from respectra.errors import ContourError, ConvergenceError, EvaluationError, Re
 from respectra.friedrichs import (SampledEta, _newton, _newton_batch, eta, eta_boundary,
                                   eta_prime, exact_system, find_pole)
 from respectra.model import eval_V, eval_Vbar, make_model, separable_test_kernel
-from respectra.perturbation import BiorthogonalSystem, PlainTerm, VectorCoeffs, pair_coeffs
-from respectra.states import random_analytic, real_axis_inner, real_axis_inner_H
+from respectra.perturbation import BiorthogonalSystem, pair_coeffs
+from respectra.states import AnalyticVector, random_analytic, real_axis_inner, real_axis_inner_H
 
 # independent high-precision solve (40-digit arithmetic, X = 60) of the pole
 # equation for the default coupling; the 20-cutoff truncation shifts the pole
@@ -202,7 +202,7 @@ class TestExactSystem:
 
 
 def family_superposition(system, g):
-    """\\int du' g(u') f_{u'} as plain coefficients (atoms integrate to g)."""
+    """\\int du' g(u') f_{u'} as a vector (atoms integrate to g)."""
     grid, model = system.grid, system.model
     zs, ws = grid.nodes, grid.weights
     fam = system.cont_right
@@ -217,14 +217,14 @@ def family_superposition(system, g):
         eta_plus = pv.u - model.omega_level - pv(vv, +1)
         return (eval_Vbar(model, pv.u) / eta_plus).reshape(np.shape(w))
 
-    def smooth(z):
+    def profile(z):
         z = np.asarray(z, dtype=complex)
         zf = z.reshape(-1)
         # \\int du' g(u') a(u') / (u' + i0 - z) = -J(pole=z, side=-1)
         val = -SampledPV(grid, zf)(lambda w: g(w) * coef(w), -1)
         return (val * eval_V(model, zf) + g(zf)).reshape(z.shape)
 
-    return VectorCoeffs(d=d_total, smooth=(PlainTerm(smooth),))
+    return AnalyticVector(d_total, profile)
 
 
 def test_completeness_and_generator(default_model, default_grid, axis_grid, rng):

@@ -9,9 +9,9 @@ from respectra.contour import ContourSpec, SampledPV, build_contour
 from respectra.errors import DegeneratePairError, EvaluationError
 from respectra.friedrichs import eta_prime, find_pole
 from respectra.model import eval_V, eval_V2, eval_Vbar, make_model
-from respectra.perturbation import (BiorthogonalSystem, ContinuumFamily, PlainTerm,
-                                    VectorCoeffs, as_coeffs, normalize_pair, pair_coeffs,
-                                    pair_families, perturb_continuous, perturb_discrete)
+from respectra.perturbation import (BiorthogonalSystem, ContinuumFamily, normalize_pair,
+                                    pair_coeffs, pair_families, perturb_continuous,
+                                    perturb_discrete)
 from respectra.states import AnalyticVector, random_analytic, real_axis_inner
 
 # PV of w e^-w / (w - 1) over the positive axis, 40-digit reference
@@ -148,20 +148,20 @@ def test_continuum_matches_exact_expansion(default_spec, default_grid):
 
 class TestNormalizePair:
     def test_already_normalized(self, default_grid):
-        r = VectorCoeffs(d=1.0 + 0j)
-        l = VectorCoeffs(d=1.0 + 0j)
+        r = AnalyticVector(d=1.0 + 0j)
+        l = AnalyticVector(d=1.0 + 0j)
         rn, ln = normalize_pair(r, l, default_grid)
         assert rn.d == 1.0 and ln.d == 1.0
 
     def test_scaling_by_half(self, default_grid):
-        r = VectorCoeffs(d=2.0 + 0j)
-        l = VectorCoeffs(d=2.0 + 0j)
+        r = AnalyticVector(d=2.0 + 0j)
+        l = AnalyticVector(d=2.0 + 0j)
         rn, ln = normalize_pair(r, l, default_grid)
         assert abs(rn.d - 1.0) < 1e-15 and abs(ln.d - 1.0) < 1e-15
 
     def test_self_orthogonal_raises(self, default_grid):
-        r = VectorCoeffs(d=1.0 + 0j)
-        l = VectorCoeffs(d=0j)
+        r = AnalyticVector(d=1.0 + 0j)
+        l = AnalyticVector(d=0j)
         with pytest.raises(DegeneratePairError):
             normalize_pair(r, l, default_grid)
 
@@ -195,21 +195,23 @@ def test_biorthogonality_residual_scaling(default_spec, default_grid):
 
 
 def test_projector_algebra(rng):
-    vec = VectorCoeffs(d=complex(rng.standard_normal(), rng.standard_normal()),
-                       smooth=(PlainTerm(lambda z: np.exp(-z)),))
+    vec = AnalyticVector(complex(rng.standard_normal(), rng.standard_normal()),
+                         lambda z: np.exp(-z))
     pd = vec.project_d()
     pc = vec.project_continuum()
     back = pd + pc
-    assert back.d == vec.d and back.smooth == vec.smooth
+    assert back.d == vec.d and back.profile is vec.profile
     assert pd.project_continuum().d == 0
-    assert not pd.project_continuum().smooth
+    assert pd.project_continuum().profile is None
     assert pc.project_d().d == 0
+    with pytest.raises(ValueError):
+        vec + AnalyticVector(1.0, side="lower")
 
 
 def test_left_not_conjugate_of_right(default_model, default_grid):
     s = BiorthogonalSystem.from_perturbation(default_model, 2, default_grid)
-    sr = sum(t.values(default_grid) for t in s.disc_right.smooth)
-    sl = sum(t.values(default_grid) for t in s.disc_left.smooth)
+    sr = s.disc_right.at(default_grid.nodes)
+    sl = s.disc_left.at(default_grid.nodes)
     assert np.max(np.abs(sl - np.conj(sr))) > 1e-6
 
 
@@ -294,7 +296,7 @@ class TestSeparableKernel:
         m = make_model("sqrt_exp", [1.0], 1.0, 0.1, spec, kernel="separable_sqrt_exp")
         grid = build_contour(spec)
         s = BiorthogonalSystem.from_perturbation(m, 2, grid)
-        vec = as_coeffs(random_analytic(np.random.default_rng(3)))
+        vec = random_analytic(np.random.default_rng(3))
         for fam in (s.cont_right, s.cont_left):
             got = fam.pair(vec)[::5]
             ref = np.array([ContinuumFamily(m, SampledPV(grid, fam.u[i]), fam.side,
@@ -328,7 +330,7 @@ def test_one_point_series_is_the_assembled_member(default_spec, default_grid, ke
     # holds at u_i: the same arrays, and the same pairing up to rounding
     m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
     s = BiorthogonalSystem.from_perturbation(m, 2, default_grid)
-    vec = as_coeffs(random_analytic(np.random.default_rng(23)))
+    vec = random_analytic(np.random.default_rng(23))
     for i in (7, default_grid.n // 2, default_grid.n - 3):
         ser = perturb_continuous(m, default_grid.nodes[i], 2, default_grid)
         for member, fam in ((ser.right_total(), s.cont_right),
@@ -344,11 +346,39 @@ def test_pair_with_analytic_vector(default_model, default_grid, axis_grid):
     s = BiorthogonalSystem.from_exact(default_model, default_grid)
     rng = np.random.default_rng(11)
     psi = random_analytic(rng)
-    vec = as_coeffs(psi)
     # pairing <psi | f_disc> is finite and reproducible
-    a = pair_coeffs(vec, s.disc_right, default_grid)
-    b = pair_coeffs(vec, s.disc_right, default_grid)
+    a = pair_coeffs(psi, s.disc_right, default_grid)
+    b = pair_coeffs(psi, s.disc_right, default_grid)
     assert a == b
+
+
+@pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
+def test_discrete_pair_pairs_on_another_grid(default_spec, kernel):
+    # a discrete-order profile reuses its samples only on its own grid's
+    # nodes; on a shallower contour it is evaluated there, and the pairing
+    # is the same integral by another quadrature
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
+    g1 = build_contour(default_spec)
+    g2 = build_contour(replace(default_spec, depth=0.35))
+    s = BiorthogonalSystem.from_perturbation(m, 2, g1)
+    gap = pair_coeffs(s.disc_left, s.disc_right, g2) - pair_coeffs(s.disc_left, s.disc_right, g1)
+    assert abs(gap) <= 1e-9
+
+
+def test_pairing_on_the_own_grid_evaluates_no_kernel(default_spec, monkeypatch):
+    # the discrete pair of an order-2 kernel system pairs on its grid from
+    # the samples the series computed, without evaluating K again
+    calls = []
+
+    def counting(*args, _real=perturbation.eval_V2):
+        calls.append(1)
+        return _real(*args)
+
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, "separable_sqrt_exp")
+    s = BiorthogonalSystem.from_perturbation(m, 2)
+    monkeypatch.setattr(perturbation, "eval_V2", counting)
+    pair_coeffs(s.disc_left, s.disc_right, s.grid)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [200, 800])
@@ -363,8 +393,7 @@ def test_overlap_tables_match_one_family_pairings(n, shape, family, param):
     rng = np.random.default_rng(n)
     psi, phi = random_analytic(rng), random_analytic(rng)
     _, _, a, b = s.overlap_tables(psi, phi)
-    for got, ref in ((a, s.cont_right.pair(as_coeffs(psi))),
-                     (b, s.cont_left.pair(as_coeffs(phi)))):
+    for got, ref in ((a, s.cont_right.pair(psi)), (b, s.cont_left.pair(phi))):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -405,6 +434,6 @@ def test_families_of_one_sweep_share_their_points(default_model, default_grid):
     fams = [ContinuumFamily(default_model, SampledPV(default_grid), side,
                             np.zeros(default_grid.n), np.ones(default_grid.n))
             for side in (+1, -1)]
-    vec = as_coeffs(random_analytic(np.random.default_rng(1)))
+    vec = random_analytic(np.random.default_rng(1))
     with pytest.raises(EvaluationError):
         pair_families([(fams[0], vec), (fams[1], vec)])
