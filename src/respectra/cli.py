@@ -70,10 +70,12 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _write_json(path: Path, payload: dict, cfg_hash: str):
-    payload = dict(payload)
-    payload["spec_version"] = SPEC_VERSION
-    payload["config_sha256"] = cfg_hash
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """One sorted top-level key per line, each value on its line by
+    ``json.dumps`` without ``indent``, which keeps the C encoder."""
+    payload = dict(payload, spec_version=SPEC_VERSION, config_sha256=cfg_hash)
+    items = (f"  {json.dumps(k)}: {json.dumps(payload[k], sort_keys=True)}"
+             for k in sorted(payload))
+    path.write_text("{\n" + ",\n".join(items) + "\n}\n")
 
 
 def _cell(x) -> str:
@@ -82,19 +84,21 @@ def _cell(x) -> str:
     return "%.17e" % x if isinstance(x, (float, np.floating)) else str(x)
 
 
-def _column(cells) -> list[str]:
-    """One CSV column as text, a float column formatted in one pass over its
-    ``tolist()``: floats with 17 significant digits, integers and booleans
-    as integers, anything else by ``str``."""
-    if all(isinstance(x, (float, np.floating)) for x in cells):
-        return ["%.17e" % x for x in np.asarray(cells, dtype=float).tolist()]
-    return [_cell(x) for x in cells]
+def _column(col) -> list[str]:
+    """One CSV column as text: a float array in one pass over its
+    ``tolist()``, any other sequence cell by cell; floats with 17
+    significant digits, integers and booleans as integers, anything else by
+    ``str``."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return ["%.17e" % x for x in col.tolist()]
+    return [_cell(x) for x in col]
 
 
-def _write_csv(path: Path, header: list[str], rows, cfg_hash: str):
+def _write_csv(path: Path, header: list[str], columns, cfg_hash: str):
+    """A CSV of the given columns, each an array or a sequence of cells."""
     lines = [f"# config_sha256={cfg_hash} spec_version={SPEC_VERSION}",
              ",".join(header)]
-    lines.extend(map(",".join, zip(*(_column(col) for col in zip(*rows)))))
+    lines.extend(map(",".join, zip(*map(_column, columns))))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -229,10 +233,9 @@ def cmd_evolve(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     spec_curve = survival_curve(system, ts)
     oracle_curve = oracle_survival_curve(model, ts, n_oracle)
     expo = exponential_approx(model, ts)
-    rows = zip(ts, spec_curve.survival, oracle_curve.survival, np.atleast_1d(expo))
     _write_csv(outdir / "evolve.csv",
                ["t", "survival_spectral", "survival_oracle", "survival_exponential"],
-               rows, cfg_hash)
+               [ts, spec_curve.survival, oracle_curve.survival, expo], cfg_hash)
     return 0
 
 
@@ -242,20 +245,21 @@ def cmd_liouville(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     n_li = int(grid_cfg.get("liouville_n", 100))
     grids = LiouvilleGrids.for_model(model, n_nodes=n_li)
     lsys = LiouvilleSystem(model, grids)
-    rows = [("decay", lsys.lam_d.real, lsys.lam_d.imag), ("invariant", 0.0, 0.0)]
-    for branch, lams in (("u1", lsys.lam_u1(grids.gamma_bar.nodes)),
-                         ("1u", lsys.lam_1u(grids.gamma.nodes)),
-                         ("uu", grids.gamma_bar.nodes - grids.gamma.nodes)):
-        rows.extend((branch, float(lam.real), float(lam.imag)) for lam in lams)
+    branches = {"decay": [lsys.lam_d], "invariant": [0.0],
+                "u1": lsys.lam_u1(grids.gamma_bar.nodes),
+                "1u": lsys.lam_1u(grids.gamma.nodes),
+                "uu": grids.gamma_bar.nodes - grids.gamma.nodes}
+    lams = np.concatenate(list(branches.values())).astype(complex)
+    labels = [b for b, ls in branches.items() for _ in ls]
     _write_csv(outdir / "liouville_eigenvalues.csv", ["branch", "re", "im"],
-               rows, cfg_hash)
+               [labels, lams.real, lams.imag], cfg_hash)
 
     ts = default_time_grid(model, int(grid_cfg.get("t_points", 200)),
                            float(grid_cfg.get("horizon", 5.0)))
     curve = relaxation_curve(model, unstable_state_functional(), ts, lsys)
     _write_csv(outdir / "liouville_trajectory.csv",
                ["t", "rho_level", "atom_weight_at_level", "rho_identity"],
-               zip(ts, curve.level.real, curve.atom_weight.real, curve.normalization.real),
+               [ts, curve.level.real, curve.atom_weight.real, curve.normalization.real],
                cfg_hash)
     return 0
 
@@ -272,10 +276,9 @@ def cmd_barrier(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     _write_json(outdir / "barrier.json", payload, cfg_hash)
     n_sweep = int(cfg["grid"].get("sweep_points", 9))
     rows = barrier_mod.width_sweep(spec, spec.b * np.linspace(1.0, 1.6, n_sweep))
-    _write_csv(outdir / "barrier_sweep.csv",
-               ["b", "barrier_length", "width", "k_tilde"],
-               [(r["b"], r["barrier_length"], r["width"], r["k_tilde"]) for r in rows],
-               cfg_hash)
+    header = ["b", "barrier_length", "width", "k_tilde"]
+    _write_csv(outdir / "barrier_sweep.csv", header,
+               [[r[k] for r in rows] for k in header], cfg_hash)
     return 0
 
 
@@ -491,8 +494,9 @@ def cmd_validate(cfg: dict, outdir: Path, cfg_hash: str) -> int:
         lines.append(f"{name:<{width}}  {status}  {detail}")
     table = "\n".join(lines)
     print(table)
+    names, passed, values, tols, _ = zip(*results)
     _write_csv(outdir / "validate.csv", ["check", "passed", "value", "tolerance"],
-               [(n, int(ok), v, t) for n, ok, v, t, _ in results], cfg_hash)
+               [names, [int(ok) for ok in passed], values, tols], cfg_hash)
     return 0 if all(r[1] for r in results) else 3
 
 
@@ -528,8 +532,8 @@ def main(argv=None) -> int:
             print(f"config error: {e}", file=sys.stderr)
             return 2
         _write_csv(outdir / "grid.csv", ["node_re", "node_im", "weight_re", "weight_im"],
-                   zip(grid.nodes.real, grid.nodes.imag,
-                       grid.weights.real, grid.weights.imag), cfg_hash)
+                   [grid.nodes.real, grid.nodes.imag, grid.weights.real, grid.weights.imag],
+                   cfg_hash)
     handlers = {
         "spectrum": cmd_spectrum,
         "evolve": cmd_evolve,

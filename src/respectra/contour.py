@@ -19,10 +19,16 @@ with its derivative stencil; ``pole_kernel_integral`` (a curve point) and
 An integrand shared by all points costs one Cauchy reciprocal and one matrix
 product per block of points, for any number of targets, each with its own
 side of the pole.
+
+``phase_sum`` is the one time sum, sum_j m_j exp(-i z_j t) on a grid of
+times, shared by the spectral amplitude, the oracle's mode sum and the
+Liouville branch sums; on a uniform grid it factors each time into an anchor
+and an offset, so it takes about 2 sqrt(T) N exponentials instead of T N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -33,8 +39,11 @@ from scipy.special import roots_legendre
 from .errors import ContourError, EvaluationError
 
 _SHAPES = ("rectangle", "semi_ellipse")
-# rows of the sampled principal-value operator held in memory at once
-PV_BLOCK = 128
+# complex entries of a Cauchy block of the principal-value operator (512 kB):
+# 128 rows at n = 256, 40 at n = 800
+PV_BLOCK_ENTRIES = 2**15
+# complex phases per block of a time table (1 MB)
+PHASE_BLOCK_ENTRIES = 2**16
 # step of the five-point derivative stencil along the curve, at |u| >= 1
 STENCIL_DELTA = 1e-3
 
@@ -188,6 +197,51 @@ def integrate_contour(grid: ContourGrid, f: Callable) -> complex:
     return complex(np.sum(grid.weights * vals))
 
 
+def _stride(ts: np.ndarray, n: int) -> tuple[int, float]:
+    """(R, dt) of ``phase_sum`` over N = n points: the step dt and R =
+    ceil(sqrt T) when ts rises by dt to within two ulps of max|t| (the
+    accuracy of ``np.linspace``), R capped so that an offset table holds at
+    most PHASE_BLOCK_ENTRIES phases; (1, 0) for any other grid."""
+    T = len(ts)
+    if T < 2:
+        return 1, 0.0
+    dt = (ts[-1] - ts[0]) / (T - 1)
+    drift = np.max(np.abs(ts - (ts[0] + np.arange(T) * dt)))
+    if not (dt >= 0 and drift <= 2 * np.spacing(np.max(np.abs(ts)))):
+        return 1, 0.0
+    return min(math.isqrt(T - 1) + 1, max(1, PHASE_BLOCK_ENTRIES // max(n, 1))), float(dt)
+
+
+def phase_sum(ts, z, m) -> np.ndarray:
+    """sum_j m_j exp(-i z_j t) at every t of ts, shape (T,).
+
+    On a uniform grid t_k = t_0 + k dt every time is an anchor t_{Rq} plus
+    an offset r dt, 0 <= r < R = ceil(sqrt T), so the T x N table of
+    exponentials factors into the anchor table A_qj = m_j exp(-i z_j
+    t_{Rq}), (Q, N) with Q = ceil(T/R), and the offset table B_rj = exp(-i
+    z_j r dt), (R, N), and A @ B.T read row by row is the sum at every time:
+    (Q + R) N exponentials and one small product instead of T N
+    exponentials.  Any other grid is the case R = 1: the anchors are the
+    times and the one offset is 0.  Every anchor is a time of ts and every
+    offset at most its span, so a factor that decays on ts decays in both
+    tables.  Anchor rows are formed PHASE_BLOCK_ENTRIES phases at a time and
+    R is capped so that the offset table fits in one block, so memory stays
+    bounded for any T and N.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    z = np.asarray(z, dtype=complex)
+    m = np.asarray(m, dtype=complex)
+    R, dt = _stride(ts, len(z))
+    anchors = ts[::R]
+    B = np.exp(np.multiply.outer(dt * np.arange(R), -1j * z)).T         # (N, R)
+    out = np.empty((len(anchors), R), dtype=complex)
+    rows = max(1, PHASE_BLOCK_ENTRIES // max(len(z), 1))
+    for s in range(0, len(anchors), rows):
+        A = m * np.exp(np.multiply.outer(anchors[s:s + rows], -1j * z))  # (rows, N)
+        np.matmul(A, B, out=out[s:s + rows])
+    return out.ravel()[:len(ts)]
+
+
 def pole_kernel_integral(grid: ContourGrid, h: Callable, u: complex, side: int) -> complex:
     """\\int h(z) / (u + side*i0 - z) dz along the curve, u on the curve.
 
@@ -209,12 +263,12 @@ class SampledPV:
     \\int dz/(u_i - z), the second factor in closed form.  Where u_i is a
     node, the removable 0/0 sample is -h_i'(u_i) from a five-point stencil
     along the tangent, of step STENCIL_DELTA * min(1, |u_i|) so that it never
-    reaches the branch point at the origin.  Rows are summed PV_BLOCK at a
-    time, so no (M, N) operator is held.  A block of an integrand shared by
-    all points is one reciprocal C_ij = 1/(u_i - z_j) and one product
-    C @ [w h F_p | w], whose last column is the row sum the subtraction
-    needs.  ``side`` may differ per target, so several displaced-pole
-    integrals of one set of points share a sweep.
+    reaches the branch point at the origin.  Rows are summed in blocks of
+    about PV_BLOCK_ENTRIES entries, so no (M, N) operator is held.  A block
+    of an integrand shared by all points is one reciprocal C_ij = 1/(u_i -
+    z_j) and one product C @ [w h F_p | w], whose last column is the row sum
+    the subtraction needs.  ``side`` may differ per target, so several
+    displaced-pole integrals of one set of points share a sweep.
     """
 
     def __init__(self, grid: ContourGrid, u=None):
@@ -272,8 +326,9 @@ class SampledPV:
             G = np.concatenate([(wh * Fn[0]).T, w[:, None]], axis=1)   # (N, P + 1)
         hu = hp[..., 0]                                                # (M, P)
         out = np.empty(hu.shape, dtype=complex)
-        for a in range(0, len(self.u), PV_BLOCK):
-            rows = slice(a, a + PV_BLOCK)
+        block = max(1, PV_BLOCK_ENTRIES // self.grid.n)
+        for a in range(0, len(self.u), block):
+            rows = slice(a, a + block)
             C = self._cauchy(rows)
             if shared:
                 S = C @ G

@@ -10,7 +10,9 @@ The spectral amplitude is the pole term plus the curve integral,
 A(t) = e^{-i lambda t} <Psi|f> <f~|Phi> + \\int du e^{-iut} <Psi|f_u><f~_u|Phi>;
 on the deformed path every continuum factor decays for t > 0, which is the
 whole point of pushing the curve below the axis.  Negative times would turn
-those factors into growing exponentials and are refused.
+those factors into growing exponentials and are refused.  Both amplitudes
+are a sum of m_k exp(-i z_k t) over a spectrum, the pole and the curve nodes
+or the oracle's eigenvalues, taken at every time by ``contour.phase_sum``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contour import phase_sum
 from .errors import ConfigError
 from .model import ModelSpec, eval_V
 from .oracle import DiscretizedSystem, SecularSystem, amplitude_curve, oracle_system
@@ -49,15 +52,15 @@ def decay_rate(model: ModelSpec) -> float:
 
 def transition_amplitude_curve(system: BiorthogonalSystem, psi: AnalyticVector,
                                phi: AnalyticVector, ts) -> np.ndarray:
-    """<Psi| exp(-iHt) |Phi> on a grid of times (overlaps computed once)."""
+    """<Psi| exp(-iHt) |Phi> on a grid of times: the overlaps are computed
+    once and the pole and the curve nodes summed as one spectrum by
+    ``contour.phase_sum``."""
     if psi.side == "lower" or phi.side == "upper":
         raise ConfigError("bra profiles must continue upward, ket profiles downward")
     ts = _check_times(ts)
     a0, b0, a, b = system.overlap_tables(psi, phi)
-    pole_phase = np.exp(-1j * system.pole * ts)
-    m = system.grid.weights * a * b
-    cont = np.exp(np.multiply.outer(ts, -1j * system.grid.nodes)) @ m
-    return pole_phase * (a0 * b0) + cont
+    return phase_sum(ts, np.append(system.pole, system.grid.nodes),
+                     np.append(a0 * b0, system.grid.weights * a * b))
 
 
 def transition_amplitude(system: BiorthogonalSystem, psi: AnalyticVector,

@@ -16,12 +16,13 @@ normalizers and the relaxed states.  A relaxed state holds its curve
 densities as node samples on the system's grids (the kernel-block density
 as rank-one factor pairs) and pairs them only on those grids.
 
-Relaxation reads one phase table of the system: the decay phase and the
-branch phases exp(i lambda t) over the nodes, at many times at once, with
-the branch sums they give.  ``evolve_state`` builds the state at one time
-from it; ``relaxation_curve`` takes the level population, the weight at the
+Relaxation reads the decay phase and the two branch sums of the system,
+sum over the nodes of w exp(i lambda t), at many times at once; each branch
+sum is one ``contour.phase_sum``.  ``evolve_state`` builds the state at one
+time from them and from the branch phases at that time;
+``relaxation_curve`` takes the level population, the weight at the
 resonance position and the normalization at every time of a grid straight
-from the table, without building a state.
+from the sums, without building a state.
 
 Sign conventions: the evolution factor is exp(+i lambda t), which sends the
 decay eigenvalue lambda_d = 2 pi i V(Omega)^2 to the damping exp(-2 pi
@@ -37,13 +38,11 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import ContourGrid, build_contour, real_axis_grid
+from .contour import ContourGrid, build_contour, phase_sum, real_axis_grid
 from .errors import ConfigError, EvaluationError
 from .friedrichs import SampledEta
 from .model import ModelSpec, eval_V
 from .oracle import DiscretizedSystem
-
-_TABLE_ENTRIES = 2**16    # complex phases per block of a time table (1 MB)
 
 
 def _require_liouville_model(model: ModelSpec):
@@ -368,7 +367,7 @@ class LiouvilleSystem:
     This is the only code that samples the two curves: one ``SampledEta``
     and the level profile a = V(z)/(z - Omega) per curve give the zero
     sector ``zero``, the branch eigenpairs, the pair normalizers and the
-    phase table of ``evolve_state`` and ``relaxation_curve``.
+    decay phase and branch sums of ``evolve_state`` and ``relaxation_curve``.
     """
 
     def __init__(self, model: ModelSpec, grids: LiouvilleGrids | None = None):
@@ -452,27 +451,13 @@ class LiouvilleSystem:
         """max over paired nodes u' = conj(u) of |lam_1u(u') + conj(lam_u1(u))|."""
         return float(np.max(np.abs(self._lam_1u + np.conj(self._lam_u1))))
 
-    def _phase_table(self, ts) -> tuple:
-        """At the times ts: the decay phase exp(i lam_d t) / N_d, shape (T,),
-        the branch phases exp(i lam_u1 t) on the upper and exp(i lam_1u t) on
-        the lower nodes, shape (T, n), and the normalized upper and lower
-        branch sums they give, shape (T,)."""
-        ts = np.asarray(ts, dtype=float)
-        ph_u1 = np.exp(np.multiply.outer(ts, 1j * self._lam_u1))
-        ph_1u = np.exp(np.multiply.outer(ts, 1j * self._lam_1u))
-        return (np.exp(1j * self.lam_d * ts) / self.norm_d, ph_u1, ph_1u,
-                ph_u1 @ self._w_u1 / self.norm_u1, ph_1u @ self._w_1u / self.norm_1u)
-
     def _curve_sums(self, ts: np.ndarray) -> tuple:
-        """The decay phase and both branch sums at every t of ts; the phase
-        table is formed a block of times at a time, so its memory stays
-        bounded however many times there are."""
-        rows = max(1, _TABLE_ENTRIES // len(self._w_u1))
-        out = np.empty((3, len(ts)), dtype=complex)
-        for s in range(0, len(ts), rows):
-            decay, _, _, b_up, b_dn = self._phase_table(ts[s:s + rows])
-            out[:, s:s + rows] = decay, b_up, b_dn
-        return tuple(out)
+        """The decay phase exp(i lam_d t) / N_d and the normalized branch sums
+        over the upper nodes, exp(i lam_u1 t), and over the lower ones,
+        exp(i lam_1u t), at every t of ts, each of shape (T,)."""
+        return (np.exp(1j * self.lam_d * ts) / self.norm_d,
+                phase_sum(ts, -self._lam_u1, self._w_u1) / self.norm_u1,
+                phase_sum(ts, -self._lam_1u, self._w_1u) / self.norm_1u)
 
     def branch_sums(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Normalized upper/lower branch background integrals at every t of ts."""
@@ -515,7 +500,7 @@ def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
     system = _relaxation_system(model, rho0, np.asarray(t, dtype=float), system)
     om = model.omega_level
     c1r = complex(rho0.c1)
-    decay_phase, ph_u1, ph_1u, b_up, b_dn = (x[0] for x in system._phase_table([t]))
+    decay_phase, b_up, b_dn = (x[0] for x in system._curve_sums(np.array([float(t)])))
     surv = complex(decay_phase + b_up + b_dn)
 
     atoms = [(om, c1r * (1.0 - decay_phase))]
@@ -532,6 +517,7 @@ def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
     zu, zl = system.grids.gamma_bar.nodes, system.grids.gamma.nodes
     a_u, a_l = system.a_upper, system.a_lower
     n_u1, n_1u = system.norm_u1, system.norm_1u
+    ph_u1, ph_1u = np.exp(1j * system._lam_u1 * t), np.exp(1j * system._lam_1u * t)
     # off-diagonal block densities of the singly continuous branches
     f_om1 = c1r * a_u * (ph_u1 / n_u1 - decay_phase)
     f_1om = c1r * a_l * (ph_1u / n_1u - decay_phase)
@@ -562,7 +548,7 @@ def relaxation_curve(model: ModelSpec, rho0: GeneralizedState, ts,
                      system: LiouvilleSystem | None = None) -> RelaxationCurve:
     """The level population, the weight at the resonance position and the
     normalization of ``evolve_state(model, rho0, t, system)`` at every t of
-    ts, from the system's phase table over the whole grid.
+    ts, from the system's decay phase and branch sums over the whole grid.
 
     The state is never built: its omega-block densities pair with the
     identity to -rho0.c1 times the branch sums, so each column is made of the

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contour import phase_sum
 from .errors import ConfigError, ConvergenceError, EvaluationError
 from .model import ModelSpec, eval_V, eval_V2
 
@@ -112,15 +113,9 @@ def commutator_apply(sys: DiscretizedSystem, O: np.ndarray) -> np.ndarray:
 
 def amplitude_curve(sys: DiscretizedSystem | SecularSystem, left_vec: np.ndarray,
                     right_vec: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Bilinear amplitudes left . exp(-iHt) . right for every t at once.
-
-    The eigenvalues are real, so exp(-i x) = cos x - i sin x of the one phase
-    table x = t lambda, and the modes pair with it by real products alone."""
-    x = np.outer(np.asarray(ts, dtype=float), sys.eigenvalues)
-    modes = sys.modes(left_vec, right_vec)
-    m = np.stack([modes.real, modes.imag], axis=1)
-    (cr, ci), (sr, si) = (np.cos(x) @ m).T, (np.sin(x) @ m).T
-    return (cr + si) + 1j * (ci - sr)
+    """Bilinear amplitudes left . exp(-iHt) . right for every t at once: the
+    mode sum over the eigenvalues, by ``contour.phase_sum``."""
+    return phase_sum(ts, sys.eigenvalues, sys.modes(left_vec, right_vec))
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,18 @@
+import math
+from functools import cache
+
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import example, given, strategies as st
 
-from respectra.contour import (ContourSpec, SampledPV, _gauss, build_contour,
-                               integrate_contour, plemelj_integral, pole_kernel_integral,
-                               real_axis_grid)
+from respectra.contour import (ContourSpec, SampledPV, _gauss, _stride, build_contour,
+                               integrate_contour, phase_sum, plemelj_integral,
+                               pole_kernel_integral, real_axis_grid)
 from respectra.errors import ContourError, EvaluationError
-from respectra.model import make_form_factor
+from respectra.liouville import LiouvilleSystem
+from respectra.model import make_form_factor, make_model
+from respectra.oracle import secular_system
 
 
 def test_spec_validation():
@@ -232,3 +238,52 @@ def test_real_axis_grid_handles_quarter_powers():
     got = np.sum(grid.weights.real * grid.nodes.real**0.25 * np.exp(-grid.nodes.real))
     ref, _ = si.quad(lambda w: w**0.25 * np.exp(-w), 0.0, 20.0, limit=200)
     assert abs(got - ref) < 1e-10
+
+
+@cache
+def _spectrum(kind: str) -> np.ndarray:
+    """Points z of the sums the package takes: contour nodes, real oracle
+    eigenvalues, and the Liouville branch eigenvalues with their sign flipped
+    (the branch factors are exp(+i lambda t))."""
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, ContourSpec(n_nodes=200))
+    if kind == "nodes":
+        return build_contour(m.contour).nodes
+    if kind == "eigenvalues":
+        return secular_system(m, 300).eigenvalues.astype(complex)
+    lsys = LiouvilleSystem(m)
+    return -np.concatenate([lsys.lam_u1(lsys.grids.gamma_bar.nodes),
+                            lsys.lam_1u(lsys.grids.gamma.nodes)])
+
+
+_EPS = np.finfo(float).eps
+
+
+@given(T=st.integers(1, 400), kind=st.sampled_from(["nodes", "eigenvalues", "liouville"]),
+       t0=st.floats(0.0, 50.0), span=st.floats(0.1, 200.0), seed=st.integers(0, 2**16))
+# short grids, primes and squares
+@example(T=1, kind="nodes", t0=0.0, span=1.0, seed=0)
+@example(T=2, kind="liouville", t0=0.0, span=80.0, seed=1)
+@example(T=7, kind="eigenvalues", t0=3.0, span=60.0, seed=2)
+@example(T=15, kind="nodes", t0=0.0, span=80.0, seed=3)
+@example(T=16, kind="liouville", t0=0.0, span=80.0, seed=4)
+@example(T=197, kind="eigenvalues", t0=0.0, span=200.0, seed=5)
+@example(T=225, kind="nodes", t0=10.0, span=150.0, seed=6)
+@example(T=397, kind="liouville", t0=0.0, span=200.0, seed=7)
+@example(T=400, kind="eigenvalues", t0=0.0, span=200.0, seed=8)
+def test_phase_sum_is_the_exponential_table(T, kind, t0, span, seed):
+    # the factored sum on a linspace grid, and the anchors-only sum on a
+    # geometric one, against the T x N table of exponentials times m; the
+    # bound is the rounding of the phases exp(-i z t) (plus one for the sum)
+    z = _spectrum(kind)
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(len(z)) + 1j * rng.standard_normal(len(z))
+    ts = np.linspace(t0, t0 + span, T)
+    assert _stride(ts, len(z))[0] == math.isqrt(T - 1) + 1
+    direct = np.exp(-1j * np.outer(ts, z)) @ m
+    bound = 8 * _EPS * (1 + np.max(np.abs(np.outer(ts, z)))) * np.sum(np.abs(m))
+    assert np.max(np.abs(phase_sum(ts, z, m) - direct)) <= bound
+    if T >= 3:
+        ts = np.geomspace(1e-3 * (t0 + span), t0 + span, T)
+        assert _stride(ts, len(z)) == (1, 0.0)
+        direct = np.exp(-1j * np.outer(ts, z)) @ m
+        assert np.max(np.abs(phase_sum(ts, z, m) - direct)) <= 1e-15 * np.sum(np.abs(m))

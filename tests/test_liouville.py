@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from respectra.contour import ContourGrid, ContourSpec
+from respectra.contour import ContourGrid, ContourSpec, _stride
 from respectra.dynamics import decay_rate, default_time_grid, oracle_survival_curve
 from respectra.errors import ConfigError, EvaluationError
 from respectra.liouville import (BlockObservable, GeneralizedState, LiouvilleGrids,
@@ -352,10 +352,12 @@ class TestRelaxationCurve:
             relaxation_curve(li_model, rho, [1.0], li_sys)
 
     def test_branch_sums_in_blocks_of_times(self, li_model, li_sys, monkeypatch):
-        # a phase table cut into blocks of times gives the table in one piece
-        ts = np.linspace(0.0, 40.0, 37)
+        # on a non-uniform grid every time is an anchor; a phase table cut
+        # into blocks of anchors gives the table in one piece
+        ts = 40.0 * np.linspace(0.0, 1.0, 37) ** 2
+        assert _stride(ts, li_sys.grids.gamma.n) == (1, 0.0)
         whole = li_sys.branch_sums(ts)
-        monkeypatch.setattr("respectra.liouville._TABLE_ENTRIES", 5 * li_sys.grids.gamma.n)
+        monkeypatch.setattr("respectra.contour.PHASE_BLOCK_ENTRIES", 5 * li_sys.grids.gamma.n)
         for a, b in zip(whole, li_sys.branch_sums(ts)):
             assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))
 

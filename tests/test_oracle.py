@@ -115,7 +115,7 @@ def test_secular_roots_are_eigenvalues(a, b):
 
 
 def test_amplitude_curve_is_the_phase_sum(default_model):
-    # cos/sin of one real phase table against exp(-i t lambda) @ modes, both
+    # the mode sum by phase_sum against exp(-i t lambda) @ modes, both
     # for real modes (the level-only survival) and for complex ones
     ts = np.linspace(0.0, 60.0, 200)
     s = secular_system(default_model, 1000)
