@@ -25,6 +25,8 @@ from .contour import ContourSpec
 from .errors import AnalyticityError, ChannelClosedError, ConfigError, ConvergenceError
 from .model import ModelSpec, form_factor_from_callable
 
+MIN_RATIO = 5.0       # least b / a for which the outer region is weakly coupled
+
 
 @dataclass(frozen=True)
 class BarrierSpec:
@@ -34,15 +36,14 @@ class BarrierSpec:
     v1: float           # drop beyond |x| > b
     mu: float = 1.0
     hbar: float = 1.0
-    min_ratio: float = 5.0
 
     def __post_init__(self):
         if min(self.a, self.b, self.v0, self.mu, self.hbar) <= 0:
             raise ConfigError("a, b, v0, mu, hbar must all be positive")
         if not 0 < self.v1 < self.v0:
             raise ConfigError("need 0 < v1 < v0 for a barrier to appear")
-        if self.b < self.min_ratio * self.a:
-            raise ConfigError(f"need b >= {self.min_ratio} a so the outer region "
+        if self.b < MIN_RATIO * self.a:
+            raise ConfigError(f"need b >= {MIN_RATIO} a so the outer region "
                               "is weakly coupled")
         z0 = self.a * np.sqrt(2 * self.mu * self.v0) / self.hbar
         if z0 >= np.pi / 2:

@@ -427,12 +427,13 @@ def _validation_checks(model: ModelSpec):
     def liouville_physicality(rng):
         lsys = _lsys()
         u = lsys.grids.gamma_bar.nodes[20]
+        up = np.conj(u)
         worst = 0.0
-        for eig in (lsys.zero.decay_left,
-                    lsys.branch_u1(u).left,
-                    lsys.branch_1u(np.conj(u)).left,
-                    lsys.branch_uu(u, np.conj(u)).left):
-            ok, val = check_physicality(model, eig)
+        for left, eigenvalue in ((lsys.decay_left, lsys.lam_d),
+                                 (lsys.left_u1(u), lsys.lam_u1(u)),
+                                 (lsys.left_1u(up), lsys.lam_1u(up)),
+                                 (lsys.left_uu(u, up), u - up)):
+            ok, val = check_physicality(left, eigenvalue, lsys.grids)
             if not ok:
                 return float(val), 1e-8
             worst = max(worst, val)

@@ -1,20 +1,23 @@
 """Superoperator extension: five-block observables, generalized state
-functionals, the zero-eigenvalue sector, continuum branches and relaxation.
+functionals, the decay mode, continuum branches and relaxation.
 
 Observables carry blocks {1, omega (singular diagonal), omega-omega',
 omega-1, 1-omega'}; the deformed generator acts block-wise with the
-omega-omega' kernel living on the conjugate-curve x curve product.  States
-are functionals on that algebra; delta atoms on the singular diagonal are
-kept symbolic (position, weight) and paired analytically, never sampled.
+omega-omega' kernel living on the conjugate-curve x curve product.  Every
+functional on that algebra is a ``GeneralizedState``: the states and the
+left eigenfunctionals alike, each paired only through
+``GeneralizedState.expect``.  Delta atoms on the singular diagonal are kept
+symbolic (position, weight) and paired analytically, never sampled.
 
 Requires a coupling that is real on the positive axis and no
 continuum-continuum kernel; all branch formulas are second order.
 ``LiouvilleSystem`` is the one place that samples the two curves: one
 ``friedrichs.SampledEta`` and the level profile a = V/(z - Omega) per curve
-give the zero sector, the branch eigenpairs and their shifts, the pair
-normalizers and the relaxed states.  A relaxed state holds its curve
-densities as node samples on the system's grids (the kernel-block density
-as rank-one factor pairs) and pairs them only on those grids.
+give the decay mode, the branch eigenvalues, their shifts and left
+functionals, the pair normalizers and the relaxed states.  A relaxed state
+holds its curve densities as node samples on the system's grids (the
+kernel-block density as rank-one factor pairs) and pairs them only on those
+grids.
 
 Relaxation reads the decay phase and the two branch sums of the system,
 sum over the nodes of w exp(i lambda t), at many times at once; each branch
@@ -79,27 +82,13 @@ class LiouvilleGrids:
 @dataclass(frozen=True)
 class BlockObservable:
     """Operator of the five-block class.  Continuum blocks are analytic
-    callables (omega block two-sided near the positive axis); node samples
-    for serialization come from ``samples``."""
+    callables (omega block two-sided near the positive axis)."""
 
     o1: complex = 0j
     o_omega: Callable | None = None
     o_omom: Callable | None = None     # (z upper, z' lower)
     o_om1: Callable | None = None      # z upper
     o_1om: Callable | None = None      # z' lower
-
-    def samples(self, grids: LiouvilleGrids) -> dict:
-        w = grids.real.nodes.real
-        zu = grids.gamma_bar.nodes
-        zl = grids.gamma.nodes
-        return {
-            "o1": complex(self.o1),
-            "o_omega": None if self.o_omega is None else np.asarray(self.o_omega(w)),
-            "o_om1": None if self.o_om1 is None else np.asarray(self.o_om1(zu)),
-            "o_1om": None if self.o_1om is None else np.asarray(self.o_1om(zl)),
-            "o_omom": None if self.o_omom is None
-            else np.asarray(self.o_omom(zu[:, None], zl[None, :])),
-        }
 
     def hermiticity_defect(self, grids: LiouvilleGrids) -> float:
         """Max violation of the reality/conjugation conditions on the real axis."""
@@ -294,64 +283,14 @@ def unstable_state_functional() -> GeneralizedState:
 # spectrum of the extended generator
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LeftEigvec:
-    """Left eigenfunctional reduced to the atoms that pair with block
-    observables."""
-
-    label: str
-    eigenvalue: complex
-    c1: complex = 0j
-    omega_atoms: tuple = ()                  # ((position, weight), ...) incl. complex positions
-    om1_atoms: tuple = ()                    # atoms in the omega-1 block (upper curve)
-    c1om_atoms: tuple = ()                   # atoms in the 1-omega block (lower curve)
-    omom_atoms: tuple = ()                   # atoms in the kernel block
-
-    def pair_identity(self) -> complex:
-        """(this | I): only the 1 and omega blocks of the identity exist."""
-        return complex(self.c1 + sum(w for _, w in self.omega_atoms))
-
-
-def check_physicality(model: ModelSpec, eigvec: LeftEigvec,
+def check_physicality(left: GeneralizedState, eigenvalue: complex, grids: LiouvilleGrids,
                       tol: float = 1e-10) -> tuple[bool, float]:
-    """A nonzero-eigenvalue functional must annihilate the identity; a zero
-    mode may carry probability.  Returns (is_consistent, |(Psi|I)|)."""
-    val = abs(eigvec.pair_identity())
-    if abs(eigvec.eigenvalue) > tol:
+    """A left functional of nonzero eigenvalue must annihilate the identity;
+    a zero mode may carry probability.  Returns (is_consistent, |(Psi|I)|)."""
+    val = abs(left.normalization(grids))
+    if abs(eigenvalue) > tol:
         return (val <= 1e-8, val)
     return (True, val)
-
-
-@dataclass(frozen=True)
-class ZeroSectorResult:
-    lam_d: complex
-    coeff_on_level: complex             # eigenproblem coefficient alpha
-    coeff_on_diagonal: complex          # cross coefficient beta (= -alpha)
-    decay_right: GeneralizedState      # block content of the decay eigenoperator
-    decay_left: LeftEigvec
-    invariant_left_label: str = "omega-family"
-
-
-@dataclass(frozen=True)
-class BranchSeries:
-    """Eigenpair of a continuum branch through second order: lambda_0 the
-    free difference, first-order shift identically zero, lambda_2 the
-    interaction shift; vectors through first order."""
-
-    label: str
-    u: complex
-    lam0: complex
-    lam2: complex
-    right_c1: complex
-    left: LeftEigvec
-
-    @property
-    def eigenvalue(self) -> complex:
-        return self.left.eigenvalue
-
-    @property
-    def lam1(self) -> complex:
-        return 0.0 + 0j
 
 
 def _node(grid: ContourGrid, u: complex, curve: str) -> int:
@@ -365,9 +304,13 @@ class LiouvilleSystem:
     """Spectrum of the extended generator on one set of grids.
 
     This is the only code that samples the two curves: one ``SampledEta``
-    and the level profile a = V(z)/(z - Omega) per curve give the zero
-    sector ``zero``, the branch eigenpairs, the pair normalizers and the
-    decay phase and branch sums of ``evolve_state`` and ``relaxation_curve``.
+    and the level profile a = V(z)/(z - Omega) per curve give the decay mode
+    (``lam_d``, ``decay_right``, ``decay_left``), the branch eigenvalues and
+    left functionals, the pair normalizers and the decay phase and branch
+    sums of ``evolve_state`` and ``relaxation_curve``.  Every left
+    functional is a ``GeneralizedState`` reduced to its level and diagonal
+    content, the part that pairs with the identity; its atoms in the curve
+    blocks are not kept.
     """
 
     def __init__(self, model: ModelSpec, grids: LiouvilleGrids | None = None):
@@ -400,15 +343,12 @@ class LiouvilleSystem:
         # diagonal densities map to the level with the opposite coefficient,
         # so the sector splits into the decay mode (eigenvalue alpha) and the
         # invariant continuum family (eigenvalue 0).
-        self.lam_d = alpha = lower - upper
-        decay_right = GeneralizedState(c1=1.0 + 0j, f_om1=-self.a_upper, f_1om=-self.a_lower,
-                                       f_omom=((self.a_upper, self.a_lower),),
-                                       grids=self.grids)
-        decay_left = LeftEigvec(label="decay", eigenvalue=alpha, c1=1.0 + 0j,
-                                omega_atoms=((om, -1.0 + 0j),))
-        self.zero = ZeroSectorResult(lam_d=alpha, coeff_on_level=alpha,
-                                     coeff_on_diagonal=complex(-lower + upper),
-                                     decay_right=decay_right, decay_left=decay_left)
+        self.lam_d = lower - upper
+        self.decay_right = GeneralizedState(c1=1.0 + 0j, f_om1=-self.a_upper,
+                                            f_1om=-self.a_lower,
+                                            f_omom=((self.a_upper, self.a_lower),),
+                                            grids=self.grids)
+        self.decay_left = GeneralizedState(c1=1.0 + 0j, atoms=((om, -1.0 + 0j),))
         self._lam_u1 = self.lam_u1(self.grids.gamma_bar.nodes)
         self._lam_1u = self.lam_1u(self.grids.gamma.nodes)
 
@@ -418,34 +358,28 @@ class LiouvilleSystem:
     def lam_1u(self, up) -> np.ndarray:
         return self.model.omega_level - np.asarray(up, dtype=complex) + self.shift_upper
 
-    def branch_u1(self, u: complex) -> BranchSeries:
-        """Branch built on the upper-curve node u against the level."""
-        i = _node(self.grids.gamma_bar, u, "upper")
-        u, a = complex(self.grids.gamma_bar.nodes[i]), complex(self.a_upper[i])
-        left = LeftEigvec(label="u1", eigenvalue=complex(self.lam_u1(u)), c1=a,
-                          omega_atoms=((u, -a),), om1_atoms=((u, 1.0 + 0j),))
-        return BranchSeries("u1", u, u - self.model.omega_level, self.shift_lower,
-                            right_c1=a, left=left)
+    def _left_single(self, grid: ContourGrid, a: np.ndarray, u: complex,
+                     curve: str) -> GeneralizedState:
+        i = _node(grid, u, curve)
+        a_u = complex(a[i])
+        return GeneralizedState(c1=a_u, atoms=((complex(grid.nodes[i]), -a_u),))
 
-    def branch_1u(self, up: complex) -> BranchSeries:
-        """Branch built on the level against the lower-curve node u'."""
-        i = _node(self.grids.gamma, up, "lower")
-        up, a = complex(self.grids.gamma.nodes[i]), complex(self.a_lower[i])
-        left = LeftEigvec(label="1u", eigenvalue=complex(self.lam_1u(up)), c1=a,
-                          omega_atoms=((up, -a),), c1om_atoms=((up, 1.0 + 0j),))
-        return BranchSeries("1u", up, self.model.omega_level - up, self.shift_upper,
-                            right_c1=a, left=left)
+    def left_u1(self, u: complex) -> GeneralizedState:
+        """Left functional of the branch on the upper-curve node u against the
+        level: a(u) on the level and the atom -a(u) at u on the diagonal."""
+        return self._left_single(self.grids.gamma_bar, self.a_upper, u, "upper")
 
-    def branch_uu(self, u: complex, up: complex) -> BranchSeries:
-        """Doubly continuous branch: the interaction produces no shift at all."""
-        i = _node(self.grids.gamma_bar, u, "upper")
-        j = _node(self.grids.gamma, up, "lower")
-        u, up = complex(self.grids.gamma_bar.nodes[i]), complex(self.grids.gamma.nodes[j])
-        left = LeftEigvec(label="uu", eigenvalue=u - up, c1=0j,
-                          omom_atoms=(((u, up), 1.0 + 0j),),
-                          om1_atoms=((u, complex(self.a_lower[j])),),
-                          c1om_atoms=((up, complex(self.a_upper[i])),))
-        return BranchSeries("uu", u, u - up, 0.0 + 0j, right_c1=0j, left=left)
+    def left_1u(self, up: complex) -> GeneralizedState:
+        """Left functional of the branch on the level against the lower-curve
+        node u': a(u') on the level and the atom -a(u') at u'."""
+        return self._left_single(self.grids.gamma, self.a_lower, up, "lower")
+
+    def left_uu(self, u: complex, up: complex) -> GeneralizedState:
+        """Left functional of the doubly continuous branch, eigenvalue u - u'
+        with no shift: it has no level or diagonal content."""
+        _node(self.grids.gamma_bar, u, "upper")
+        _node(self.grids.gamma, up, "lower")
+        return GeneralizedState()
 
     def symmetry_defect(self) -> float:
         """max over paired nodes u' = conj(u) of |lam_1u(u') + conj(lam_u1(u))|."""

@@ -40,7 +40,6 @@ class DiscretizedSystem:
     hamiltonian: np.ndarray = field(repr=False, default=None)
     eigenvalues: np.ndarray = field(repr=False, default=None)
     transform: np.ndarray = field(repr=False, default=None)
-    level_index: int = 0
 
     @property
     def dimension(self) -> int:

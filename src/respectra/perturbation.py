@@ -9,10 +9,10 @@ kernel column again, while any other argument, another grid's nodes
 included, evaluates the profile.
 Continuum eigenvectors exist only as families, ``ContinuumFamily``: the
 members at a set of curve points held as arrays, each a level component, an
-exact unit atom at its point and a pole term N(z) / (u + side*i0 - z) whose
-pairings go through the curve principal value plus half residue.  Left
-vectors are functionals stored independently of the right ones; no pairing
-ever conjugates.
+exact atom at its point (unit weight, none on a correction) and a pole term
+N(z) / (u + side*i0 - z) whose pairings go through the curve principal
+value plus half residue.  Left vectors are functionals stored independently
+of the right ones; no pairing ever conjugates.
 
 The discrete branch implements the recursion to arbitrary order n: with the
 usual gauge (vanishing d-component of every correction) the order-1 eigenvalue
@@ -66,8 +66,6 @@ class PerturbationSeries:
     """Eigenvalue corrections and right/left vector corrections, order by order."""
 
     orders: tuple          # tuple of (lambda_k, right_k, left_k)
-    branch: str            # "discrete" or "continuous"
-    base: complex          # Omega or the curve point u
 
     @property
     def eigenvalue(self) -> complex:
@@ -160,7 +158,7 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
     right, left = ([AnalyticVector(d=1.0 + 0j)]
                    + [AnalyticVector(profile=fn) for fn, _ in profiles[side]]
                    for side in (+1, -1))
-    return PerturbationSeries(tuple(zip(lambdas, right, left)), "discrete", complex(om))
+    return PerturbationSeries(tuple(zip(lambdas, right, left)))
 
 
 def _kernel_term(model: ModelSpec, pv: SampledPV, z, side: int) -> np.ndarray:
@@ -175,18 +173,19 @@ class ContinuumFamily:
     """Right (side=+1) or left (side=-1) continuum eigenvectors at the curve
     points of ``pv`` (every node by default), held as arrays.
 
-    Member i is ``d[i]`` on the level, an exact unit atom at u_i (implicit:
-    every member has it, and a sum of families keeps one) and the pole term
-    N_i(z) / (u_i + side*i0 - z) with N_i(z) = coef[i] B(z) + K(z, u_i)
-    + k_i(z), B = V on the right and Vbar on the left; the kernel column and
-    the ``_kernel_term`` k_i are present for kernel orders 1 and 2.  Pairings
+    Member i is ``d[i]`` on the level, ``atom`` times the unit atom at u_i
+    (1 for a bare or exact family, 0 for a correction; a sum of families adds
+    the weights) and the pole term N_i(z) / (u_i + side*i0 - z) with
+    N_i(z) = coef[i] B(z) + K(z, u_i) + k_i(z), B = V on the right and Vbar
+    on the left; the kernel column and the ``_kernel_term`` k_i are present
+    for kernel orders 1 and 2.  Pairings
     hand the numerators to the principal value as functions: the B part as
     one shared row, the kernel part per member.  A single member is a
     one-point family, on ``SampledPV(grid, u_i)``.
     """
 
     def __init__(self, model: ModelSpec, pv: SampledPV, side: int, d,
-                 coef=None, kernel_orders: tuple = ()):
+                 coef=None, kernel_orders: tuple = (), atom: float = 1.0):
         self.model = model
         self.pv = pv
         self.u = pv.u
@@ -194,12 +193,14 @@ class ContinuumFamily:
         self.d = np.asarray(d, dtype=complex)
         self.coef = None if coef is None else np.asarray(coef, dtype=complex)
         self.kernel_orders = tuple(kernel_orders)
+        self.atom = atom
 
     def __add__(self, other: "ContinuumFamily") -> "ContinuumFamily":
         coefs = [c for c in (self.coef, other.coef) if c is not None]
         return ContinuumFamily(self.model, self.pv, self.side, self.d + other.d,
                                sum(coefs) if coefs else None,
-                               self.kernel_orders + other.kernel_orders)
+                               self.kernel_orders + other.kernel_orders,
+                               self.atom + other.atom)
 
     def _basis(self, z):
         return (eval_V if self.side > 0 else eval_Vbar)(self.model, z)
@@ -233,7 +234,7 @@ def pair_families(pairs) -> list:
     out = [vec.d * fam.d for fam, vec in pairs]
     profiled = [p for p, vec in enumerate(vecs) if vec.profile is not None]
     for p in profiled:
-        out[p] = out[p] + vecs[p].at(pv.u)        # the unit atoms at u_i
+        out[p] = out[p] + fams[p].atom * vecs[p].at(pv.u)   # the atoms at u_i
     basis = [p for p in profiled if fams[p].coef is not None]
     if basis:
         F = lambda z: np.stack([vecs[p].at(z) * fams[p]._basis(z) for p in basis], axis=-2)
@@ -249,24 +250,25 @@ def pair_families(pairs) -> list:
 
 def _branch_orders(model: ModelSpec, pv: SampledPV, order: int, side: int) -> list:
     """Orders 1..order (at most 2) of the continuous branch at the points of
-    ``pv``, one family each.  With L = Vbar on the right and V on the left:
-    order 1 is L(u)/(u - Omega) plus the kernel column; order 2 is
-    \\int L(z) K(z, u)/(u + side*i0 - z) dz / (u - Omega) plus the numerator
-    B(z) L(u)/(u - Omega) + k_u(z)."""
+    ``pv``, one correction family each, without the atom.  With L = Vbar on
+    the right and V on the left: order 1 is L(u)/(u - Omega) plus the kernel
+    column; order 2 is \\int L(z) K(z, u)/(u + side*i0 - z) dz / (u - Omega)
+    plus the numerator B(z) L(u)/(u - Omega) + k_u(z)."""
     u, om = pv.u, model.omega_level
     if np.any((u.imag == 0.0) & (np.abs(u - om) < 1e-12)):
         raise EvaluationError("curve point coincides with the discrete level")
     level = eval_Vbar if side > 0 else eval_V
     kernel = model.has_kernel()
     d1 = level(model, u) / (u - om)
-    fams = [ContinuumFamily(model, pv, side, d1, kernel_orders=(1,) if kernel else ())]
+    fams = [ContinuumFamily(model, pv, side, d1, kernel_orders=(1,) if kernel else (),
+                            atom=0.0)]
     if order >= 2:
         d2 = np.zeros_like(d1)
         if kernel:
             kk = _kernel(model, side)
             d2 = pv(lambda z: level(model, z) * kk(z, u[:, None]), side) / (u - om)
         fams.append(ContinuumFamily(model, pv, side, d2, coef=d1,
-                                    kernel_orders=(2,) if kernel else ()))
+                                    kernel_orders=(2,) if kernel else (), atom=0.0))
     return fams[:order]
 
 
@@ -276,11 +278,11 @@ def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
     families on ``SampledPV(grid, u)``.
 
     The eigenvalue stays exactly u.  Order 0 is the bare member (no level
-    part, the unit atom at u); the corrections live in the d-component and in
-    pole terms with the outgoing kernel (right) / its conjugate (left).  The
-    totals are the members that ``BiorthogonalSystem.from_perturbation``
-    holds at u.  Every family carries the unit atom, so pair the totals, not
-    the orders one by one.
+    part, the unit atom at u); the corrections carry no atom and live in the
+    d-component and in pole terms with the outgoing kernel (right) / its
+    conjugate (left).  The totals are the members that
+    ``BiorthogonalSystem.from_perturbation`` holds at u, and the pairings of
+    the orders add up to the pairing of the total.
     """
     if order < 0 or order > 2:
         raise ConfigError("continuous branch is implemented through order 2")
@@ -291,7 +293,7 @@ def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
     bare = (ContinuumFamily(model, pv, side, np.zeros(1)) for side in (+1, -1))
     right, left = (_branch_orders(model, pv, order, side) for side in (+1, -1))
     orders = [(u, *bare)] + [(0j, r, l) for r, l in zip(right, left)]
-    return PerturbationSeries(tuple(orders), "continuous", u)
+    return PerturbationSeries(tuple(orders))
 
 
 def normalize_pair(right: AnalyticVector, left: AnalyticVector,

@@ -63,7 +63,7 @@ def unstable_state() -> AnalyticVector:
     return AnalyticVector(d=1.0 + 0j, profile=None, side="both")
 
 
-def random_analytic(rng: np.random.Generator, d_scale: float = 1.0) -> AnalyticVector:
+def random_analytic(rng: np.random.Generator) -> AnalyticVector:
     """Seeded random entire profile c_k z^{m_k} e^{-a_k z}, two-sided analytic.
 
     Decay rates stay above 0.3 so the cutoff tail is negligible on default
@@ -75,7 +75,7 @@ def random_analytic(rng: np.random.Generator, d_scale: float = 1.0) -> AnalyticV
         a = float(rng.uniform(0.35, 1.2))
         m = int(rng.integers(0, 3))
         terms.append((c, a, m))
-    d = complex(rng.standard_normal(), rng.standard_normal()) * d_scale / 2.0
+    d = complex(rng.standard_normal(), rng.standard_normal()) / 2.0
 
     def profile(z, _terms=tuple(terms)):
         z = np.asarray(z, dtype=complex)

@@ -17,7 +17,7 @@ from respectra.contour import ContourSpec, build_contour
 from respectra.dynamics import (decay_rate, default_time_grid, oracle_survival_curve,
                                 survival_curve, transition_amplitude_slope0)
 from respectra.friedrichs import find_pole
-from respectra.liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality,
+from respectra.liouville import (GeneralizedState, LiouvilleGrids, LiouvilleSystem,
                                  evolve_state, unstable_state_functional)
 from respectra.model import eval_V, make_model
 from respectra.oracle import discretize
@@ -142,9 +142,9 @@ def test_criterion_5_liouville_decay_mode():
     t0 = time.perf_counter()
     m = make_model("sqrt_exp", [1.0], 1.0, 0.1,
                    ContourSpec(depth=0.5, cutoff=20.0, n_nodes=200))
-    zs = LiouvilleSystem(m).zero
+    lam_d = LiouvilleSystem(m).lam_d
     v2 = float(np.real(eval_V(m, 1.0) ** 2))
-    err = abs(zs.lam_d - 2j * np.pi * v2)
+    err = abs(lam_d - 2j * np.pi * v2)
     ok = err <= 1e-10
     _report(5, ok, f"|lam_d - 2 pi i V(Omega)^2| = {err:.2e} <= 1e-10 "
                    "(degenerate-sector solve)", t0, 5.0)
@@ -185,17 +185,13 @@ def test_criterion_7_physicality():
                    ContourSpec(depth=0.5, cutoff=20.0, n_nodes=128))
     grids = LiouvilleGrids.for_model(m)
     lsys = LiouvilleSystem(m, grids)
-    worst = abs(lsys.zero.decay_left.pair_identity())
+    worst = abs(lsys.decay_left.normalization(grids))
     for i in range(4, grids.gamma_bar.n, grids.gamma_bar.n // 8):
         u = complex(grids.gamma_bar.nodes[i])
         up = complex(grids.gamma.nodes[i])
-        worst = max(worst, abs(lsys.branch_u1(u).left.pair_identity()))
-        worst = max(worst, abs(lsys.branch_1u(up).left.pair_identity()))
-        worst = max(worst, abs(lsys.branch_uu(u, up).left.pair_identity()))
-    from respectra.liouville import LeftEigvec
-    inv = LeftEigvec(label="invariant", eigenvalue=0.0,
-                     omega_atoms=((2.0, 1.0 + 0j),))
-    inv_val = inv.pair_identity()
+        for left in (lsys.left_u1(u), lsys.left_1u(up), lsys.left_uu(u, up)):
+            worst = max(worst, abs(left.normalization(grids)))
+    inv_val = GeneralizedState(atoms=((2.0, 1.0 + 0j),)).normalization(grids)
     ok = worst <= 1e-8 and inv_val == 1.0
     _report(7, ok, f"max|(Psi_lambda|I)| over decay + branches = {worst:.2e} "
                    f"<= 1e-8; invariant family carries (Psi|I) = {inv_val.real:.1f}",

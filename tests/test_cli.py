@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -386,9 +389,22 @@ def test_artifacts_match_the_recorded_ones(tmp_path, name):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), fname
 
 
+def test_recording_refuses_without_rerecord():
+    # running this file as a script rewrites tests/golden only when asked to
+    src = str(Path(cli.__file__).resolve().parents[1])
+    before = sorted((p, p.read_bytes()) for p in GOLDEN.rglob("*") if p.is_file())
+    done = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode != 0 and "--rerecord" in done.stderr
+    assert sorted((p, p.read_bytes()) for p in GOLDEN.rglob("*") if p.is_file()) == before
+
+
 if __name__ == "__main__":
-    # re-record tests/golden: PYTHONPATH=src python tests/test_cli.py
+    # re-record tests/golden: PYTHONPATH=src python tests/test_cli.py --rerecord
     import tempfile
+    if sys.argv[1:] != ["--rerecord"]:
+        sys.exit("refusing to overwrite tests/golden, the artifacts the test suite "
+                 "compares against; pass --rerecord to re-record them")
     for name in sorted(RERUN_CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
             out = _run(Path(tmp), name)

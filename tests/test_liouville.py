@@ -107,16 +107,14 @@ def test_hermiticity_defect(li_grids, rng):
 
 class TestZeroSector:
     def test_decay_eigenvalue(self, li_model, li_sys):
-        zs = li_sys.zero
         v2 = float(np.real(eval_V(li_model, 1.0) ** 2))
-        assert abs(zs.lam_d - 2j * np.pi * v2) < 1e-10
-        assert abs(zs.lam_d.real) < 1e-12
-        assert abs(zs.coeff_on_diagonal + zs.coeff_on_level) < 1e-14
+        assert abs(li_sys.lam_d - 2j * np.pi * v2) < 1e-10
+        assert abs(li_sys.lam_d.real) < 1e-12
 
     def test_free_limit(self, li_grids):
         m0 = make_model("sqrt_exp", [1.0], 1.0, 0.0,
                         ContourSpec(depth=0.5, cutoff=20.0, n_nodes=128))
-        assert LiouvilleSystem(m0, li_grids).zero.lam_d == 0.0
+        assert LiouvilleSystem(m0, li_grids).lam_d == 0.0
 
     def test_level_outside_window_rejected(self):
         # diagonal atom at the level is undefined when the grids' continuum
@@ -131,17 +129,17 @@ class TestZeroSector:
 
     def test_zero_sector_orthogonality_atoms(self, li_model, li_sys):
         # symbolic atom bookkeeping of the degenerate sector
-        zs = li_sys.zero
+        left, right = li_sys.decay_left, li_sys.decay_right
         # (Psi_d|Phi_d): level against level (curve blocks are orthogonal to
         # the invariant-sector functionals)
-        assert zs.decay_left.c1 * zs.decay_right.c1 == 1.0
+        assert left.c1 * right.c1 == 1.0
         # (Psi_omega~|Phi_d): the decay operator has no diagonal block to pair
-        assert not zs.decay_right.atoms and zs.decay_right.omega_smooth is None
+        assert not right.atoms and right.omega_smooth is None
         # (Psi_d|Phi_omega~): the level reading of |omega~) + delta(omega~-L)|1)
         # cancels against the -(L| atom exactly at omega~ = L
-        atom_weights = dict(zs.decay_left.omega_atoms)
+        atom_weights = dict(left.atoms)
         assert atom_weights[li_model.omega_level] == -1.0
-        assert zs.decay_left.c1 + atom_weights[li_model.omega_level] == 0.0
+        assert left.c1 + atom_weights[li_model.omega_level] == 0.0
 
     def test_zero_sector_completeness(self, li_model, li_grids, rng):
         # P0 reconstruction acts as the identity on invariant-sector states
@@ -168,60 +166,50 @@ class TestBranches:
         m0 = make_model("sqrt_exp", [1.0], 1.0, 0.0,
                         ContourSpec(depth=0.5, cutoff=20.0, n_nodes=128))
         u = complex(li_grids.gamma_bar.nodes[40])
-        b = LiouvilleSystem(m0, li_grids).branch_u1(u)
-        assert b.eigenvalue == u - 1.0 and b.lam2 == 0.0
+        sys0 = LiouvilleSystem(m0, li_grids)
+        assert sys0.lam_u1(u) == u - 1.0 and sys0.shift_lower == 0.0
 
-    def test_upper_shift(self, li_model, li_grids, li_sys):
+    def test_upper_shift(self, li_model, li_sys):
         v2 = float(np.real(eval_V(li_model, 1.0) ** 2))
-        u = complex(li_grids.gamma_bar.nodes[40])
-        b = li_sys.branch_u1(u)
-        assert abs(b.lam2.imag - np.pi * v2) < 1e-10
-        bp = li_sys.branch_1u(np.conj(u))
-        assert abs(bp.lam2.imag - np.pi * v2) < 1e-10
-        assert b.lam1 == 0.0
-
-    def test_uu_no_shift(self, li_grids, li_sys):
-        u = complex(li_grids.gamma_bar.nodes[33])
-        b = li_sys.branch_uu(u, np.conj(u))
-        assert b.lam2 == 0.0 and b.eigenvalue == u - np.conj(u)
+        assert abs(li_sys.shift_lower.imag - np.pi * v2) < 1e-10
+        assert abs(li_sys.shift_upper.imag - np.pi * v2) < 1e-10
 
     def test_eigenvalue_symmetry(self, li_sys):
         assert li_sys.symmetry_defect() < 1e-10
 
-    def test_eigenvalues_are_the_written_cloud(self, li_grids, li_sys):
-        # each branch eigenpair carries the eigenvalue the liouville command
-        # writes for its node
-        for i in (0, 25, li_grids.gamma.n - 1):
-            u, up = li_grids.gamma_bar.nodes[i], li_grids.gamma.nodes[i]
-            assert li_sys.branch_u1(u).eigenvalue == li_sys.lam_u1(u)
-            assert li_sys.branch_1u(up).eigenvalue == li_sys.lam_1u(up)
-            assert li_sys.branch_uu(u, up).eigenvalue == u - up
-
     def test_branch_point_must_be_a_node(self, li_grids, li_sys):
         u = complex(li_grids.gamma_bar.nodes[25])
         with pytest.raises(EvaluationError):
-            li_sys.branch_u1(u + 1e-3)
+            li_sys.left_u1(u + 1e-3)
         with pytest.raises(EvaluationError):
-            li_sys.branch_1u(u)              # an upper-curve point
+            li_sys.left_1u(u)                # an upper-curve point
         with pytest.raises(EvaluationError):
-            li_sys.branch_uu(u, u)
+            li_sys.left_uu(u, u)
 
-    def test_physicality(self, li_model, li_grids, li_sys):
-        ok, val = check_physicality(li_model, li_sys.zero.decay_left)
+    def test_physicality(self, li_grids, li_sys):
+        ok, val = check_physicality(li_sys.decay_left, li_sys.lam_d, li_grids)
         assert ok and val == 0.0
         u = complex(li_grids.gamma_bar.nodes[25])
-        for b in (li_sys.branch_u1(u),
-                  li_sys.branch_1u(np.conj(u)),
-                  li_sys.branch_uu(u, np.conj(u))):
-            ok, val = check_physicality(li_model, b.left)
+        up = np.conj(u)
+        for left, eigenvalue in ((li_sys.left_u1(u), li_sys.lam_u1(u)),
+                                 (li_sys.left_1u(up), li_sys.lam_1u(up)),
+                                 (li_sys.left_uu(u, up), u - up)):
+            ok, val = check_physicality(left, eigenvalue, li_grids)
             assert ok and val <= 1e-8
 
-    def test_invariant_family_carries_probability(self, li_model):
-        from respectra.liouville import LeftEigvec
-        inv = LeftEigvec(label="invariant", eigenvalue=0.0, c1=0j,
-                         omega_atoms=((2.0, 1.0 + 0j),))
-        ok, val = check_physicality(li_model, inv)
-        assert ok and val == 1.0
+    def test_left_functionals_annihilate_the_identity_at_every_node(self, li_grids, li_sys):
+        # (Psi|I) of the decay mode and of both single branches, at every
+        # node of both curves: the level part cancels the diagonal atom exactly
+        assert li_sys.decay_left.normalization(li_grids) == 0.0
+        for u in li_grids.gamma_bar.nodes:
+            assert li_sys.left_u1(u).normalization(li_grids) == 0.0
+        for up in li_grids.gamma.nodes:
+            assert li_sys.left_1u(up).normalization(li_grids) == 0.0
+
+    def test_invariant_family_carries_probability(self, li_grids):
+        inv = GeneralizedState(atoms=((2.0, 1.0 + 0j),))
+        assert inv.normalization(li_grids) == 1.0
+        assert check_physicality(inv, 0.0, li_grids) == (True, 1.0)
 
 
 class TestEvolution:
@@ -320,7 +308,7 @@ class TestEvolution:
         with pytest.raises(EvaluationError):
             st.atom_weight(li_model.omega_level, other)
         with pytest.raises(EvaluationError):
-            li_sys.zero.decay_right.expect(identity_observable(), other)
+            li_sys.decay_right.expect(identity_observable(), other)
 
 class TestRelaxationCurve:
     @pytest.mark.parametrize("n_nodes", [100, 150])

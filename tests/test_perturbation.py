@@ -342,6 +342,20 @@ def test_one_point_series_is_the_assembled_member(default_spec, default_grid, ke
             assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
+def test_order_pairings_add_up_to_the_total(default_spec, default_grid, kernel):
+    # only the bare order carries the atom at u, so the orders paired one by
+    # one add up to the paired total on both sides
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
+    ser = perturb_continuous(m, default_grid.nodes[50], 2, default_grid)
+    vec = random_analytic(np.random.default_rng(5))
+    for slot, total in ((1, ser.right_total()), (2, ser.left_total())):
+        assert [o[slot].atom for o in ser.orders] == [1.0, 0.0, 0.0] and total.atom == 1.0
+        got = sum(o[slot].pair(vec)[0] for o in ser.orders)
+        ref = total.pair(vec)[0]
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 def test_pair_with_analytic_vector(default_model, default_grid, axis_grid):
     s = BiorthogonalSystem.from_exact(default_model, default_grid)
     rng = np.random.default_rng(11)
