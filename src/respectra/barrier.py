@@ -16,6 +16,7 @@ above the well's own resonance poles (guarded at evaluation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +46,8 @@ class BarrierSpec:
         if self.b < MIN_RATIO * self.a:
             raise ConfigError(f"need b >= {MIN_RATIO} a so the outer region "
                               "is weakly coupled")
-        z0 = self.a * np.sqrt(2 * self.mu * self.v0) / self.hbar
+        # Python floats: an extreme section overflows to inf without a warning
+        z0 = self.a * math.sqrt(2 * self.mu * self.v0) / self.hbar
         if z0 >= np.pi / 2:
             raise ConfigError("a sqrt(2 mu v0)/hbar must stay below pi/2 for a "
                               "single even bound state")

@@ -1,23 +1,10 @@
 """Command-line front door: config ingestion, experiment orchestration and
 deterministic CSV/JSON emission.
 
-Config document (JSON)::
-
-    {
-      "command":  "spectrum" | "evolve" | "liouville" | "barrier" | "validate",
-      "model":    {"family": str, "params": [..], "omega": float, "epsilon": float,
-                   "contour": {"depth": f, "cutoff": f, "n_nodes": i, "shape": s},
-                   "kernel": "separable_sqrt_exp"},            # model commands
-      "barrier":  {"a": f, "b": f, "v0": f, "v1": f, "mu": f, "hbar": f},
-      "output_dir": str,          # overridden by --out
-      "seed": int,                # overridden by --seed
-      "tolerances": {"pole": f},  # overridden by --tolerance
-      "grid": {"oracle_n": i, "t_points": i, "horizon": f,
-               "liouville_n": i, "sweep_points": i}
-    }
-
-Unknown keys anywhere are rejected, and so are sections that are not JSON
-objects and numeric fields that are not JSON numbers.  Outputs are
+The config document is a JSON object that ``RUN_SCHEMA`` describes: its
+sections, their keys, the kind of each value, its default and its least
+value.  ``load_config`` checks the whole document against it once, after
+the command-line overrides, whatever the command.  Outputs are
 byte-deterministic: floats use 17 significant digits, no timestamps, and every
 file embeds the sha256 of the effective config without its ``output_dir``, so
 the same physics under two ``--out`` directories writes the same bytes.  Exit
@@ -27,37 +14,35 @@ codes: 0 success, 1 numerical failure, 2 config error, 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import barrier as barrier_mod
-from .contour import build_contour, integrate_contour, plemelj_integral, real_axis_grid
+from .contour import MIN_NODES, build_contour, integrate_contour, plemelj_integral, real_axis_grid
 from .dynamics import (decay_rate, default_time_grid, exponential_approx,
                        oracle_survival_curve, survival_curve)
 from .errors import ConfigError, RespectraError
 from .friedrichs import find_pole
 from .liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality, evolve_state,
                         relaxation_curve, unstable_state_functional)
-from .model import (ModelSpec, config_number, config_section, eval_V, eval_Vbar, make_model,
-                    model_from_dict)
-from .oracle import discretize, propagate, recurrence_time
+from .model import (MODEL_SCHEMA, REQUIRED, ModelSpec, check_section, eval_V, eval_Vbar,
+                    make_model, model_from_dict)
+from .oracle import MIN_BINS, discretize, propagate, recurrence_time
 from .perturbation import BiorthogonalSystem, pair_coeffs, perturb_discrete
 from .states import AnalyticVector, random_analytic, real_axis_inner, real_axis_inner_H
 
 SPEC_VERSION = "1"
 
-_TOP_KEYS = {"command", "model", "barrier", "output_dir", "seed", "tolerances", "grid"}
-_GRID_KEYS = {"oracle_n", "t_points", "horizon", "liouville_n", "sweep_points"}
-_TOL_KEYS = {"pole"}
-_INT_KEYS = {"oracle_n", "t_points", "liouville_n", "sweep_points"}
-_COMMANDS = ("spectrum", "evolve", "liouville", "barrier", "validate")
+# with no model section, validate checks this model (and --nodes sizes it)
+_VALIDATE_MODEL = {"family": "sqrt_exp", "params": [1.0], "omega": 1.0, "epsilon": 0.1}
 
 
 def _config_hash(cfg: dict) -> str:
@@ -103,6 +88,9 @@ def _write_csv(path: Path, header: list[str], columns, cfg_hash: str):
 
 
 def load_config(path: str, overrides: dict) -> dict:
+    """The run document at ``path`` with the command-line ``overrides``
+    applied and the top-level defaults of ``RUN_SCHEMA`` filled in, checked
+    against ``RUN_SCHEMA``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as e:
@@ -114,45 +102,36 @@ def load_config(path: str, overrides: dict) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    if doc.get("command") not in _COMMANDS:
-        raise ConfigError(f"command must be one of {_COMMANDS}")
-    for key in ("model", "barrier"):
-        config_section(doc, key)
-    for key, allowed in (("grid", _GRID_KEYS), ("tolerances", _TOL_KEYS)):
-        section = config_section(doc, key)
-        if set(section) - allowed:
-            raise ConfigError(f"unknown {key} keys {sorted(set(section) - allowed)}")
-        for name, value in section.items():
-            config_number(value, f"{key} {name}", integer=name in _INT_KEYS)
-    if "seed" in doc:
-        config_number(doc["seed"], "seed", integer=True)
-    if not isinstance(doc.get("output_dir", ""), str):
-        raise ConfigError(f"output_dir must be a string, got {doc['output_dir']!r}")
-    cfg = dict(doc)
-    cfg.setdefault("output_dir", "out")
-    cfg.setdefault("seed", 1234)
-    cfg.setdefault("tolerances", {})
-    cfg.setdefault("grid", {})
-    if cfg["command"] == "validate":
-        # with no model section, validate checks this model (and --nodes sizes it)
-        cfg.setdefault("model", {"family": "sqrt_exp", "params": [1.0], "omega": 1.0,
-                                 "epsilon": 0.1})
+    cfg = {key: copy.deepcopy(default) for key, (_, default, *_) in RUN_SCHEMA.items()
+           if default is not None and default is not REQUIRED}
+    cfg.update(doc)
+    if cfg.get("command") == "validate":
+        cfg.setdefault("model", copy.deepcopy(_VALIDATE_MODEL))
     if overrides.get("out") is not None:
         cfg["output_dir"] = overrides["out"]
     if overrides.get("seed") is not None:
-        cfg["seed"] = int(overrides["seed"])
-    if overrides.get("tolerance") is not None:
-        cfg["tolerances"] = dict(cfg["tolerances"], pole=float(overrides["tolerance"]))
-    if overrides.get("nodes") is not None:
-        mdl = dict(cfg.get("model", {}))
-        contour = dict(mdl.get("contour", {}))
-        contour["n_nodes"] = int(overrides["nodes"])
-        mdl["contour"] = contour
-        cfg["model"] = mdl
-    return cfg
+        cfg["seed"] = overrides["seed"]
+    if overrides.get("tolerance") is not None and isinstance(cfg["tolerances"], dict):
+        cfg["tolerances"] = dict(cfg["tolerances"], pole=overrides["tolerance"])
+    model = cfg.get("model")
+    if overrides.get("nodes") is not None and isinstance(model, dict):
+        contour = model.get("contour", {})
+        if isinstance(contour, dict):
+            cfg["model"] = dict(model, contour=dict(contour, n_nodes=overrides["nodes"]))
+    return check_section(cfg, RUN_SCHEMA, "config")
+
+
+def _setting(cfg: dict, section: str, key: str):
+    """A ``grid`` or ``tolerances`` value of a checked config, or its
+    ``RUN_SCHEMA`` default."""
+    kind, default, *_ = RUN_SCHEMA[section][0][key]
+    value = cfg[section].get(key, default)
+    return int(value) if kind == "integer" else float(value)
+
+
+def _time_grid(cfg: dict, model: ModelSpec) -> np.ndarray:
+    return default_time_grid(model, _setting(cfg, "grid", "t_points"),
+                             _setting(cfg, "grid", "horizon"))
 
 
 def _model_from_cfg(cfg: dict) -> ModelSpec:
@@ -164,16 +143,7 @@ def _model_from_cfg(cfg: dict) -> ModelSpec:
 def _barrier_from_cfg(cfg: dict) -> barrier_mod.BarrierSpec:
     if "barrier" not in cfg:
         raise ConfigError("command 'barrier' needs a 'barrier' section")
-    doc = config_section(cfg, "barrier")
-    allowed = {"a", "b", "v0", "v1", "mu", "hbar"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown barrier keys {sorted(unknown)}")
-    for key in ("a", "b", "v0", "v1"):
-        if key not in doc:
-            raise ConfigError(f"barrier section missing {key!r}")
-    vals = {key: float(config_number(doc.get(key, 1.0), f"barrier {key}")) for key in allowed}
-    return barrier_mod.BarrierSpec(**vals)
+    return barrier_mod.BarrierSpec(**{key: float(v) for key, v in cfg["barrier"].items()})
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +152,7 @@ def _barrier_from_cfg(cfg: dict) -> barrier_mod.BarrierSpec:
 
 def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     model = _model_from_cfg(cfg)
-    tol = float(cfg["tolerances"].get("pole", 1e-13))
+    tol = _setting(cfg, "tolerances", "pole")
     # one grid for every stage; the pole is solved once, at the config tolerance
     grid = build_contour(model.contour)
     ser = perturb_discrete(model, 2, grid)
@@ -214,10 +184,8 @@ def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
 
 def cmd_evolve(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     model = _model_from_cfg(cfg)
-    grid_cfg = cfg["grid"]
-    ts = default_time_grid(model, int(grid_cfg.get("t_points", 200)),
-                           float(grid_cfg.get("horizon", 5.0)))
-    n_oracle = int(grid_cfg.get("oracle_n", 2000))
+    ts = _time_grid(cfg, model)
+    n_oracle = _setting(cfg, "grid", "oracle_n")
     t_rec = recurrence_time(n_oracle, model.contour.cutoff)
     if ts[-1] > t_rec:
         # past it the midpoint grid revives and the oracle column means
@@ -241,9 +209,7 @@ def cmd_evolve(cfg: dict, outdir: Path, cfg_hash: str) -> int:
 
 def cmd_liouville(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     model = _model_from_cfg(cfg)
-    grid_cfg = cfg["grid"]
-    n_li = int(grid_cfg.get("liouville_n", 100))
-    grids = LiouvilleGrids.for_model(model, n_nodes=n_li)
+    grids = LiouvilleGrids.for_model(model, n_nodes=_setting(cfg, "grid", "liouville_n"))
     lsys = LiouvilleSystem(model, grids)
     branches = {"decay": [lsys.lam_d], "invariant": [0.0],
                 "u1": lsys.lam_u1(grids.gamma_bar.nodes),
@@ -254,8 +220,7 @@ def cmd_liouville(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     _write_csv(outdir / "liouville_eigenvalues.csv", ["branch", "re", "im"],
                [labels, lams.real, lams.imag], cfg_hash)
 
-    ts = default_time_grid(model, int(grid_cfg.get("t_points", 200)),
-                           float(grid_cfg.get("horizon", 5.0)))
+    ts = _time_grid(cfg, model)
     curve = relaxation_curve(model, unstable_state_functional(), ts, lsys)
     _write_csv(outdir / "liouville_trajectory.csv",
                ["t", "rho_level", "atom_weight_at_level", "rho_identity"],
@@ -274,7 +239,7 @@ def cmd_barrier(cfg: dict, outdir: Path, cfg_hash: str) -> int:
         "width": res.width, "survival_rate": res.survival_rate,
     }
     _write_json(outdir / "barrier.json", payload, cfg_hash)
-    n_sweep = int(cfg["grid"].get("sweep_points", 9))
+    n_sweep = _setting(cfg, "grid", "sweep_points")
     rows = barrier_mod.width_sweep(spec, spec.b * np.linspace(1.0, 1.6, n_sweep))
     header = ["b", "barrier_length", "width", "k_tilde"]
     _write_csv(outdir / "barrier_sweep.csv", header,
@@ -501,6 +466,26 @@ def cmd_validate(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     return 0 if all(r[1] for r in results) else 3
 
 
+COMMANDS = {"spectrum": cmd_spectrum, "evolve": cmd_evolve, "liouville": cmd_liouville,
+            "barrier": cmd_barrier, "validate": cmd_validate}
+
+# section -> key -> (kind, default[, least]), as model.check_section reads it;
+# a default of None leaves an absent key to the code that builds from it
+RUN_SCHEMA = {
+    "command": (tuple(COMMANDS), REQUIRED),
+    "model": (MODEL_SCHEMA, None),
+    # the fields of BarrierSpec, with its defaults of mu and hbar
+    "barrier": ({f.name: ("number", REQUIRED if f.default is MISSING else f.default)
+                 for f in fields(barrier_mod.BarrierSpec)}, None),
+    "output_dir": ("string", "out"),
+    "seed": ("integer", 1234, 0),
+    "tolerances": ({"pole": ("number", 1e-13)}, {}),
+    "grid": ({"oracle_n": ("integer", 2000, MIN_BINS), "t_points": ("integer", 200, 1),
+              "horizon": ("number", 5.0), "liouville_n": ("integer", 100, MIN_NODES),
+              "sweep_points": ("integer", 9, 1)}, {}),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="respectra",
@@ -519,31 +504,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, vars(args))
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    cfg_hash = _config_hash(cfg)
-    if args.dump_grid and "model" in cfg:
-        try:
+        outdir = Path(cfg["output_dir"])
+        outdir.mkdir(parents=True, exist_ok=True)
+        cfg_hash = _config_hash(cfg)
+        if args.dump_grid and "model" in cfg:
             grid = build_contour(_model_from_cfg(cfg).contour)
-        except ConfigError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return 2
-        _write_csv(outdir / "grid.csv", ["node_re", "node_im", "weight_re", "weight_im"],
-                   [grid.nodes.real, grid.nodes.imag, grid.weights.real, grid.weights.imag],
-                   cfg_hash)
-    handlers = {
-        "spectrum": cmd_spectrum,
-        "evolve": cmd_evolve,
-        "liouville": cmd_liouville,
-        "barrier": cmd_barrier,
-        "validate": cmd_validate,
-    }
-    try:
-        return handlers[cfg["command"]](cfg, outdir, cfg_hash)
+            _write_csv(outdir / "grid.csv", ["node_re", "node_im", "weight_re", "weight_im"],
+                       [grid.nodes.real, grid.nodes.imag, grid.weights.real, grid.weights.imag],
+                       cfg_hash)
+        return COMMANDS[cfg["command"]](cfg, outdir, cfg_hash)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -39,6 +39,8 @@ from scipy.special import roots_legendre
 from .errors import ContourError, EvaluationError
 
 _SHAPES = ("rectangle", "semi_ellipse")
+# fewest nodes of a contour
+MIN_NODES = 16
 # complex entries of a Cauchy block of the principal-value operator (512 kB):
 # 128 rows at n = 256, 40 at n = 800
 PV_BLOCK_ENTRIES = 2**15
@@ -65,8 +67,8 @@ class ContourSpec:
             raise ContourError(f"contour cutoff must be positive, got {self.cutoff}")
         if self.shape not in _SHAPES:
             raise ContourError(f"unknown contour shape {self.shape!r}; choose from {_SHAPES}")
-        if self.n_nodes < 16:
-            raise ContourError(f"n_nodes must be at least 16, got {self.n_nodes}")
+        if self.n_nodes < MIN_NODES:
+            raise ContourError(f"n_nodes must be at least {MIN_NODES}, got {self.n_nodes}")
 
 
 class ContourGrid:

@@ -265,7 +265,6 @@ class ExactEigvecs:
     model: ModelSpec
     grid: ContourGrid
     pole: PoleResult
-    eta_prime: complex
     norm: complex
     eta_plus: np.ndarray
     eta_minus: np.ndarray
@@ -282,5 +281,5 @@ def exact_system(model: ModelSpec, grid: ContourGrid | None = None,
     ep = eta.prime(lam)
     if abs(ep) < 1e-8:
         raise DegeneratePairError(f"eta'({lam}) ~ 0: degenerate pole")
-    return ExactEigvecs(model, eta.grid, pole, ep, 1.0 / np.sqrt(ep),   # principal branch
+    return ExactEigvecs(model, eta.grid, pole, 1.0 / np.sqrt(ep),   # principal branch
                         *eta.boundary())

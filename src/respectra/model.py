@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import ContourSpec
+from .contour import MIN_NODES, ContourSpec
 from .errors import AnalyticityError, ConfigError, ContourError
 
 _REGION_SLACK_RE = 0.05
@@ -177,60 +177,77 @@ def config_number(value, name: str, integer: bool = False):
     return value
 
 
-def config_section(doc: dict, key: str) -> dict:
-    """The JSON object under ``key`` (empty if absent)."""
-    section = doc.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {section!r}")
-    return section
+# the default of a key that a document must give
+REQUIRED = object()
+
+
+def check_section(doc, schema: dict, name: str) -> dict:
+    """``doc`` checked to be a JSON object with the keys of ``schema``.
+
+    ``schema`` maps each key to ``(kind, default)`` or ``(kind, default,
+    least)``.  A kind is "string", "number", "integer", "numbers" (a list of
+    numbers), a tuple of the strings allowed, or the schema of a nested
+    section.  A default of REQUIRED makes the key required, and one of None
+    leaves the value of an absent key to the code that builds from the
+    section; a number must be at least ``least``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)}; allowed {sorted(schema)}")
+    for key, (kind, default, *least) in schema.items():
+        label = f"{name} {key}"
+        if key not in doc:
+            if default is REQUIRED:
+                raise ConfigError(f"{name} missing required key {key!r}")
+            continue
+        value = doc[key]
+        if isinstance(kind, dict):
+            check_section(value, kind, label)
+        elif isinstance(kind, tuple):
+            if not isinstance(value, str) or value not in kind:
+                raise ConfigError(f"{label} must be one of {kind}, got {value!r}")
+        elif kind == "string":
+            if not isinstance(value, str):
+                raise ConfigError(f"{label} must be a string, got {value!r}")
+        elif kind == "numbers":
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{label} must be a list, got {value!r}")
+            for entry in value:
+                config_number(entry, f"{label} entry")
+        else:
+            config_number(value, label, integer=kind == "integer")
+            if least and value < least[0]:
+                raise ConfigError(f"{label} must be at least {least[0]}, got {value!r}")
+    return doc
+
+
+CONTOUR_SCHEMA = {"depth": ("number", None), "cutoff": ("number", None),
+                  "n_nodes": ("integer", None, MIN_NODES), "shape": ("string", None)}
+MODEL_SCHEMA = {"family": (tuple(FAMILIES), REQUIRED), "params": ("numbers", None),
+                "omega": ("number", REQUIRED), "epsilon": ("number", REQUIRED),
+                "contour": (CONTOUR_SCHEMA, None), "kernel": ("string", None)}
 
 
 def model_from_dict(doc: dict) -> ModelSpec:
-    """Model from a JSON-style document.
-
-    Keys: family (str), params (list, optional), omega (float), epsilon (float),
-    contour {depth, cutoff, n_nodes, shape} (optional), kernel (str, optional).
-    Unknown keys and values of the wrong JSON type are rejected.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"model must be a JSON object, got {doc!r}")
-    allowed = {"family", "params", "omega", "epsilon", "contour", "kernel"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown model keys {sorted(unknown)}; allowed {sorted(allowed)}")
-    for key in ("family", "omega", "epsilon"):
-        if key not in doc:
-            raise ConfigError(f"model document missing required key {key!r}")
-    for key in ("family", "kernel"):
-        if key in doc and not isinstance(doc[key], str):
-            raise ConfigError(f"model {key} must be a string, got {doc[key]!r}")
-    params = doc.get("params", ())
-    if not isinstance(params, (list, tuple)):
-        raise ConfigError(f"model params must be a list, got {params!r}")
-    params = [config_number(p, "model params entry") for p in params]
-    omega = float(config_number(doc["omega"], "model omega"))
-    epsilon = float(config_number(doc["epsilon"], "model epsilon"))
+    """Model from a JSON-style document checked against ``MODEL_SCHEMA``."""
+    check_section(doc, MODEL_SCHEMA, "model")
+    omega = float(doc["omega"])
     cspec = None
     if "contour" in doc:
-        cdoc = config_section(doc, "contour")
-        callowed = {"depth", "cutoff", "n_nodes", "shape"}
-        cunknown = set(cdoc) - callowed
-        if cunknown:
-            raise ConfigError(f"unknown contour keys {sorted(cunknown)}")
         base = default_contour(omega)
-        num = {key: config_number(cdoc.get(key, getattr(base, key)), f"contour {key}",
-                                  integer=key == "n_nodes")
-               for key in ("depth", "cutoff", "n_nodes")}
-        shape = cdoc.get("shape", base.shape)
-        if not isinstance(shape, str):
-            raise ConfigError(f"contour shape must be a string, got {shape!r}")
+        given = doc["contour"]
         try:
-            cspec = ContourSpec(depth=float(num["depth"]), cutoff=float(num["cutoff"]),
-                                shape=shape, n_nodes=int(num["n_nodes"]))
+            cspec = ContourSpec(depth=float(given.get("depth", base.depth)),
+                                cutoff=float(given.get("cutoff", base.cutoff)),
+                                shape=given.get("shape", base.shape),
+                                n_nodes=int(given.get("n_nodes", base.n_nodes)))
         except ContourError as e:
             # a contour the document asks for but cannot have is a config mistake
             raise ConfigError(str(e)) from e
-    return make_model(doc["family"], params, omega, epsilon, cspec, doc.get("kernel"))
+    return make_model(doc["family"], doc.get("params", ()), omega, float(doc["epsilon"]),
+                      cspec, doc.get("kernel"))
 
 
 def _check_region(model: ModelSpec, z):

@@ -29,6 +29,7 @@ from .model import ModelSpec, eval_V, eval_V2
 _EPS = np.finfo(float).eps
 _BLOCK_ENTRIES = 2**17    # doubles per Cauchy block (1 MB): 131 rows at n = 1000
 _MAX_SWEEPS = 100     # bisection alone resolves a root in about 60
+MIN_BINS = 100        # fewest midpoint bins of the oracle grid
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,8 @@ class DiscretizedSystem:
 
 def _midpoint_grid(model: ModelSpec, n: int, omega_max: float | None):
     """(omega_max, bin width, midpoints, couplings V(w) sqrt(bin width))."""
-    if n < 100:
-        raise ConfigError("oracle discretization needs n >= 100")
+    if n < MIN_BINS:
+        raise ConfigError(f"oracle discretization needs n >= {MIN_BINS}")
     if omega_max is None:
         omega_max = model.contour.cutoff
     dw = omega_max / n

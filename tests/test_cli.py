@@ -1,15 +1,20 @@
+import copy
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from respectra import cli, oracle
 from respectra.cli import main
+from respectra.errors import ConfigError, RespectraError
 
 
 def _write_cfg(tmp_path, doc, name="cfg.json"):
@@ -20,6 +25,7 @@ def _write_cfg(tmp_path, doc, name="cfg.json"):
 
 MODEL = {"family": "sqrt_exp", "params": [1.0], "omega": 1.0, "epsilon": 0.1,
          "contour": {"n_nodes": 128}}
+BARRIER = {"a": 0.8, "b": 10.0, "v0": 0.25, "v1": 0.092}
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -253,14 +259,109 @@ MALFORMED = {
     "oracle_n_string": {"command": "evolve", "model": MODEL, "grid": {"oracle_n": "many"}},
     "barrier_string": {"command": "barrier",
                        "barrier": {"a": "x", "b": 10.0, "v0": 0.25, "v1": 0.092}},
+    # out-of-range run settings
+    "t_points_zero": {"command": "evolve", "model": MODEL,
+                      "grid": {"t_points": 0, "oracle_n": 800}},
+    "sweep_points_negative": {"command": "barrier", "barrier": BARRIER,
+                              "grid": {"sweep_points": -3}},
+    "seed_negative": {"command": "validate", "model": MODEL, "seed": -1},
+    "liouville_n_below_contour_minimum": {"command": "liouville", "model": MODEL,
+                                          "grid": {"liouville_n": 8, "t_points": 4}},
+    "oracle_n_zero": {"command": "evolve", "model": MODEL,
+                      "grid": {"t_points": 3, "oracle_n": 0}},
+    "barrier_hbar_subnormal": {"command": "barrier", "barrier": dict(BARRIER, hbar=1e-320)},
+    # the same checks on the command line
+    "seed_override_negative": ({"command": "validate", "model": MODEL}, ["--seed", "-1"]),
+    "tolerance_override_nan": ({"command": "spectrum", "model": MODEL},
+                               ["--tolerance", "nan"]),
+    # sections the command does not read
+    "unread_barrier": {"command": "spectrum", "model": MODEL,
+                       "barrier": {"typo": 1, "a": "x"}},
+    "unread_model": {"command": "barrier", "barrier": BARRIER,
+                     "model": {"family": 5, "omega": "x", "junk": 1}},
+    "unread_grid_key": {"command": "liouville", "model": MODEL,
+                        "grid": {"sweep_points": 0, "liouville_n": 32, "t_points": 4}},
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_value_is_config_error(tmp_path, capsys, name):
-    doc = dict(MALFORMED[name], output_dir=str(tmp_path / "o"))
-    assert main(["--config", _write_cfg(tmp_path, doc)]) == 2
+    # a document, or a (document, command-line flags) pair
+    doc, flags = MALFORMED[name] if isinstance(MALFORMED[name], tuple) else (MALFORMED[name], [])
+    doc = dict(doc, output_dir=str(tmp_path / "o"))
+    assert main(["--config", _write_cfg(tmp_path, doc)] + flags) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# a valid document with every section and every key
+FULL_DOC = {"command": "spectrum",
+            "model": {"family": "sqrt_exp", "params": [1.0], "omega": 1.0, "epsilon": 0.1,
+                      "contour": {"depth": 0.5, "cutoff": 20.0, "n_nodes": 64,
+                                  "shape": "rectangle"},
+                      "kernel": "separable_sqrt_exp"},
+            "barrier": {"a": 0.8, "b": 10.0, "v0": 0.25, "v1": 0.092, "mu": 1.0, "hbar": 1.0},
+            "output_dir": "out", "seed": 7, "tolerances": {"pole": 1e-13},
+            "grid": {"oracle_n": 800, "t_points": 32, "horizon": 5.0, "liouville_n": 64,
+                     "sweep_points": 5}}
+
+
+def _fields(doc, prefix=()):
+    """The path of every field of ``doc``, sections and their keys alike."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _fields(value, prefix + (key,))
+
+
+RUN_FIELDS = [".".join(path) for path in _fields(FULL_DOC) if path != ("command",)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=4)
+
+
+@given(command=st.sampled_from(sorted(cli.COMMANDS)),
+       fields=st.lists(st.sampled_from(RUN_FIELDS), min_size=1, max_size=2, unique=True),
+       data=st.data())
+def test_load_config_fuzz(command, fields, data):
+    # a valid document with one or two fields, in any section, replaced by
+    # arbitrary JSON values loads or is a config error; an accepted one
+    # builds its model and barrier or raises a typed error, and every grid
+    # and tolerance setting reads.  No command runs: a drawn oracle_n or
+    # n_nodes can be arbitrarily large
+    doc = dict(copy.deepcopy(FULL_DOC), command=command)
+    for field in fields:
+        *parents, key = field.split(".")
+        target = doc
+        for name in parents:
+            target = target.get(name) if isinstance(target, dict) else None
+        if isinstance(target, dict):
+            target[key] = data.draw(JSON_VALUES, label=field)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        try:
+            cfg = cli.load_config(str(path), {})
+        except ConfigError:
+            return
+    for section in ("grid", "tolerances"):
+        for key in cli.RUN_SCHEMA[section][0]:
+            cli._setting(cfg, section, key)
+    for build in (cli._model_from_cfg, cli._barrier_from_cfg):
+        try:
+            build(cfg)
+        except RespectraError:
+            pass
+
+
+def test_readme_example_is_a_valid_document(tmp_path):
+    # the document README shows under "Command line" loads and builds its model
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Command line"):]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg = cli.load_config(_write_cfg(tmp_path, json.loads(example)), {})
+    cli._model_from_cfg(cfg)
 
 
 def _long_seed(tmp_path):
