@@ -274,6 +274,9 @@ MALFORMED = {
     "seed_override_negative": ({"command": "validate", "model": MODEL}, ["--seed", "-1"]),
     "tolerance_override_nan": ({"command": "spectrum", "model": MODEL},
                                ["--tolerance", "nan"]),
+    "dump_grid_contour_shape_unknown": ({"command": "spectrum",
+                                         "model": dict(MODEL, contour={"shape": "circle"})},
+                                        ["--dump-grid"]),
     # sections the command does not read
     "unread_barrier": {"command": "spectrum", "model": MODEL,
                        "barrier": {"typo": 1, "a": "x"}},
