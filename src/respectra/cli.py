@@ -479,7 +479,7 @@ RUN_SCHEMA = {
                  for f in fields(barrier_mod.BarrierSpec)}, None),
     "output_dir": ("string", "out"),
     "seed": ("integer", 1234, 0),
-    "tolerances": ({"pole": ("number", 1e-13)}, {}),
+    "tolerances": ({"pole": ("positive", 1e-13)}, {}),
     "grid": ({"oracle_n": ("integer", 2000, MIN_BINS), "t_points": ("integer", 200, 1),
               "horizon": ("number", 5.0), "liouville_n": ("integer", 100, MIN_NODES),
               "sweep_points": ("integer", 9, 1)}, {}),
@@ -505,7 +505,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, vars(args))
         outdir = Path(cfg["output_dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:    # e.g. the path, or one of its parents, is a file
+            raise ConfigError(f"output_dir {str(outdir)!r} cannot be made a directory: {e}") from e
         cfg_hash = _config_hash(cfg)
         if args.dump_grid and "model" in cfg:
             grid = build_contour(_model_from_cfg(cfg).contour)

@@ -8,9 +8,9 @@ continuum pair needs the two boundary values eta(u +- i0) on the curve.
 
 ``SampledEta`` samples V Vbar once per grid; the pole solve, the exact
 system and the scalar functions below all read its moments.  The pole solve
-ends with a scan for other zeros in the strip: a coarse grid ranked by one
-Cauchy product, its best points polished together by ``_newton_batch``,
-which finds bit for bit the zeros a scalar ``_newton`` finds from each.
+ends by counting the zeros in the strip with the argument principle: the
+winding of eta(u + i0) along the curve, closed by a return path on the first
+sheet above the axis.  A count other than 1 is refused.
 
 This module is the ground truth the perturbative engine is checked against.
 """
@@ -62,14 +62,18 @@ class SampledEta:
         """Whether lambda keeps at least one node spacing from every node."""
         return float(np.min(np.abs(self.grid.nodes - lam))) >= self.spacing
 
-    def __call__(self, lam: complex) -> complex:
-        """eta(lambda) for lambda off the curve."""
-        if self.free:
-            return complex(lam - self.omega)
+    def guard(self, lam: complex) -> None:
+        """Raise unless lambda is ``off_curve``, where eta's quadrature holds."""
         if not self.off_curve(lam):
             raise EvaluationError(
                 f"lambda={lam} lies within one node spacing of the contour; "
                 "the quadrature of eta is near-singular there")
+
+    def __call__(self, lam: complex) -> complex:
+        """eta(lambda) for lambda off the curve."""
+        if self.free:
+            return complex(lam - self.omega)
+        self.guard(lam)
         return complex(lam - self.omega - self.moment(lam))
 
     def prime(self, lam: complex) -> complex:
@@ -112,10 +116,58 @@ def eta_boundary(model: ModelSpec, u: complex, side: int,
 
 @dataclass(frozen=True)
 class PoleResult:
+    """The pole, its residual |eta| and solve path; ``zero_count`` is the
+    number of zeros in the strip and ``min_boundary`` the least |eta(u + i0)|
+    over the curve samples of the count (both None where no count ran)."""
+
     lambda_pole: complex
     residual: float
     iterations: int
     method: str
+    zero_count: int | None = None
+    min_boundary: float | None = None
+
+
+# curve samples of the zero count: every k-th node, k = ceil(n / COUNT_SAMPLES)
+COUNT_SAMPLES = 200
+
+
+def _count_zeros(eta: SampledEta, plus: np.ndarray | None = None) -> tuple[int, float]:
+    """Zeros of eta in the strip by the argument principle, and the least
+    |eta(u + i0)| on the curve samples; a ContourError unless the count is 1.
+
+    The loop runs from 0 along the curve on eta(u + i0) (``plus``, at every
+    node, or computed here at the sampled ones) to X, and back X -> X + ih
+    -> ih -> 0 on the first sheet, h the depth (below any form-factor pole),
+    where eta has no zeros.  The return path is bisected until no phase step
+    exceeds pi/4; a step over pi/2 between curve samples cannot be refined,
+    so it is refused."""
+    X, h, k = eta.model.contour.cutoff, eta.model.contour.depth, -(-eta.grid.n // COUNT_SAMPLES)
+    u = eta.grid.nodes[::k]
+    plus = eta.boundary(u)[0] if plus is None else plus[::k]
+    back = np.concatenate([X + 1j * h * np.linspace(0.0, 1.0, 8), np.linspace(X, 0.0, 64)[1:-1]
+                           + 1j * h, 1j * h * np.linspace(1.0, 0.0, 8)])
+    vals = back - eta.omega - eta.moment(back)
+    while (bad := np.flatnonzero(np.abs(np.angle(vals[1:] / vals[:-1])) > np.pi / 4)).size:
+        if back.size > 4096:
+            raise ContourError("the phase of eta on the return path above the axis does not "
+                               "resolve; the zeros in the strip cannot be counted")
+        mid = 0.5 * (back[bad] + back[bad + 1])
+        back = np.insert(back, bad + 1, mid)
+        vals = np.insert(vals, bad + 1, mid - eta.omega - eta.moment(mid))
+    # the curve from 0 (the return path's end) to X (its start)
+    curve = np.concatenate([vals[-1:], plus, vals[:1]])
+    steps = np.angle(curve[1:] / curve[:-1])
+    count = int(round((steps.sum() + np.angle(vals[1:] / vals[:-1]).sum()) / (2 * np.pi)))
+    if count != 1:
+        raise ContourError(f"eta has {count} zeros in the strip, not 1; the single-pole "
+                           "assumption fails for this model")
+    j = int(np.argmax(np.abs(steps)))
+    if abs(steps[j]) > np.pi / 2:
+        where = "0" if j == 0 else f"node {(j - 1) * k} (u={complex(u[j - 1]):.5g})"
+        raise ContourError(f"eta(u + i0) turns by {steps[j]:.3f} rad in one step from {where} "
+                           "along the curve; its samples cannot fix the zero count")
+    return count, float(np.min(np.abs(plus)))
 
 
 def _newton(eta: SampledEta, lam0, tol, max_iter):
@@ -132,105 +184,49 @@ def _newton(eta: SampledEta, lam0, tol, max_iter):
                            last_iterate=lam, residual=abs(r))
 
 
-def _newton_batch(eta: SampledEta, lam0: np.ndarray, tol, max_iter) -> np.ndarray:
-    """``_newton`` from every start of ``lam0`` at once, on arrays.
-
-    Returns the zeros in the order of the starts, NaN where ``_newton`` would
-    raise: an iterate within one node spacing of the curve, or no
-    |eta| <= tol after ``max_iter`` steps."""
-    lam = np.array(lam0, dtype=complex)
-    out = np.full(lam.shape, np.nan, dtype=complex)
-    idx = np.arange(lam.size)           # the starts still iterating
-    for it in range(max_iter + 1):
-        idx = idx[np.min(np.abs(eta.grid.nodes - lam[idx, None]), axis=-1) >= eta.spacing]
-        x = lam[idx]
-        r = x - eta.omega - eta.moment(x)
-        hit = np.abs(r) <= tol
-        out[idx[hit]] = x[hit]
-        idx, x, r = idx[~hit], x[~hit], r[~hit]
-        if it == max_iter or idx.size == 0:
-            break
-        # the quotient in Python's complex arithmetic, as ``_newton`` takes it
-        # (numpy rounds complex division differently), so every zero is bit
-        # for bit the one a lone ``_newton`` from its start finds
-        quot = [complex(a) / complex(b) for a, b in zip(r, 1.0 + eta.moment(x, 2))]
-        lam[idx] = x - np.array(quot, dtype=complex)
-    return out
-
-
-def _scan_for_extra_zeros(eta: SampledEta, found, tol):
-    """Coarse |eta| scan in the strip; Newton-polish distinct minima and fail
-    if any converge to a second zero.
-
-    The 360 grid points are ranked by one Cauchy product 1/(lambda - z) @
-    w V Vbar, and the 6 best are polished together by ``_newton_batch``."""
-    d, X = eta.model.contour.depth, eta.model.contour.cutoff
-    res = np.linspace(0.02 * X, 0.98 * X, 36)
-    ims = -d * np.geomspace(1e-3, 0.9, 10)
-    lams = (res[:, None] + 1j * ims[None, :]).ravel()
-    C = lams[:, None] - eta.grid.nodes
-    np.reciprocal(C, out=C)
-    order = np.argsort(np.abs(lams - eta.omega - C @ eta.wvv))
-    seen_other = []
-    for lam in _newton_batch(eta, lams[order[:6]], max(tol, 1e-11), 40):
-        if np.isnan(lam):
-            continue
-        lam = complex(lam)
-        inside = 0.0 < lam.real < X and -d < lam.imag < 0.0 and eta.off_curve(lam)
-        if inside and abs(lam - found) > 1e-6 * max(1.0, abs(found)):
-            seen_other.append(lam)
-    if seen_other:
-        raise ContourError(f"eta has additional zeros in the strip, e.g. {seen_other[0]}; "
-                           "the single-pole assumption fails for this model")
-
-
 def find_pole(model: ModelSpec, tol: float = 1e-13, max_iter: int = 200,
               grid: ContourGrid | None = None, check_unique: bool = True) -> PoleResult:
     """Zero of eta between the curve and the positive axis.
 
     A plain fixed-point iteration lambda <- Omega + \\int V Vbar/(lambda - z)
-    starting at Omega is tried first; Newton on eta is the fallback.
+    starting at Omega is tried first; Newton on eta is the fallback.  With
+    ``check_unique`` the zeros in the strip are counted, and a count other
+    than 1 is a ContourError.
     """
     return _solve_pole(SampledEta(model, grid), tol, max_iter, check_unique)
 
 
 def _solve_pole(eta: SampledEta, tol: float = 1e-13, max_iter: int = 200,
-                check_unique: bool = True) -> PoleResult:
+                check_unique: bool = True, plus: np.ndarray | None = None) -> PoleResult:
+    """``find_pole`` on a sampled eta; ``plus`` is eta(u + i0) at every node, if known."""
     om, depth = eta.omega, eta.model.contour.depth
     if eta.free:
         return PoleResult(complex(om), 0.0, 0, "fixed_point")
-    # second-order estimate of the width: if it already reaches the contour
-    # depth, the zero sits at or below the curve and the strip quadrature of
-    # eta cannot see it
-    lam2_est = complex(om + eta.moment(complex(om)))
-    if abs(lam2_est.imag) >= 0.8 * depth:
+    # the first iterate is the second-order estimate: if its width already
+    # reaches the contour depth, the zero sits at or below the curve and the
+    # strip quadrature of eta cannot see it
+    m = eta.moment(complex(om))
+    lam = complex(om + m)
+    if abs(lam.imag) >= 0.8 * depth:
         raise ContourError(
-            f"estimated pole {lam2_est} lies at or below the contour depth "
+            f"estimated pole {lam} lies at or below the contour depth "
             f"{depth}; re-deepen the contour and recompute")
 
-    lam = complex(om)
-    method = "fixed_point"
-    it_used = 0
-    prev_res = np.inf
-    converged = False
+    method, it_used, prev_res, res = "fixed_point", 0, np.inf, np.inf
     try:
-        for it in range(1, max_iter + 1):
-            lam_new = complex(om + eta.moment(lam))
-            res = abs(eta(lam_new))
-            lam = lam_new
-            it_used = it
-            if res <= tol:
-                converged = True
-                break
-            if res > prev_res and it >= 8:
-                break  # not contracting; fall back to Newton
+        for it_used in range(1, max_iter + 1):
+            # the moment at an iterate is its residual and the next iterate
+            lam = complex(om + m)
+            eta.guard(lam)
+            m = eta.moment(lam)
+            res = abs(lam - om - m)
+            if res <= tol or (res > prev_res and it_used >= 8):
+                break  # converged, or not contracting: Newton takes over
             prev_res = res
-        if not converged:
+        if res > tol:
             lam, res, extra = _newton(eta, lam, tol, max_iter)
             method = "newton"
             it_used += extra
-        else:
-            res = abs(eta(lam))
     except EvaluationError as e:
         # iterates driven onto the curve: the zero is not inside the strip
         raise ContourError(
@@ -247,9 +243,8 @@ def _solve_pole(eta: SampledEta, tol: float = 1e-13, max_iter: int = 200,
         # e.g. a level pushed below the threshold: a zero on the negative axis
         raise ContourError(f"pole {lam} lies outside the continuum window "
                            f"0 < Re < {eta.model.contour.cutoff} of the strip")
-    if check_unique:
-        _scan_for_extra_zeros(eta, lam, tol)
-    return PoleResult(lam, float(res), it_used, method)
+    counted = _count_zeros(eta, plus) if check_unique else (None, None)
+    return PoleResult(lam, float(res), it_used, method, *counted)
 
 
 @dataclass(frozen=True)
@@ -275,11 +270,12 @@ def exact_system(model: ModelSpec, grid: ContourGrid | None = None,
     """Solve the model exactly: pole, normalization and both eigenvector
     families, on one sampled eta; a pole already solved on ``grid`` is reused."""
     eta = SampledEta(model, grid)
+    plus, minus = eta.boundary()
     if pole is None:
-        pole = _solve_pole(eta)
+        pole = _solve_pole(eta, plus=plus)
     lam = pole.lambda_pole
     ep = eta.prime(lam)
     if abs(ep) < 1e-8:
         raise DegeneratePairError(f"eta'({lam}) ~ 0: degenerate pole")
     return ExactEigvecs(model, eta.grid, pole, 1.0 / np.sqrt(ep),   # principal branch
-                        *eta.boundary())
+                        plus, minus)

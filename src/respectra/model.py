@@ -185,11 +185,12 @@ def check_section(doc, schema: dict, name: str) -> dict:
     """``doc`` checked to be a JSON object with the keys of ``schema``.
 
     ``schema`` maps each key to ``(kind, default)`` or ``(kind, default,
-    least)``.  A kind is "string", "number", "integer", "numbers" (a list of
-    numbers), a tuple of the strings allowed, or the schema of a nested
-    section.  A default of REQUIRED makes the key required, and one of None
-    leaves the value of an absent key to the code that builds from the
-    section; a number must be at least ``least``.
+    least)``.  A kind is "string", "number", "positive" (a number above 0),
+    "integer", "numbers" (a list of numbers), a tuple of the strings
+    allowed, or the schema of a nested section.  A default of REQUIRED makes
+    the key required, and one of None leaves the value of an absent key to
+    the code that builds from the section; a number must be at least
+    ``least``.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
@@ -220,6 +221,8 @@ def check_section(doc, schema: dict, name: str) -> dict:
             config_number(value, label, integer=kind == "integer")
             if least and value < least[0]:
                 raise ConfigError(f"{label} must be at least {least[0]}, got {value!r}")
+            if kind == "positive" and not value > 0:
+                raise ConfigError(f"{label} must be positive, got {value!r}")
     return doc
 
 

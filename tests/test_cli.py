@@ -274,6 +274,10 @@ MALFORMED = {
     "seed_override_negative": ({"command": "validate", "model": MODEL}, ["--seed", "-1"]),
     "tolerance_override_nan": ({"command": "spectrum", "model": MODEL},
                                ["--tolerance", "nan"]),
+    "tolerance_zero": {"command": "spectrum", "model": MODEL, "tolerances": {"pole": 0}},
+    "tolerance_negative": {"command": "spectrum", "model": MODEL,
+                           "tolerances": {"pole": -1e-13}},
+    "tolerance_override_zero": ({"command": "spectrum", "model": MODEL}, ["--tolerance", "0"]),
     "dump_grid_contour_shape_unknown": ({"command": "spectrum",
                                          "model": dict(MODEL, contour={"shape": "circle"})},
                                         ["--dump-grid"]),
@@ -397,6 +401,17 @@ def test_output_dir_is_not_part_of_the_artifacts(tmp_path):
     runs = [{p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
             for d in ("a", "b")]
     assert runs[0] and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("via", ["output_dir", "--out"])
+def test_output_dir_that_is_a_file_is_config_error(tmp_path, capsys, via):
+    # a file where the directory should go, or below one of its parents
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    doc = {"command": "spectrum", "model": MODEL, "output_dir": str(taken)}
+    flags = ["--out", str(taken / "o")] if via == "--out" else []
+    assert main(["--config", _write_cfg(tmp_path, doc)] + flags) == 2
+    assert "config error: output_dir" in capsys.readouterr().err
 
 
 def test_grid_dump_flag(tmp_path):

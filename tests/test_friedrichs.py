@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from respectra.contour import ContourSpec, SampledPV, build_contour
-from respectra.errors import ContourError, ConvergenceError, EvaluationError, RespectraError
-from respectra.friedrichs import (SampledEta, _newton, _newton_batch, eta, eta_boundary,
-                                  eta_prime, exact_system, find_pole)
-from respectra.model import eval_V, eval_Vbar, make_model, separable_test_kernel
+from respectra.errors import ContourError, EvaluationError, RespectraError
+from respectra.friedrichs import (COUNT_SAMPLES, SampledEta, eta, eta_boundary, eta_prime,
+                                  exact_system, find_pole)
+from respectra.model import (default_contour, eval_V, eval_Vbar, make_model,
+                             separable_test_kernel)
 from respectra.perturbation import BiorthogonalSystem, pair_coeffs
 from respectra.states import AnalyticVector, random_analytic, real_axis_inner, real_axis_inner_H
 
@@ -94,7 +95,7 @@ class TestFindPole:
             find_pole(m)
 
     def test_unique_pole_scan_passes(self, default_model):
-        find_pole(default_model, check_unique=True)
+        assert find_pole(default_model, check_unique=True).zero_count == 1
 
     def test_second_zero_in_the_strip_is_refused(self):
         # a strong coupling whose eta has a second zero near 0.1908 - 0.5753i,
@@ -103,7 +104,26 @@ class TestFindPole:
                        0.7740707818134304,
                        ContourSpec(0.6603008494493032, 10.0, "rectangle", 341))
         assert find_pole(m, check_unique=False).residual <= 1e-13
-        with pytest.raises(ContourError, match=r"additional zeros .* \(0\.1908\d*-0\.5753"):
+        with pytest.raises(ContourError, match=r"eta has 2 zeros in the strip"):
+            find_pole(m)
+
+    @pytest.mark.parametrize("n_nodes", [400, 800])
+    @pytest.mark.parametrize("eps,count", [(0.45, 1), (0.52, 2), (0.54, 2)])
+    def test_zero_count_on_a_deep_rectangle(self, n_nodes, eps, count):
+        # at eps = 0.52 and 0.54 a second zero of eta sits in the strip, near
+        # 0.046 - 0.712i and 0.091 - 0.628i, which a scan of the strip missed
+        m = make_model("sqrt_exp", [1.0], 1.0, eps, ContourSpec(1.0, 20.0, "rectangle", n_nodes))
+        if count == 1:
+            assert find_pole(m).zero_count == 1
+        else:
+            with pytest.raises(ContourError, match=f"eta has {count} zeros in the strip"):
+                find_pole(m)
+
+    def test_unresolved_curve_step_is_refused(self):
+        # one zero in the strip, but |eta(u + i0)| dips to 0.02 on the
+        # vertical leg, where the sampled phase jumps by ~1.9 rad
+        m = make_model("sqrt_exp", [1.0], 1.0, 0.5, ContourSpec(1.0, 20.0, "rectangle", 400))
+        with pytest.raises(ContourError, match=r"turns by -1\.9\d* rad .* node 40 "):
             find_pole(m)
 
     def test_shape_insensitivity(self, default_model):
@@ -114,33 +134,6 @@ class TestFindPole:
                          ContourSpec(0.5, 20.0, "rectangle", 240))
         gap = abs(find_pole(m_e).lambda_pole - find_pole(m_r).lambda_pole)
         assert gap < 1e-8
-
-
-@given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
-       param=st.floats(0.2, 3.0), omega=st.floats(0.2, 5.0), eps=st.floats(0.05, 0.8),
-       depth=st.floats(0.1, 1.5), shape=st.sampled_from(["rectangle", "semi_ellipse"]),
-       n_nodes=st.integers(16, 400), max_iter=st.integers(1, 40), seed=st.integers(0, 2**32))
-def test_batched_polish_is_newton_per_start(family, param, omega, eps, depth, shape, n_nodes,
-                                            max_iter, seed):
-    # the scan's batched Newton against one scalar _newton per start: the
-    # same zero bit for bit, NaN exactly where _newton raises (a start on a
-    # node, an iterate near the curve, no convergence within max_iter)
-    try:
-        se = SampledEta(make_model(family, [param], omega, eps,
-                                   ContourSpec(depth, 10.0, shape, n_nodes)))
-    except RespectraError:
-        return
-    rng = np.random.default_rng(seed)
-    starts = np.concatenate([rng.uniform(0.0, 10.0, 10) - 1j * rng.uniform(0.0, depth, 10),
-                             se.grid.nodes[[0, n_nodes // 2]]])
-    ref = []
-    for lam0 in starts:
-        try:
-            ref.append(_newton(se, lam0, 1e-11, max_iter)[0])
-        except (ConvergenceError, EvaluationError):
-            ref.append(np.nan)
-    assert np.array_equal(_newton_batch(se, starts, 1e-11, max_iter),
-                          np.array(ref, dtype=complex), equal_nan=True)
 
 
 @given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
@@ -171,10 +164,39 @@ def test_pole_in_strip_or_typed_error(family, param, omega, eps, depth, shape, c
         assert np.all(np.abs(se.moment(lams, power) - ref) <= 1e-14 * np.abs(ref))
 
 
+@given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
+       param=st.floats(0.8, 1.25), s=st.floats(1.5, 3.0), omega=st.floats(0.8, 1.5),
+       eps=st.floats(0.05, 0.12), shape=st.sampled_from(["rectangle", "semi_ellipse"]),
+       n_nodes=st.sampled_from([200, 800]))
+def test_one_zero_over_the_benchmark_ranges(family, param, s, omega, eps, shape, n_nodes):
+    # the argument principle finds exactly the pole, on the first solve and
+    # on the exact system's, which counts on its own boundary sweep
+    m = make_model(family, [s if family == "lorentz_sqrt" else param], omega, eps,
+                   default_contour(omega, n_nodes, shape=shape))
+    grid = build_contour(m.contour)
+    pr = find_pole(m, grid=grid)
+    k = -(-n_nodes // COUNT_SAMPLES)
+    plus = SampledEta(m, grid).boundary(grid.nodes[::k])[0]
+    assert pr.zero_count == 1 and pr.min_boundary == float(np.min(np.abs(plus)))
+    again = exact_system(m, grid).pole
+    assert again.lambda_pole == pr.lambda_pole and again.zero_count == 1
+    assert again.min_boundary == pytest.approx(pr.min_boundary, rel=1e-12)
+
+
 class TestExactSystem:
     def test_discrete_normalization(self, default_model, default_grid):
         s = BiorthogonalSystem.from_exact(default_model, default_grid)
         assert abs(pair_coeffs(s.disc_left, s.disc_right, default_grid) - 1) < 1e-8
+
+    def test_one_node_sweep(self, default_model, monkeypatch):
+        # the pole's zero count reads the exact system's boundary sweep
+        grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", 800))
+        sweeps = []
+        call = SampledPV.__call__
+        monkeypatch.setattr(SampledPV, "__call__",
+                            lambda pv, *a, **kw: sweeps.append(len(pv.u)) or call(pv, *a, **kw))
+        BiorthogonalSystem.from_exact(default_model, grid)
+        assert sweeps == [800]
 
     def test_free_limit_vectors(self, default_grid):
         m = make_model("sqrt_exp", [1.0], 1.0, 0.0)
