@@ -8,11 +8,11 @@ from .contour import (ContourGrid, ContourSpec, build_contour, integrate_contour
                       plemelj_integral, real_axis_grid)
 from .dynamics import (DecayCurve, decay_rate, exponential_approx, oracle_amplitude,
                        oracle_survival_curve, survival_curve, transition_amplitude,
-                       transition_amplitude_curve)
+                       transition_amplitude_curve, transition_amplitude_slope0)
 from .errors import (AnalyticityError, ChannelClosedError, ConfigError, ContourError,
                      ConvergenceError, DegeneratePairError, EvaluationError,
                      RespectraError)
-from .friedrichs import PoleResult, eta, eta_boundary, eta_prime, exact_system, find_pole
+from .friedrichs import PoleResult, exact_system, find_pole
 from .liouville import (BlockObservable, GeneralizedState, LiouvilleGrids,
                         LiouvilleSystem, RelaxationCurve, apply_L, check_physicality,
                         evolve_state, identity_observable, relaxation_curve,

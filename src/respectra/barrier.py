@@ -27,6 +27,7 @@ from .errors import AnalyticityError, ChannelClosedError, ConfigError, Convergen
 from .model import ModelSpec, form_factor_from_callable
 
 MIN_RATIO = 5.0       # least b / a for which the outer region is weakly coupled
+K_POINTS = 48         # wavenumbers of the matrix-element grid
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,6 @@ def bound_state_residual(spec: BarrierSpec, bs: BoundState) -> float:
     return abs(bs.q * np.tan(bs.q * spec.a) - bs.kappa)
 
 
-def bound_wavefunction(spec: BarrierSpec, bs: BoundState):
-    def psi(x):
-        x = np.abs(np.asarray(x, dtype=float))
-        return np.where(x < spec.a, bs.n_inside * np.cos(bs.q * x),
-                        bs.a_outside * np.exp(-bs.kappa * x))
-    return psi
-
-
 def even_scattering_state(spec: BarrierSpec, k: float) -> ScatteringState:
     """Delta-normalized even continuum state of the bare well at wavenumber k."""
     if k <= 0:
@@ -134,14 +127,6 @@ def even_scattering_state(spec: BarrierSpec, k: float) -> ScatteringState:
     bamp = c / np.sqrt(np.cos(q * a) ** 2 + (q / k) ** 2 * np.sin(q * a) ** 2)
     return ScatteringState(k=float(k), q=float(q), b_inside=float(bamp),
                            delta=delta, c_outside=float(c))
-
-
-def scattering_wavefunction(spec: BarrierSpec, st: ScatteringState):
-    def psi(x):
-        x = np.abs(np.asarray(x, dtype=float))
-        return np.where(x < spec.a, st.b_inside * np.cos(st.q * x),
-                        st.c_outside * np.cos(st.k * x + st.delta))
-    return psi
 
 
 def _pq_split(spec: BarrierSpec, k):
@@ -186,13 +171,11 @@ def _cos_overlap(alpha: float, beta: float, lo: float, hi: float) -> float:
     return 0.5 * (half(alpha - beta) + half(alpha + beta))
 
 
-def matrix_elements(spec: BarrierSpec, k_grid=None) -> dict:
+def matrix_elements(spec: BarrierSpec) -> dict:
     """Level shift v11, coupling samples v_1k and the inner-region continuum
-    kernel v_kk' on a threshold-resolving wavenumber grid."""
+    kernel v_kk' on the threshold-resolving wavenumber grid ``default_k_grid``."""
     bs = solve_bound_state(spec)
-    if k_grid is None:
-        k_grid = default_k_grid(spec)
-    k_grid = np.asarray(k_grid, dtype=float)
+    k_grid = default_k_grid(spec)
     v11 = _level_shift(spec, bs)
     v1k = np.array([coupling_vs_k(spec, bs, complex(k)).real for k in k_grid])
     states = [even_scattering_state(spec, float(k)) for k in k_grid]
@@ -217,10 +200,10 @@ def matrix_elements(spec: BarrierSpec, k_grid=None) -> dict:
             "v_kk": vkk}
 
 
-def default_k_grid(spec: BarrierSpec, n: int = 48) -> np.ndarray:
-    """Log-spaced near threshold plus a linear tail."""
+def default_k_grid(spec: BarrierSpec) -> np.ndarray:
+    """K_POINTS wavenumbers, log-spaced near threshold plus a linear tail."""
     k_top = np.sqrt(2 * spec.mu * spec.v0) / spec.hbar * 6.0
-    n_log = n // 3
+    n, n_log = K_POINTS, K_POINTS // 3
     return np.concatenate([np.geomspace(1e-3, 0.3 * k_top, n_log, endpoint=False),
                            np.linspace(0.3 * k_top, k_top, n - n_log)])
 
@@ -241,13 +224,13 @@ def resonance_width(spec: BarrierSpec) -> BarrierResonance:
                             width=width, survival_rate=width)
 
 
-def to_friedrichs_model(spec: BarrierSpec, depth: float | None = None,
-                        n_nodes: int = 800, cutoff: float | None = None) -> ModelSpec:
+def to_friedrichs_model(spec: BarrierSpec, n_nodes: int = 800) -> ModelSpec:
     """Map the even sector onto the generic model.
 
     Energies are shifted so the continuum starts at zero: the level sits at
     (E1 + V11) - (V0 - V1) and the coupling picks up the wavenumber-to-energy
-    Jacobian, V(w) = v_1k(k(w)) sqrt(mu / (hbar^2 k(w))).
+    Jacobian, V(w) = v_1k(k(w)) sqrt(mu / (hbar^2 k(w))).  The contour has
+    depth min(0.3, level / 2) and cutoff max(20, 10 level).
     """
     bs = solve_bound_state(spec)
     v11 = _level_shift(spec, bs)
@@ -262,14 +245,11 @@ def to_friedrichs_model(spec: BarrierSpec, depth: float | None = None,
         k = np.sqrt(2 * mu * z) / hbar
         return coupling_vs_k(spec, bs, k) * np.sqrt(mu / (hbar**2 * k))
 
-    if cutoff is None:
-        cutoff = max(20.0, 10.0 * omega_eff)
-    if depth is None:
-        depth = min(0.3, omega_eff / 2.0)
     ff = form_factor_from_callable(v_of_energy, name="barrier_even_channel")
     return ModelSpec(omega_level=float(omega_eff), coupling=1.0, form_factor=ff,
                      kernel=None,
-                     contour=ContourSpec(depth=depth, cutoff=float(cutoff),
+                     contour=ContourSpec(depth=min(0.3, omega_eff / 2.0),
+                                         cutoff=float(max(20.0, 10.0 * omega_eff)),
                                          n_nodes=n_nodes))
 
 

@@ -48,6 +48,8 @@ PV_BLOCK_ENTRIES = 2**15
 PHASE_BLOCK_ENTRIES = 2**16
 # step of the five-point derivative stencil along the curve, at |u| >= 1
 STENCIL_DELTA = 1e-3
+# a point is a node when within NODE_TOL * max(1, cutoff) of it
+NODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,16 +103,17 @@ class ContourGrid:
         return ContourGrid(self.spec, np.conj(self.nodes), np.conj(self.weights),
                            np.conj(self.tangents), conjugate=not self.conjugate)
 
-    def node_index(self, u: complex, tol: float = 1e-12) -> int | None:
-        """Index of the grid node equal to u, or None."""
-        i = int(self.node_indices(u, tol)[0])
+    def node_index(self, u: complex) -> int | None:
+        """Index of the grid node equal to u (to NODE_TOL), or None."""
+        i = int(self.node_indices(u)[0])
         return i if i >= 0 else None
 
-    def node_indices(self, u, tol: float = 1e-12) -> np.ndarray:
-        """Index of the grid node equal to each point of u, -1 where none is."""
+    def node_indices(self, u) -> np.ndarray:
+        """Index of the grid node equal to each point of u (to NODE_TOL), -1
+        where none is."""
         u = np.atleast_1d(np.asarray(u, dtype=complex))
         idx = np.argmin(np.abs(u[:, None] - self.nodes), axis=1)
-        hit = np.abs(self.nodes[idx] - u) <= tol * max(1.0, self.cutoff)
+        hit = np.abs(self.nodes[idx] - u) <= NODE_TOL * max(1.0, self.cutoff)
         return np.where(hit, idx, -1)
 
 
@@ -347,20 +350,16 @@ class SampledPV:
         return out if F is not None else out[:, 0]
 
 
-def plemelj_integral(f: Callable, x0: float, side: str,
-                     grid: ContourGrid | None = None, cutoff: float = 20.0,
-                     n_nodes: int = 400) -> complex:
+def plemelj_integral(f: Callable, x0: float, side: str, grid: ContourGrid) -> complex:
     """Boundary value \\int_0^X f(w) / (x0 - w +- i0) dw.
 
     side "+i0" gives -i*pi*f(x0) - PV \\int f/(w - x0); side "-i0" is the
     conjugate prescription +i*pi*f(x0) - PV \\int f/(w - x0).  Computed by
-    ``SampledPV`` at x0 on a real-axis grid.
+    ``SampledPV`` at x0 on ``grid``, a real-axis grid of cutoff X.
     """
-    signs = {"+i0": +1, "-i0": -1, +1: +1, -1: -1}
+    signs = {"+i0": +1, "-i0": -1}
     if side not in signs:
         raise ValueError(f"side must be '+i0' or '-i0', got {side!r}")
-    if grid is None:
-        grid = real_axis_grid(cutoff, n_nodes)
     X = grid.cutoff
     if not 0 < x0 < X:
         raise EvaluationError(f"principal-value point {x0} outside (0, {X})")

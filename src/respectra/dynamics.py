@@ -110,22 +110,22 @@ def _vector_on_grid(vec: AnalyticVector, sys: DiscretizedSystem | SecularSystem)
 
 
 def oracle_amplitude(model: ModelSpec, psi: AnalyticVector, phi: AnalyticVector,
-                     t, n_levels: int = 2000, omega_max: float | None = None,
+                     t, n_levels: int = 2000,
                      sys: DiscretizedSystem | SecularSystem | None = None
                      ) -> np.ndarray | complex:
-    """Reference amplitude of the n_levels-bin discretization (exact propagation)."""
+    """Reference amplitude of the n_levels-bin discretization of [0, cutoff]
+    (exact propagation), or of ``sys`` if given."""
     ts = _check_times(t)
     if sys is None:
-        sys = oracle_system(model, n_levels, omega_max)
+        sys = oracle_system(model, n_levels)
     amps = amplitude_curve(sys, _vector_on_grid(psi, sys), _vector_on_grid(phi, sys), ts)
     return complex(amps[0]) if np.ndim(t) == 0 else amps
 
 
 def oracle_survival_curve(model: ModelSpec, t_grid, n_levels: int = 2000,
-                          omega_max: float | None = None,
                           sys: DiscretizedSystem | SecularSystem | None = None) -> DecayCurve:
     psi = unstable_state()
-    amp = oracle_amplitude(model, psi, psi, t_grid, n_levels, omega_max, sys)
+    amp = oracle_amplitude(model, psi, psi, t_grid, n_levels, sys)
     amp = np.atleast_1d(amp)
     return DecayCurve(np.atleast_1d(np.asarray(t_grid, dtype=float)),
                       np.abs(amp) ** 2, amp)

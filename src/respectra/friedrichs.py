@@ -6,11 +6,12 @@ between the path and the positive axis is the resonance pole; the residue
 derivative eta'(pole) fixes the normalization of the discrete pair, and the
 continuum pair needs the two boundary values eta(u +- i0) on the curve.
 
-``SampledEta`` samples V Vbar once per grid; the pole solve, the exact
-system and the scalar functions below all read its moments.  The pole solve
-ends by counting the zeros in the strip with the argument principle: the
-winding of eta(u + i0) along the curve, closed by a return path on the first
-sheet above the axis.  A count other than 1 is refused.
+``SampledEta`` samples V Vbar once per grid and gives eta, eta' and the
+boundary values eta(u +- i0); the pole solve and the exact system read its
+moments.  The pole solve ends by counting the zeros in the strip with the
+argument principle: the winding of eta(u + i0) along the curve, closed by a
+return path on the first sheet above the axis.  A count other than 1 is
+refused.
 
 This module is the ground truth the perturbative engine is checked against.
 """
@@ -92,33 +93,12 @@ class SampledEta:
         return base - (J - 1j * np.pi * vv), base - (J + 1j * np.pi * vv)
 
 
-def eta(model: ModelSpec, lam: complex, grid: ContourGrid | None = None) -> complex:
-    """lambda - Omega - \\int V Vbar / (lambda - z) dz for lambda off the curve."""
-    return SampledEta(model, grid)(lam)
-
-
-def eta_prime(model: ModelSpec, lam: complex, grid: ContourGrid | None = None) -> complex:
-    """Analytic derivative of the quadrature sum, d eta / d lambda."""
-    return SampledEta(model, grid).prime(lam)
-
-
-def eta_boundary(model: ModelSpec, u: complex, side: int,
-                 grid: ContourGrid | None = None) -> complex:
-    """Boundary value eta(u + side*i0) for u on the curve.
-
-    side=+1 approaches from the region between the curve and the real axis.
-    """
-    if side not in (+1, -1):
-        raise ValueError("side must be +1 or -1")
-    plus, minus = SampledEta(model, grid).boundary(u)
-    return complex((plus if side > 0 else minus)[0])
-
-
 @dataclass(frozen=True)
 class PoleResult:
     """The pole, its residual |eta| and solve path; ``zero_count`` is the
     number of zeros in the strip and ``min_boundary`` the least |eta(u + i0)|
-    over the curve samples of the count (both None where no count ran)."""
+    over the curve samples of the count (both None at zero coupling, where
+    the pole is Omega and no count runs)."""
 
     lambda_pole: complex
     residual: float
@@ -130,6 +110,8 @@ class PoleResult:
 
 # curve samples of the zero count: every k-th node, k = ceil(n / COUNT_SAMPLES)
 COUNT_SAMPLES = 200
+# most iterations of the fixed-point loop, and again of the Newton fallback
+MAX_ITER = 200
 
 
 def _count_zeros(eta: SampledEta, plus: np.ndarray | None = None) -> tuple[int, float]:
@@ -170,34 +152,34 @@ def _count_zeros(eta: SampledEta, plus: np.ndarray | None = None) -> tuple[int, 
     return count, float(np.min(np.abs(plus)))
 
 
-def _newton(eta: SampledEta, lam0, tol, max_iter):
+def _newton(eta: SampledEta, lam0, tol):
     lam = lam0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         r = eta(lam)
         if abs(r) <= tol:
             return lam, abs(r), it
         lam = lam - r / eta.prime(lam)
     r = eta(lam)
     if abs(r) <= tol:
-        return lam, abs(r), max_iter
+        return lam, abs(r), MAX_ITER
     raise ConvergenceError(f"Newton iteration stalled at |eta|={abs(r):.3e}",
                            last_iterate=lam, residual=abs(r))
 
 
-def find_pole(model: ModelSpec, tol: float = 1e-13, max_iter: int = 200,
-              grid: ContourGrid | None = None, check_unique: bool = True) -> PoleResult:
+def find_pole(model: ModelSpec, tol: float = 1e-13,
+              grid: ContourGrid | None = None) -> PoleResult:
     """Zero of eta between the curve and the positive axis.
 
     A plain fixed-point iteration lambda <- Omega + \\int V Vbar/(lambda - z)
-    starting at Omega is tried first; Newton on eta is the fallback.  With
-    ``check_unique`` the zeros in the strip are counted, and a count other
-    than 1 is a ContourError.
+    starting at Omega is tried first; Newton on eta is the fallback, each for
+    at most MAX_ITER iterations.  The zeros in the strip are then counted,
+    and a count other than 1 is a ContourError.
     """
-    return _solve_pole(SampledEta(model, grid), tol, max_iter, check_unique)
+    return _solve_pole(SampledEta(model, grid), tol)
 
 
-def _solve_pole(eta: SampledEta, tol: float = 1e-13, max_iter: int = 200,
-                check_unique: bool = True, plus: np.ndarray | None = None) -> PoleResult:
+def _solve_pole(eta: SampledEta, tol: float = 1e-13,
+                plus: np.ndarray | None = None) -> PoleResult:
     """``find_pole`` on a sampled eta; ``plus`` is eta(u + i0) at every node, if known."""
     om, depth = eta.omega, eta.model.contour.depth
     if eta.free:
@@ -214,7 +196,7 @@ def _solve_pole(eta: SampledEta, tol: float = 1e-13, max_iter: int = 200,
 
     method, it_used, prev_res, res = "fixed_point", 0, np.inf, np.inf
     try:
-        for it_used in range(1, max_iter + 1):
+        for it_used in range(1, MAX_ITER + 1):
             # the moment at an iterate is its residual and the next iterate
             lam = complex(om + m)
             eta.guard(lam)
@@ -224,7 +206,7 @@ def _solve_pole(eta: SampledEta, tol: float = 1e-13, max_iter: int = 200,
                 break  # converged, or not contracting: Newton takes over
             prev_res = res
         if res > tol:
-            lam, res, extra = _newton(eta, lam, tol, max_iter)
+            lam, res, extra = _newton(eta, lam, tol)
             method = "newton"
             it_used += extra
     except EvaluationError as e:
@@ -243,8 +225,7 @@ def _solve_pole(eta: SampledEta, tol: float = 1e-13, max_iter: int = 200,
         # e.g. a level pushed below the threshold: a zero on the negative axis
         raise ContourError(f"pole {lam} lies outside the continuum window "
                            f"0 < Re < {eta.model.contour.cutoff} of the strip")
-    counted = _count_zeros(eta, plus) if check_unique else (None, None)
-    return PoleResult(lam, float(res), it_used, method, *counted)
+    return PoleResult(lam, float(res), it_used, method, *_count_zeros(eta, plus))
 
 
 @dataclass(frozen=True)

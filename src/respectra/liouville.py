@@ -45,7 +45,6 @@ from .contour import ContourGrid, build_contour, phase_sum, real_axis_grid
 from .errors import ConfigError, EvaluationError
 from .friedrichs import SampledEta
 from .model import ModelSpec, eval_V
-from .oracle import DiscretizedSystem
 
 
 def _require_liouville_model(model: ModelSpec):
@@ -90,33 +89,12 @@ class BlockObservable:
     o_om1: Callable | None = None      # z upper
     o_1om: Callable | None = None      # z' lower
 
-    def hermiticity_defect(self, grids: LiouvilleGrids) -> float:
-        """Max violation of the reality/conjugation conditions on the real axis."""
-        w = grids.real.nodes.real[:: max(1, grids.real.n // 40)]
-        out = abs(complex(self.o1).imag)
-        if self.o_omega is not None:
-            out = max(out, float(np.max(np.abs(np.imag(self.o_omega(w))))))
-        if (self.o_om1 is None) != (self.o_1om is None):
-            return np.inf
-        if self.o_om1 is not None:
-            d = np.abs(np.asarray(self.o_om1(w)) - np.conj(np.asarray(self.o_1om(w))))
-            out = max(out, float(np.max(d)))
-        if self.o_omom is not None:
-            k = np.asarray(self.o_omom(w[:, None], w[None, :]))
-            out = max(out, float(np.max(np.abs(k - k.conj().T))))
-        return out
-
 
 def identity_observable() -> BlockObservable:
     return BlockObservable(o1=1.0 + 0j, o_omega=lambda z: np.ones_like(np.asarray(z, complex)))
 
 
-def level_projector_observable() -> BlockObservable:
-    return BlockObservable(o1=1.0 + 0j)
-
-
-def apply_L(model: ModelSpec, O: BlockObservable,
-            grids: LiouvilleGrids | None = None) -> BlockObservable:
+def apply_L(model: ModelSpec, O: BlockObservable, grids: LiouvilleGrids) -> BlockObservable:
     """Block action of the commutator generator on an observable.
 
     The free part scales the off-diagonal blocks by (z - Omega), (Omega - z')
@@ -126,8 +104,6 @@ def apply_L(model: ModelSpec, O: BlockObservable,
     under conjugation), so no hermiticity is enforced here.
     """
     _require_liouville_model(model)
-    if grids is None:
-        grids = LiouvilleGrids.for_model(model)
     om = model.omega_level
     gl, gu = grids.gamma, grids.gamma_bar
 
@@ -283,12 +259,13 @@ def unstable_state_functional() -> GeneralizedState:
 # spectrum of the extended generator
 # --------------------------------------------------------------------------
 
-def check_physicality(left: GeneralizedState, eigenvalue: complex, grids: LiouvilleGrids,
-                      tol: float = 1e-10) -> tuple[bool, float]:
-    """A left functional of nonzero eigenvalue must annihilate the identity;
-    a zero mode may carry probability.  Returns (is_consistent, |(Psi|I)|)."""
+def check_physicality(left: GeneralizedState, eigenvalue: complex,
+                      grids: LiouvilleGrids) -> tuple[bool, float]:
+    """A left functional of nonzero eigenvalue (above 1e-10) must annihilate
+    the identity; a zero mode may carry probability.  Returns
+    (is_consistent, |(Psi|I)|)."""
     val = abs(left.normalization(grids))
-    if abs(eigenvalue) > tol:
+    if abs(eigenvalue) > 1e-10:
         return (val <= 1e-8, val)
     return (True, val)
 
@@ -392,10 +369,6 @@ class LiouvilleSystem:
         return (np.exp(1j * self.lam_d * ts) / self.norm_d,
                 phase_sum(ts, -self._lam_u1, self._w_u1) / self.norm_u1,
                 phase_sum(ts, -self._lam_1u, self._w_1u) / self.norm_1u)
-
-    def branch_sums(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized upper/lower branch background integrals at every t of ts."""
-        return self._curve_sums(np.atleast_1d(np.asarray(ts, dtype=float)))[1:]
 
 
 # --------------------------------------------------------------------------
@@ -503,36 +476,3 @@ def relaxation_curve(model: ModelSpec, rho0: GeneralizedState, ts,
     explicit = c1r * (1.0 - decay) + at_level
     return RelaxationCurve(level, explicit + g_up + g_dn,
                            level + explicit + others + g_up + g_dn)
-
-
-# --------------------------------------------------------------------------
-# matrix mapping for oracle checks
-# --------------------------------------------------------------------------
-
-def observable_to_matrix(O: BlockObservable, dsys: DiscretizedSystem) -> np.ndarray:
-    """Dense image of a block observable on the oracle's midpoint grid."""
-    n = dsys.n
-    w = dsys.grid
-    dw = dsys.d_omega
-    M = np.zeros((n + 1, n + 1), dtype=complex)
-    M[0, 0] = O.o1
-    if O.o_omega is not None:
-        M[1:, 1:] += np.diag(np.asarray(O.o_omega(w), dtype=complex))
-    if O.o_omom is not None:
-        M[1:, 1:] += np.asarray(O.o_omom(w[:, None], w[None, :]), dtype=complex) * dw
-    if O.o_om1 is not None:
-        M[1:, 0] = np.asarray(O.o_om1(w), dtype=complex) * np.sqrt(dw)
-    if O.o_1om is not None:
-        M[0, 1:] = np.asarray(O.o_1om(w), dtype=complex) * np.sqrt(dw)
-    return M
-
-
-def matrix_blocks(M: np.ndarray, dsys: DiscretizedSystem) -> dict:
-    """Inverse of ``observable_to_matrix`` up to the singular-diagonal split."""
-    dw = dsys.d_omega
-    return {
-        "o1": complex(M[0, 0]),
-        "o_om1": np.asarray(M[1:, 0]) / np.sqrt(dw),
-        "o_1om": np.asarray(M[0, 1:]) / np.sqrt(dw),
-        "o_omom_plus_diag": np.asarray(M[1:, 1:]) / dw,
-    }

@@ -96,10 +96,10 @@ def make_form_factor(family_id: str, params=()) -> FormFactor:
     return FormFactor(family_id, params, entry["build"](params), entry["pole_depth"](params))
 
 
-def form_factor_from_callable(fn: Callable, name: str = "custom",
-                              pole_depth: float | None = None) -> FormFactor:
-    """Wrap a closed-form analytic continuation supplied by another module."""
-    return FormFactor(name, (), fn, pole_depth)
+def form_factor_from_callable(fn: Callable, name: str = "custom") -> FormFactor:
+    """Wrap a closed-form analytic continuation supplied by another module,
+    entire up to the origin branch point."""
+    return FormFactor(name, (), fn)
 
 
 def separable_test_kernel() -> FormFactor2:
@@ -139,10 +139,10 @@ class ModelSpec:
         return self.kernel is not None and self.coupling > 0
 
 
-def default_contour(omega_level: float, n_nodes: int = 200, depth: float = 0.5,
+def default_contour(omega_level: float, n_nodes: int = 200,
                     shape: str = "rectangle") -> ContourSpec:
     """Default path: rectangle of depth 0.5 truncated at max(20, 10*level)."""
-    return ContourSpec(depth=depth, cutoff=max(20.0, 10.0 * omega_level),
+    return ContourSpec(depth=0.5, cutoff=max(20.0, 10.0 * omega_level),
                        shape=shape, n_nodes=n_nodes)
 
 

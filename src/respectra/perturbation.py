@@ -5,8 +5,8 @@ The discrete eigenvectors and their order-by-order corrections are
 the test vectors are; ``pair_coeffs`` pairs two of them.  A discrete-order
 profile called on its own grid's ``nodes`` array (that very object) returns
 the samples it was built from, so pairing on the system's grid evaluates no
-kernel column again, while any other argument, another grid's nodes
-included, evaluates the profile.
+kernel column again, while at any other argument, another grid's nodes
+included, an order-n profile forms orders 1..n once.
 Continuum eigenvectors exist only as families, ``ContinuumFamily``: the
 members at a set of curve points held as arrays, each a level component, an
 exact atom at its point (unit weight, none on a correction) and a pole term
@@ -93,47 +93,50 @@ def _kernel(model: ModelSpec, side: int) -> Callable:
     return lambda z, zp: eval_V2(model, zp, z)
 
 
-def _kernel_column(model: ModelSpec, grid: ContourGrid, samples: np.ndarray,
-                   side: int) -> Callable:
-    """z -> \\int K(z, z') f(z') dz' (transposed K for side=-1)."""
-    wts = grid.weights * samples
-
-    def fn(z):
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = _kernel(model, side)(zz[..., None], grid.nodes) @ wts
-        return complex(out[0]) if np.ndim(z) == 0 else out
-
-    return fn
-
-
-def _discrete_profile(model: ModelSpec, grid: ContourGrid, n: int, side: int,
-                      prev: list, lambdas: list) -> Callable:
-    """phi_n (side=+1) or psi_n (side=-1) of the discrete branch, given the
-    lower orders ``prev`` as (callable, node samples) and lambda_0..lambda_{n-1}."""
+def _discrete_order(model: ModelSpec, grid: ContourGrid, side: int, lambdas: list,
+                    lower: list, samples: list, z: np.ndarray) -> np.ndarray:
+    """phi_n (side=+1) or psi_n (side=-1) of the discrete branch at the points
+    z, n = len(lower) + 1, from the lower orders at z, ``lower``, and
+    lambda_0..lambda_{n-1}; the kernel column integrates the node samples of
+    order n - 1, ``samples[n - 2]``."""
     om = model.omega_level
+    n = len(lower) + 1
     if n == 1:
-        coupling = eval_V if side > 0 else eval_Vbar
-        return lambda z: coupling(model, z) / (om - np.asarray(z, dtype=complex))
-    base = [_kernel_column(model, grid, prev[-1][1], side)] if model.has_kernel() else []
-    subs = [(complex(lambdas[k]), prev[n - k - 1][0]) for k in range(2, n)]
+        return (eval_V if side > 0 else eval_Vbar)(model, z) / (om - z)
+    acc = np.zeros_like(z)
+    if model.has_kernel():
+        wts = grid.weights * samples[n - 2]
+        acc = acc + _kernel(model, side)(z[..., None], grid.nodes) @ wts
+    for k in range(2, n):
+        acc = acc - lambdas[k] * lower[n - k - 1]
+    return acc / (om - z)
+
+
+def _discrete_profile(model: ModelSpec, grid: ContourGrid, side: int, lambdas: list,
+                      samples: list, n: int) -> Callable:
+    """Order n of the discrete branch as a profile.  Called on the grid's own
+    ``nodes`` array it returns its node samples, ``samples[n - 1]``; at any
+    other points it forms orders 1..n there once, each from the lower ones
+    at those points."""
+    nodes = grid.nodes
 
     def fn(z):
+        if z is nodes:
+            return samples[n - 1]
         z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(np.atleast_1d(z))
-        for t in base:
-            acc = acc + np.atleast_1d(np.asarray(t(z), dtype=complex))
-        for lam_k, f in subs:
-            acc = acc - lam_k * np.atleast_1d(np.asarray(f(z), dtype=complex))
-        acc = acc / (om - np.atleast_1d(z))
-        return acc[0] if z.ndim == 0 else acc
+        zz, vals = np.atleast_1d(z), []
+        for _ in range(n):
+            vals.append(_discrete_order(model, grid, side, lambdas, vals, samples, zz))
+        return vals[-1][0] if z.ndim == 0 else vals[-1]
 
     return fn
 
 
 def perturb_discrete(model: ModelSpec, order: int = 2,
                      grid: ContourGrid | None = None) -> PerturbationSeries:
-    """Discrete branch through the requested order (validated ceiling 2; the
-    same loop yields any order when a kernel makes higher terms nonzero)."""
+    """Discrete branch through the requested order, which may be any; each
+    order is formed on the nodes once, from the node samples of the lower
+    ones."""
     if order < 0:
         raise ConfigError("order must be non-negative")
     if grid is None:
@@ -142,21 +145,20 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
     nodes = grid.nodes
     vbar = np.asarray(eval_Vbar(model, nodes), dtype=complex)
     lambdas = [complex(om)]
-    profiles = {+1: [], -1: []}       # (callable, node samples) of phi_n / psi_n
+    samples = {+1: [], -1: []}        # node samples of phi_n / psi_n
     for n in range(1, order + 1):
         # the gauge leaves no diagonal matrix element: lambda_1 vanishes exactly
         lambdas.append(0j if n == 1 else
-                       complex(np.sum(grid.weights * vbar * profiles[+1][-1][1])))
+                       complex(np.sum(grid.weights * vbar * samples[+1][-1])))
         for side in (+1, -1):
-            fn = _discrete_profile(model, grid, n, side, profiles[side], lambdas)
-            samples = np.asarray(fn(nodes), dtype=complex)
-            samples.flags.writeable = False
-            # called on this grid's own nodes array, a profile returns its
-            # samples instead of evaluating the kernel column again
-            profiles[side].append(
-                (lambda z, fn=fn, samples=samples: samples if z is nodes else fn(z), samples))
+            col = _discrete_order(model, grid, side, lambdas, samples[side], samples[side],
+                                  nodes)
+            col.flags.writeable = False
+            samples[side].append(col)
     right, left = ([AnalyticVector(d=1.0 + 0j)]
-                   + [AnalyticVector(profile=fn) for fn, _ in profiles[side]]
+                   + [AnalyticVector(profile=_discrete_profile(model, grid, side, lambdas,
+                                                               samples[side], n))
+                      for n in range(1, order + 1)]
                    for side in (+1, -1))
     return PerturbationSeries(tuple(zip(lambdas, right, left)))
 

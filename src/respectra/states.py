@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import ContourGrid, real_axis_grid
+from .contour import ContourGrid
 from .model import ModelSpec, eval_V, eval_V2
 
 _SIDES = ("lower", "upper", "both")
@@ -87,21 +87,18 @@ def random_analytic(rng: np.random.Generator) -> AnalyticVector:
     return AnalyticVector(d=d, profile=profile, side="both")
 
 
-def real_axis_inner(psi: AnalyticVector, phi: AnalyticVector,
-                    grid: ContourGrid | None = None, cutoff: float = 20.0) -> complex:
-    """Reference <Psi|Phi> evaluated on the undeformed positive axis."""
-    if grid is None:
-        grid = real_axis_grid(cutoff)
+def real_axis_inner(psi: AnalyticVector, phi: AnalyticVector, grid: ContourGrid) -> complex:
+    """Reference <Psi|Phi> evaluated on ``grid``, a grid of the undeformed
+    positive axis (``contour.real_axis_grid``)."""
     w = grid.nodes.real
     val = np.sum(grid.weights.real * psi.at(w) * phi.at(w))
     return complex(psi.d * phi.d + val)
 
 
 def real_axis_inner_H(model: ModelSpec, psi: AnalyticVector, phi: AnalyticVector,
-                      grid: ContourGrid | None = None) -> complex:
-    """Reference <Psi|H|Phi> on the positive axis, including the kernel term."""
-    if grid is None:
-        grid = real_axis_grid(model.contour.cutoff)
+                      grid: ContourGrid) -> complex:
+    """Reference <Psi|H|Phi> on ``grid``, a grid of the positive axis,
+    including the kernel term."""
     w = grid.nodes.real
     ww = grid.weights.real
     pw = psi.at(w)

@@ -2,17 +2,36 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from respectra.barrier import (BarrierSpec, bound_state_residual, bound_wavefunction,
-                               coupling_vs_k, default_k_grid, even_scattering_state,
-                               matrix_elements, resonance_width,
-                               scattering_wavefunction, solve_bound_state,
-                               to_friedrichs_model, width_sweep)
+from respectra.barrier import (BarrierSpec, BoundState, ScatteringState,
+                               bound_state_residual, coupling_vs_k,
+                               even_scattering_state, matrix_elements, resonance_width,
+                               solve_bound_state, to_friedrichs_model, width_sweep)
 from respectra.errors import ChannelClosedError, ConfigError
 from respectra.perturbation import perturb_discrete
 
 # channel-open acceptance parameters: chosen so the doubled-drop run stays
 # open and the width ratio sits on the quadratic law (see test below)
 SPEC_OPEN = dict(a=0.8, b=10.0, v0=0.25, v1=0.092)
+
+
+def bound_wavefunction(spec: BarrierSpec, bs: BoundState):
+    """The bound state as a function of x, the quadrature reference for its
+    closed-form normalization and overlaps."""
+    def psi(x):
+        x = np.abs(np.asarray(x, dtype=float))
+        return np.where(x < spec.a, bs.n_inside * np.cos(bs.q * x),
+                        bs.a_outside * np.exp(-bs.kappa * x))
+    return psi
+
+
+def scattering_wavefunction(spec: BarrierSpec, st: ScatteringState):
+    """A scattering state as a function of x, the quadrature reference for its
+    closed-form overlaps."""
+    def psi(x):
+        x = np.abs(np.asarray(x, dtype=float))
+        return np.where(x < spec.a, st.b_inside * np.cos(st.q * x),
+                        st.c_outside * np.cos(st.k * x + st.delta))
+    return psi
 
 
 def _bisect_bound_energy(a, v0, mu=1.0, hbar=1.0):

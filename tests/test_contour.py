@@ -126,7 +126,7 @@ class TestPlemelj:
 
     def test_against_excision_oracle(self):
         f = lambda w: np.exp(-w)
-        val = plemelj_integral(f, 1.0, "+i0", cutoff=40.0, n_nodes=500)
+        val = plemelj_integral(f, 1.0, "+i0", grid=real_axis_grid(40.0, 500))
         pv = _pv_excision_oracle(f, 1.0, 40.0)
         expect = -1j * np.pi * np.exp(-1.0) - pv
         assert abs(val - expect) < 1e-9
@@ -138,8 +138,9 @@ class TestPlemelj:
         assert abs(np.conj(a) - b) < 1e-12
 
     def test_bad_side_and_range(self, axis_grid):
-        with pytest.raises(ValueError):
-            plemelj_integral(np.exp, 1.0, "up", grid=axis_grid)
+        for side in ("up", +1, -1):
+            with pytest.raises(ValueError):
+                plemelj_integral(np.exp, 1.0, side, grid=axis_grid)
         with pytest.raises(EvaluationError):
             plemelj_integral(np.exp, 25.0, "+i0", grid=axis_grid)
 

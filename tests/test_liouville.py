@@ -6,12 +6,10 @@ from respectra.dynamics import decay_rate, default_time_grid, oracle_survival_cu
 from respectra.errors import ConfigError, EvaluationError
 from respectra.liouville import (BlockObservable, GeneralizedState, LiouvilleGrids,
                                  LiouvilleSystem, apply_L, check_physicality,
-                                 evolve_state, identity_observable,
-                                 level_projector_observable, matrix_blocks,
-                                 observable_to_matrix, relaxation_curve,
+                                 evolve_state, identity_observable, relaxation_curve,
                                  unstable_state_functional)
 from respectra.model import eval_V, make_model, separable_test_kernel
-from respectra.oracle import commutator_apply, discretize
+from respectra.oracle import DiscretizedSystem, commutator_apply, discretize
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +33,35 @@ def _rnd_profile(rng):
     a = rng.uniform(0.4, 1.0, 3)
     return lambda z, c=c, a=a: sum(ci * np.exp(-ai * np.asarray(z, complex))
                                    for ci, ai in zip(c, a))
+
+
+def observable_to_matrix(O: BlockObservable, dsys: DiscretizedSystem) -> np.ndarray:
+    """Dense image of a block observable on the oracle's midpoint grid."""
+    n = dsys.n
+    w = dsys.grid
+    dw = dsys.d_omega
+    M = np.zeros((n + 1, n + 1), dtype=complex)
+    M[0, 0] = O.o1
+    if O.o_omega is not None:
+        M[1:, 1:] += np.diag(np.asarray(O.o_omega(w), dtype=complex))
+    if O.o_omom is not None:
+        M[1:, 1:] += np.asarray(O.o_omom(w[:, None], w[None, :]), dtype=complex) * dw
+    if O.o_om1 is not None:
+        M[1:, 0] = np.asarray(O.o_om1(w), dtype=complex) * np.sqrt(dw)
+    if O.o_1om is not None:
+        M[0, 1:] = np.asarray(O.o_1om(w), dtype=complex) * np.sqrt(dw)
+    return M
+
+
+def matrix_blocks(M: np.ndarray, dsys: DiscretizedSystem) -> dict:
+    """Inverse of ``observable_to_matrix`` up to the singular-diagonal split."""
+    dw = dsys.d_omega
+    return {
+        "o1": complex(M[0, 0]),
+        "o_om1": np.asarray(M[1:, 0]) / np.sqrt(dw),
+        "o_1om": np.asarray(M[0, 1:]) / np.sqrt(dw),
+        "o_omom_plus_diag": np.asarray(M[1:, 1:]) / dw,
+    }
 
 
 class TestApplyL:
@@ -93,16 +120,6 @@ class TestApplyL:
         out = apply_L(li_model, O, li_grids)
         assert out.o1 == 0j            # interaction part: no 1-block from P0
         assert out.o_omega is None     # and never a diagonal block
-
-
-def test_hermiticity_defect(li_grids, rng):
-    f = _rnd_profile(rng)
-    good = BlockObservable(o1=1.0 + 0j, o_omega=f, o_om1=f, o_1om=f)
-    assert good.hermiticity_defect(li_grids) < 1e-14
-    bad = BlockObservable(o1=1.0 + 0.2j)
-    assert bad.hermiticity_defect(li_grids) > 0.1
-    lop = BlockObservable(o_om1=f)     # missing conjugate partner
-    assert lop.hermiticity_defect(li_grids) == np.inf
 
 
 class TestZeroSector:
@@ -341,16 +358,18 @@ class TestRelaxationCurve:
 
     def test_branch_sums_in_blocks_of_times(self, li_model, li_sys, monkeypatch):
         # on a non-uniform grid every time is an anchor; a phase table cut
-        # into blocks of anchors gives the table in one piece
+        # into blocks of anchors gives the table in one piece, and with it
+        # the level population, made of the decay phase and the branch sums
         ts = 40.0 * np.linspace(0.0, 1.0, 37) ** 2
         assert _stride(ts, li_sys.grids.gamma.n) == (1, 0.0)
-        whole = li_sys.branch_sums(ts)
+        rho = unstable_state_functional()
+        whole = relaxation_curve(li_model, rho, ts, li_sys).level
         monkeypatch.setattr("respectra.contour.PHASE_BLOCK_ENTRIES", 5 * li_sys.grids.gamma.n)
-        for a, b in zip(whole, li_sys.branch_sums(ts)):
-            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))
+        blocks = relaxation_curve(li_model, rho, ts, li_sys).level
+        assert np.max(np.abs(whole - blocks)) <= 1e-15 * np.max(np.abs(whole))
 
 
 def test_level_projector_expectation(li_model, li_grids):
     rho = unstable_state_functional()
-    assert rho.expect(level_projector_observable(), li_grids) == 1.0
+    assert rho.expect(BlockObservable(o1=1.0), li_grids) == 1.0
     assert rho.normalization(li_grids) == 1.0

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from respectra import perturbation
 from respectra.contour import ContourSpec, SampledPV, build_contour
 from respectra.errors import DegeneratePairError, EvaluationError
-from respectra.friedrichs import eta_prime, find_pole
+from respectra.friedrichs import SampledEta, find_pole
 from respectra.model import eval_V, eval_V2, eval_Vbar, make_model
 from respectra.perturbation import (BiorthogonalSystem, ContinuumFamily, normalize_pair,
                                     pair_coeffs, pair_families, perturb_continuous,
@@ -175,7 +175,7 @@ class TestNormalizePair:
         ser = perturb_discrete(default_model, 2, default_grid)
         r, _ = normalize_pair(ser.right_total(), ser.left_total(), default_grid)
         pole = find_pole(default_model, grid=default_grid)
-        exact = 1.0 / np.sqrt(eta_prime(default_model, pole.lambda_pole, default_grid))
+        exact = 1.0 / np.sqrt(SampledEta(default_model, default_grid).prime(pole.lambda_pole))
         assert abs(r.d - exact) < default_model.coupling ** 4
 
 
@@ -393,6 +393,34 @@ def test_pairing_on_the_own_grid_evaluates_no_kernel(default_spec, monkeypatch):
     monkeypatch.setattr(perturbation, "eval_V2", counting)
     pair_coeffs(s.disc_left, s.disc_right, s.grid)
     assert calls == []
+
+
+def test_profile_off_its_grid_forms_each_order_once(default_model, axis_grid, monkeypatch):
+    # off its grid an order-n profile forms orders 1..n there once, so it
+    # evaluates the coupling once at any order; a profile that called the
+    # lower profiles would make Fibonacci-many calls, 377 at order 16
+    calls = []
+
+    def counting(*args, _real=perturbation.eval_V):
+        calls.append(1)
+        return _real(*args)
+
+    monkeypatch.setattr(perturbation, "eval_V", counting)
+    profile = perturb_discrete(default_model, 16).orders[16][1]
+    calls.clear()
+    profile.at(axis_grid.nodes)
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
+def test_profile_on_a_copy_of_its_nodes_is_its_samples(default_spec, kernel):
+    # a copy of the nodes misses the shortcut to the samples, and the orders
+    # formed there are the samples the series was built from
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
+    grid = build_contour(default_spec)
+    for _, right, left in perturb_discrete(m, 12, grid).orders[1:]:
+        for vec in (right, left):
+            assert np.array_equal(vec.at(grid.nodes.copy()), vec.at(grid.nodes))
 
 
 @pytest.mark.parametrize("n", [200, 800])

@@ -1,10 +1,15 @@
 """The benchmark's tracer wraps respectra functions by name; a rename in the
-package must fail here, not only under ``perfbench/run.py --trace 1``."""
+package must fail here, not only under ``perfbench/run.py --trace 1``.  The
+package keeps no public function that only tests call: each one is called in
+``src``, exported from the package or wrapped by the tracer."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "respectra"
 
 
 def _load_tracing():
@@ -20,3 +25,29 @@ def test_traced_names_resolve():
         assert callable(getattr(module, attr, None)), f"{layer}: {module.__name__}.{attr}"
     for layer, cls, attr, _metric in tracing.METHODS:
         assert callable(getattr(cls, attr, None)), f"{layer}: {cls.__name__}.{attr}"
+
+
+def _names(tree) -> set:
+    """The names a piece of syntax refers to, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_is_called_exported_or_traced():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    traced = {attr for _layer, _module, attr, _hot in _load_tracing().FUNCTIONS}
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    unused = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            # a reference from any other top-level statement of the package
+            called = any(fn.name in _names(stmt) for stmt in statements if stmt is not fn)
+            if not (called or fn.name in exported or fn.name in traced):
+                unused.append(f"{module}.{fn.name}")
+    assert unused == []
