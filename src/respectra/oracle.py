@@ -10,10 +10,21 @@ O(n^3) eigendecomposition; it serves every kernel and is the cross-check.
 ``secular_system`` never forms it: without a kernel the matrix is an
 arrowhead, and with a kernel K = h(z) h(z') declared through its ``factor``
 the continuum block is diagonal plus rank one.  Its eigenvalues are then the
-roots of a secular equation and every eigenvector component is closed-form,
-which costs O(n^2) (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978; Gu &
-Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).  ``oracle_system`` picks the
-structured solver wherever the model allows it.
+roots of a secular equation and every eigenvector component is closed-form
+(Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978; Gu & Eisenstat, SIAM J.
+Matrix Anal. Appl. 16, 1995).  ``oracle_system`` picks the structured solver
+wherever the model allows it.
+
+Each sweep of the secular solver, the eigenvector norms and each projection
+sum over all poles for every root.  Summed directly that is O(n) per root
+and O(n^2) per pass.  Where the poles are uniform, as the midpoints are,
+every root within half a gap of its nearest pole (all but at most the two
+outer ones) sums only its 2 x 8 neighbouring poles directly and the rest
+by a 14-term series in its offset from that pole, whose coefficients are
+discrete convolutions, one FFT each: O(n log n) per solve and O(n) per
+pass.  So a kernel-free oracle costs O(n log n).  With a kernel the
+continuum block's own solve does too, but its eigenvalues are not
+uniform, so the level's solve over them stays direct and O(n^2).
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 
 from .contour import phase_sum
 from .errors import ConfigError, ConvergenceError, EvaluationError
@@ -30,6 +42,11 @@ _EPS = np.finfo(float).eps
 _BLOCK_ENTRIES = 2**17    # doubles per Cauchy block (1 MB): 131 rows at n = 1000
 _MAX_SWEEPS = 100     # bisection alone resolves a root in about 60
 MIN_BINS = 100        # fewest midpoint bins of the oracle grid
+_NEAR = 8             # poles on each side of a root's origin summed directly
+_REACH = 0.55         # the far-field series serves |tau| <= _REACH h: an inner root's
+                      # half gap, rounding allowed; each term gains _REACH / (_NEAR + 1)
+_TERMS = 14           # < 1/16, so 14 terms leave under 1e-17 of the far sum
+_OFFSETS = np.r_[-_NEAR:0, 1:_NEAR + 1]
 
 
 @dataclass(frozen=True)
@@ -138,18 +155,95 @@ def _pole_gaps(p, origin, tau):
         yield sl, d
 
 
-def _reduced(a, b, p, c, origin, tau):
+def _uniform_step(p):
+    """The spacing h of poles p_j = p_0 + j h, to the rounding of the entries,
+    or None where ``p`` is not such a grid or too short for a far field."""
+    m = len(p)
+    if m <= 2 * _NEAR + 1:
+        return None
+    h = (p[-1] - p[0]) / (m - 1)
+    dev = np.max(np.abs(p - (p[0] + h * np.arange(m))))
+    return h if dev <= 8.0 * _EPS * np.max(np.abs(p)) else None
+
+
+def _far_tables(W, terms):
+    """T[o, r] = sum over |o - j| > _NEAR of W_j / (o - j)^(r + 1) for r < terms
+    and every column of W: discrete convolutions, by real FFTs of length >= 2m
+    (so that no offset wraps round)."""
+    m = len(W)
+    size = sfft.next_fast_len(2 * m, real=True)
+    k = np.arange(size, dtype=float)
+    k = np.where(k < size - k, k, k - size)      # the offset o - j of each slot
+    kern = np.zeros((terms, size))
+    np.divide(1.0, k, out=kern[0], where=np.abs(k) > _NEAR)
+    for r in range(1, terms):
+        np.multiply(kern[r - 1], kern[0], out=kern[r])
+    spec = sfft.rfft(kern, axis=1)[:, :, None] * sfft.rfft(W, n=size, axis=0)
+    T = sfft.irfft(spec, n=size, axis=1)[:, :m]
+    return np.ascontiguousarray(T.transpose(1, 0, 2))      # (m, terms, columns)
+
+
+class _PoleSums:
+    """The sums S_k = sum over j != o of W_j / (lam - p_j)^k, k = 1 and 2, of
+    the weight columns W over ascending poles p, at roots lam = p_o + tau.
+
+    Where the poles are uniform, p_j = p_0 + j h, a root with
+    |tau| <= _REACH h splits its sum in two.  The 2 _NEAR poles around o are
+    summed directly, with the differences (p_o - p_j) + tau; the far ones are
+    the series S_1 = sum_r (-tau/h)^r T[o, r] / h, whose tables are built
+    once, by ``_far_tables``.  Every other root, and every root where the
+    poles are not uniform, takes the direct sum over all poles."""
+
+    def __init__(self, p, W):
+        self.p, self.W = p, W
+        self.step = _uniform_step(p)
+        if self.step is not None:
+            self.tables = _far_tables(W, _TERMS + 1)
+            # p_o - p_j and W_j of the near poles of every o; an infinite gap
+            # stands for a neighbour beyond either end
+            J = np.arange(len(p))[:, None] + _OFFSETS
+            inside = (J >= 0) & (J < len(p))
+            J = np.clip(J, 0, len(p) - 1)
+            self.near_gaps = np.where(inside, p[:, None] - p[J], np.inf)
+            self.near_W = W[J]
+
+    def __call__(self, origin, tau, squares=False):
+        """S_1 and, with ``squares``, S_2 (else None), each (roots, columns)."""
+        p, W, h = self.p, self.W, self.step
+        S1 = np.empty((len(tau), W.shape[1]))
+        S2 = np.empty_like(S1) if squares else None
+        series = np.abs(tau) <= _REACH * h if h is not None else np.zeros(len(tau), bool)
+        rows = np.flatnonzero(series)
+        if len(rows):
+            o, t = origin[rows], tau[rows]
+            inv = 1.0 / (self.near_gaps[o] + t[:, None])
+            x, To, Wn = -t[:, None] / h, self.tables[o], self.near_W[o]
+            far = To[:, _TERMS - 1]
+            for r in range(_TERMS - 2, -1, -1):
+                far = far * x + To[:, r]
+            S1[rows] = np.einsum("rk,rkc->rc", inv, Wn) + far / h
+            if squares:
+                # the derivative of the series: sum_r (r + 1) (-tau/h)^r T[o, r + 1] / h^2
+                far = _TERMS * To[:, _TERMS]
+                for r in range(_TERMS - 1, 0, -1):
+                    far = far * x + r * To[:, r]
+                S2[rows] = np.einsum("rk,rkc->rc", inv * inv, Wn) + far / (h * h)
+        rest = np.flatnonzero(~series)
+        for sl, d in _pole_gaps(p, origin[rest], tau[rest]):
+            inv = np.divide(1.0, d, out=d)
+            inv[np.arange(len(inv)), origin[rest[sl]]] = 0.0
+            S1[rest[sl]] = inv @ W
+            if squares:
+                inv *= inv
+                S2[rest[sl]] = inv @ W
+        return S1, S2
+
+
+def _reduced(a, b, sums, origin, tau):
     """F = f + c_o / tau, the secular function without its origin pole, and
     the sum of c_j / (lam - p_j)^2 over the other poles (F' - b)."""
-    F = np.empty(len(tau))
-    s2 = np.empty(len(tau))
-    for sl, d in _pole_gaps(p, origin, tau):
-        inv = np.divide(1.0, d, out=d)
-        inv[np.arange(len(inv)), origin[sl]] = 0.0
-        F[sl] = a + b * (p[origin[sl]] + tau[sl]) - inv @ c
-        inv *= inv
-        s2[sl] = inv @ c
-    return F, s2
+    S1, S2 = sums(origin, tau, squares=True)
+    return a + b * (sums.p[origin] + tau) - S1[:, 0], S2[:, 0]
 
 
 def _outer_bound(a0, b, total):
@@ -158,8 +252,9 @@ def _outer_bound(a0, b, total):
     return 2.0 * total / (a0 + root) if a0 > 0 else (root - a0) / (2.0 * b)
 
 
-def secular_roots(a: float, b: float, p: np.ndarray, c: np.ndarray):
-    """Roots of f(lam) = a + b lam - sum_j c_j / (lam - p_j).
+def _secular_roots(a: float, b: float, sums: _PoleSums):
+    """Roots of f(lam) = a + b lam - sum_j c_j / (lam - p_j), for the poles
+    p = ``sums.p`` and the single weight column c of ``sums.W``.
 
     ``p`` is strictly ascending, ``c`` > 0 and ``b`` >= 0.  f increases
     between poles, so there is one root in every gap (p_j, p_j+1), one above
@@ -174,11 +269,12 @@ def secular_roots(a: float, b: float, p: np.ndarray, c: np.ndarray):
     tau f (where the origin pole cancels) follow, kept inside a sign
     bracket by bisection.
     """
+    p, c = sums.p, sums.W[:, 0]
     m = len(p)
     # inner gaps: the sign of f at the midpoint picks the half that holds the root
     half = 0.5 * (p[1:] - p[:-1])
     left = np.arange(m - 1)
-    F, _ = _reduced(a, b, p, c, left, half)
+    F, _ = _reduced(a, b, sums, left, half)
     upper_half = F - c[left] / half < 0
     two_pole = F - c[left + 1] / half
     origin = left + upper_half
@@ -210,7 +306,7 @@ def secular_roots(a: float, b: float, p: np.ndarray, c: np.ndarray):
     todo = np.arange(len(tau))
     for _ in range(_MAX_SWEEPS):
         o, t = origin[todo], tau[todo]
-        F, s2 = _reduced(a, b, p, c, o, t)
+        F, s2 = _reduced(a, b, sums, o, t)
         g = t * F - c[o]
         sign_f = np.sign(g) * np.sign(t)
         lo_t = np.where(sign_f < 0, t, lo[todo])
@@ -261,18 +357,17 @@ class _SecularBasis:
         keep = c > (_EPS * np.max(np.abs(p))) ** 2
         pk, ck = p[keep], c[keep]
         if len(pk):
-            origin, tau = secular_roots(a, b, pk, ck)
+            sums = _PoleSums(pk, ck[:, None])
+            origin, tau = _secular_roots(a, b, sums)
             roots = pk[origin] + tau
         elif b > 0:     # nothing couples: the level alone
             origin, tau, roots = np.zeros(1, int), np.ones(1), np.array([-a / b])
         else:
             origin, tau, roots = np.zeros(0, int), np.zeros(0), np.zeros(0)
         sq = b * tau * tau
-        if len(pk):
-            for sl, d in _pole_gaps(pk, origin, tau):
-                r = np.divide(tau[sl, None], d, out=d)
-                r *= r
-                sq[sl] += r @ ck
+        if len(pk):     # the origin pole gives c_o, the others tau^2 S_2
+            _, S2 = sums(origin, tau, squares=True)
+            sq += ck[origin] + tau * tau * S2[:, 0]
         values = np.r_[roots, p[~keep]]
         order = np.argsort(values, kind="stable")
         return cls(b, pk, z[keep], keep, origin, tau, np.sqrt(sq), order, values[order])
@@ -288,9 +383,9 @@ class _SecularBasis:
         # real blocks times the real view of Z X: one real product per block
         Y = np.ascontiguousarray(self.z[:, None] * X[self.keep], dtype=complex).view(float)
         out = np.zeros((len(self.tau), X.shape[1]), dtype=complex)
-        if len(self.p):
-            for sl, d in _pole_gaps(self.p, self.origin, self.tau):
-                out[sl] = (np.divide(self.tau[sl, None], d, out=d) @ Y).view(complex)
+        if len(self.p):     # tau / (lam - p_j) is 1 at the origin pole
+            S1, _ = _PoleSums(self.p, Y)(self.origin, self.tau)
+            out[:] = (Y[self.origin] + self.tau[:, None] * S1).view(complex)
         out += self.b * np.outer(self.tau, x0)
         return np.r_[out / self.norm[:, None], X[~self.keep]][self.order]
 
@@ -332,8 +427,9 @@ class SecularSystem:
 
 def secular_system(model: ModelSpec, n: int,
                    omega_max: float | None = None) -> SecularSystem | None:
-    """The structured O(n^2) solution of the matrix ``discretize`` builds, or
-    None where the model has a kernel without a real ``factor``."""
+    """The structured solution of the matrix ``discretize`` builds, O(n log n)
+    without a kernel and O(n^2) with one, or None where the model has a
+    kernel without a real ``factor``."""
     kern = model.kernel if model.has_kernel() else None
     if kern is not None and kern.factor is None:
         return None

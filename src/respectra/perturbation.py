@@ -6,7 +6,8 @@ the test vectors are; ``pair_coeffs`` pairs two of them.  A discrete-order
 profile called on its own grid's ``nodes`` array (that very object) returns
 the samples it was built from, so pairing on the system's grid evaluates no
 kernel column again, while at any other argument, another grid's nodes
-included, an order-n profile forms orders 1..n once.
+included, an order-n profile forms orders 1..n once, and so does the total
+of orders 0..n (``right_total`` and ``left_total``).
 Continuum eigenvectors exist only as families, ``ContinuumFamily``: the
 members at a set of curve points held as arrays, each a level component, an
 exact atom at its point (unit weight, none on a correction) and a pole term
@@ -63,9 +64,12 @@ def pair_coeffs(left: AnalyticVector, right: AnalyticVector, grid: ContourGrid) 
 
 @dataclass(frozen=True)
 class PerturbationSeries:
-    """Eigenvalue corrections and right/left vector corrections, order by order."""
+    """Eigenvalue corrections and right/left vector corrections, order by
+    order, and the right and left sums of the orders: ``AnalyticVector``s on
+    the discrete branch, one-point ``ContinuumFamily``s on the continuous one."""
 
     orders: tuple          # tuple of (lambda_k, right_k, left_k)
+    totals: tuple          # (right, left)
 
     @property
     def eigenvalue(self) -> complex:
@@ -75,15 +79,10 @@ class PerturbationSeries:
         return self.orders[k][0]
 
     def right_total(self):
-        return self._total(1)
+        return self.totals[0]
 
     def left_total(self):
-        return self._total(2)
-
-    def _total(self, slot: int):
-        """Sum of the orders: an ``AnalyticVector`` on the discrete branch, a
-        one-point ``ContinuumFamily`` on the continuous one."""
-        return sum((o[slot] for o in self.orders[1:]), self.orders[0][slot])
+        return self.totals[1]
 
 
 def _kernel(model: ModelSpec, side: int) -> Callable:
@@ -113,21 +112,25 @@ def _discrete_order(model: ModelSpec, grid: ContourGrid, side: int, lambdas: lis
 
 
 def _discrete_profile(model: ModelSpec, grid: ContourGrid, side: int, lambdas: list,
-                      samples: list, n: int) -> Callable:
-    """Order n of the discrete branch as a profile.  Called on the grid's own
-    ``nodes`` array it returns its node samples, ``samples[n - 1]``; at any
-    other points it forms orders 1..n there once, each from the lower ones
-    at those points."""
+                      samples: list, first: int, last: int) -> Callable:
+    """The sum of orders first..last of the discrete branch as a profile,
+    added left to right.  Called on the grid's own ``nodes`` array it sums
+    their node samples; at any other points it forms orders 1..last there
+    once, each from the lower ones at those points."""
     nodes = grid.nodes
 
     def fn(z):
         if z is nodes:
-            return samples[n - 1]
-        z = np.asarray(z, dtype=complex)
-        zz, vals = np.atleast_1d(z), []
-        for _ in range(n):
-            vals.append(_discrete_order(model, grid, side, lambdas, vals, samples, zz))
-        return vals[-1][0] if z.ndim == 0 else vals[-1]
+            vals = samples
+        else:
+            z = np.asarray(z, dtype=complex)
+            zz, vals = np.atleast_1d(z), []
+            for _ in range(last):
+                vals.append(_discrete_order(model, grid, side, lambdas, vals, samples, zz))
+        out = vals[first - 1]
+        for v in vals[first:last]:
+            out = out + v
+        return out[0] if z is not nodes and z.ndim == 0 else out
 
     return fn
 
@@ -157,10 +160,14 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
             samples[side].append(col)
     right, left = ([AnalyticVector(d=1.0 + 0j)]
                    + [AnalyticVector(profile=_discrete_profile(model, grid, side, lambdas,
-                                                               samples[side], n))
+                                                               samples[side], n, n))
                       for n in range(1, order + 1)]
                    for side in (+1, -1))
-    return PerturbationSeries(tuple(zip(lambdas, right, left)))
+    # one profile forms every order of the total, so it costs order n, not n^2
+    totals = (AnalyticVector(d=1.0 + 0j, profile=_discrete_profile(
+        model, grid, side, lambdas, samples[side], 1, order) if order else None)
+        for side in (+1, -1))
+    return PerturbationSeries(tuple(zip(lambdas, right, left)), tuple(totals))
 
 
 def _kernel_term(model: ModelSpec, pv: SampledPV, z, side: int) -> np.ndarray:
@@ -295,7 +302,8 @@ def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
     bare = (ContinuumFamily(model, pv, side, np.zeros(1)) for side in (+1, -1))
     right, left = (_branch_orders(model, pv, order, side) for side in (+1, -1))
     orders = [(u, *bare)] + [(0j, r, l) for r, l in zip(right, left)]
-    return PerturbationSeries(tuple(orders))
+    totals = tuple(sum((o[slot] for o in orders[1:]), orders[0][slot]) for slot in (1, 2))
+    return PerturbationSeries(tuple(orders), totals)
 
 
 def normalize_pair(right: AnalyticVector, left: AnalyticVector,

@@ -1,14 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from respectra import oracle
 from respectra.dynamics import _vector_on_grid
 from respectra.errors import ConfigError, EvaluationError
 from respectra.model import FormFactor2, make_model
-from respectra.oracle import (DiscretizedSystem, SecularSystem, amplitude_curve,
-                              commutator_apply, discretize, oracle_system, propagate,
-                              secular_roots, secular_system)
+from respectra.oracle import (DiscretizedSystem, SecularSystem, _midpoint_grid, _pole_gaps,
+                              _PoleSums, _secular_roots, amplitude_curve, commutator_apply,
+                              discretize, oracle_system, propagate, secular_system)
 from respectra.states import random_analytic
+
+_EPS = np.finfo(float).eps
 
 
 def test_free_limit_spectrum():
@@ -96,22 +101,93 @@ def test_self_convergence(default_model):
     assert np.max(np.abs(a.survival - b.survival)) < 1e-4
 
 
-@pytest.mark.parametrize("a,b", [(-1.3, 1.0), (1.0, 0.0), (-1.0, 0.0)],
-                         ids=["arrowhead", "rank_one_up", "rank_one_down"])
-def test_secular_roots_are_eigenvalues(a, b):
+@pytest.mark.parametrize("a,b,uniform", [
+    (-1.3, 1.0, False), (1.0, 0.0, False), (-1.0, 0.0, False),
+    (-1.3, 1.0, True), (1.0, 0.0, True), (-1.0, 0.0, True),
+], ids=["arrowhead", "rank_one_up", "rank_one_down",
+        "arrowhead_uniform", "rank_one_up_uniform", "rank_one_down_uniform"])
+def test_secular_roots_are_eigenvalues(a, b, uniform):
     # a + b lam - sum_j c_j / (lam - p_j) = 0 is the characteristic equation
     # of the arrowhead [[-a, z^T], [z, diag(p)]] (b = 1) and of
-    # diag(p) + a z z^T (b = 0, a = +-1), with z = sqrt(c)
+    # diag(p) + a z z^T (b = 0, a = +-1), with z = sqrt(c); uniform poles
+    # take the far-field series for every inner root
     rng = np.random.default_rng(4)
-    p = np.sort(rng.uniform(0.0, 3.0, 40))
-    z = rng.uniform(0.01, 0.3, 40)
+    m = 300 if uniform else 40
+    p = (np.arange(m) + 0.5) * (3.0 / m) if uniform else np.sort(rng.uniform(0.0, 3.0, m))
+    z = rng.uniform(0.01, 0.3, m) * (np.sqrt(40 / m) if uniform else 1.0)
     if b:
         H = np.diag(np.r_[-a, p])
         H[0, 1:] = H[1:, 0] = z
     else:
         H = np.diag(p) + a * np.outer(z, z)
-    origin, tau = secular_roots(a, b, p, z * z)
+    sums = _PoleSums(p, (z * z)[:, None])
+    assert (sums.step is not None) == uniform
+    origin, tau = _secular_roots(a, b, sums)
     assert np.max(np.abs(p[origin] + tau - np.linalg.eigvalsh(H))) <= 1e-14
+
+
+def _direct_reduced(a, b, p, c, origin, tau):
+    """F and the sum of c_j / (lam - p_j)^2 over j != origin, summed over every
+    pole by ``_pole_gaps``: the reference of the far-field series."""
+    F, s2 = np.empty(len(tau)), np.empty(len(tau))
+    for sl, d in _pole_gaps(p, origin, tau):
+        inv = 1.0 / d
+        inv[np.arange(len(inv)), origin[sl]] = 0.0
+        F[sl] = a + b * (p[origin[sl]] + tau[sl]) - inv @ c
+        s2[sl] = (inv * inv) @ c
+    return F, s2
+
+
+@given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
+       param=st.floats(1.0, 3.0), omega=st.floats(0.1, 2.0),
+       eps=st.floats(1e-4, 0.5), n=st.integers(100, 2000), kernel=st.booleans())
+def test_far_field_matches_the_direct_sums(family, param, omega, eps, n, kernel):
+    # the secular function at the midpoint sweep and at the converged roots,
+    # series against direct, to the solver's own rounding bound; the whole
+    # oracle against the one that takes the direct sums everywhere
+    m = make_model(family, [param], omega, eps,
+                   kernel="separable_sqrt_exp" if kernel else None)
+    _, dw, w, v = _midpoint_grid(m, n, None)
+    if kernel:      # the kernel's own solve: diag(w) + g g^T
+        g = np.asarray(m.kernel.factor(w)).real * (eps * np.sqrt(dw))
+        a, b, c = 1.0, 0.0, g * g
+    else:
+        a, b, c = -omega, 1.0, (v * np.conj(v)).real
+    keep = c > (_EPS * w[-1]) ** 2
+    p, c = w[keep], c[keep]
+    sums = _PoleSums(p, c[:, None])
+    assert sums.step is not None
+    roots = _secular_roots(a, b, sums)
+    midpoints = (np.arange(len(p) - 1), 0.5 * (p[1:] - p[:-1]))
+    for origin, tau in (roots, midpoints):
+        F, _ = oracle._reduced(a, b, sums, origin, tau)
+        F_direct, s2 = _direct_reduced(a, b, p, c, origin, tau)
+        noise = np.abs(a) + b * np.abs(p[origin] + tau) + np.sqrt(np.sum(c) * s2)
+        assert np.max(np.abs(F - F_direct) / noise) <= 2.0 * _EPS
+    s = secular_system(m, n)
+    with mock.patch.object(oracle, "_uniform_step", lambda p: None):
+        d = secular_system(m, n)
+    assert np.max(np.abs(s.eigenvalues - d.eigenvalues)) <= 1e-15
+    assert np.max(np.abs(s.level_weights - d.level_weights)) <= 1e-15
+
+
+def test_uniform_poles_take_the_direct_sums_only_at_the_outer_roots(monkeypatch):
+    # a kernel-free oracle sends no inner root through the O(n) direct sums:
+    # at most the two outer roots, which may lie beyond the series' reach
+    n, seen = 4000, []
+
+    def recording(p, origin, tau):
+        if len(tau):
+            seen.append((len(p), origin, tau))
+        return _pole_gaps(p, origin, tau)
+
+    monkeypatch.setattr(oracle, "_pole_gaps", recording)
+    for family, param in (("sqrt_exp", 1.0), ("lorentz_sqrt", 2.0)):
+        secular_system(make_model(family, [param], 1.0, 0.3), n)
+    for m, origin, tau in seen:
+        assert len(tau) <= 2
+        assert np.all(np.isin(origin, (0, m - 1)))
+        assert np.all(np.abs(tau) > 0.5 * (20.0 / n))
 
 
 def test_amplitude_curve_is_the_phase_sum(default_model):

@@ -413,6 +413,31 @@ def test_profile_off_its_grid_forms_each_order_once(default_model, axis_grid, mo
 
 
 @pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
+def test_total_off_its_grid_forms_each_order_once(default_spec, axis_grid, kernel,
+                                                  monkeypatch):
+    # the total of orders 0..16 off its grid forms each order once, 16 in
+    # all; a sum of the order profiles, each forming its lower orders again,
+    # forms 16 * 17 / 2 = 136; on its nodes it forms none
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
+    grid = build_contour(default_spec)
+    series = perturb_discrete(m, 16, grid)
+    calls = []
+
+    def counting(*args, _real=perturbation._discrete_order):
+        calls.append(1)
+        return _real(*args)
+
+    monkeypatch.setattr(perturbation, "_discrete_order", counting)
+    for total in (series.right_total(), series.left_total()):
+        calls.clear()
+        total.at(axis_grid.nodes)
+        assert len(calls) == 16
+        calls.clear()
+        total.at(grid.nodes)
+        assert calls == []
+
+
+@pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
 def test_profile_on_a_copy_of_its_nodes_is_its_samples(default_spec, kernel):
     # a copy of the nodes misses the shortcut to the samples, and the orders
     # formed there are the samples the series was built from
