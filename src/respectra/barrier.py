@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .contour import ContourSpec
 from .errors import AnalyticityError, ChannelClosedError, ConfigError, ConvergenceError
-from .model import ModelSpec, form_factor_from_callable
+from .model import FormFactor, ModelSpec
 
 MIN_RATIO = 5.0       # least b / a for which the outer region is weakly coupled
 K_POINTS = 48         # wavenumbers of the matrix-element grid
@@ -65,10 +65,10 @@ class BoundState:
 
 @dataclass(frozen=True)
 class ScatteringState:
-    k: float
-    q: float            # inside wavenumber sqrt(k^2 + 2 mu v0 / hbar^2)
-    b_inside: float
-    delta: float        # outer phase, amplitude 1/sqrt(pi)
+    k: float | np.ndarray
+    q: float | np.ndarray         # inside wavenumber sqrt(k^2 + 2 mu v0 / hbar^2)
+    b_inside: float | np.ndarray
+    delta: float | np.ndarray     # outer phase, amplitude 1/sqrt(pi)
     c_outside: float
 
 
@@ -116,17 +116,19 @@ def bound_state_residual(spec: BarrierSpec, bs: BoundState) -> float:
     return abs(bs.q * np.tan(bs.q * spec.a) - bs.kappa)
 
 
-def even_scattering_state(spec: BarrierSpec, k: float) -> ScatteringState:
-    """Delta-normalized even continuum state of the bare well at wavenumber k."""
-    if k <= 0:
+def even_scattering_state(spec: BarrierSpec, k) -> ScatteringState:
+    """Delta-normalized even continuum state of the bare well at wavenumber k,
+    or the states at every k of an array, one array per field."""
+    k = np.asarray(k, dtype=float)
+    if np.any(k <= 0):
         raise ConfigError("scattering states need k > 0")
     mu, hbar, a, v0 = spec.mu, spec.hbar, spec.a, spec.v0
     q = np.sqrt(k**2 + 2 * mu * v0 / hbar**2)
     c = 1.0 / np.sqrt(np.pi)
-    delta = float(np.arctan2(q * np.sin(q * a), k * np.cos(q * a)) - k * a)
+    delta = np.arctan2(q * np.sin(q * a), k * np.cos(q * a)) - k * a
     bamp = c / np.sqrt(np.cos(q * a) ** 2 + (q / k) ** 2 * np.sin(q * a) ** 2)
-    return ScatteringState(k=float(k), q=float(q), b_inside=float(bamp),
-                           delta=delta, c_outside=float(c))
+    fields = (x if k.ndim else float(x) for x in (k, q, bamp, delta))
+    return ScatteringState(*fields, c_outside=float(c))
 
 
 def _pq_split(spec: BarrierSpec, k):
@@ -162,13 +164,17 @@ def coupling_vs_k(spec: BarrierSpec, bs: BoundState, k):
     return out if np.ndim(k) else complex(out)
 
 
-def _cos_overlap(alpha: float, beta: float, lo: float, hi: float) -> float:
-    """\\int_lo^hi cos(alpha x) cos(beta x) dx in closed form."""
-    def half(g):
-        if abs(g) < 1e-12:
-            return hi - lo
-        return (np.sin(g * hi) - np.sin(g * lo)) / g
-    return 0.5 * (half(alpha - beta) + half(alpha + beta))
+def _cos_products(g: np.ndarray, p: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """\\int_lo^hi cos(g_i x + p_i) cos(g_j x + p_j) dx in closed form for
+    every pair i, j: half the integrals of the difference and sum angles."""
+    total = 0.0
+    for s in (-1.0, 1.0):
+        gg, pp = g[:, None] + s * g[None, :], p[:, None] + s * p[None, :]
+        flat = np.abs(gg) < 1e-12
+        total = total + np.where(flat, np.cos(pp) * (hi - lo),
+                                 (np.sin(gg * hi + pp) - np.sin(gg * lo + pp))
+                                 / np.where(flat, 1.0, gg))
+    return 0.5 * total
 
 
 def matrix_elements(spec: BarrierSpec) -> dict:
@@ -176,28 +182,13 @@ def matrix_elements(spec: BarrierSpec) -> dict:
     kernel v_kk' on the threshold-resolving wavenumber grid ``default_k_grid``."""
     bs = solve_bound_state(spec)
     k_grid = default_k_grid(spec)
-    v11 = _level_shift(spec, bs)
-    v1k = np.array([coupling_vs_k(spec, bs, complex(k)).real for k in k_grid])
-    states = [even_scattering_state(spec, float(k)) for k in k_grid]
-    n = len(k_grid)
-    vkk = np.zeros((n, n))
-    a, b, v1 = spec.a, spec.b, spec.v1
-    for i, si in enumerate(states):
-        for j in range(i, n):
-            sj = states[j]
-            inner = si.b_inside * sj.b_inside * _cos_overlap(si.q, sj.q, 0.0, a)
-            # outer piece on [a, b]: cos(k x + delta) products via shifted angles
-            ki, kj = si.k, sj.k
-            di, dj = si.delta, sj.delta
-            def seg(g, p):
-                if abs(g) < 1e-12:
-                    return np.cos(p) * (b - a)
-                return (np.sin(g * b + p) - np.sin(g * a + p)) / g
-            outer = 0.5 * si.c_outside * sj.c_outside * (
-                seg(ki - kj, di - dj) + seg(ki + kj, di + dj))
-            vkk[i, j] = vkk[j, i] = v1 * 2.0 * (inner + outer)
-    return {"bound": bs, "v11": float(v11), "k_grid": k_grid, "v_1k": v1k,
-            "v_kk": vkk}
+    st = even_scattering_state(spec, k_grid)
+    inner = (np.outer(st.b_inside, st.b_inside)
+             * _cos_products(st.q, np.zeros_like(st.q), 0.0, spec.a))
+    outer = st.c_outside**2 * _cos_products(k_grid, st.delta, spec.a, spec.b)
+    return {"bound": bs, "v11": float(_level_shift(spec, bs)), "k_grid": k_grid,
+            "v_1k": coupling_vs_k(spec, bs, k_grid).real,
+            "v_kk": spec.v1 * 2.0 * (inner + outer)}
 
 
 def default_k_grid(spec: BarrierSpec) -> np.ndarray:
@@ -208,20 +199,31 @@ def default_k_grid(spec: BarrierSpec) -> np.ndarray:
                            np.linspace(0.3 * k_top, k_top, n - n_log)])
 
 
-def resonance_width(spec: BarrierSpec) -> BarrierResonance:
-    """Second-order complex shift of the bound level through the open channel."""
-    bs = solve_bound_state(spec)
+def _open_level(spec: BarrierSpec, bs: BoundState) -> tuple[float, float]:
+    """The level shift v11 and the corrected level (E1 + V11) - (V0 - V1)
+    above the continuum threshold, refused when the channel is closed."""
     v11 = _level_shift(spec, bs)
     gap = (bs.e1 + v11) - (spec.v0 - spec.v1)
     if gap <= 0:
         raise ChannelClosedError(
             f"corrected level {bs.e1 + v11:.6f} sits below the continuum threshold "
             f"{spec.v0 - spec.v1:.6f}: no open decay channel, no imaginary part")
+    return float(v11), float(gap)
+
+
+def _width(spec: BarrierSpec, bs: BoundState) -> BarrierResonance:
+    """Second-order width of the bound state ``bs`` of the well of ``spec``."""
+    v11, gap = _open_level(spec, bs)
     k_tilde = float(np.sqrt(2 * spec.mu * gap) / spec.hbar)
     v1k = complex(coupling_vs_k(spec, bs, complex(k_tilde))).real
     width = float(2 * np.pi * spec.mu / (spec.hbar**2 * k_tilde) * v1k * v1k)
-    return BarrierResonance(e1=bs.e1, v11=float(v11), k_tilde=k_tilde,
+    return BarrierResonance(e1=bs.e1, v11=v11, k_tilde=k_tilde,
                             width=width, survival_rate=width)
+
+
+def resonance_width(spec: BarrierSpec) -> BarrierResonance:
+    """Second-order complex shift of the bound level through the open channel."""
+    return _width(spec, solve_bound_state(spec))
 
 
 def to_friedrichs_model(spec: BarrierSpec, n_nodes: int = 800) -> ModelSpec:
@@ -233,11 +235,7 @@ def to_friedrichs_model(spec: BarrierSpec, n_nodes: int = 800) -> ModelSpec:
     depth min(0.3, level / 2) and cutoff max(20, 10 level).
     """
     bs = solve_bound_state(spec)
-    v11 = _level_shift(spec, bs)
-    omega_eff = (bs.e1 + v11) - (spec.v0 - spec.v1)
-    if omega_eff <= 0:
-        raise ChannelClosedError("closed channel: the mapped level would not sit "
-                                 "inside the continuum")
+    _, omega_eff = _open_level(spec, bs)
     mu, hbar = spec.mu, spec.hbar
 
     def v_of_energy(z):
@@ -245,19 +243,20 @@ def to_friedrichs_model(spec: BarrierSpec, n_nodes: int = 800) -> ModelSpec:
         k = np.sqrt(2 * mu * z) / hbar
         return coupling_vs_k(spec, bs, k) * np.sqrt(mu / (hbar**2 * k))
 
-    ff = form_factor_from_callable(v_of_energy, name="barrier_even_channel")
-    return ModelSpec(omega_level=float(omega_eff), coupling=1.0, form_factor=ff,
-                     kernel=None,
+    return ModelSpec(omega_level=omega_eff, coupling=1.0,
+                     form_factor=FormFactor("barrier_even_channel", (), v_of_energy),
                      contour=ContourSpec(depth=min(0.3, omega_eff / 2.0),
                                          cutoff=float(max(20.0, 10.0 * omega_eff)),
                                          n_nodes=n_nodes))
 
 
 def width_sweep(spec: BarrierSpec, b_values) -> list[dict]:
-    """Width as a function of the barrier length (all other parameters fixed)."""
+    """Width as a function of the barrier length (all other parameters fixed),
+    from one solve of the well, whose bound state does not depend on b."""
+    bs = solve_bound_state(spec)
     rows = []
     for b in b_values:
-        r = resonance_width(replace(spec, b=float(b)))
+        r = _width(replace(spec, b=float(b)), bs)
         rows.append({"b": float(b), "barrier_length": float(b - spec.a),
                      "width": r.width, "k_tilde": r.k_tilde})
     return rows

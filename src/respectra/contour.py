@@ -129,12 +129,10 @@ def _gauss(n: int):
 
 
 def _split_counts(n: int) -> tuple[int, int, int]:
+    """Nodes of the descending, bottom and ascending segments; n >= MIN_NODES
+    leaves the bottom segment at least 4."""
     n_end = max(6, int(round(0.12 * n)))
-    n_mid = n - 2 * n_end
-    if n_mid < 4:
-        n_end = (n - 4) // 2
-        n_mid = n - 2 * n_end
-    return n_end, n_mid, n_end
+    return n_end, n - 2 * n_end, n_end
 
 
 def build_contour(spec: ContourSpec) -> ContourGrid:

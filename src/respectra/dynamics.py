@@ -3,8 +3,7 @@ the finite-matrix reference amplitudes.
 
 The reference ("oracle") amplitudes propagate the midpoint-grid matrix of
 ``respectra.oracle`` exactly: through its secular roots when the model has no
-kernel or a factored one, through a dense eigendecomposition otherwise or
-when a dense ``sys`` is passed.
+kernel or a factored one, through a dense eigendecomposition otherwise.
 
 The spectral amplitude is the pole term plus the curve integral,
 A(t) = e^{-i lambda t} <Psi|f> <f~|Phi> + \\int du e^{-iut} <Psi|f_u><f~_u|Phi>;
@@ -110,22 +109,18 @@ def _vector_on_grid(vec: AnalyticVector, sys: DiscretizedSystem | SecularSystem)
 
 
 def oracle_amplitude(model: ModelSpec, psi: AnalyticVector, phi: AnalyticVector,
-                     t, n_levels: int = 2000,
-                     sys: DiscretizedSystem | SecularSystem | None = None
-                     ) -> np.ndarray | complex:
+                     t, n_levels: int = 2000) -> np.ndarray | complex:
     """Reference amplitude of the n_levels-bin discretization of [0, cutoff]
-    (exact propagation), or of ``sys`` if given."""
+    (exact propagation)."""
     ts = _check_times(t)
-    if sys is None:
-        sys = oracle_system(model, n_levels)
+    sys = oracle_system(model, n_levels)
     amps = amplitude_curve(sys, _vector_on_grid(psi, sys), _vector_on_grid(phi, sys), ts)
     return complex(amps[0]) if np.ndim(t) == 0 else amps
 
 
-def oracle_survival_curve(model: ModelSpec, t_grid, n_levels: int = 2000,
-                          sys: DiscretizedSystem | SecularSystem | None = None) -> DecayCurve:
+def oracle_survival_curve(model: ModelSpec, t_grid, n_levels: int = 2000) -> DecayCurve:
     psi = unstable_state()
-    amp = oracle_amplitude(model, psi, psi, t_grid, n_levels, sys)
+    amp = oracle_amplitude(model, psi, psi, t_grid, n_levels)
     amp = np.atleast_1d(amp)
     return DecayCurve(np.atleast_1d(np.asarray(t_grid, dtype=float)),
                       np.abs(amp) ** 2, amp)

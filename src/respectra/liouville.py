@@ -105,51 +105,25 @@ def apply_L(model: ModelSpec, O: BlockObservable, grids: LiouvilleGrids) -> Bloc
     """
     _require_liouville_model(model)
     om = model.omega_level
-    gl, gu = grids.gamma, grids.gamma_bar
+    o1, o_omega, o_omom = complex(O.o1), O.o_omega, O.o_omom
 
-    o1 = complex(O.o1)
-    o_omega = O.o_omega
-    o_om1 = O.o_om1
-    o_1om = O.o_1om
-    o_omom = O.o_omom
-
-    def new_o1_value():
-        total = 0j
-        if o_1om is not None:
-            total -= np.sum(gl.weights * eval_V(model, gl.nodes)
-                            * np.asarray(o_1om(gl.nodes)))
-        if o_om1 is not None:
-            total += np.sum(gu.weights * eval_V(model, gu.nodes)
-                            * np.asarray(o_om1(gu.nodes)))
-        return complex(total)
-
-    def new_om1(z):
-        z = np.asarray(z, dtype=complex)
-        out = (z - om) * (np.asarray(o_om1(z)) if o_om1 is not None else 0.0)
-        v = eval_V(model, z)
-        out = out + v * o1
-        if o_omega is not None:
-            out = out - v * np.asarray(o_omega(z))
-        if o_omom is not None:
-            zz = np.atleast_1d(z)
-            k = np.asarray(o_omom(zz[:, None], gl.nodes[None, :]))
-            contr = k @ (gl.weights * eval_V(model, gl.nodes))
-            out = out - (contr[0] if z.ndim == 0 else contr)
-        return out
-
-    def new_1om(zp):
-        zp = np.asarray(zp, dtype=complex)
-        out = (om - zp) * (np.asarray(o_1om(zp)) if o_1om is not None else 0.0)
-        v = eval_V(model, zp)
-        out = out - v * o1
-        if o_omega is not None:
-            out = out + v * np.asarray(o_omega(zp))
-        if o_omom is not None:
-            zz = np.atleast_1d(zp)
-            k = np.asarray(o_omom(gu.nodes[:, None], zz[None, :]))
-            contr = (gu.weights * eval_V(model, gu.nodes)) @ k
-            out = out + (contr[0] if zp.ndim == 0 else contr)
-        return out
+    def single(own: Callable | None, s: int, other: ContourGrid) -> Callable:
+        """The singly continuous block s [(z - Omega) own(z) + V(z) (o1 -
+        o_omega(z)) - \\int o_omom V over ``other``]: s = +1 gives the
+        omega-1 block, whose z is the first argument of o_omom, and s = -1
+        the 1-omega' block, whose z' is the second."""
+        def block(z):
+            z = np.asarray(z, dtype=complex)
+            v = eval_V(model, z)
+            out = (z - om) * (np.asarray(own(z)) if own is not None else 0.0) + v * o1
+            if o_omega is not None:
+                out = out - v * np.asarray(o_omega(z))
+            if o_omom is not None:
+                zz, x = z.reshape(-1, 1), other.nodes[None, :]
+                k = np.asarray(o_omom(zz, x) if s > 0 else o_omom(x, zz))
+                out = out - (k @ (other.weights * eval_V(model, other.nodes))).reshape(z.shape)
+            return s * out
+        return block
 
     def new_omom(z, zp):
         z = np.asarray(z, dtype=complex)
@@ -157,21 +131,23 @@ def apply_L(model: ModelSpec, O: BlockObservable, grids: LiouvilleGrids) -> Bloc
         out = np.zeros(np.broadcast(z, zp).shape, dtype=complex)
         if o_omom is not None:
             out = out + (z - zp) * np.asarray(o_omom(z, zp))
-        if o_1om is not None:
-            out = out + eval_V(model, z) * np.asarray(o_1om(zp))
-        if o_om1 is not None:
-            out = out - eval_V(model, zp) * np.asarray(o_om1(z))
+        if O.o_1om is not None:
+            out = out + eval_V(model, z) * np.asarray(O.o_1om(zp))
+        if O.o_om1 is not None:
+            out = out - eval_V(model, zp) * np.asarray(O.o_om1(z))
         return out
 
-    return BlockObservable(
-        o1=new_o1_value(),
-        o_omega=None,
-        o_omom=new_omom if (o_omom is not None or o_1om is not None or o_om1 is not None) else None,
-        o_om1=new_om1 if (o_om1 is not None or abs(o1) > 0 or o_omega is not None
-                          or o_omom is not None) else None,
-        o_1om=new_1om if (o_1om is not None or abs(o1) > 0 or o_omega is not None
-                          or o_omom is not None) else None,
-    )
+    # the upper-curve omega-1 block and the lower-curve 1-omega' block
+    sides = ((O.o_om1, 1, grids.gamma_bar, grids.gamma),
+             (O.o_1om, -1, grids.gamma, grids.gamma_bar))
+    new_o1 = sum(s * np.sum(g.weights * eval_V(model, g.nodes) * np.asarray(own(g.nodes)))
+                 for own, s, g, _ in sides if own is not None)
+    fed = abs(o1) > 0 or o_omega is not None or o_omom is not None
+    om1, one_om = (single(own, s, other) if own is not None or fed else None
+                   for own, s, _, other in sides)
+    paired = o_omom is not None or O.o_1om is not None or O.o_om1 is not None
+    return BlockObservable(o1=complex(new_o1), o_omom=new_omom if paired else None,
+                           o_om1=om1, o_1om=one_om)
 
 
 # --------------------------------------------------------------------------

@@ -96,12 +96,6 @@ def make_form_factor(family_id: str, params=()) -> FormFactor:
     return FormFactor(family_id, params, entry["build"](params), entry["pole_depth"](params))
 
 
-def form_factor_from_callable(fn: Callable, name: str = "custom") -> FormFactor:
-    """Wrap a closed-form analytic continuation supplied by another module,
-    entire up to the origin branch point."""
-    return FormFactor(name, (), fn)
-
-
 def separable_test_kernel() -> FormFactor2:
     """The built-in separable kernel h(z) h(z'), h(z) = sqrt(z) exp(-z/2).
 

@@ -20,7 +20,6 @@ from respectra.friedrichs import find_pole
 from respectra.liouville import (GeneralizedState, LiouvilleGrids, LiouvilleSystem,
                                  evolve_state, unstable_state_functional)
 from respectra.model import eval_V, make_model
-from respectra.oracle import discretize
 from respectra.perturbation import BiorthogonalSystem, pair_coeffs, perturb_discrete
 from respectra.states import random_analytic, real_axis_inner, real_axis_inner_H, unstable_state
 from respectra.barrier import BarrierSpec, resonance_width, solve_bound_state, \
@@ -118,8 +117,7 @@ def test_criterion_4_decay_dynamics():
     ts = default_time_grid(m, 200)
     system = BiorthogonalSystem.from_exact(m)
     spec_curve = survival_curve(system, ts)
-    d2000 = discretize(m, 2000)
-    orac = oracle_survival_curve(m, ts, sys=d2000)
+    orac = oracle_survival_curve(m, ts, n_levels=2000)
     orac2 = oracle_survival_curve(m, ts, n_levels=4000)
     self_conv = float(np.max(np.abs(orac.survival - orac2.survival)))
     diff = float(np.max(np.abs(spec_curve.survival - orac.survival)))

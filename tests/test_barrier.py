@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.integrate as si
 
+from respectra import barrier
 from respectra.barrier import (BarrierSpec, BoundState, ScatteringState,
                                bound_state_residual, coupling_vs_k,
                                even_scattering_state, matrix_elements, resonance_width,
@@ -152,6 +155,19 @@ class TestMatrixElements:
         assert np.max(np.abs(m2["v_1k"] - 2 * m1["v_1k"])) < 1e-13
         assert np.max(np.abs(m2["v_kk"] - 2 * m1["v_kk"])) < 1e-13
 
+    def test_kernel_against_quadrature(self):
+        # v_kk' = 2 v1 \int_0^b psi_k psi_k' dx, on and off the diagonal, with
+        # each state built at its own wavenumber
+        spec = BarrierSpec(**SPEC_OPEN)
+        me = matrix_elements(spec)
+        for i, j in ((0, 0), (5, 30), (20, 21), (47, 47)):
+            psi_i, psi_j = (scattering_wavefunction(spec, even_scattering_state(spec, k))
+                            for k in me["k_grid"][[i, j]])
+            ref = 2 * spec.v1 * sum(
+                si.quad(lambda x: psi_i(x) * psi_j(x), lo, hi, limit=400)[0]
+                for lo, hi in ((0.0, spec.a), (spec.a, spec.b)))
+            assert abs(me["v_kk"][i, j] - ref) < 1e-12
+
     def test_level_shift_negative_and_suppressed(self):
         me = matrix_elements(BarrierSpec(**SPEC_OPEN))
         assert me["v11"] < 0
@@ -217,6 +233,19 @@ class TestResonanceWidth:
         s2 = BarrierSpec(a=s1.a, b=s1.b, v0=s1.v0, v1=2 * s1.v1)
         ratio = resonance_width(s2).width / resonance_width(s1).width
         assert abs(ratio - 4.0) <= 0.4
+
+    @pytest.mark.parametrize("n_b", [1, 5])
+    def test_width_sweep_solves_the_well_once(self, monkeypatch, n_b):
+        # the bound state does not depend on b: one solve serves every row,
+        # and each row is the width of its own spec
+        calls = []
+        monkeypatch.setattr(barrier, "solve_bound_state",
+                            lambda spec: calls.append(spec) or solve_bound_state(spec))
+        spec = BarrierSpec(**SPEC_OPEN)
+        rows = width_sweep(spec, spec.b * np.linspace(1.0, 1.6, n_b))
+        assert len(rows) == n_b and len(calls) == 1
+        assert [r["width"] for r in rows] == [
+            resonance_width(replace(spec, b=r["b"])).width for r in rows]
 
     def test_width_sweep_suppression(self):
         # the width envelope carries exp(-2 kappa (b - a)); comparing one

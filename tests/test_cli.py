@@ -48,6 +48,14 @@ def test_model_required(tmp_path):
     assert main(["--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("doc,reason", [
+    ([{"command": "spectrum", "model": MODEL}], "config must be a JSON object"),
+    ({"command": "barrier"}, "command 'barrier' needs a 'barrier' section")])
+def test_refusal_names_its_reason(tmp_path, capsys, doc, reason):
+    assert main(["--config", _write_cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_spectrum_free_model(tmp_path):
     doc = {"command": "spectrum", "output_dir": str(tmp_path / "o"),
            "model": dict(MODEL, epsilon=0.0)}
@@ -195,6 +203,27 @@ def test_validate_passes(tmp_path):
            "model": MODEL, "seed": 7}
     assert main(["--config", _write_cfg(tmp_path, doc)]) == 0
     _assert_validate_table(tmp_path / "o")
+
+
+# the checks that need the pole of eta
+POLE_CHECKS = {"pole_residual", "pole_half_plane", "exact_normalization",
+               "exact_cross_orthogonality", "exact_completeness", "generator_reconstruction"}
+
+
+def test_validate_reports_every_check_when_some_fail(tmp_path, capsys):
+    # eta has a second zero in this deep rectangle's strip: every check that
+    # needs the pole fails with the zero count's reason, the other checks
+    # still run and pass, and the exit code says that some check failed
+    model = dict(MODEL, epsilon=0.54, contour={"depth": 1.0, "cutoff": 20.0, "n_nodes": 400})
+    doc = {"command": "validate", "output_dir": str(tmp_path / "o"), "model": model, "seed": 7}
+    assert main(["--config", _write_cfg(tmp_path, doc)]) == 3
+    rows = [row.split(",") for row in
+            (tmp_path / "o" / "validate.csv").read_text().splitlines()[2:]]
+    assert [row[0] for row in rows] == VALIDATE_CHECKS
+    assert {row[0] for row in rows if row[1] == "0"} == POLE_CHECKS
+    table = capsys.readouterr().out
+    for name in POLE_CHECKS:
+        assert re.search(rf"^{name} +FAIL  eta has 2 zeros in the strip", table, re.M)
 
 
 def test_validate_without_a_model_takes_the_node_override(tmp_path):

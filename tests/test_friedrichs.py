@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from respectra.contour import ContourSpec, SampledPV, build_contour
+from respectra.contour import ContourSpec, SampledPV, build_contour, real_axis_grid
 from respectra.errors import ContourError, EvaluationError, RespectraError
 from respectra.friedrichs import COUNT_SAMPLES, SampledEta, exact_system, find_pole
 from respectra.model import (default_contour, eval_V, eval_Vbar, make_model,
@@ -128,6 +128,23 @@ class TestFindPole:
                            ContourSpec(1.0, 20.0, "rectangle", n_nodes))
             with pytest.raises(ContourError, match=rf"turns by {turn} rad .* node {node} "):
                 find_pole(m)
+
+    def test_newton_fallback(self, rng):
+        # a strong coupling whose fixed-point iteration stops contracting, so
+        # Newton on eta finds the pole; a deeper, finer rectangle gives the
+        # same pole, and the exact system built on it is complete
+        m = make_model("poly_exp", [1.0], 0.7, 0.9, ContourSpec(0.6, 20.0, "rectangle", 320))
+        pr = find_pole(m)
+        assert (pr.method, pr.iterations, pr.zero_count) == ("newton", 16, 1)
+        assert pr.residual <= 1e-13
+        deeper = make_model("poly_exp", [1.0], 0.7, 0.9,
+                            ContourSpec(0.7, 20.0, "rectangle", 400))
+        assert abs(find_pole(deeper).lambda_pole - pr.lambda_pole) < 1e-13
+        s = BiorthogonalSystem.from_exact(m)
+        axis = real_axis_grid(20.0, 400)
+        for _ in range(3):
+            psi, phi = random_analytic(rng), random_analytic(rng)
+            assert abs(s.reconstruct_inner(psi, phi) - real_axis_inner(psi, phi, axis)) < 1e-10
 
     def test_shape_insensitivity(self, default_model):
         # the semi-ellipse path is kept for sensitivity runs: same pole

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from respectra.liouville import (BlockObservable, GeneralizedState, LiouvilleGri
                                  LiouvilleSystem, apply_L, check_physicality,
                                  evolve_state, identity_observable, relaxation_curve,
                                  unstable_state_functional)
-from respectra.model import eval_V, make_model, separable_test_kernel
+from respectra.model import FormFactor, eval_V, make_model, separable_test_kernel
 from respectra.oracle import DiscretizedSystem, commutator_apply, discretize
 
 
@@ -143,6 +145,14 @@ class TestZeroSector:
                        ContourSpec(depth=0.2, cutoff=1.2, n_nodes=64)))
         with pytest.raises(EvaluationError):
             LiouvilleSystem(m, narrow)
+
+    def test_complex_coupling_rejected(self, li_model):
+        # a constant phase keeps |V| but makes V complex on the positive axis
+        ff = li_model.form_factor
+        phased = replace(li_model, form_factor=FormFactor(
+            "phased", (), lambda z: np.exp(0.3j) * ff.eval(z)))
+        with pytest.raises(EvaluationError, match="real on the positive axis"):
+            LiouvilleSystem(phased)
 
     def test_zero_sector_orthogonality_atoms(self, li_model, li_sys):
         # symbolic atom bookkeeping of the degenerate sector
