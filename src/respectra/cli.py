@@ -54,13 +54,23 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _write_text(path: Path, text: str):
+    """Write an artifact, making its directory first, so that a run refused
+    before its first artifact leaves no directory behind."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as e:    # e.g. the path, or one of its parents, is a file
+        raise ConfigError(f"output_dir {str(path.parent)!r} cannot be made a directory: {e}") from e
+    path.write_text(text)
+
+
 def _write_json(path: Path, payload: dict, cfg_hash: str):
     """One sorted top-level key per line, each value on its line by
     ``json.dumps`` without ``indent``, which keeps the C encoder."""
     payload = dict(payload, spec_version=SPEC_VERSION, config_sha256=cfg_hash)
     items = (f"  {json.dumps(k)}: {json.dumps(payload[k], sort_keys=True)}"
              for k in sorted(payload))
-    path.write_text("{\n" + ",\n".join(items) + "\n}\n")
+    _write_text(path, "{\n" + ",\n".join(items) + "\n}\n")
 
 
 def _cell(x) -> str:
@@ -84,7 +94,7 @@ def _write_csv(path: Path, header: list[str], columns, cfg_hash: str):
     lines = [f"# config_sha256={cfg_hash} spec_version={SPEC_VERSION}",
              ",".join(header)]
     lines.extend(map(",".join, zip(*map(_column, columns))))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_config(path: str, overrides: dict) -> dict:
@@ -505,17 +515,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, vars(args))
         outdir = Path(cfg["output_dir"])
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as e:    # e.g. the path, or one of its parents, is a file
-            raise ConfigError(f"output_dir {str(outdir)!r} cannot be made a directory: {e}") from e
         cfg_hash = _config_hash(cfg)
-        if args.dump_grid and "model" in cfg:
+        code = COMMANDS[cfg["command"]](cfg, outdir, cfg_hash)
+        if args.dump_grid and "model" in cfg:       # after it: a refused run writes nothing
             grid = build_contour(_model_from_cfg(cfg).contour)
             _write_csv(outdir / "grid.csv", ["node_re", "node_im", "weight_re", "weight_im"],
                        [grid.nodes.real, grid.nodes.imag, grid.weights.real, grid.weights.imag],
                        cfg_hash)
-        return COMMANDS[cfg["command"]](cfg, outdir, cfg_hash)
+        return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

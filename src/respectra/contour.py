@@ -16,9 +16,9 @@ every grid built from them.
 functions and evaluates them itself, at the nodes and at each curve point
 with its derivative stencil; ``pole_kernel_integral`` (a curve point) and
 ``plemelj_integral`` (a point of a real-axis grid) are its one-point cases.
-An integrand shared by all points costs one Cauchy reciprocal and one matrix
-product per block of points, for any number of targets, each with its own
-side of the pole.
+Every integrand is one row shared by all points, so a block of points costs
+one Cauchy reciprocal and one matrix product, for any number of targets,
+each with its own side of the pole.
 
 ``phase_sum`` is the one time sum, sum_j m_j exp(-i z_j t) on a grid of
 times, shared by the spectral amplitude, the oracle's mode sum and the
@@ -259,19 +259,20 @@ def pole_kernel_integral(grid: ContourGrid, h: Callable, u: complex, side: int) 
 
 
 class SampledPV:
-    """Principal values PV \\int h_i(z)/(u_i - z) dz at many curve points at once.
+    """Principal values PV \\int h(z) F_p(z)/(u_i - z) dz of integrands shared
+    by every point, at many curve points at once.
 
     The points u_i default to every node.  The singularity is subtracted
-    globally, PV = \\int [h_i(z) - h_i(u_i)]/(u_i - z) dz + h_i(u_i) PV
-    \\int dz/(u_i - z), the second factor in closed form.  Where u_i is a
-    node, the removable 0/0 sample is -h_i'(u_i) from a five-point stencil
-    along the tangent, of step STENCIL_DELTA * min(1, |u_i|) so that it never
-    reaches the branch point at the origin.  Rows are summed in blocks of
-    about PV_BLOCK_ENTRIES entries, so no (M, N) operator is held.  A block
-    of an integrand shared by all points is one reciprocal C_ij = 1/(u_i -
-    z_j) and one product C @ [w h F_p | w], whose last column is the row sum
-    the subtraction needs.  ``side`` may differ per target, so several
-    displaced-pole integrals of one set of points share a sweep.
+    globally, PV = \\int [h(z) - h(u_i)]/(u_i - z) dz + h(u_i) PV \\int
+    dz/(u_i - z), the second factor in closed form.  Where u_i is a node,
+    the removable 0/0 sample is -h'(u_i) from a five-point stencil along the
+    tangent, of step STENCIL_DELTA * min(1, |u_i|) so that it never reaches
+    the branch point at the origin.  Rows are summed in blocks of about
+    PV_BLOCK_ENTRIES entries, so no (M, N) operator is held: a block is one
+    reciprocal C_ij = 1/(u_i - z_j) and one product C @ [w h F_p | w], whose
+    last column is the row sum the subtraction needs.  ``side`` may differ
+    per target, so several displaced-pole integrals of one set of points
+    share a sweep.
     """
 
     def __init__(self, grid: ContourGrid, u=None):
@@ -297,50 +298,51 @@ class SampledPV:
 
     def _cauchy(self, rows: slice) -> np.ndarray:
         """C_ij = 1/(u_i - z_j) for a block of points, 0 where u_i is z_j
-        (that sample is -h_i'(u_i), added from the stencil)."""
+        (that sample is -h'(u_i), added from the stencil)."""
         diff = self.u[rows, None] - self.grid.nodes
         r = np.nonzero(self.node[rows] >= 0)[0]
         diff[r, self.node[rows][r]] = np.inf
         return np.reciprocal(diff, out=diff)
 
     def __call__(self, h: Callable, side=0, F: Callable | None = None) -> np.ndarray:
-        """PV at every point, minus side * i*pi * h_i(u_i) for side = +1/-1
-        (the displaced-pole integral \\int h_i(z)/(u_i + side*i0 - z) dz).
+        """PV at every point, minus side * i*pi * h(u_i) for side = +1/-1
+        (the displaced-pole integral \\int h(z)/(u_i + side*i0 - z) dz).
 
-        ``h(z)`` takes curve points (1, K), shared by every point, or (M, K),
-        row i belonging to u_i, and returns h_i(z) with the shape (1 or M, K)
-        of its broadcast.  With ``F`` the integrand is h_i(z) F_p(z) for
-        targets p, ``F(z)`` of shape (1 or M, P, K), and the result is (M, P)
-        instead of (M,); ``side`` is then a scalar or one value per target,
-        shape (P,).  The node sum is a matrix product: no (M, P, N) array is
-        formed unless F itself is per point.
+        ``h(z)`` takes curve points of any shape and returns h there, one
+        row (1, N) at the nodes (1, N).  With ``F`` the integrand is h(z)
+        F_p(z) for targets p, ``F(z)`` of shape (1, P, N) at the nodes and
+        (M, P, 5) at the points and their stencils (M, 5), and the result
+        is (M, P) instead of (M,); ``side`` is then a scalar or one value
+        per target, shape (P,).  An integrand given per point, h of more
+        than one row or F of more than one, is refused.
         """
-        w = self.grid.weights
+        return self._sweep(h, side, F, np.matmul)
+
+    def pointwise(self, h: Callable, side, F: Callable) -> np.ndarray:
+        """``__call__`` with each point's node sums a vector-matrix product of
+        their own, so that a point rounds alike alone or in a block of any
+        size, as a block's matrix product does not; at about twice its cost."""
+        return self._sweep(h, side, F, lambda C, G: np.matmul(C[:, None, :], G)[:, 0])
+
+    def _sweep(self, h: Callable, side, F: Callable | None, product: Callable) -> np.ndarray:
+        w, n = self.grid.weights, self.grid.n
         nodes = self.grid.nodes[None, :]
-        wh = w * np.asarray(h(nodes), dtype=complex)                   # (1 or M, N)
-        hp = np.asarray(h(self._points), dtype=complex)[:, None, :]   # (M, 1, 5)
-        if F is None:
-            Fn = np.ones((1, 1, self.grid.n))
-        else:
-            Fn = np.asarray(F(nodes), dtype=complex)                   # (1 or M, P, N)
-            hp = hp * np.asarray(F(self._points), dtype=complex)       # (M, P, 5)
-        shared = len(wh) == 1 and len(Fn) == 1
-        if shared:
-            G = np.concatenate([(wh * Fn[0]).T, w[:, None]], axis=1)   # (N, P + 1)
-        hu = hp[..., 0]                                                # (M, P)
+        hn = np.asarray(h(nodes), dtype=complex)
+        Fn = np.ones((1, 1, n)) if F is None else np.asarray(F(nodes), dtype=complex)
+        if hn.shape != (1, n) or Fn.ndim != 3 or Fn.shape[::2] != (1, n):
+            raise EvaluationError(f"SampledPV integrates one row shared by every point, got "
+                                  f"h {hn.shape} and F {Fn.shape} on {n} nodes")
+        G = np.concatenate([(w * hn * Fn[0]).T, w[:, None]], axis=1)     # (N, P + 1)
+        hp = np.asarray(h(self._points), dtype=complex)[:, None, :]      # (M, 1, 5)
+        if F is not None:
+            hp = hp * np.asarray(F(self._points), dtype=complex)         # (M, P, 5)
+        hu = hp[..., 0]                                                  # (M, P)
         out = np.empty(hu.shape, dtype=complex)
-        block = max(1, PV_BLOCK_ENTRIES // self.grid.n)
+        block = max(1, PV_BLOCK_ENTRIES // n)
         for a in range(0, len(self.u), block):
             rows = slice(a, a + block)
-            C = self._cauchy(rows)
-            if shared:
-                S = C @ G
-                s, row_sum = S[:, :-1], S[:, -1]
-            else:
-                Ch = C * (wh[rows] if len(wh) > 1 else wh)
-                s = Ch @ Fn[0].T if len(Fn) == 1 else np.einsum("ij,ipj->ip", Ch, Fn[rows])
-                row_sum = C @ w
-            out[rows] = s - hu[rows] * row_sum[:, None]
+            S = product(self._cauchy(rows), G)
+            out[rows] = S[:, :-1] - hu[rows] * S[:, -1:]
         dh = (hp[..., 1] - 8 * hp[..., 2] + 8 * hp[..., 3] - hp[..., 4]) \
             / (12 * self._delta[:, None] * self._tangent[:, None])
         out = out - self.node_weight[:, None] * dh + hu * self.log_term[:, None] \

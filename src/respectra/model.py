@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .contour import MIN_NODES, ContourSpec
-from .errors import AnalyticityError, ConfigError, ContourError
+from .errors import AnalyticityError, ConfigError, ContourError, EvaluationError
 
 _REGION_SLACK_RE = 0.05
 _REGION_SLACK_IM = 0.05
@@ -47,8 +47,10 @@ class FormFactor2:
 
     Registry kernels must be regular (no delta component on the diagonal) and
     Hermitian on the real axis.  A separable kernel fn2(z, z') = h(z) h(z')
-    with h real on the positive axis may declare its ``factor`` h, which
-    lets the oracle solve it in O(n^2) instead of by a dense eigh.
+    with h real on the positive axis declares its ``factor`` h.  The
+    perturbative engine evaluates a kernel only through h and refuses one
+    without it; the oracle solves a factored kernel in O(n^2) and any other
+    by a dense eigh.
     """
 
     family_id: str
@@ -279,3 +281,12 @@ def eval_V2(model: ModelSpec, z, zp):
         return np.zeros(np.broadcast(np.asarray(z), np.asarray(zp)).shape, dtype=complex) \
             if (np.ndim(z) or np.ndim(zp)) else 0j
     return model.coupling ** 2 * model.kernel.eval2(z, zp)
+
+
+def eval_kernel_factor(model: ModelSpec, z):
+    """g = coupling * h at z, coupling^2 K(z, z') = g(z) g(z'); refused with
+    an ``EvaluationError`` for a kernel that declares no factor h."""
+    if model.kernel.factor is None:
+        raise EvaluationError(f"kernel {model.kernel.family_id!r} declares no factor h, "
+                              "K = h(z) h(z'), which the perturbative engine needs")
+    return model.coupling * model.kernel.factor(z)

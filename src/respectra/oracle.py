@@ -36,7 +36,7 @@ from scipy import fft as sfft
 
 from .contour import phase_sum
 from .errors import ConfigError, ConvergenceError, EvaluationError
-from .model import ModelSpec, eval_V, eval_V2
+from .model import ModelSpec, eval_V, eval_V2, eval_kernel_factor
 
 _EPS = np.finfo(float).eps
 _BLOCK_ENTRIES = 2**17    # doubles per Cauchy block (1 MB): 131 rows at n = 1000
@@ -437,7 +437,7 @@ def secular_system(model: ModelSpec, n: int,
     kernel = None
     poles, coupling = w, v
     if kern is not None:
-        g = np.asarray(kern.factor(w), dtype=complex) * (model.coupling * np.sqrt(dw))
+        g = np.asarray(eval_kernel_factor(model, w), dtype=complex) * np.sqrt(dw)
         if np.any(g.imag != 0.0):
             return None
         kernel = _SecularBasis.solve(1.0, 0.0, w, g.real)

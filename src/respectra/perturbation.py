@@ -23,24 +23,29 @@ shift is identically zero and
                 - sum_{k>=2} lambda_k phi_{n-k}(z)] / (Omega - z),
     lambda_n = \\int Vbar(z) phi_{n-1}(z) dz .
 
+A kernel enters only through its factor, K(z, z') = g(z) g(z') (one without
+it is refused; the dense oracle serves it): every kernel term is g(z) times a
+coefficient.
+
 The continuous branch keeps the eigenvalue exactly at u (every correction
 vanishes because the kernel carries no delta component) and is implemented
 through second order with the outgoing (+i0) kernel on the right and the
 conjugate prescription on the left.  ``ContinuumFamily`` holds the vectors
-of a whole family of curve points as arrays and pairs them all through one
-sampled curve principal value, ``SampledPV``, which is handed the integrands
-as functions; ``perturb_continuous`` returns one-point families on
-``SampledPV(grid, u)``.
+of a whole family of curve points as arrays, each numerator two coefficients
+of the rows B(z) and g(z) shared by every member, and pairs them all through
+one sampled curve principal value, ``SampledPV``; ``perturb_continuous``
+returns one-point families on ``SampledPV(grid, u)``.
 ``pair_families`` pairs several families on one ``SampledPV`` in one sweep:
 the overlap tables of a reconstruction pair the right family with the bra
-and the left family with the ket as two targets with sides +1 and -1.  A
-system keeps the tables of its last (Psi, Phi) pair, read-only, so the
-inner product and the generator of one pair cost one sweep.
+and the left family with the ket, each row a target with its family's
+side.  A system keeps the tables of its last (Psi, Phi) pair, read-only, so
+the inner product and the generator of one pair cost one sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -48,7 +53,7 @@ import numpy as np
 from .contour import ContourGrid, SampledPV, build_contour
 from .errors import ConfigError, DegeneratePairError, EvaluationError
 from .friedrichs import PoleResult, exact_system
-from .model import ModelSpec, eval_V, eval_V2, eval_Vbar
+from .model import ModelSpec, eval_V, eval_Vbar, eval_kernel_factor
 from .states import AnalyticVector
 
 
@@ -85,40 +90,30 @@ class PerturbationSeries:
         return self.totals[1]
 
 
-def _kernel(model: ModelSpec, side: int) -> Callable:
-    """K(z, z') for right vectors (side=+1), its transpose for left ones."""
-    if side > 0:
-        return lambda z, zp: eval_V2(model, z, zp)
-    return lambda z, zp: eval_V2(model, zp, z)
-
-
-def _discrete_order(model: ModelSpec, grid: ContourGrid, side: int, lambdas: list,
+def _discrete_order(model: ModelSpec, wg: np.ndarray | None, side: int, lambdas: list,
                     lower: list, samples: list, z: np.ndarray) -> np.ndarray:
     """phi_n (side=+1) or psi_n (side=-1) of the discrete branch at the points
     z, n = len(lower) + 1, from the lower orders at z, ``lower``, and
-    lambda_0..lambda_{n-1}; the kernel column integrates the node samples of
-    order n - 1, ``samples[n - 2]``."""
+    lambda_0..lambda_{n-1}; the kernel column is g(z) times the sum of ``wg``,
+    w_j g(z_j) (None without a kernel), times ``samples[n - 2]``."""
     om = model.omega_level
     n = len(lower) + 1
     if n == 1:
         return (eval_V if side > 0 else eval_Vbar)(model, z) / (om - z)
     acc = np.zeros_like(z)
-    if model.has_kernel():
-        wts = grid.weights * samples[n - 2]
-        acc = acc + _kernel(model, side)(z[..., None], grid.nodes) @ wts
+    if wg is not None:
+        acc = acc + eval_kernel_factor(model, z) * np.sum(wg * samples[n - 2])
     for k in range(2, n):
         acc = acc - lambdas[k] * lower[n - k - 1]
     return acc / (om - z)
 
 
-def _discrete_profile(model: ModelSpec, grid: ContourGrid, side: int, lambdas: list,
+def _discrete_profile(model: ModelSpec, nodes: np.ndarray, wg, side: int, lambdas: list,
                       samples: list, first: int, last: int) -> Callable:
     """The sum of orders first..last of the discrete branch as a profile,
     added left to right.  Called on the grid's own ``nodes`` array it sums
     their node samples; at any other points it forms orders 1..last there
     once, each from the lower ones at those points."""
-    nodes = grid.nodes
-
     def fn(z):
         if z is nodes:
             vals = samples
@@ -126,7 +121,7 @@ def _discrete_profile(model: ModelSpec, grid: ContourGrid, side: int, lambdas: l
             z = np.asarray(z, dtype=complex)
             zz, vals = np.atleast_1d(z), []
             for _ in range(last):
-                vals.append(_discrete_order(model, grid, side, lambdas, vals, samples, zz))
+                vals.append(_discrete_order(model, wg, side, lambdas, vals, samples, zz))
         out = vals[first - 1]
         for v in vals[first:last]:
             out = out + v
@@ -146,6 +141,8 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
         grid = build_contour(model.contour)
     om = model.omega_level
     nodes = grid.nodes
+    # an unfactored kernel is refused here, at any order
+    wg = grid.weights * eval_kernel_factor(model, nodes) if model.has_kernel() else None
     vbar = np.asarray(eval_Vbar(model, nodes), dtype=complex)
     lambdas = [complex(om)]
     samples = {+1: [], -1: []}        # node samples of phi_n / psi_n
@@ -154,28 +151,19 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
         lambdas.append(0j if n == 1 else
                        complex(np.sum(grid.weights * vbar * samples[+1][-1])))
         for side in (+1, -1):
-            col = _discrete_order(model, grid, side, lambdas, samples[side], samples[side],
-                                  nodes)
+            col = _discrete_order(model, wg, side, lambdas, samples[side], samples[side], nodes)
             col.flags.writeable = False
             samples[side].append(col)
     right, left = ([AnalyticVector(d=1.0 + 0j)]
-                   + [AnalyticVector(profile=_discrete_profile(model, grid, side, lambdas,
+                   + [AnalyticVector(profile=_discrete_profile(model, nodes, wg, side, lambdas,
                                                                samples[side], n, n))
                       for n in range(1, order + 1)]
                    for side in (+1, -1))
     # one profile forms every order of the total, so it costs order n, not n^2
     totals = (AnalyticVector(d=1.0 + 0j, profile=_discrete_profile(
-        model, grid, side, lambdas, samples[side], 1, order) if order else None)
+        model, nodes, wg, side, lambdas, samples[side], 1, order) if order else None)
         for side in (+1, -1))
     return PerturbationSeries(tuple(zip(lambdas, right, left)), tuple(totals))
-
-
-def _kernel_term(model: ModelSpec, pv: SampledPV, z, side: int) -> np.ndarray:
-    """k_i(z) = \\int K(z, z') K(z', u_i) / (u_i + side*i0 - z') dz' at every
-    point u_i of ``pv`` (K transposed on the left) for targets z shared by
-    all points (1, P) or given per point (M, P); shape (M, P)."""
-    kk, u = _kernel(model, side), pv.u[:, None]
-    return pv(lambda zp: kk(zp, u), side, F=lambda zp: kk(z[..., None], zp[:, None, :]))
 
 
 class ContinuumFamily:
@@ -185,42 +173,30 @@ class ContinuumFamily:
     Member i is ``d[i]`` on the level, ``atom`` times the unit atom at u_i
     (1 for a bare or exact family, 0 for a correction; a sum of families adds
     the weights) and the pole term N_i(z) / (u_i + side*i0 - z) with
-    N_i(z) = coef[i] B(z) + K(z, u_i) + k_i(z), B = V on the right and Vbar
-    on the left; the kernel column and the ``_kernel_term`` k_i are present
-    for kernel orders 1 and 2.  Pairings
-    hand the numerators to the principal value as functions: the B part as
-    one shared row, the kernel part per member.  A single member is a
-    one-point family, on ``SampledPV(grid, u_i)``.
+    N_i(z) = coef[i] B(z) + kernel_coef[i] g(z), B = V on the right and Vbar
+    on the left and g the kernel's factor (``eval_kernel_factor``); a part whose
+    array is None is absent.  Pairings hand each shared row to the principal
+    value as one target.  A single member is a one-point family, on
+    ``SampledPV(grid, u_i)``.
     """
 
     def __init__(self, model: ModelSpec, pv: SampledPV, side: int, d,
-                 coef=None, kernel_orders: tuple = (), atom: float = 1.0):
+                 coef=None, kernel_coef=None, atom: float = 1.0):
         self.model = model
         self.pv = pv
         self.u = pv.u
         self.side = side
         self.d = np.asarray(d, dtype=complex)
-        self.coef = None if coef is None else np.asarray(coef, dtype=complex)
-        self.kernel_orders = tuple(kernel_orders)
+        self.coef, self.kernel_coef = (None if c is None else np.asarray(c, dtype=complex)
+                                       for c in (coef, kernel_coef))
         self.atom = atom
 
     def __add__(self, other: "ContinuumFamily") -> "ContinuumFamily":
-        coefs = [c for c in (self.coef, other.coef) if c is not None]
+        add = lambda a, b: b if a is None else a if b is None else a + b
         return ContinuumFamily(self.model, self.pv, self.side, self.d + other.d,
-                               sum(coefs) if coefs else None,
-                               self.kernel_orders + other.kernel_orders,
+                               add(self.coef, other.coef),
+                               add(self.kernel_coef, other.kernel_coef),
                                self.atom + other.atom)
-
-    def _basis(self, z):
-        return (eval_V if self.side > 0 else eval_Vbar)(self.model, z)
-
-    def _kernel_part(self, z) -> np.ndarray:
-        """Kernel part of the numerators of the members at targets z, shared
-        (1, P) or per member (M, P); shape (M, P)."""
-        out = _kernel(self.model, self.side)(z, self.u[:, None]) if 1 in self.kernel_orders else 0
-        if 2 in self.kernel_orders:
-            out = out + _kernel_term(self.model, self.pv, z, self.side)
-        return out
 
     def pair(self, vec: AnalyticVector) -> np.ndarray:
         """Bilinear pairing of every member with a vector, a level component
@@ -231,53 +207,52 @@ class ContinuumFamily:
 
 def pair_families(pairs) -> list:
     """``ContinuumFamily.pair`` for several (family, vector) pairs whose
-    families share one ``SampledPV``, in one sweep: the shared numerator part
-    coef_i B(z) of every pair is one target of a single principal value, with
-    its family's side.  Kernel numerators differ per member and keep one
-    sweep per family."""
+    families share one ``SampledPV``, in one sweep: each shared row of each
+    pair's numerators, times the pair's vector, is one target of a single
+    principal value, with its family's side."""
     fams = [fam for fam, _ in pairs]
     pv = fams[0].pv
     if any(fam.pv is not pv for fam in fams):
         raise EvaluationError("families paired in one sweep must share their SampledPV")
-    vecs = [vec for _, vec in pairs]
     out = [vec.d * fam.d for fam, vec in pairs]
-    profiled = [p for p, vec in enumerate(vecs) if vec.profile is not None]
-    for p in profiled:
-        out[p] = out[p] + fams[p].atom * vecs[p].at(pv.u)   # the atoms at u_i
-    basis = [p for p in profiled if fams[p].coef is not None]
-    if basis:
-        F = lambda z: np.stack([vecs[p].at(z) * fams[p]._basis(z) for p in basis], axis=-2)
-        J = pv(np.ones_like, np.array([fams[p].side for p in basis]), F)
-        for k, p in enumerate(basis):
-            out[p] = out[p] + fams[p].coef * J[:, k]
-    for p in profiled:
-        if fams[p].kernel_orders:
-            h = lambda z, vec=vecs[p], fam=fams[p]: vec.at(z) * fam._kernel_part(z)
-            out[p] = out[p] + pv(h, fams[p].side)
+    targets = []        # (pair, coefficients, vector, shared row)
+    for p, (fam, vec) in enumerate(pairs):
+        if vec.profile is not None:
+            out[p] = out[p] + fam.atom * vec.at(pv.u)   # the atoms at u_i
+            rows = ((fam.coef, eval_V if fam.side > 0 else eval_Vbar),
+                    (fam.kernel_coef, eval_kernel_factor))
+            targets += [(p, c, vec, partial(row, fam.model)) for c, row in rows if c is not None]
+    if targets:
+        F = lambda z: np.stack([vec.at(z) * row(z) for _, _, vec, row in targets], axis=-2)
+        J = pv(np.ones_like, np.array([fams[p].side for p, *_ in targets]), F)
+        for k, (p, c, _, _) in enumerate(targets):
+            out[p] = out[p] + c * J[:, k]
     return out
 
 
 def _branch_orders(model: ModelSpec, pv: SampledPV, order: int, side: int) -> list:
     """Orders 1..order (at most 2) of the continuous branch at the points of
     ``pv``, one correction family each, without the atom.  With L = Vbar on
-    the right and V on the left: order 1 is L(u)/(u - Omega) plus the kernel
-    column; order 2 is \\int L(z) K(z, u)/(u + side*i0 - z) dz / (u - Omega)
-    plus the numerator B(z) L(u)/(u - Omega) + k_u(z)."""
+    the right and V on the left and K(z, z') = g(z) g(z'): order 1 is
+    L(u)/(u - Omega) plus the kernel column g(u) g(z); order 2 is g(u) PV[L g]
+    / (u - Omega) plus the numerator B(z) L(u)/(u - Omega) + g(u) PV[g^2] g(z),
+    PV[f] = \\int f(z)/(u + side*i0 - z) dz."""
     u, om = pv.u, model.omega_level
     if np.any((u.imag == 0.0) & (np.abs(u - om) < 1e-12)):
         raise EvaluationError("curve point coincides with the discrete level")
     level = eval_Vbar if side > 0 else eval_V
-    kernel = model.has_kernel()
+    g = partial(eval_kernel_factor, model) if model.has_kernel() else None
+    gu = None if g is None else g(u)
     d1 = level(model, u) / (u - om)
-    fams = [ContinuumFamily(model, pv, side, d1, kernel_orders=(1,) if kernel else (),
-                            atom=0.0)]
+    fams = [ContinuumFamily(model, pv, side, d1, kernel_coef=gu, atom=0.0)]
     if order >= 2:
-        d2 = np.zeros_like(d1)
-        if kernel:
-            kk = _kernel(model, side)
-            d2 = pv(lambda z: level(model, z) * kk(z, u[:, None]), side) / (u - om)
-        fams.append(ContinuumFamily(model, pv, side, d2, coef=d1,
-                                    kernel_orders=(2,) if kernel else (), atom=0.0))
+        d2, k2 = np.zeros_like(d1), None
+        if g is not None:
+            # formed point by point, so that a one-point family holds the
+            # coefficients of the grid family's member bit for bit
+            J = pv.pointwise(g, side, lambda z: np.stack([level(model, z), g(z)], axis=-2))
+            d2, k2 = gu * J[:, 0] / (u - om), gu * J[:, 1]
+        fams.append(ContinuumFamily(model, pv, side, d2, coef=d1, kernel_coef=k2, atom=0.0))
     return fams[:order]
 
 

@@ -50,10 +50,16 @@ def test_model_required(tmp_path):
 
 @pytest.mark.parametrize("doc,reason", [
     ([{"command": "spectrum", "model": MODEL}], "config must be a JSON object"),
-    ({"command": "barrier"}, "command 'barrier' needs a 'barrier' section")])
+    ({"command": "barrier"}, "command 'barrier' needs a 'barrier' section"),
+    ({"command": "spectrum", "model": dict(MODEL, omega=-1.0)},
+     "omega_level must be positive"),
+    ({"command": "barrier", "barrier": dict(BARRIER, b=3.0)}, "need b >= 5")])
 def test_refusal_names_its_reason(tmp_path, capsys, doc, reason):
-    assert main(["--config", _write_cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+    # refused before the output directory, or any of its parents, is made
+    out = tmp_path / "xo" / "o"
+    assert main(["--config", _write_cfg(tmp_path, doc), "--out", str(out)]) == 2
     assert reason in capsys.readouterr().err
+    assert not (tmp_path / "xo").exists()
 
 
 def test_spectrum_free_model(tmp_path):
@@ -120,7 +126,7 @@ def test_evolve_past_the_oracle_recurrence_is_config_error(tmp_path, capsys, mon
     assert main(["--config", _write_cfg(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "oracle_n >= 7651" in err
-    assert not (tmp_path / "o" / "evolve.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
@@ -243,7 +249,7 @@ def test_validate_refuses_a_kernel_model(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "separable_sqrt_exp" in err
     assert "no exact solution with a continuum kernel" in err
-    assert not (tmp_path / "o" / "validate.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_overrides(tmp_path):

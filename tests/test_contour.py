@@ -207,29 +207,54 @@ class TestCurvePV:
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
 
     def test_sampled_rows_targets_and_off_node_points(self, default_grid):
-        # one integrand per point (h_i), a target axis (h_i F_p), a shared
-        # integrand with one side per target and points between nodes of the
-        # bottom segment, against the scalar reference
+        # a shared integrand alone (h), with a target axis (h F_p) of one
+        # side and of one side per target, at nodes and at points between
+        # nodes of the bottom segment, against the scalar reference
         grid = default_grid
         mid = 0.5 * (grid.nodes[60:140:20] + grid.nodes[61:141:20])
         u = np.concatenate([grid.nodes[::25], mid])
-        c = np.linspace(0.4, 1.2, len(u))
         a = np.array([0.3, 0.8, 1.5])
-        h = lambda z, ci: np.sqrt(z + 0j) * np.exp(-ci * z)
+        h = lambda z: np.sqrt(z + 0j) * np.exp(-0.6 * z)
         F = lambda z, ap: np.exp(-ap * z) * (1 + z)
+        Fp = lambda z: F(z[:, None, :], a[:, None])
         pv = SampledPV(grid, u)
-        got = pv(lambda z: h(z, c[:, None]), +1)
-        got_f = pv(lambda z: h(z, c[:, None]), -1, F=lambda z: F(z[:, None, :], a[:, None]))
+        got = pv(h, +1)
+        got_f = pv(h, -1, F=Fp)
         sides = np.array([+1, -1, +1])
-        got_s = pv(lambda z: h(z, 0.6), sides, F=lambda z: F(z[:, None, :], a[:, None]))
-        for i, (ui, ci) in enumerate(zip(u, c)):
-            ref = pole_kernel_integral(grid, lambda z: h(z, ci), ui, +1)
+        got_s = pv(h, sides, F=Fp)
+        for i, ui in enumerate(u):
+            ref = pole_kernel_integral(grid, h, ui, +1)
             assert abs(got[i] - ref) <= 1e-13 * abs(ref)
             for p, ap in enumerate(a):
-                ref = pole_kernel_integral(grid, lambda z: h(z, ci) * F(z, ap), ui, -1)
-                assert abs(got_f[i, p] - ref) <= 1e-13 * abs(ref)
-                ref = pole_kernel_integral(grid, lambda z: h(z, 0.6) * F(z, ap), ui, sides[p])
-                assert abs(got_s[i, p] - ref) <= 1e-13 * abs(ref)
+                for res, side in ((got_f, -1), (got_s, sides[p])):
+                    ref = pole_kernel_integral(grid, lambda z: h(z) * F(z, ap), ui, side)
+                    assert abs(res[i, p] - ref) <= 1e-13 * abs(ref)
+
+    def test_per_point_integrand_refused(self, default_grid):
+        # an integrand of one row per point, h or F, is refused rather than
+        # read as if it were shared
+        pv = SampledPV(default_grid, default_grid.nodes[::25])
+        c = np.linspace(0.4, 1.2, len(pv.u))[:, None]
+        with pytest.raises(EvaluationError, match="one row shared"):
+            pv(lambda z: np.exp(-c * z), +1)
+        with pytest.raises(EvaluationError, match="one row shared"):
+            pv(np.ones_like, +1, F=lambda z: np.exp(-c[:, None] * z[:, None, :]))
+
+    @pytest.mark.parametrize("n", [44, 257])
+    def test_pointwise_rounds_each_point_alike_in_any_block(self, n):
+        # a point swept alone gives its row of the whole-grid sweep bit for
+        # bit; at n = 257 the blocks hold 127, 127 and 3 points
+        grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", n))
+        h = lambda z: np.sqrt(z + 0j) * np.exp(-0.5 * z)
+        F = lambda z: np.stack([np.exp(-z), h(z)], axis=-2)
+        sides = np.array([+1, -1])
+        full = SampledPV(grid).pointwise(h, sides, F)
+        for i in range(n):
+            assert np.array_equal(SampledPV(grid, grid.nodes[i]).pointwise(h, sides, F),
+                                  full[i:i + 1])
+        # the same values as the block product, to rounding
+        ref = SampledPV(grid)(h, sides, F)
+        assert np.max(np.abs(full - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_real_axis_grid_handles_quarter_powers():

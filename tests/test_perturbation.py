@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from respectra import perturbation
-from respectra.contour import ContourSpec, SampledPV, build_contour
+from respectra.contour import ContourSpec, SampledPV, build_contour, pole_kernel_integral
+from respectra.dynamics import oracle_survival_curve, survival_curve
 from respectra.errors import DegeneratePairError, EvaluationError
 from respectra.friedrichs import SampledEta, find_pole
-from respectra.model import eval_V, eval_V2, eval_Vbar, make_model
+from respectra.model import (FormFactor2, eval_V, eval_V2, eval_Vbar, make_model,
+                             separable_test_kernel)
 from respectra.perturbation import (BiorthogonalSystem, ContinuumFamily, normalize_pair,
                                     pair_coeffs, pair_families, perturb_continuous,
                                     perturb_discrete)
@@ -97,7 +99,7 @@ def test_continuum_free_limit(default_grid):
     total = ser.right_total()
     assert total.d[0] == 0.0 and total.u.tolist() == [u]
     # zero-coupling pole terms are identically zero numerators
-    assert total.coef[0] == 0.0 and total.kernel_orders == ()
+    assert total.coef[0] == 0.0 and total.kernel_coef is None
 
 
 def test_free_system_reconstruction(default_grid, axis_grid, rng):
@@ -119,7 +121,7 @@ def test_continuum_branch_explicit_coefficients(default_model, default_grid):
     # second-order numerator is V(z) * Vbar(u)/(u - Omega)
     t2 = ser.orders[2][1]
     assert abs(t2.coef[0] - eval_Vbar(default_model, u) / (u - om)) < 1e-16
-    assert t2.u.tolist() == [u] and t2.side == +1 and t2.kernel_orders == ()
+    assert t2.u.tolist() == [u] and t2.side == +1 and t2.kernel_coef is None
     # left mirrors with the conjugate prescription: Vbar(z) * V(u)/(u - Omega)
     l2 = ser.orders[2][2]
     assert l2.side == -1
@@ -301,7 +303,7 @@ class TestSeparableKernel:
             got = fam.pair(vec)[::5]
             ref = np.array([ContinuumFamily(m, SampledPV(grid, fam.u[i]), fam.side,
                                             fam.d[i:i + 1], fam.coef[i:i + 1],
-                                            fam.kernel_orders).pair(vec)[0]
+                                            fam.kernel_coef[i:i + 1]).pair(vec)[0]
                             for i in range(0, grid.n, 5)])
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -320,8 +322,49 @@ class TestSeparableKernel:
                        kernel="separable_sqrt_exp")
         u = complex(default_grid.nodes[50])
         ser = perturb_continuous(m, u, 2, default_grid)
-        assert ser.orders[1][1].kernel_orders == (1,)  # first-order kernel column
+        # first-order kernel column g(u) g(z), g = coupling * h
+        assert np.array_equal(ser.orders[1][1].kernel_coef, [0.1 * m.kernel.factor(u)])
         assert abs(ser.orders[2][1].d[0]) > 0         # second-order d-component
+
+
+def _direct_pairing(m, grid, u, side, vec, orders):
+    """The pairing of vec with the member at u of the continuous-branch
+    orders ``orders`` (of 1 and 2), from the kernel itself: d plus the pole
+    term whose numerator is K(z, u) at order 1 and coef B(z) + k(z) at order
+    2, K from eval_V2 (transposed on the left) and k(z) = \\int K(z, z')
+    K(z', u)/(u + side*i0 - z') dz' one scalar principal value per target."""
+    om = m.omega_level
+    K = (lambda z, zp: eval_V2(m, z, zp)) if side > 0 else (lambda z, zp: eval_V2(m, zp, z))
+    level, basis = (eval_Vbar, eval_V) if side > 0 else (eval_V, eval_Vbar)
+    d1 = level(m, u) / (u - om)
+    d2 = pole_kernel_integral(grid, lambda z: level(m, z) * K(z, u), u, side) / (u - om)
+
+    def k(z):
+        vals = [pole_kernel_integral(grid, lambda zp: K(t, zp) * K(zp, u), u, side)
+                for t in np.ravel(z)]
+        return np.reshape(vals, np.shape(z))
+
+    parts = {1: (d1, lambda z: K(z, u)), 2: (d2, lambda z: d1 * basis(m, z) + k(z))}
+    num = lambda z: sum(parts[o][1](z) for o in orders)
+    return (vec.d * sum(parts[o][0] for o in orders)
+            + pole_kernel_integral(grid, lambda z: vec.at(z) * num(z), u, side))
+
+
+@pytest.mark.parametrize("side", [+1, -1])
+def test_factored_kernel_pairing_matches_the_direct_kernel(side):
+    # the order-1 and order-2 kernel families of the whole grid, and their
+    # sum, paired as arrays, against the per-member formula on K itself; the
+    # coupling is not the kernel's factor, so no row stands in for another
+    spec = ContourSpec(0.5, 20.0, "rectangle", 48)
+    m = make_model("poly_exp", [1.0], 1.0, 0.1, spec, kernel="separable_sqrt_exp")
+    grid = build_contour(spec)
+    vec = random_analytic(np.random.default_rng(29))
+    o1, o2 = perturbation._branch_orders(m, SampledPV(grid), 2, side)
+    for fam, orders in ((o1, (1,)), (o2, (2,)), (o1 + o2, (1, 2))):
+        got = fam.pair(vec)
+        for i in range(3, grid.n, 8):
+            ref = _direct_pairing(m, grid, complex(grid.nodes[i]), side, vec, orders)
+            assert abs(got[i] - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
@@ -335,9 +378,10 @@ def test_one_point_series_is_the_assembled_member(default_spec, default_grid, ke
         ser = perturb_continuous(m, default_grid.nodes[i], 2, default_grid)
         for member, fam in ((ser.right_total(), s.cont_right),
                             (ser.left_total(), s.cont_left)):
-            assert member.side == fam.side and member.kernel_orders == fam.kernel_orders
-            assert np.array_equal(member.d, fam.d[i:i + 1])
-            assert np.array_equal(member.coef, fam.coef[i:i + 1])
+            assert member.side == fam.side
+            for got, ref in ((member.d, fam.d), (member.coef, fam.coef),
+                             (member.kernel_coef, fam.kernel_coef)):
+                assert got is ref is None or np.array_equal(got, ref[i:i + 1])
             got, ref = member.pair(vec)[0], fam.pair(vec)[i]
             assert abs(got - ref) <= 1e-13 * abs(ref)
 
@@ -379,20 +423,58 @@ def test_discrete_pair_pairs_on_another_grid(default_spec, kernel):
     assert abs(gap) <= 1e-9
 
 
-def test_pairing_on_the_own_grid_evaluates_no_kernel(default_spec, monkeypatch):
+def test_pairing_on_the_own_grid_evaluates_no_kernel(default_spec):
     # the discrete pair of an order-2 kernel system pairs on its grid from
-    # the samples the series computed, without evaluating K again
+    # the samples the series computed, without evaluating the kernel's
+    # factor again
     calls = []
-
-    def counting(*args, _real=perturbation.eval_V2):
-        calls.append(1)
-        return _real(*args)
-
-    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, "separable_sqrt_exp")
+    h = separable_test_kernel().factor
+    kernel = FormFactor2("counting", lambda z, zp: h(z) * h(zp),
+                         factor=lambda z: calls.append(1) or h(z))
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
     s = BiorthogonalSystem.from_perturbation(m, 2)
-    monkeypatch.setattr(perturbation, "eval_V2", counting)
+    calls.clear()
     pair_coeffs(s.disc_left, s.disc_right, s.grid)
     assert calls == []
+
+
+def test_kernel_reaches_the_engine_only_through_its_factor(default_spec):
+    # a kernel whose K(z, z') raises but whose factor is the registry's h:
+    # the perturbative system, its reconstructions and its survival curve
+    # run on the factor alone, and give the registry kernel's numbers
+    def refuse(z, zp):
+        raise AssertionError("K(z, z') evaluated")
+
+    registry = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, "separable_sqrt_exp")
+    m = replace(registry, kernel=FormFactor2("factor_only", refuse,
+                                             factor=registry.kernel.factor))
+    rng = np.random.default_rng(7)
+    psi, phi = random_analytic(rng), random_analytic(rng)
+    ts = np.linspace(0.0, 40.0, 9)
+
+    def run(model):
+        s = BiorthogonalSystem.from_perturbation(model, 2)
+        return (s.reconstruct_inner(psi, phi), s.reconstruct_H(psi, phi),
+                survival_curve(s, ts).amplitude)
+
+    for got, ref in zip(run(m), run(registry)):
+        assert np.array_equal(got, ref)
+
+
+def test_unfactored_kernel_is_refused(default_spec, default_grid):
+    # the engine takes a kernel only through its factor h; a kernel that
+    # declares none is refused by name, and the dense oracle still serves it
+    registry = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, "separable_sqrt_exp")
+    bare = replace(registry, kernel=FormFactor2("unfactored", registry.kernel.fn2))
+    for run in (lambda: perturb_discrete(bare, 2, default_grid),
+                lambda: perturb_continuous(bare, default_grid.nodes[40], 2, default_grid),
+                lambda: BiorthogonalSystem.from_perturbation(bare, 2, default_grid)):
+        with pytest.raises(EvaluationError, match="'unfactored'"):
+            run()
+    ts = np.linspace(0.0, 40.0, 9)
+    dense, secular = (oracle_survival_curve(model, ts, n_levels=300).survival
+                      for model in (bare, registry))
+    assert np.max(np.abs(dense - secular)) <= 1e-12
 
 
 def test_profile_off_its_grid_forms_each_order_once(default_model, axis_grid, monkeypatch):
