@@ -1,10 +1,13 @@
 """Discretized complex contours and the quadrature primitives built on them.
 
 A contour runs from 0 on the real axis into the lower half plane and back to
-the real axis at a finite cutoff X.  Composite Gauss-Legendre nodes are mapped
-onto the path; the panel touching the origin uses a quartic parameter map so
-that quarter- and half-integer powers of z (the branch behaviour of the
-built-in form factors) integrate with spectral accuracy.
+the real axis at a finite cutoff X.  Every grid is a list of panels, each a
+Gauss-Legendre rule mapped onto a piece of the path, made into nodes, weights
+and tangents by one builder: the rectangle is three straight panels, the
+semi-ellipse one arc, and the real axis two segments.  The panel touching the
+origin uses a quartic parameter map so that quarter- and half-integer powers
+of z (the branch behaviour of the built-in form factors) integrate with
+spectral accuracy.
 
 Delta distributions on the curve are never sampled: an atom at position u
 pairs with a function f as f(u) with unit weight.
@@ -52,6 +55,14 @@ STENCIL_DELTA = 1e-3
 NODE_TOL = 1e-12
 
 
+def _check_size(cutoff: float, n_nodes: int):
+    """Refuse a cutoff that is not positive (NaN included) or too few nodes."""
+    if not cutoff > 0:
+        raise ContourError(f"contour cutoff must be positive, got {cutoff}")
+    if n_nodes < MIN_NODES:
+        raise ContourError(f"n_nodes must be at least {MIN_NODES}, got {n_nodes}")
+
+
 @dataclass(frozen=True)
 class ContourSpec:
     """Geometry of the deformed path: maximum depth below the axis, real-axis
@@ -65,34 +76,27 @@ class ContourSpec:
     def __post_init__(self):
         if not self.depth > 0:
             raise ContourError(f"contour depth must be positive, got {self.depth}")
-        if not self.cutoff > 0:
-            raise ContourError(f"contour cutoff must be positive, got {self.cutoff}")
+        _check_size(self.cutoff, self.n_nodes)
         if self.shape not in _SHAPES:
             raise ContourError(f"unknown contour shape {self.shape!r}; choose from {_SHAPES}")
-        if self.n_nodes < MIN_NODES:
-            raise ContourError(f"n_nodes must be at least {MIN_NODES}, got {self.n_nodes}")
 
 
 class ContourGrid:
-    """Quadrature nodes/weights along a contour (or its upper-half conjugate).
+    """Quadrature along a contour from 0 to ``cutoff`` X, made from a list of
+    panels by ``_panel_grid``, or along its mirror in the upper half plane.
 
     ``nodes`` are the complex sample points z_j, ``weights`` the path measure
     dz weights w_j, and ``tangents`` unit tangents used when a derivative
     along the curve is needed.  Grids are immutable and safe to share.
     """
 
-    def __init__(self, spec: ContourSpec, nodes, weights, tangents, conjugate: bool = False):
-        self.spec = spec
+    def __init__(self, cutoff: float, nodes, weights, tangents):
+        self.cutoff = cutoff
         self.nodes = np.asarray(nodes, dtype=complex)
         self.weights = np.asarray(weights, dtype=complex)
         self.tangents = np.asarray(tangents, dtype=complex)
-        self.conjugate = bool(conjugate)
         for a in (self.nodes, self.weights, self.tangents):
             a.setflags(write=False)
-
-    @property
-    def cutoff(self) -> float:
-        return self.spec.cutoff
 
     @property
     def n(self) -> int:
@@ -100,13 +104,8 @@ class ContourGrid:
 
     def conjugated(self) -> "ContourGrid":
         """The mirror grid in the opposite half plane, same orientation 0 -> cutoff."""
-        return ContourGrid(self.spec, np.conj(self.nodes), np.conj(self.weights),
-                           np.conj(self.tangents), conjugate=not self.conjugate)
-
-    def node_index(self, u: complex) -> int | None:
-        """Index of the grid node equal to u (to NODE_TOL), or None."""
-        i = int(self.node_indices(u)[0])
-        return i if i >= 0 else None
+        return ContourGrid(self.cutoff, np.conj(self.nodes), np.conj(self.weights),
+                           np.conj(self.tangents))
 
     def node_indices(self, u) -> np.ndarray:
         """Index of the grid node equal to each point of u (to NODE_TOL), -1
@@ -135,56 +134,55 @@ def _split_counts(n: int) -> tuple[int, int, int]:
     return n_end, n - 2 * n_end, n_end
 
 
+def _panel_grid(cutoff: float, panels) -> ContourGrid:
+    """The grid of the path through panels (n, z, dz, span, graded) in order:
+    n Gauss nodes s, w on [0, 1] placed at t = span s (or span s^4 when
+    graded), giving nodes z(t), weights w dz(t) dt and unit tangents."""
+    N = sum(p[0] for p in panels)
+    nodes, weights, tangents = np.empty((3, N), dtype=complex)
+    a = 0
+    for n, z, dz, span, graded in panels:
+        s, w = _gauss(n)
+        t, dt = (span * s**4, span * 4 * s**3) if graded else (span * s, span)
+        # w (dz dt) in this order: the recorded artifacts hold its last bits
+        dzdt = dz(t) * dt
+        nodes[a:a + n] = z(t)
+        weights[a:a + n] = w * dzdt
+        tangents[a:a + n] = dzdt / abs(dzdt)
+        a += n
+    return ContourGrid(cutoff, nodes, weights, tangents)
+
+
 def build_contour(spec: ContourSpec) -> ContourGrid:
-    """Composite Gauss-Legendre grid on the path 0 -> lower half plane -> cutoff."""
-    d, X, n = spec.depth, spec.cutoff, spec.n_nodes
+    """Composite Gauss-Legendre grid on the path 0 -> lower half plane -> cutoff:
+    the rectangle 0 -> -i d -> X - i d -> X as three straight panels, the
+    first graded, or the semi-ellipse z(theta) = X/2 (1 - cos theta) - i d
+    sin theta as one graded panel over theta in [0, pi]."""
+    d, X = spec.depth, spec.cutoff
     if spec.shape == "rectangle":
-        nA, nB, nC = _split_counts(n)
-        nodes, weights, tangents = [], [], []
-        # descending segment 0 -> -i d, quartic grading at the origin
-        s, w = _gauss(nA)
-        z = -1j * d * s**4
-        dz = -4j * d * s**3
-        nodes.append(z); weights.append(w * dz); tangents.append(np.full(nA, -1j))
-        # bottom segment -i d -> X - i d
-        t, w = _gauss(nB)
-        nodes.append(-1j * d + X * t); weights.append(w * X + 0j)
-        tangents.append(np.full(nB, 1.0 + 0j))
-        # ascending segment X - i d -> X
-        r, w = _gauss(nC)
-        nodes.append(X - 1j * d * (1.0 - r)); weights.append(w * (1j * d))
-        tangents.append(np.full(nC, 1j))
-        return ContourGrid(spec, np.concatenate(nodes), np.concatenate(weights),
-                           np.concatenate(tangents))
-    # semi-ellipse: z(theta) = X/2 (1 - cos theta) - i d sin theta, theta = pi s^4
-    s, w = _gauss(n)
-    theta = np.pi * s**4
-    dtheta = 4 * np.pi * s**3
-    z = 0.5 * X * (1.0 - np.cos(theta)) - 1j * d * np.sin(theta)
-    dz = (0.5 * X * np.sin(theta) - 1j * d * np.cos(theta)) * dtheta
-    tang = dz / np.abs(dz)
-    return ContourGrid(spec, z, w * dz, tang)
+        nA, nB, nC = _split_counts(spec.n_nodes)
+        panels = ((nA, lambda t: -1j * t, lambda t: -1j, d, True),
+                  (nB, lambda t: -1j * d + t, lambda t: 1.0, X, False),
+                  (nC, lambda t: X - 1j * d * (1.0 - t), lambda t: 1j * d, 1.0, False))
+    else:
+        panels = ((spec.n_nodes, lambda t: 0.5 * X * (1.0 - np.cos(t)) - 1j * d * np.sin(t),
+                   lambda t: 0.5 * X * np.sin(t) - 1j * d * np.cos(t), np.pi, True),)
+    return _panel_grid(X, panels)
 
 
 def real_axis_grid(cutoff: float, n_nodes: int = 400) -> ContourGrid:
-    """Graded Gauss-Legendre grid on [0, cutoff] with the same quartic map at 0.
+    """Gauss-Legendre grid on [0, cutoff] in two panels, the first, [0, h]
+    with h = min(1, cutoff/10), graded at the origin.
 
     Used for undeformed reference integrals and principal values.  Returned as
     a (degenerate) ContourGrid so the same integration helpers apply.
     """
-    spec = ContourSpec(depth=min(1.0, cutoff / 4), cutoff=cutoff, n_nodes=n_nodes)
+    _check_size(cutoff, n_nodes)
     h = min(1.0, cutoff / 10.0)
     nA = max(8, int(round(0.2 * n_nodes)))
-    nB = n_nodes - nA
-    s, w = _gauss(nA)
-    x1 = h * s**4
-    w1 = w * 4 * h * s**3
-    t, w2 = _gauss(nB)
-    x2 = h + (cutoff - h) * t
-    w2 = w2 * (cutoff - h)
-    nodes = np.concatenate([x1, x2]).astype(complex)
-    weights = np.concatenate([w1, w2]).astype(complex)
-    return ContourGrid(spec, nodes, weights, np.ones_like(nodes))
+    return _panel_grid(cutoff, ((nA, lambda t: t, lambda t: 1.0, h, True),
+                                (n_nodes - nA, lambda t: h + t, lambda t: 1.0, cutoff - h,
+                                 False)))
 
 
 def integrate_contour(grid: ContourGrid, f: Callable) -> complex:

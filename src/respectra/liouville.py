@@ -247,8 +247,8 @@ def check_physicality(left: GeneralizedState, eigenvalue: complex,
 
 
 def _node(grid: ContourGrid, u: complex, curve: str) -> int:
-    i = grid.node_index(complex(u))
-    if i is None:
+    i = int(grid.node_indices(complex(u))[0])
+    if i < 0:
         raise EvaluationError(f"branch point {u} must be a node of the {curve} curve")
     return i
 

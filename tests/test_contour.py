@@ -1,4 +1,5 @@
 import math
+import re
 from functools import cache
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import scipy.integrate as si
 from hypothesis import example, given, strategies as st
 
-from respectra.contour import (ContourSpec, SampledPV, _gauss, _stride, build_contour,
+from respectra.contour import (MIN_NODES, ContourSpec, SampledPV, _gauss, _stride, build_contour,
                                integrate_contour, phase_sum, plemelj_integral,
                                pole_kernel_integral, real_axis_grid)
 from respectra.errors import ContourError, EvaluationError
@@ -26,12 +27,31 @@ def test_spec_validation():
         ContourSpec(n_nodes=8)
 
 
-@pytest.mark.parametrize("shape", ["rectangle", "semi_ellipse"])
-def test_path_integrals(shape):
-    grid = build_contour(ContourSpec(depth=0.5, cutoff=20.0, shape=shape, n_nodes=200))
-    assert grid.n == 200
-    assert abs(np.sum(grid.weights) - 20.0) < 1e-10
-    assert abs(np.sum(grid.weights * grid.nodes) - 20.0**2 / 2) < 1e-9
+@pytest.mark.parametrize("cutoff, n, message", [
+    (0.0, 400, "cutoff must be positive, got 0.0"),
+    (-3.0, 400, "cutoff must be positive, got -3.0"),
+    (math.nan, 400, "cutoff must be positive, got nan"),
+    (20.0, 8, f"n_nodes must be at least {MIN_NODES}, got 8")])
+def test_real_axis_grid_refuses_by_the_names_it_was_given(cutoff, n, message):
+    with pytest.raises(ContourError, match=re.escape(message)):
+        real_axis_grid(cutoff, n)
+
+
+@pytest.mark.parametrize("shape", ["rectangle", "semi_ellipse", "real_axis"])
+@given(depth=st.floats(0.05, 2.0), cutoff=st.floats(2.0, 60.0),
+       n=st.integers(MIN_NODES, 1600))
+@example(depth=0.5, cutoff=20.0, n=200)
+def test_path_integrals(shape, depth, cutoff, n):
+    # every path from 0 to X integrates 1 and z exactly; 5e-12 relative is
+    # 1e-10 and 1e-9 absolute at X = 20.  The one-panel semi-ellipse needs
+    # 32 nodes: at 16 its first moment is off by 1.5e-9
+    if shape == "semi_ellipse":
+        n = max(n, 32)
+    grid = (real_axis_grid(cutoff, n) if shape == "real_axis" else
+            build_contour(ContourSpec(depth=depth, cutoff=cutoff, shape=shape, n_nodes=n)))
+    assert grid.n == n
+    assert abs(np.sum(grid.weights) - cutoff) <= 5e-12 * cutoff
+    assert abs(np.sum(grid.weights * grid.nodes) - cutoff**2 / 2) <= 5e-12 * cutoff**2 / 2
 
 
 @pytest.mark.parametrize("shape", ["rectangle", "semi_ellipse"])
@@ -59,7 +79,6 @@ def test_conjugate_grid(default_grid):
     up = default_grid.conjugated()
     assert np.allclose(up.nodes, np.conj(default_grid.nodes))
     assert np.allclose(up.weights, np.conj(default_grid.weights))
-    assert up.conjugate and not default_grid.conjugate
 
 
 def test_exponential_integral():

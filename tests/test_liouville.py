@@ -91,7 +91,7 @@ class TestApplyL:
         dsys = discretize(li_model, 400)
         w, dw = dsys.grid, dsys.d_omega
         spec = li_model.contour
-        mid = ContourGrid(spec, w.astype(complex), np.full(len(w), dw, dtype=complex),
+        mid = ContourGrid(spec.cutoff, w.astype(complex), np.full(len(w), dw, dtype=complex),
                           np.ones(len(w), dtype=complex))
         grids = LiouvilleGrids(gamma=mid, gamma_bar=mid, real=mid)
         O = BlockObservable(o1=0.7 + 0j, o_omega=_rnd_profile(rng),

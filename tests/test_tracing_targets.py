@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps respectra functions by name; a rename in the
 package must fail here, not only under ``perfbench/run.py --trace 1``.  The
-package keeps no public function that only tests call: each one is called in
-``src``, exported from the package or wrapped by the tracer."""
+package keeps no public function or method that only tests call: each
+function is called in ``src``, exported from the package or wrapped by the
+tracer, and each method or property of a class is referenced by name in
+``src`` or wrapped by the tracer."""
 
 import ast
 import importlib.util
@@ -37,7 +39,9 @@ def test_every_public_function_is_called_exported_or_traced():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    traced = {attr for _layer, _module, attr, _hot in _load_tracing().FUNCTIONS}
+    tracing = _load_tracing()
+    traced = {attr for _layer, _module, attr, _hot in tracing.FUNCTIONS}
+    traced_methods = {attr for _layer, _cls, attr, _metric in tracing.METHODS}
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     statements = [stmt for tree in trees.values() for stmt in tree.body]
@@ -50,4 +54,17 @@ def test_every_public_function_is_called_exported_or_traced():
             called = any(fn.name in _names(stmt) for stmt in statements if stmt is not fn)
             if not (called or fn.name in exported or fn.name in traced):
                 unused.append(f"{module}.{fn.name}")
+        # a public method or property: referenced by name from any other
+        # statement of the package, its own class included, or traced
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            others = [stmt for stmt in statements if stmt is not cls]
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                referenced = any(fn.name in _names(stmt)
+                                 for stmt in others + [m for m in cls.body if m is not fn])
+                if not (referenced or fn.name in traced_methods):
+                    unused.append(f"{module}.{cls.name}.{fn.name}")
     assert unused == []
