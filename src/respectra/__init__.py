@@ -9,8 +9,8 @@ from .contour import (ContourGrid, ContourSpec, build_contour, integrate_contour
 from .dynamics import (DecayCurve, decay_rate, exponential_approx, oracle_amplitude,
                        oracle_survival_curve, survival_curve, transition_amplitude,
                        transition_amplitude_curve, transition_amplitude_slope0)
-from .errors import (AnalyticityError, ChannelClosedError, ConfigError, ContourError,
-                     ConvergenceError, DegeneratePairError, EvaluationError,
+from .errors import (AnalyticityError, BoundStateError, ChannelClosedError, ConfigError,
+                     ContourError, ConvergenceError, DegeneratePairError, EvaluationError,
                      RespectraError)
 from .friedrichs import PoleResult, exact_system, find_pole
 from .liouville import (BlockObservable, GeneralizedState, LiouvilleGrids,

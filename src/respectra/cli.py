@@ -30,7 +30,6 @@ from .contour import MIN_NODES, build_contour, integrate_contour, plemelj_integr
 from .dynamics import (decay_rate, default_time_grid, exponential_approx,
                        oracle_survival_curve, survival_curve)
 from .errors import ConfigError, RespectraError
-from .friedrichs import find_pole
 from .liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality, evolve_state,
                         relaxation_curve, unstable_state_functional)
 from .model import (MODEL_SCHEMA, REQUIRED, ModelSpec, check_section, eval_V, eval_Vbar,
@@ -163,7 +162,7 @@ def _barrier_from_cfg(cfg: dict) -> barrier_mod.BarrierSpec:
 def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     model = _model_from_cfg(cfg)
     tol = _setting(cfg, "tolerances", "pole")
-    # one grid for every stage; the pole is solved once, at the config tolerance
+    # one grid for every stage; the exact system solves the pole at the config tolerance
     grid = build_contour(model.contour)
     ser = perturb_discrete(model, 2, grid)
     lam2 = ser.eigenvalue
@@ -174,7 +173,8 @@ def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
         "order1_shift": [ser.lambda_at(1).real, ser.lambda_at(1).imag],
     }
     if not model.has_kernel():
-        pole = find_pole(model, tol=tol, grid=grid)
+        system = BiorthogonalSystem.from_exact(model, grid, tol)
+        pole = system.pole_result
         payload.update({
             "lambda_exact": [pole.lambda_pole.real, pole.lambda_pole.imag],
             "gap": abs(pole.lambda_pole - lam2),
@@ -182,7 +182,6 @@ def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
             "iterations": pole.iterations,
             "method": pole.method,
         })
-        system = BiorthogonalSystem.from_exact(model, grid, pole)
     else:
         payload.update({"lambda_exact": None,
                         "note": "kernel present: closed-form pole unavailable"})
@@ -231,7 +230,7 @@ def cmd_liouville(cfg: dict, outdir: Path, cfg_hash: str) -> int:
                [labels, lams.real, lams.imag], cfg_hash)
 
     ts = _time_grid(cfg, model)
-    curve = relaxation_curve(model, unstable_state_functional(), ts, lsys)
+    curve = relaxation_curve(lsys, unstable_state_functional(), ts)
     _write_csv(outdir / "liouville_trajectory.csv",
                ["t", "rho_level", "atom_weight_at_level", "rho_identity"],
                [ts, curve.level.real, curve.atom_weight.real, curve.normalization.real],
@@ -265,17 +264,15 @@ def _validation_checks(model: ModelSpec):
     """Named fast checks over the whole stack; each takes its own random
     generator and returns (value, tol)."""
     grid = build_contour(model.contour)
-    # identity checks need adequate resolution even for coarse user configs
-    qspec = replace(model.contour, n_nodes=max(200, model.contour.n_nodes))
-    qgrid = build_contour(qspec)
+    # the identity and Liouville checks need adequate resolution even for coarse configs
+    qgrid = build_contour(replace(model.contour, n_nodes=max(200, model.contour.n_nodes)))
     rgrid = real_axis_grid(model.contour.cutoff, 400)
     om, X = model.omega_level, model.contour.cutoff
     # objects several checks read are built once, on first use; a build that
     # raises fails every check that reads it
-    _pole = cache(lambda: find_pole(model, grid=grid))
     _series = cache(lambda: perturb_discrete(model, 2, grid))
-    _exact = cache(lambda: BiorthogonalSystem.from_exact(model, grid, _pole()))
-    _lsys = cache(lambda: LiouvilleSystem(model, LiouvilleGrids.for_model(model, n_nodes=64)))
+    _exact = cache(lambda: BiorthogonalSystem.from_exact(model, grid))
+    _lsys = cache(lambda: LiouvilleSystem(model, LiouvilleGrids(qgrid)))
 
     def schwarz_reflection(rng):
         z = (rng.uniform(0.2, X * 0.8, 100)
@@ -330,10 +327,10 @@ def _validation_checks(model: ModelSpec):
         return float(4.0 - min(ratio, 4.0)), 0.5  # passes when ratio >= 3.5
 
     def pole_residual(rng):
-        return float(_pole().residual), 1e-12
+        return float(_exact().pole_result.residual), 1e-12
 
     def pole_half_plane(rng):
-        lam = _pole().lambda_pole
+        lam = _exact().pole_result.lambda_pole
         return float(max(0.0, lam.imag if model.coupling > 0 else 0.0)), 0.0
 
     def order1_shift_zero(rng):
@@ -382,9 +379,8 @@ def _validation_checks(model: ModelSpec):
     def non_self_adjoint(rng):
         if model.coupling == 0:
             return 0.0, 0.0
-        s = BiorthogonalSystem.from_perturbation(model, 2, grid)
-        gap = float(np.max(np.abs(s.disc_left.at(grid.nodes)
-                                  - np.conj(s.disc_right.at(grid.nodes)))))
+        right, left = _series().totals
+        gap = float(np.max(np.abs(left.at(grid.nodes) - np.conj(right.at(grid.nodes)))))
         return float(0.0 if gap > 1e-10 else 1.0), 0.0
 
     def oracle_unitarity(rng):
@@ -396,8 +392,7 @@ def _validation_checks(model: ModelSpec):
 
     def liouville_decay_mode(rng):
         v = complex(eval_V(model, om))
-        return float(abs(LiouvilleSystem(model).lam_d
-                         - 2j * np.pi * (v * np.conj(v)).real)), 1e-10
+        return float(abs(_lsys().lam_d - 2j * np.pi * (v * np.conj(v)).real)), 1e-10
 
     def liouville_physicality(rng):
         lsys = _lsys()
@@ -422,7 +417,7 @@ def _validation_checks(model: ModelSpec):
         rho0 = unstable_state_functional()
         worst = 0.0
         for t in (0.0, 1.0 / max(decay_rate(model), 0.05)):
-            st = evolve_state(model, rho0, t, lsys)
+            st = evolve_state(lsys, rho0, t)
             worst = max(worst, abs(st.normalization(lsys.grids) - 1))
         return float(worst), 1e-8
 

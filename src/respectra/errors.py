@@ -35,6 +35,15 @@ class DegeneratePairError(RespectraError):
     pole is degenerate, so no biorthogonal normalization exists."""
 
 
+class BoundStateError(RespectraError):
+    """The level is pushed below the continuum threshold: eta has a real
+    zero at ``energy`` < 0, a bound state, and no resonance pole exists."""
+
+    def __init__(self, message, energy):
+        super().__init__(message)
+        self.energy = energy
+
+
 class ChannelClosedError(RespectraError):
     """The barrier model has no open decay channel: the corrected level
     lies below the continuum threshold and no imaginary part appears."""

@@ -11,7 +11,9 @@ boundary values eta(u +- i0); the pole solve and the exact system read its
 moments.  The pole solve ends by counting the zeros in the strip with the
 argument principle: the winding of eta(u + i0) along the curve, closed by a
 return path on the first sheet above the axis.  A count other than 1 is
-refused.
+refused, and so, before any iteration, is a bound level: eta(0-) > 0 puts
+a real zero of eta below the threshold.  The exact system solves its own
+pole on its sampled eta.
 
 This module is the ground truth the perturbative engine is checked against.
 """
@@ -20,9 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
+from scipy.optimize import brentq
 
 from .contour import ContourGrid, SampledPV, build_contour
-from .errors import ContourError, ConvergenceError, DegeneratePairError, EvaluationError
+from .errors import (BoundStateError, ContourError, ConvergenceError, DegeneratePairError,
+                     EvaluationError)
 from .model import ModelSpec, eval_V, eval_Vbar
 
 
@@ -152,6 +156,23 @@ def _count_zeros(eta: SampledEta, plus: np.ndarray | None = None) -> tuple[int, 
     return count, float(np.min(np.abs(plus)))
 
 
+def _refuse_bound_state(eta: SampledEta) -> None:
+    """A BoundStateError if eta(0-) > 0, i.e. Re \\int V Vbar / z > Omega.
+
+    On the negative axis eta rises (eta' = 1 + \\int V Vbar / (lambda - x)^2)
+    from -infinity, so it then has one real zero lambda_b < 0, a bound state
+    below the threshold, which one bracketed solve finds."""
+    eta_real = lambda lam: float((lam - eta.omega - eta.moment(lam)).real)
+    if eta_real(0.0) <= 0.0:
+        return
+    lo = -1.0
+    while eta_real(lo) >= 0.0:
+        lo *= 2.0
+    lam_b = brentq(eta_real, lo, 0.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    raise BoundStateError(f"eta has a real zero at lambda = {lam_b:.6g} below the threshold: "
+                          "the level is bound, and there is no resonance pole", energy=lam_b)
+
+
 def _newton(eta: SampledEta, lam0, tol):
     lam = lam0
     for it in range(1, MAX_ITER + 1):
@@ -173,7 +194,8 @@ def find_pole(model: ModelSpec, tol: float = 1e-13,
     A plain fixed-point iteration lambda <- Omega + \\int V Vbar/(lambda - z)
     starting at Omega is tried first; Newton on eta is the fallback, each for
     at most MAX_ITER iterations.  The zeros in the strip are then counted,
-    and a count other than 1 is a ContourError.
+    and a count other than 1 is a ContourError.  A bound level, eta(0-) > 0,
+    is a BoundStateError.
     """
     return _solve_pole(SampledEta(model, grid), tol)
 
@@ -184,6 +206,7 @@ def _solve_pole(eta: SampledEta, tol: float = 1e-13,
     om, depth = eta.omega, eta.model.contour.depth
     if eta.free:
         return PoleResult(complex(om), 0.0, 0, "fixed_point")
+    _refuse_bound_state(eta)
     # the first iterate is the second-order estimate: if its width already
     # reaches the contour depth, the zero sits at or below the curve and the
     # strip quadrature of eta cannot see it
@@ -247,13 +270,13 @@ class ExactEigvecs:
 
 
 def exact_system(model: ModelSpec, grid: ContourGrid | None = None,
-                 pole: PoleResult | None = None) -> ExactEigvecs:
-    """Solve the model exactly: pole, normalization and both eigenvector
-    families, on one sampled eta; a pole already solved on ``grid`` is reused."""
+                 tol: float = 1e-13) -> ExactEigvecs:
+    """Solve the model exactly on one sampled eta: the pole at ``tol``, whose
+    zero count reads the boundary sweep, the normalization and both
+    eigenvector families."""
     eta = SampledEta(model, grid)
     plus, minus = eta.boundary()
-    if pole is None:
-        pole = _solve_pole(eta, plus=plus)
+    pole = _solve_pole(eta, tol, plus)
     lam = pole.lambda_pole
     ep = eta.prime(lam)
     if abs(ep) < 1e-8:

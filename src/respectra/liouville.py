@@ -17,11 +17,11 @@ give the decay mode, the branch eigenvalues, their shifts and left
 functionals, the pair normalizers and the relaxed states.  A relaxed state
 holds its curve densities as node samples on the system's grids (the
 kernel-block density as rank-one factor pairs) and pairs them only on those
-grids.
+grids, which ``LiouvilleGrids`` builds from the lower curve alone.
 
-Relaxation reads the decay phase and the two branch sums of the system,
-sum over the nodes of w exp(i lambda t), at many times at once; each branch
-sum is one ``contour.phase_sum``.  ``evolve_state`` builds the state at one
+Relaxation takes a system and reads its model, its decay phase and its two
+branch sums, sum over the nodes of w exp(i lambda t), at many times at once;
+each branch sum is one ``contour.phase_sum``.  ``evolve_state`` builds the state at one
 time from them and from the branch phases at that time;
 ``relaxation_curve`` takes the level population, the weight at the
 resonance position and the normalization at every time of a grid straight
@@ -57,21 +57,21 @@ def _require_liouville_model(model: ModelSpec):
                               "real on the positive axis")
 
 
-@dataclass(frozen=True)
 class LiouvilleGrids:
-    """Lower curve, its conjugate, and the undeformed axis for the singular block."""
+    """The lower curve ``gamma``, its mirror ``gamma_bar`` and, for the
+    singular block, the undeformed axis ``real`` with max(200, n) nodes."""
 
-    gamma: ContourGrid
-    gamma_bar: ContourGrid
-    real: ContourGrid
+    def __init__(self, gamma: ContourGrid):
+        self.gamma = gamma
+        self.gamma_bar = gamma.conjugated()
+        self.real = real_axis_grid(gamma.cutoff, max(200, gamma.n))
 
     @classmethod
     def for_model(cls, model: ModelSpec, n_nodes: int | None = None) -> "LiouvilleGrids":
         spec = model.contour
         if n_nodes is not None and n_nodes != spec.n_nodes:
             spec = replace(spec, n_nodes=n_nodes)
-        g = build_contour(spec)
-        return cls(g, g.conjugated(), real_axis_grid(spec.cutoff, max(200, spec.n_nodes)))
+        return cls(build_contour(spec))
 
 
 # --------------------------------------------------------------------------
@@ -351,21 +351,18 @@ class LiouvilleSystem:
 # relaxation
 # --------------------------------------------------------------------------
 
-def _relaxation_system(model: ModelSpec, rho0: GeneralizedState, ts: np.ndarray,
-                       system: LiouvilleSystem | None) -> LiouvilleSystem:
-    """The system to relax rho0 on, once the times and rho0 are admitted."""
+def _admit(rho0: GeneralizedState, ts: np.ndarray) -> None:
+    """Refuse negative times and an initial functional off the invariant sector."""
     if np.any(ts < 0):
         raise ConfigError("negative times are refused: upper-shifted eigenvalues "
                           "would grow exponentially")
     if not rho0.is_p0_supported():
         raise ConfigError("relaxation supports functionals on the invariant sector "
                           "(population, diagonal atoms, diagonal density) only")
-    return system if system is not None else LiouvilleSystem(model)
 
 
-def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
-                 system: LiouvilleSystem | None = None) -> GeneralizedState:
-    """Relaxed state functional at time t >= 0.
+def evolve_state(system: LiouvilleSystem, rho0: GeneralizedState, t: float) -> GeneralizedState:
+    """Relaxed state functional of ``system.model`` at time t >= 0.
 
     The initial functional must be supported on the invariant sector (level
     population, diagonal atoms, diagonal density).  Mode content: the zeroth
@@ -380,8 +377,8 @@ def evolve_state(model: ModelSpec, rho0: GeneralizedState, t: float,
     The curve densities of the result are node samples on ``system.grids``;
     the kernel-block density is kept as three rank-one factor pairs.
     """
-    system = _relaxation_system(model, rho0, np.asarray(t, dtype=float), system)
-    om = model.omega_level
+    _admit(rho0, np.asarray(t, dtype=float))
+    om = system.model.omega_level
     c1r = complex(rho0.c1)
     decay_phase, b_up, b_dn = (x[0] for x in system._curve_sums(np.array([float(t)])))
     surv = complex(decay_phase + b_up + b_dn)
@@ -427,19 +424,18 @@ class RelaxationCurve:
     normalization: np.ndarray
 
 
-def relaxation_curve(model: ModelSpec, rho0: GeneralizedState, ts,
-                     system: LiouvilleSystem | None = None) -> RelaxationCurve:
+def relaxation_curve(system: LiouvilleSystem, rho0: GeneralizedState, ts) -> RelaxationCurve:
     """The level population, the weight at the resonance position and the
-    normalization of ``evolve_state(model, rho0, t, system)`` at every t of
-    ts, from the system's decay phase and branch sums over the whole grid.
+    normalization of ``evolve_state(system, rho0, t)`` at every t of ts,
+    from the system's decay phase and branch sums over the whole grid.
 
     The state is never built: its omega-block densities pair with the
     identity to -rho0.c1 times the branch sums, so each column is made of the
     decay phase, the branch sums and the time-independent atoms and diagonal
     density of rho0."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    system = _relaxation_system(model, rho0, ts, system)
-    om = model.omega_level
+    _admit(rho0, ts)
+    om = system.model.omega_level
     c1r = complex(rho0.c1)
     decay, b_up, b_dn = system._curve_sums(ts)
     at_level = sum(wt for pos, wt in rho0.atoms if abs(complex(pos) - om) < 1e-12)

@@ -297,12 +297,14 @@ class BiorthogonalSystem:
     Backed either by the order-by-order engine or by the exact solution; both
     expose the same structures (``AnalyticVector``s for the discrete pair,
     array-backed families for the continuum), so reconstruction and dynamics
-    are agnostic to the source.
+    are agnostic to the source.  ``pole_result`` is the exact solve's
+    ``PoleResult``, None on a perturbative system.
     """
 
     def __init__(self, model: ModelSpec, grid: ContourGrid, pole: complex,
                  disc_right: AnalyticVector, disc_left: AnalyticVector,
-                 cont_right: ContinuumFamily, cont_left: ContinuumFamily, source: str):
+                 cont_right: ContinuumFamily, cont_left: ContinuumFamily, source: str,
+                 pole_result: PoleResult | None):
         self.model = model
         self.grid = grid
         self.pole = complex(pole)
@@ -311,28 +313,32 @@ class BiorthogonalSystem:
         self.cont_right = cont_right
         self.cont_left = cont_left
         self.source = source
+        self.pole_result = pole_result
         self._overlap_memo = None
 
     @classmethod
     def from_perturbation(cls, model: ModelSpec, order: int = 2,
                           grid: ContourGrid | None = None) -> "BiorthogonalSystem":
+        """Both branches through ``order``, at most 2 (the continuous branch's)."""
+        if order > 2:
+            raise ConfigError("continuous branch is implemented through order 2")
         if grid is None:
             grid = build_contour(model.contour)
         disc = perturb_discrete(model, order, grid)
         r, l = normalize_pair(disc.right_total(), disc.left_total(), grid)
         pv = SampledPV(grid)
         # order 0 is the unit atom of every member; the corrections add up
-        right, left = (sum(_branch_orders(model, pv, min(order, 2), side),
+        right, left = (sum(_branch_orders(model, pv, order, side),
                            ContinuumFamily(model, pv, side, np.zeros(grid.n)))
                        for side in (+1, -1))
         return cls(model, grid, disc.eigenvalue, r, l, right, left,
-                   source=f"perturbation(order={order})")
+                   source=f"perturbation(order={order})", pole_result=None)
 
     @classmethod
     def from_exact(cls, model: ModelSpec, grid: ContourGrid | None = None,
-                   pole: PoleResult | None = None) -> "BiorthogonalSystem":
-        """Exact system; ``pole``, if given, must be solved on ``grid``."""
-        sysx = exact_system(model, grid, pole)
+                   tol: float = 1e-13) -> "BiorthogonalSystem":
+        """Exact system, its pole solved at ``tol`` on its own sampled eta."""
+        sysx = exact_system(model, grid, tol)
         grid, lam, c = sysx.grid, sysx.pole.lambda_pole, sysx.norm
         dr, dl = (AnalyticVector(complex(c), lambda z, b=b: c * b(model, z) / (lam - z))
                   for b in (eval_V, eval_Vbar))
@@ -341,7 +347,8 @@ class BiorthogonalSystem:
         a_left = eval_V(model, grid.nodes) / sysx.eta_minus
         return cls(model, grid, lam, dr, dl,
                    ContinuumFamily(model, pv, +1, a_right, a_right),
-                   ContinuumFamily(model, pv, -1, a_left, a_left), source="exact")
+                   ContinuumFamily(model, pv, -1, a_left, a_left), source="exact",
+                   pole_result=sysx.pole)
 
     # -- reconstruction ------------------------------------------------------
     def overlap_tables(self, psi: AnalyticVector, phi: AnalyticVector):

@@ -161,7 +161,7 @@ def test_criterion_6_hilbert_liouville_consistency():
     rate = decay_rate(m)
     ts = default_time_grid(m, 200)
     rho0 = unstable_state_functional()
-    states = [evolve_state(m, rho0, float(t), lsys) for t in ts]
+    states = [evolve_state(lsys, rho0, float(t)) for t in ts]
     c1 = np.array([st.c1.real for st in states])
     atoms = np.array([st.atom_weight(1.0, grids).real for st in states])
     norms = np.array([st.normalization(grids) for st in states])

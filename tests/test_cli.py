@@ -241,6 +241,16 @@ def test_validate_without_a_model_takes_the_node_override(tmp_path):
     assert len((tmp_path / "o" / "grid.csv").read_text().splitlines()) == 2 + 300
 
 
+def test_validate_passes_on_a_coarse_default_model(tmp_path, capsys):
+    # at 100 nodes every Liouville check runs on the same 200-node grid as
+    # the other identity checks, so the decay mode resolves (it failed at
+    # 1.7e-9 on the 100-node grid it had to itself)
+    doc = {"command": "validate", "output_dir": str(tmp_path / "o"), "seed": 7}
+    assert main(["--config", _write_cfg(tmp_path, doc), "--nodes", "100"]) == 0
+    _assert_validate_table(tmp_path / "o")
+    assert capsys.readouterr().out.count("  PASS  ") == 24
+
+
 def test_validate_refuses_a_kernel_model(tmp_path, capsys):
     # refused before any check runs, not failed check by check
     doc = {"command": "validate", "output_dir": str(tmp_path / "o"),
@@ -497,50 +507,59 @@ def test_rerun_is_byte_identical(tmp_path, name):
 
 
 def _split(path: Path):
-    """An artifact as (skeleton, float arrays): the floats of a JSON value or
-    list, and every float column of a CSV, become arrays; the skeleton holds
-    the rest (text, integers, shape) with a marker in their place."""
-    arrays = []
+    """An artifact as (skeleton, float arrays, row labels): the floats of a
+    JSON value or list, and every float column of a CSV, become 1-d arrays
+    named by their JSON key or CSV column; the skeleton holds the rest (text,
+    integers, shape) with a marker in their place.  A CSV row is labelled by
+    its first cell, a JSON list entry by its index."""
+    arrays = {}
 
-    def take(values):
-        arrays.append(np.array(values, dtype=float))
+    def take(name, values):
+        arrays[name] = np.atleast_1d(np.array(values, dtype=float))
         return "<float>"
 
     if path.suffix == ".json":
-        def walk(x):
+        def walk(x, name):
             if isinstance(x, float) or (isinstance(x, list) and x
                                         and all(isinstance(v, float) for v in x)):
-                return take(x)
+                return take(name, x)
             if isinstance(x, dict):
-                return {k: walk(v) for k, v in x.items()}
-            return [walk(v) for v in x] if isinstance(x, list) else x
-        return walk(json.loads(path.read_text())), arrays
+                return {k: walk(v, f"{name}.{k}" if name else k) for k, v in x.items()}
+            return ([walk(v, f"{name}[{i}]") for i, v in enumerate(x)]
+                    if isinstance(x, list) else x)
+        return walk(json.loads(path.read_text()), ""), arrays, None
     lines = path.read_text().splitlines()
-    skeleton = lines[:2]
-    for col in zip(*(line.split(",") for line in lines[2:])):
+    skeleton, header = lines[:2], lines[1].split(",")
+    cols = list(zip(*(line.split(",") for line in lines[2:])))
+    for name, col in zip(header, cols):
         try:
             values = [float(c) for c in col]
         except ValueError:
             values = None
         integers = all(c.lstrip("-").isdigit() for c in col)
-        skeleton.append(list(col) if values is None or integers else take(values))
-    return skeleton, arrays
+        skeleton.append(list(col) if values is None or integers else take(name, values))
+    return skeleton, arrays, [f"{header[0]}={c}" for c in cols[0]]
 
 
 @pytest.mark.parametrize("name", sorted(RERUN_CONFIGS))
 def test_artifacts_match_the_recorded_ones(tmp_path, name):
     # every number within 1e-12 of the recorded artifacts, relative to the
-    # largest magnitude of its array; text and integers exactly as recorded
+    # largest magnitude of its array; text and integers exactly as recorded.
+    # A mismatch names the array, its worst row and both values there
     out = _run(tmp_path, name)
     files = sorted(p.name for p in out.iterdir())
     assert files == sorted(p.name for p in (GOLDEN / name).iterdir())
     for fname in files:
-        skeleton, arrays = _split(out / fname)
-        ref_skeleton, ref_arrays = _split(GOLDEN / name / fname)
+        skeleton, arrays, _ = _split(out / fname)
+        ref_skeleton, ref_arrays, rows = _split(GOLDEN / name / fname)
         assert skeleton == ref_skeleton, fname
-        for got, ref in zip(arrays, ref_arrays):
-            assert got.shape == ref.shape, fname
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), fname
+        for key, ref in ref_arrays.items():
+            got = arrays[key]
+            assert got.shape == ref.shape, f"{fname}: {key}"
+            i = int(np.argmax(np.abs(got - ref)))
+            row = f"row {i}" if rows is None else rows[i]
+            assert abs(got[i] - ref[i]) <= 1e-12 * np.max(np.abs(ref)), (
+                f"{fname}: {key} at {row}: {float(got[i])!r}, recorded {float(ref[i])!r}")
 
 
 def test_recording_refuses_without_rerecord():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from respectra.contour import ContourSpec, SampledPV, build_contour, real_axis_grid
-from respectra.errors import ContourError, EvaluationError, RespectraError
+from respectra.errors import BoundStateError, ContourError, EvaluationError, RespectraError
 from respectra.friedrichs import COUNT_SAMPLES, SampledEta, exact_system, find_pole
 from respectra.model import (default_contour, eval_V, eval_Vbar, make_model,
                              separable_test_kernel)
@@ -201,6 +201,76 @@ def test_one_zero_over_the_benchmark_ranges(family, param, s, omega, eps, shape,
     again = exact_system(m, grid).pole
     assert again.lambda_pole == pr.lambda_pole and again.zero_count == 1
     assert again.min_boundary == pytest.approx(pr.min_boundary, rel=1e-12)
+
+
+@given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
+       param=st.floats(0.8, 1.25), s=st.floats(1.5, 3.0), omega=st.floats(0.5, 2.0),
+       eps=st.floats(0.05, 0.9), depth=st.floats(0.3, 0.8),
+       shape=st.sampled_from(["rectangle", "semi_ellipse"]), n_nodes=st.integers(100, 400))
+# the Newton fallback of TestFindPole
+@example(family="poly_exp", param=1.0, s=2.0, omega=0.7, eps=0.9, depth=0.6,
+         shape="rectangle", n_nodes=320)
+def test_exact_system_solves_the_pole_find_pole_solves(family, param, s, omega, eps, depth,
+                                                       shape, n_nodes):
+    # the exact system's own solve, on its boundary sweep, is find_pole's on
+    # the same grid; where find_pole refuses, so does the exact system
+    m = make_model(family, [s if family == "lorentz_sqrt" else param], omega, eps,
+                   ContourSpec(depth, max(20.0, 10.0 * omega), shape, n_nodes))
+    grid = build_contour(m.contour)
+    try:
+        want = find_pole(m, grid=grid)
+    except RespectraError as e:
+        with pytest.raises(type(e)):
+            BiorthogonalSystem.from_exact(m, grid)
+        return
+    got = BiorthogonalSystem.from_exact(m, grid).pole_result
+    assert got.lambda_pole == want.lambda_pole and got.residual == want.residual
+    assert (got.iterations, got.method, got.zero_count) == (
+        want.iterations, want.method, want.zero_count)
+
+
+def test_perturbative_system_has_no_pole_result(default_model, default_grid):
+    assert BiorthogonalSystem.from_perturbation(default_model, 2, default_grid).pole_result is None
+
+
+def test_bound_level_is_refused_with_its_energy():
+    # sqrt_exp at Omega = 0.1, eps = 0.5: \int V Vbar / x = 0.25 > Omega binds
+    # the level at -0.09972; the exact system refuses it as find_pole does
+    m = make_model("sqrt_exp", [1.0], 0.1, 0.5)
+    with pytest.raises(BoundStateError, match="real zero at lambda = -0.0997") as info:
+        find_pole(m)
+    assert info.value.energy == pytest.approx(-0.09972, abs=1e-5)
+    with pytest.raises(BoundStateError):
+        exact_system(m)
+
+
+@given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
+       param=st.floats(0.3, 3.0), omega=st.floats(0.02, 2.0), eps=st.floats(0.1, 1.5),
+       depth=st.floats(0.05, 2.5), shape=st.sampled_from(["rectangle", "semi_ellipse"]),
+       n_nodes=st.integers(100, 800))
+def test_bound_state_refused_iff_eta_is_positive_below_threshold(family, param, omega, eps,
+                                                                 depth, shape, n_nodes):
+    # eta(0-) = Re sum_j w_j V Vbar(z_j) / z_j - Omega > 0 binds the level:
+    # exactly then the pole solve refuses with a BoundStateError, whose energy
+    # zeroes eta.  Below the threshold eta is real; the imaginary part of its
+    # quadrature there is the quadrature's error, which the real solve ignores
+    try:
+        m = make_model(family, [param], omega, eps, ContourSpec(depth, 20.0, shape, n_nodes))
+        eta = SampledEta(m)
+    except RespectraError:
+        return      # a form-factor singularity inside the contour depth
+    binding = float(np.sum(eta.wvv / eta.grid.nodes).real)
+    assume(abs(binding - omega) > 1e-9 * omega)
+    try:
+        find_pole(m, grid=eta.grid)
+    except BoundStateError as e:
+        assert binding > omega
+        assert e.energy < 0.0
+        assert abs((e.energy - omega - eta.moment(e.energy)).real) <= 1e-12
+        return
+    except RespectraError:
+        pass
+    assert binding < omega
 
 
 class TestExactSystem:

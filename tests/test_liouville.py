@@ -93,7 +93,7 @@ class TestApplyL:
         spec = li_model.contour
         mid = ContourGrid(spec.cutoff, w.astype(complex), np.full(len(w), dw, dtype=complex),
                           np.ones(len(w), dtype=complex))
-        grids = LiouvilleGrids(gamma=mid, gamma_bar=mid, real=mid)
+        grids = LiouvilleGrids(mid)
         O = BlockObservable(o1=0.7 + 0j, o_omega=_rnd_profile(rng),
                             o_omom=(lambda f1, f2: (lambda z, zp: f1(z) * f2(zp)))(
                                 _rnd_profile(rng), _rnd_profile(rng)),
@@ -240,19 +240,19 @@ class TestBranches:
 
 
 class TestEvolution:
-    def test_negative_time_refused(self, li_model):
+    def test_negative_time_refused(self, li_sys):
         with pytest.raises(ConfigError):
-            evolve_state(li_model, unstable_state_functional(), -1.0)
+            evolve_state(li_sys, unstable_state_functional(), -1.0)
 
-    def test_non_invariant_input_refused(self, li_model, li_grids):
+    def test_non_invariant_input_refused(self, li_grids, li_sys):
         rho = GeneralizedState(c1=1.0 + 0j, f_om1=np.zeros(li_grids.gamma_bar.n, complex),
                                grids=li_grids)
         with pytest.raises(ConfigError):
-            evolve_state(li_model, rho, 1.0)
+            evolve_state(li_sys, rho, 1.0)
 
     def test_initial_state_recovered(self, li_model, li_grids):
         lsys = LiouvilleSystem(li_model, li_grids)
-        st = evolve_state(li_model, unstable_state_functional(), 0.0, lsys)
+        st = evolve_state(lsys, unstable_state_functional(), 0.0)
         # fourth-order-coherent at t=0
         assert abs(st.c1 - 1.0) < 5e-4
         assert abs(st.atom_weight(1.0, li_grids)) < 5e-4
@@ -263,7 +263,7 @@ class TestEvolution:
         rate = decay_rate(li_model)
         rho0 = unstable_state_functional()
         for t in (0.5 / rate, 1.5 / rate):
-            st = evolve_state(li_model, rho0, t, lsys)
+            st = evolve_state(lsys, rho0, t)
             assert abs(st.c1 - np.exp(-rate * t)) < 5.0 * li_model.coupling**2
             aw = st.atom_weight(1.0, li_grids)
             assert abs(aw - (1.0 - np.exp(-rate * t))) < 5.0 * li_model.coupling**2
@@ -274,7 +274,7 @@ class TestEvolution:
     def test_off_resonance_atoms_are_invariant(self, li_model, li_grids):
         lsys = LiouvilleSystem(li_model, li_grids)
         rho0 = GeneralizedState(c1=0.5 + 0j, atoms=((3.0, 0.5),))
-        st = evolve_state(li_model, rho0, 8.0, lsys)
+        st = evolve_state(lsys, rho0, 8.0)
         kept = [w for p, w in st.atoms if abs(p - 3.0) < 1e-12]
         assert kept and abs(kept[0] - 0.5) < 1e-15
         assert abs(st.normalization(li_grids) - 1.0) < 1e-8
@@ -286,8 +286,8 @@ class TestEvolution:
         lsys = LiouvilleSystem(li_model, grids)
         rate = decay_rate(li_model)
         ts = np.linspace(0.0, 1.2 / rate, 40)
-        c1 = np.array([evolve_state(li_model, unstable_state_functional(), float(t),
-                                    lsys).c1.real for t in ts])
+        c1 = np.array([evolve_state(lsys, unstable_state_functional(), float(t)).c1.real
+                       for t in ts])
         orac = oracle_survival_curve(li_model, ts, n_levels=1500)
         assert np.max(np.abs(c1 - orac.survival)) < 4.5e-3
 
@@ -306,7 +306,7 @@ class TestEvolution:
                   "all": BlockObservable(o1=0.7 + 0j, o_omega=f, o_om1=g, o_1om=h,
                                          o_omom=kern)}
         for t in (0.5 / rate, 2.0 / rate):
-            st = evolve_state(li_model, unstable_state_functional(), t, li_sys)
+            st = evolve_state(li_sys, unstable_state_functional(), t)
             dp = np.exp(1j * li_sys.lam_d * t) / li_sys.norm_d
             e_u1 = np.exp(1j * li_sys.lam_u1(zu) * t) / li_sys.norm_u1
             e_1u = np.exp(1j * li_sys.lam_1u(zl) * t) / li_sys.norm_1u
@@ -328,7 +328,7 @@ class TestEvolution:
                 assert abs(got - ref[name]) <= 1e-12 * abs(ref[name]), name
 
     def test_pairing_refuses_other_grids(self, li_model, li_sys):
-        st = evolve_state(li_model, unstable_state_functional(), 1.0, li_sys)
+        st = evolve_state(li_sys, unstable_state_functional(), 1.0)
         other = LiouvilleGrids.for_model(li_model)
         with pytest.raises(EvaluationError):
             st.expect(identity_observable(), other)
@@ -350,8 +350,8 @@ class TestRelaxationCurve:
                   GeneralizedState(c1=0.5 + 0j, atoms=((3.0, 0.3 + 0j), (om, 0.1 + 0j)),
                                    omega_smooth=lambda w: 0.1 * np.exp(-w)))
         for rho0 in starts:
-            curve = relaxation_curve(m, rho0, ts, lsys)
-            states = [evolve_state(m, rho0, float(t), lsys) for t in ts]
+            curve = relaxation_curve(lsys, rho0, ts)
+            states = [evolve_state(lsys, rho0, float(t)) for t in ts]
             for got, want in ((curve.level, [st.c1 for st in states]),
                               (curve.atom_weight, [st.atom_weight(om, grids) for st in states]),
                               (curve.normalization, [st.normalization(grids) for st in states])):
@@ -360,11 +360,11 @@ class TestRelaxationCurve:
 
     def test_refuses_what_evolve_state_refuses(self, li_model, li_grids, li_sys):
         with pytest.raises(ConfigError):
-            relaxation_curve(li_model, unstable_state_functional(), [0.0, 1.0, -1.0], li_sys)
+            relaxation_curve(li_sys, unstable_state_functional(), [0.0, 1.0, -1.0])
         rho = GeneralizedState(c1=1.0 + 0j, f_om1=np.zeros(li_grids.gamma_bar.n, complex),
                                grids=li_grids)
         with pytest.raises(ConfigError):
-            relaxation_curve(li_model, rho, [1.0], li_sys)
+            relaxation_curve(li_sys, rho, [1.0])
 
     def test_branch_sums_in_blocks_of_times(self, li_model, li_sys, monkeypatch):
         # on a non-uniform grid every time is an anchor; a phase table cut
@@ -373,9 +373,9 @@ class TestRelaxationCurve:
         ts = 40.0 * np.linspace(0.0, 1.0, 37) ** 2
         assert _stride(ts, li_sys.grids.gamma.n) == (1, 0.0)
         rho = unstable_state_functional()
-        whole = relaxation_curve(li_model, rho, ts, li_sys).level
+        whole = relaxation_curve(li_sys, rho, ts).level
         monkeypatch.setattr("respectra.contour.PHASE_BLOCK_ENTRIES", 5 * li_sys.grids.gamma.n)
-        blocks = relaxation_curve(li_model, rho, ts, li_sys).level
+        blocks = relaxation_curve(li_sys, rho, ts).level
         assert np.max(np.abs(whole - blocks)) <= 1e-15 * np.max(np.abs(whole))
 
 

@@ -7,14 +7,14 @@ from hypothesis import given, strategies as st
 from respectra import perturbation
 from respectra.contour import ContourSpec, SampledPV, build_contour, pole_kernel_integral
 from respectra.dynamics import oracle_survival_curve, survival_curve
-from respectra.errors import DegeneratePairError, EvaluationError
+from respectra.errors import ConfigError, DegeneratePairError, EvaluationError
 from respectra.friedrichs import SampledEta, find_pole
 from respectra.model import (FormFactor2, eval_V, eval_V2, eval_Vbar, make_model,
                              separable_test_kernel)
 from respectra.perturbation import (BiorthogonalSystem, ContinuumFamily, normalize_pair,
                                     pair_coeffs, pair_families, perturb_continuous,
                                     perturb_discrete)
-from respectra.states import AnalyticVector, random_analytic, real_axis_inner
+from respectra.states import AnalyticVector, random_analytic, real_axis_inner, real_axis_inner_H
 
 # PV of w e^-w / (w - 1) over the positive axis, 40-digit reference
 PV_SQRT_EXP_OMEGA1 = 0.3028251167649339
@@ -196,6 +196,14 @@ def test_biorthogonality_residual_scaling(default_spec, default_grid):
     assert res[0.05] <= 2.0 * (0.5 ** 3) * res[0.1]
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_system_refuses_continuum_orders_it_does_not_build(default_model, default_grid, order):
+    # the continuous branch stops at order 2; a system labelled with a higher
+    # order would hold a second-order continuum
+    with pytest.raises(ConfigError, match="continuous branch is implemented through order 2"):
+        BiorthogonalSystem.from_perturbation(default_model, order, default_grid)
+
+
 def test_projector_algebra(rng):
     vec = AnalyticVector(complex(rng.standard_normal(), rng.standard_normal()),
                          lambda z: np.exp(-z))
@@ -316,6 +324,34 @@ class TestSeparableKernel:
         psi, phi = random_analytic(rng), random_analytic(rng)
         ref = -0.7297511103422434 + 0.5330794624363246j
         assert abs(s.reconstruct_inner(psi, phi) - ref) <= 1e-13 * abs(ref)
+
+    def test_reference_generator_adds_the_kernel_term(self, default_spec, axis_grid, rng):
+        # the kernel term of the axis reference <Psi|H|Phi> is the separable
+        # double sum eps^2 (sum w psi h)(sum w h phi), h = sqrt(w) exp(-w/2)
+        eps = 0.1
+        with_k, without = (make_model("sqrt_exp", [1.0], 1.0, eps, default_spec, kernel)
+                           for kernel in ("separable_sqrt_exp", None))
+        w, ww = axis_grid.nodes.real, axis_grid.weights.real
+        h = np.sqrt(w) * np.exp(-w / 2)
+        for _ in range(5):
+            psi, phi = random_analytic(rng), random_analytic(rng)
+            got = (real_axis_inner_H(with_k, psi, phi, axis_grid)
+                   - real_axis_inner_H(without, psi, phi, axis_grid))
+            want = eps**2 * np.sum(ww * psi.at(w) * h) * np.sum(ww * h * phi.at(w))
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_generator_gap_is_third_order(self, default_spec, axis_grid, rng):
+        # an order-2 kernel system reconstructs <Psi|H|Phi> up to the kernel's
+        # third-order term: doubling the coupling multiplies the gap by ~8
+        pairs = [(random_analytic(rng), random_analytic(rng)) for _ in range(5)]
+        gaps = {}
+        for eps in (0.04, 0.08, 0.10):
+            m = make_model("sqrt_exp", [1.0], 1.0, eps, default_spec, kernel="separable_sqrt_exp")
+            s = BiorthogonalSystem.from_perturbation(m, 2)
+            gaps[eps] = max(abs(s.reconstruct_H(psi, phi)
+                                - real_axis_inner_H(m, psi, phi, axis_grid)) for psi, phi in pairs)
+        assert 6.0 <= gaps[0.08] / gaps[0.04] <= 10.0
+        assert gaps[0.10] <= 5e-3
 
     def test_kernel_contributes_to_continuum_branch(self, default_spec, default_grid):
         m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec,
