@@ -19,9 +19,13 @@ every grid built from them.
 functions and evaluates them itself, at the nodes and at each curve point
 with its derivative stencil; ``pole_kernel_integral`` (a curve point) and
 ``plemelj_integral`` (a point of a real-axis grid) are its one-point cases.
-Every integrand is one row shared by all points, so a block of points costs
-one Cauchy reciprocal and one matrix product, for any number of targets,
-each with its own side of the pole.
+Its points are every node, a slice of the nodes addressed by index, or any
+curve points.  Every integrand is one row shared by all points, so a block
+of the Cauchy matrix costs one reciprocal and one matrix product, for any
+number of targets, each with its own side of the pole.  Blocks hold at most
+BLOCK_ENTRIES entries.  At every node the Cauchy matrix is antisymmetric bit
+for bit, so that sweep takes square tiles and forms each tile off the
+diagonal once, for two products.
 
 ``phase_sum`` is the one time sum, sum_j m_j exp(-i z_j t) on a grid of
 times, shared by the spectral amplitude, the oracle's mode sum and the
@@ -44,9 +48,11 @@ from .errors import ContourError, EvaluationError
 _SHAPES = ("rectangle", "semi_ellipse")
 # fewest nodes of a contour
 MIN_NODES = 16
-# complex entries of a Cauchy block of the principal-value operator (512 kB):
-# 128 rows at n = 256, 40 at n = 800
-PV_BLOCK_ENTRIES = 2**15
+# complex entries of a tile or a row block of the principal-value operator and
+# of a block of moment summands (256 kB: a tile stays in cache for its two uses)
+BLOCK_ENTRIES = 2**14
+# side of a square principal-value tile: 128 nodes by 128 nodes
+PV_TILE = math.isqrt(BLOCK_ENTRIES)
 # complex phases per block of a time table (1 MB)
 PHASE_BLOCK_ENTRIES = 2**16
 # step of the five-point derivative stencil along the curve, at |u| >= 1
@@ -260,25 +266,37 @@ class SampledPV:
     """Principal values PV \\int h(z) F_p(z)/(u_i - z) dz of integrands shared
     by every point, at many curve points at once.
 
-    The points u_i default to every node.  The singularity is subtracted
-    globally, PV = \\int [h(z) - h(u_i)]/(u_i - z) dz + h(u_i) PV \\int
-    dz/(u_i - z), the second factor in closed form.  Where u_i is a node,
-    the removable 0/0 sample is -h'(u_i) from a five-point stencil along the
-    tangent, of step STENCIL_DELTA * min(1, |u_i|) so that it never reaches
-    the branch point at the origin.  Rows are summed in blocks of about
-    PV_BLOCK_ENTRIES entries, so no (M, N) operator is held: a block is one
-    reciprocal C_ij = 1/(u_i - z_j) and one product C @ [w h F_p | w], whose
-    last column is the row sum the subtraction needs.  ``side`` may differ
-    per target, so several displaced-pole integrals of one set of points
-    share a sweep.
+    The points u_i are every node (``u=None``), a slice of the nodes,
+    addressed by index, or curve points, matched to the nodes by
+    ``node_indices``.  The singularity is subtracted globally, PV = \\int
+    [h(z) - h(u_i)]/(u_i - z) dz + h(u_i) PV \\int dz/(u_i - z), the second
+    factor in closed form.  Where u_i is a node, the removable 0/0 sample is
+    -h'(u_i) from a five-point stencil along the tangent, of step
+    STENCIL_DELTA * min(1, |u_i|) so that it never reaches the branch point
+    at the origin.  The node sums C @ [w h F_p | w], with C_ij = 1/(u_i -
+    z_j) and the last column the row sum the subtraction needs, are formed
+    BLOCK_ENTRIES entries at a time, so no (M, N) operator is held.  At
+    every node C is antisymmetric bit for bit (IEEE subtraction and the
+    complex reciprocal are odd), so the sweep takes square tiles of PV_TILE
+    nodes by PV_TILE nodes and forms each tile off the diagonal once, for
+    its row block as C and for its column block as -C^T: half the
+    reciprocals, and the tile still in cache for its second product.  Other
+    points, and ``pointwise``, take blocks of rows over every node, each
+    formed for one use.  ``side`` may differ per target, so several
+    displaced-pole integrals of one set of points share a sweep.
     """
 
     def __init__(self, grid: ContourGrid, u=None):
         self.grid = grid
-        self.u = grid.nodes if u is None else np.atleast_1d(np.asarray(u, dtype=complex))
+        if u is None:
+            self.u, self.node = grid.nodes, np.arange(grid.n)
+        elif isinstance(u, slice):
+            self.u, self.node = grid.nodes[u], np.arange(grid.n)[u]
+        else:
+            self.u = np.atleast_1d(np.asarray(u, dtype=complex))
+            self.node = grid.node_indices(self.u)
         if np.any((self.u == 0) | (self.u == grid.cutoff)):
             raise EvaluationError("principal value undefined at a contour endpoint")
-        self.node = np.arange(grid.n) if u is None else grid.node_indices(self.u)
         on = self.node >= 0
         # weight of the node at u_i (0 off the nodes, where the stencil is unused)
         self.node_weight = np.where(on, grid.weights[np.where(on, self.node, 0)], 0.0)
@@ -294,12 +312,13 @@ class SampledPV:
         # safe because u and X - u stay in the closed right half plane here
         self.log_term = np.log(self.u) - np.log(grid.cutoff - self.u)
 
-    def _cauchy(self, rows: slice) -> np.ndarray:
-        """C_ij = 1/(u_i - z_j) for a block of points, 0 where u_i is z_j
-        (that sample is -h'(u_i), added from the stencil)."""
-        diff = self.u[rows, None] - self.grid.nodes
-        r = np.nonzero(self.node[rows] >= 0)[0]
-        diff[r, self.node[rows][r]] = np.inf
+    def _cauchy(self, rows: slice, cols: slice) -> np.ndarray:
+        """The tile C_ij = 1/(u_i - z_j) of points ``rows`` and nodes ``cols``,
+        0 where u_i is z_j (that sample is -h'(u_i), added from the stencil)."""
+        diff = self.u[rows, None] - self.grid.nodes[cols]
+        j = self.node[rows] - cols.start
+        r = np.nonzero((j >= 0) & (j < diff.shape[1]))[0]
+        diff[r, j[r]] = np.inf
         return np.reciprocal(diff, out=diff)
 
     def __call__(self, h: Callable, side=0, F: Callable | None = None) -> np.ndarray:
@@ -314,16 +333,16 @@ class SampledPV:
         per target, shape (P,).  An integrand given per point, h of more
         than one row or F of more than one, is refused.
         """
-        return self._sweep(h, side, F, np.matmul)
+        return self._sweep(h, side, F, pointwise=False)
 
     def pointwise(self, h: Callable, side, F: Callable) -> np.ndarray:
         """``__call__`` with each point's node sums a vector-matrix product of
         their own, so that a point rounds alike alone or in a block of any
         size, as a block's matrix product does not; at about twice its cost."""
-        return self._sweep(h, side, F, lambda C, G: np.matmul(C[:, None, :], G)[:, 0])
+        return self._sweep(h, side, F, pointwise=True)
 
-    def _sweep(self, h: Callable, side, F: Callable | None, product: Callable) -> np.ndarray:
-        w, n = self.grid.weights, self.grid.n
+    def _sweep(self, h: Callable, side, F: Callable | None, pointwise: bool) -> np.ndarray:
+        w, n, t = self.grid.weights, self.grid.n, PV_TILE
         nodes = self.grid.nodes[None, :]
         hn = np.asarray(h(nodes), dtype=complex)
         Fn = np.ones((1, 1, n)) if F is None else np.asarray(F(nodes), dtype=complex)
@@ -335,16 +354,27 @@ class SampledPV:
         if F is not None:
             hp = hp * np.asarray(F(self._points), dtype=complex)         # (M, P, 5)
         hu = hp[..., 0]                                                  # (M, P)
-        out = np.empty(hu.shape, dtype=complex)
-        block = max(1, PV_BLOCK_ENTRIES // n)
-        for a in range(0, len(self.u), block):
-            rows = slice(a, a + block)
-            S = product(self._cauchy(rows), G)
-            out[rows] = S[:, :-1] - hu[rows] * S[:, -1:]
+        S = np.zeros((len(self.u), G.shape[1]), dtype=complex)           # C @ G
+        if self.u is self.grid.nodes and not pointwise:
+            for a in range(0, n, t):
+                I = slice(a, a + t)
+                S[I] += self._cauchy(I, I) @ G[I]
+                for b in range(a + t, n, t):
+                    J = slice(b, b + t)
+                    C = self._cauchy(I, J)
+                    S[I] += C @ G[J]
+                    S[J] -= C.T @ G[I]
+        else:
+            product = (lambda C, g: np.matmul(C[:, None, :], g)[:, 0]) if pointwise \
+                else np.matmul
+            rows = max(1, BLOCK_ENTRIES // n)
+            for a in range(0, len(self.u), rows):
+                I = slice(a, a + rows)
+                S[I] = product(self._cauchy(I, slice(0, n)), G)
         dh = (hp[..., 1] - 8 * hp[..., 2] + 8 * hp[..., 3] - hp[..., 4]) \
             / (12 * self._delta[:, None] * self._tangent[:, None])
-        out = out - self.node_weight[:, None] * dh + hu * self.log_term[:, None] \
-            - side * 1j * np.pi * hu
+        out = S[:, :-1] - hu * S[:, -1:] - self.node_weight[:, None] * dh \
+            + hu * self.log_term[:, None] - side * 1j * np.pi * hu
         return out if F is not None else out[:, 0]
 
 

@@ -8,12 +8,14 @@ continuum pair needs the two boundary values eta(u +- i0) on the curve.
 
 ``SampledEta`` samples V Vbar once per grid and gives eta, eta' and the
 boundary values eta(u +- i0); the pole solve and the exact system read its
-moments.  The pole solve ends by counting the zeros in the strip with the
-argument principle: the winding of eta(u + i0) along the curve, closed by a
-return path on the first sheet above the axis.  A count other than 1 is
-refused, and so, before any iteration, is a bound level: eta(0-) > 0 puts
-a real zero of eta below the threshold.  The exact system solves its own
-pole on its sampled eta.
+moments, which over many lambda are summed in blocks of rows.  The pole
+solve ends by counting the zeros in the strip with the argument principle:
+the winding of eta(u + i0) along the curve, at nodes addressed by index,
+closed by a return path on the first sheet above the axis.  A count other
+than 1 is refused, and so, before any iteration, is a bound level: eta(0-)
+> 0 puts a real zero of eta below the threshold.  The exact system solves
+its own pole on its sampled eta, then sweeps eta(u +- i0) at every node
+once, for the count and both families.
 
 This module is the ground truth the perturbative engine is checked against.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .contour import ContourGrid, SampledPV, build_contour
+from .contour import BLOCK_ENTRIES, ContourGrid, SampledPV, build_contour
 from .errors import (BoundStateError, ContourError, ConvergenceError, DegeneratePairError,
                      EvaluationError)
 from .model import ModelSpec, eval_V, eval_Vbar
@@ -59,9 +61,18 @@ class SampledEta:
 
     def moment(self, lam, power: int = 1):
         """sum_j w_j V Vbar(z_j) / (lambda - z_j)^power at a scalar lambda or
-        at every point of an array of them."""
-        total = np.sum(self.terms(lam, power), axis=-1)
-        return complex(total) if np.ndim(lam) == 0 else total
+        at every point of an array of them.  An array is summed in blocks of
+        rows of at most BLOCK_ENTRIES summands (one row at N above it), each
+        row the sum the scalar lambda takes, so no (len(lambda), N) table is
+        held."""
+        if np.ndim(lam) == 0:
+            return complex(np.sum(self.terms(lam, power)))
+        lam = np.asarray(lam)
+        flat, total = lam.ravel(), np.empty(lam.size, dtype=complex)
+        rows = max(1, BLOCK_ENTRIES // self.grid.n)
+        for a in range(0, flat.size, rows):
+            total[a:a + rows] = np.sum(self.terms(flat[a:a + rows], power), axis=-1)
+        return total.reshape(lam.shape)
 
     def off_curve(self, lam: complex) -> bool:
         """Whether lambda keeps at least one node spacing from every node."""
@@ -87,11 +98,12 @@ class SampledEta:
             return 1.0 + 0j
         return complex(1.0 + self.moment(lam, 2))
 
-    def boundary(self, u=None) -> tuple[np.ndarray, np.ndarray]:
-        """eta(u + i0) and eta(u - i0) at the curve points u (every node by
-        default): one curve principal value plus or minus the half residue."""
-        pv = SampledPV(self.grid, u)
-        vv = self.vv if u is None else self._vv_at(pv.u)
+    def boundary(self, pv: SampledPV | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """eta(u + i0) and eta(u - i0) at the points u of ``pv``, a
+        ``SampledPV`` on this grid (every node by default): one curve
+        principal value plus or minus the half residue."""
+        pv = SampledPV(self.grid) if pv is None else pv
+        vv = self.vv if pv.u is self.grid.nodes else self._vv_at(pv.u)
         J = pv(self._vv_at)
         base = pv.u - self.omega
         return base - (J - 1j * np.pi * vv), base - (J + 1j * np.pi * vv)
@@ -118,19 +130,24 @@ COUNT_SAMPLES = 200
 MAX_ITER = 200
 
 
-def _count_zeros(eta: SampledEta, plus: np.ndarray | None = None) -> tuple[int, float]:
+def _count_zeros(eta: SampledEta,
+                 plus: np.ndarray | None = None) -> tuple[int | None, float | None]:
     """Zeros of eta in the strip by the argument principle, and the least
     |eta(u + i0)| on the curve samples; a ContourError unless the count is 1.
+    At zero coupling no count runs: (None, None).
 
     The loop runs from 0 along the curve on eta(u + i0) (``plus``, at every
-    node, or computed here at the sampled ones) to X, and back X -> X + ih
-    -> ih -> 0 on the first sheet, h the depth (below any form-factor pole),
-    where eta has no zeros.  The return path is bisected until no phase step
-    exceeds pi/4; a step over pi/2 between curve samples cannot be refined,
-    so it is refused."""
+    node, or computed here at the sampled nodes, addressed by index) to X,
+    and back X -> X + ih -> ih -> 0 on the first sheet, h the depth (below
+    any form-factor pole), where eta has no zeros.  The return path is
+    bisected until no phase step exceeds pi/4; a step over pi/2 between
+    curve samples cannot be refined, so it is refused."""
+    if eta.free:
+        return None, None
     X, h, k = eta.model.contour.cutoff, eta.model.contour.depth, -(-eta.grid.n // COUNT_SAMPLES)
-    u = eta.grid.nodes[::k]
-    plus = eta.boundary(u)[0] if plus is None else plus[::k]
+    samples = slice(None, None, k)
+    u = eta.grid.nodes[samples]
+    plus = eta.boundary(SampledPV(eta.grid, samples))[0] if plus is None else plus[samples]
     back = np.concatenate([X + 1j * h * np.linspace(0.0, 1.0, 8), np.linspace(X, 0.0, 64)[1:-1]
                            + 1j * h, 1j * h * np.linspace(1.0, 0.0, 8)])
     vals = back - eta.omega - eta.moment(back)
@@ -197,15 +214,16 @@ def find_pole(model: ModelSpec, tol: float = 1e-13,
     and a count other than 1 is a ContourError.  A bound level, eta(0-) > 0,
     is a BoundStateError.
     """
-    return _solve_pole(SampledEta(model, grid), tol)
+    eta = SampledEta(model, grid)
+    return PoleResult(*_solve_pole(eta, tol), *_count_zeros(eta))
 
 
-def _solve_pole(eta: SampledEta, tol: float = 1e-13,
-                plus: np.ndarray | None = None) -> PoleResult:
-    """``find_pole`` on a sampled eta; ``plus`` is eta(u + i0) at every node, if known."""
+def _solve_pole(eta: SampledEta, tol: float = 1e-13) -> tuple[complex, float, int, str]:
+    """``find_pole`` on a sampled eta up to its zero count: (lambda,
+    residual, iterations, method)."""
     om, depth = eta.omega, eta.model.contour.depth
     if eta.free:
-        return PoleResult(complex(om), 0.0, 0, "fixed_point")
+        return complex(om), 0.0, 0, "fixed_point"
     _refuse_bound_state(eta)
     # the first iterate is the second-order estimate: if its width already
     # reaches the contour depth, the zero sits at or below the curve and the
@@ -248,7 +266,7 @@ def _solve_pole(eta: SampledEta, tol: float = 1e-13,
         # e.g. a level pushed below the threshold: a zero on the negative axis
         raise ContourError(f"pole {lam} lies outside the continuum window "
                            f"0 < Re < {eta.model.contour.cutoff} of the strip")
-    return PoleResult(lam, float(res), it_used, method, *_count_zeros(eta, plus))
+    return lam, float(res), it_used, method
 
 
 @dataclass(frozen=True)
@@ -259,12 +277,15 @@ class ExactEigvecs:
     on the left, norm = eta'(pole)^(-1/2).  The right continuum member at a
     node u is the unit atom at u plus Vbar(u)/eta(u+i0) times (level + pole
     term V(z)/(u+i0-z)); the left one mirrors it with V(u)/eta(u-i0).
+    ``pv`` is the node principal value eta(u +- i0) was swept on, which the
+    families pair through.
     """
 
     model: ModelSpec
     grid: ContourGrid
     pole: PoleResult
     norm: complex
+    pv: SampledPV
     eta_plus: np.ndarray
     eta_minus: np.ndarray
 
@@ -273,13 +294,16 @@ def exact_system(model: ModelSpec, grid: ContourGrid | None = None,
                  tol: float = 1e-13) -> ExactEigvecs:
     """Solve the model exactly on one sampled eta: the pole at ``tol``, whose
     zero count reads the boundary sweep, the normalization and both
-    eigenvector families."""
+    eigenvector families.  The sweep runs once the solve has its pole, so a
+    model the solve refuses never pays for it."""
     eta = SampledEta(model, grid)
-    plus, minus = eta.boundary()
-    pole = _solve_pole(eta, tol, plus)
+    solve = _solve_pole(eta, tol)
+    pv = SampledPV(eta.grid)
+    plus, minus = eta.boundary(pv)
+    pole = PoleResult(*solve, *_count_zeros(eta, plus))
     lam = pole.lambda_pole
     ep = eta.prime(lam)
     if abs(ep) < 1e-8:
         raise DegeneratePairError(f"eta'({lam}) ~ 0: degenerate pole")
     return ExactEigvecs(model, eta.grid, pole, 1.0 / np.sqrt(ep),   # principal branch
-                        plus, minus)
+                        pv, plus, minus)

@@ -342,12 +342,12 @@ class BiorthogonalSystem:
         grid, lam, c = sysx.grid, sysx.pole.lambda_pole, sysx.norm
         dr, dl = (AnalyticVector(complex(c), lambda z, b=b: c * b(model, z) / (lam - z))
                   for b in (eval_V, eval_Vbar))
-        pv = SampledPV(grid)
         a_right = eval_Vbar(model, grid.nodes) / sysx.eta_plus
         a_left = eval_V(model, grid.nodes) / sysx.eta_minus
+        # the families pair through the principal value eta was swept on
         return cls(model, grid, lam, dr, dl,
-                   ContinuumFamily(model, pv, +1, a_right, a_right),
-                   ContinuumFamily(model, pv, -1, a_left, a_left), source="exact",
+                   ContinuumFamily(model, sysx.pv, +1, a_right, a_right),
+                   ContinuumFamily(model, sysx.pv, -1, a_left, a_left), source="exact",
                    pole_result=sysx.pole)
 
     # -- reconstruction ------------------------------------------------------

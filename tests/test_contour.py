@@ -7,8 +7,8 @@ import pytest
 import scipy.integrate as si
 from hypothesis import example, given, strategies as st
 
-from respectra.contour import (MIN_NODES, ContourSpec, SampledPV, _gauss, _stride, build_contour,
-                               integrate_contour, phase_sum, plemelj_integral,
+from respectra.contour import (MIN_NODES, PV_TILE, ContourSpec, SampledPV, _gauss, _stride,
+                               build_contour, integrate_contour, phase_sum, plemelj_integral,
                                pole_kernel_integral, real_axis_grid)
 from respectra.errors import ContourError, EvaluationError
 from respectra.liouville import LiouvilleSystem
@@ -211,19 +211,29 @@ class TestCurvePV:
         ids=["entire", "sqrt"])
     def test_sampled_matches_analytic_derivative(self, shape, side, h, dh):
         # the sampled operator at every node against a node-by-node loop
-        # whose removable diagonal is the analytic -h'(u)
-        grid = build_contour(ContourSpec(0.5, 20.0, shape, 200))
-        z, w, X = grid.nodes, grid.weights, grid.cutoff
-        ref = np.empty(grid.n, dtype=complex)
-        for i, u in enumerate(z):
-            off = np.arange(grid.n) != i
-            q = np.empty(grid.n, dtype=complex)
-            q[off] = (h(z[off]) - h(u)) / (u - z[off])
-            q[i] = -dh(u)
-            ref[i] = np.sum(w * q) + h(u) * (np.log(u) - np.log(X - u)) \
-                - side * 1j * np.pi * h(u)
-        got = SampledPV(grid)(h, side)
-        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+        # whose removable diagonal is the analytic -h'(u), and, with two
+        # targets, against the same nodes given as points, which skip the
+        # antisymmetric tiles; a sweep repeats bit for bit.  The sizes are
+        # below one tile, one tile, one tile and a node, and several tiles
+        # and a rest
+        F = lambda z: np.stack([np.ones_like(z), np.exp(-0.3 * z)], axis=-2)
+        for n in (16, PV_TILE, PV_TILE + 1, 800):
+            grid = build_contour(ContourSpec(0.5, 20.0, shape, n))
+            z, w, X = grid.nodes, grid.weights, grid.cutoff
+            ref = np.empty(grid.n, dtype=complex)
+            for i, u in enumerate(z):
+                off = np.arange(grid.n) != i
+                q = np.empty(grid.n, dtype=complex)
+                q[off] = (h(z[off]) - h(u)) / (u - z[off])
+                q[i] = -dh(u)
+                ref[i] = np.sum(w * q) + h(u) * (np.log(u) - np.log(X - u)) \
+                    - side * 1j * np.pi * h(u)
+            got = SampledPV(grid)(h, side)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+            tiled = SampledPV(grid)(h, side, F)
+            assert SampledPV(grid)(h, side, F).tobytes() == tiled.tobytes()
+            points = SampledPV(grid, grid.nodes.copy())(h, side, F)
+            assert np.max(np.abs(tiled - points)) <= 1e-14 * np.max(np.abs(points))
 
     def test_sampled_rows_targets_and_off_node_points(self, default_grid):
         # a shared integrand alone (h), with a target axis (h F_p) of one

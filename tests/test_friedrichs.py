@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from respectra.contour import ContourSpec, SampledPV, build_contour, real_axis_grid
 from respectra.errors import BoundStateError, ContourError, EvaluationError, RespectraError
-from respectra.friedrichs import COUNT_SAMPLES, SampledEta, exact_system, find_pole
+from respectra.friedrichs import (COUNT_SAMPLES, SampledEta, _count_zeros, exact_system,
+                                  find_pole)
 from respectra.model import (default_contour, eval_V, eval_Vbar, make_model,
                              separable_test_kernel)
 from respectra.perturbation import BiorthogonalSystem, pair_coeffs
@@ -54,7 +57,8 @@ def test_eta_prime_matches_difference_quotient(default_model, default_grid):
 
 def test_eta_side_jump(default_model, default_grid):
     u = complex(default_grid.nodes[default_grid.n // 3])
-    ep, em = (complex(b[0]) for b in SampledEta(default_model, default_grid).boundary(u))
+    ep, em = (complex(b[0]) for b in
+              SampledEta(default_model, default_grid).boundary(SampledPV(default_grid, u)))
     v2 = eval_V(default_model, u) * eval_Vbar(default_model, u)
     assert abs((ep - em) - 2j * np.pi * v2) < 1e-13
 
@@ -176,12 +180,35 @@ def test_pole_in_strip_or_typed_error(family, param, omega, eps, depth, shape, c
     assert 0.0 < lam.real < cutoff and -depth < lam.imag <= 0.0
     assert pr.residual <= tol
     assert pr.residual == abs(SampledEta(m, grid)(lam))
-    # the moments over an array of lambda are the scalar moments
+    # the moments over an array of lambda are the scalar moments bit for
+    # bit, also over 4096 points, summed in many blocks of rows
     se = SampledEta(m, grid)
-    lams = lam + np.array([0.0, 0.3, -0.2 + 0.1j, 1.0 - 0.05j])
-    for power in (1, 2):
-        ref = np.array([se.moment(x, power) for x in lams])
-        assert np.all(np.abs(se.moment(lams, power) - ref) <= 1e-14 * np.abs(ref))
+    for lams in (lam + np.array([0.0, 0.3, -0.2 + 0.1j, 1.0 - 0.05j]),
+                 lam + np.linspace(-0.5, 0.5, 4096) * (1.0 + 0.2j)):
+        for power in (1, 2):
+            ref = np.array([se.moment(x, power) for x in lams])
+            assert np.array_equal(se.moment(lams, power), ref)
+
+
+@pytest.mark.parametrize("case", ["node_sweep", "moment"])
+def test_no_table_per_node_pair_or_per_lambda(case):
+    # the node sweep with three targets and the moment over 4096 lambda hold
+    # neither an (N, N) nor a (4096, N) table: at n = 1600 these are 41 and
+    # 105 MB, the bound 4 MB
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, ContourSpec(0.5, 20.0, "rectangle", 1600))
+    grid = build_contour(m.contour)
+    eta = SampledEta(m, grid)
+    h = lambda z: np.sqrt(z + 0j) * np.exp(-0.5 * z)
+    F = lambda z: np.stack([np.exp(-a * z) for a in (0.3, 0.8, 1.5)], axis=-2)
+    run = {"node_sweep": lambda: SampledPV(grid)(h, np.array([+1, -1, +1]), F),
+           "moment": lambda: eta.moment(0.9 - 0.1j + np.linspace(-0.5, 0.5, 4096))}[case]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
@@ -189,15 +216,21 @@ def test_pole_in_strip_or_typed_error(family, param, omega, eps, depth, shape, c
        eps=st.floats(0.05, 0.12), shape=st.sampled_from(["rectangle", "semi_ellipse"]),
        n_nodes=st.sampled_from([200, 800]))
 def test_one_zero_over_the_benchmark_ranges(family, param, s, omega, eps, shape, n_nodes):
-    # the argument principle finds exactly the pole, on the first solve and
-    # on the exact system's, which counts on its own boundary sweep
+    # the argument principle finds exactly the pole, on the first solve, whose
+    # curve samples are nodes addressed by index (the same as those nodes
+    # given as points), and on the exact system's, which counts on its own
+    # boundary sweep
     m = make_model(family, [s if family == "lorentz_sqrt" else param], omega, eps,
                    default_contour(omega, n_nodes, shape=shape))
     grid = build_contour(m.contour)
     pr = find_pole(m, grid=grid)
+    eta = SampledEta(m, grid)
     k = -(-n_nodes // COUNT_SAMPLES)
-    plus = SampledEta(m, grid).boundary(grid.nodes[::k])[0]
+    plus = eta.boundary(SampledPV(grid, grid.nodes[::k]))[0]
     assert pr.zero_count == 1 and pr.min_boundary == float(np.min(np.abs(plus)))
+    strided, swept = _count_zeros(eta), _count_zeros(eta, eta.boundary()[0])
+    assert strided[0] == swept[0] == 1
+    assert swept[1] == pytest.approx(strided[1], rel=1e-14)
     again = exact_system(m, grid).pole
     assert again.lambda_pole == pr.lambda_pole and again.zero_count == 1
     assert again.min_boundary == pytest.approx(pr.min_boundary, rel=1e-12)
@@ -279,14 +312,23 @@ class TestExactSystem:
         assert abs(pair_coeffs(s.disc_left, s.disc_right, default_grid) - 1) < 1e-8
 
     def test_one_node_sweep(self, default_model, monkeypatch):
-        # the pole's zero count reads the exact system's boundary sweep
+        # the pole's zero count reads the exact system's boundary sweep, on
+        # the principal value both families then pair through; a bound level
+        # is refused before any sweep
         grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", 800))
         sweeps = []
         call = SampledPV.__call__
         monkeypatch.setattr(SampledPV, "__call__",
-                            lambda pv, *a, **kw: sweeps.append(len(pv.u)) or call(pv, *a, **kw))
-        BiorthogonalSystem.from_exact(default_model, grid)
-        assert sweeps == [800]
+                            lambda pv, *a, **kw: sweeps.append(pv) or call(pv, *a, **kw))
+        s = BiorthogonalSystem.from_exact(default_model, grid)
+        assert [len(pv.u) for pv in sweeps] == [800]
+        assert s.cont_right.pv is s.cont_left.pv is sweeps[0]
+        sweeps.clear()
+        bound = make_model("sqrt_exp", [1.0], 0.1, 0.5, ContourSpec(0.5, 20.0, "rectangle", 800))
+        with pytest.raises(BoundStateError, match="real zero at lambda = -0.0997") as info:
+            BiorthogonalSystem.from_exact(bound, grid)
+        assert info.value.energy == pytest.approx(-0.09972, abs=1e-5)
+        assert sweeps == []
 
     def test_free_limit_vectors(self, default_grid):
         m = make_model("sqrt_exp", [1.0], 1.0, 0.0)
