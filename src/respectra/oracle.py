@@ -17,18 +17,24 @@ wherever the model allows it.
 
 Each sweep of the secular solver, the eigenvector norms and each projection
 sum over all poles for every root.  Summed directly that is O(n) per root
-and O(n^2) per pass.  Where the poles are uniform, as the midpoints are,
-every root within half a gap of its nearest pole (all but at most the two
-outer ones) sums only its 2 x 8 neighbouring poles directly and the rest
-by a 14-term series in its offset from that pole, whose coefficients are
-discrete convolutions, one FFT each: O(n log n) per solve and O(n) per
-pass.  So a kernel-free oracle costs O(n log n).  With a kernel the
-continuum block's own solve does too, but its eigenvalues are not
-uniform, so the level's solve over them stays direct and O(n^2).
+and O(n^2) per pass.  Where the poles lie near a lattice,
+p_j = p_0 + (j + delta_j) h with every |delta_j| <= 0.01, every root within
+half a gap of its nearest pole (all but at most the two outer ones) sums
+only its 2 x 8 neighbouring poles directly and the rest by a 14-term series
+in its offset from that pole's lattice point.  The series' coefficients are
+discrete convolutions of the weights times delta^s, s up to 5 (none but
+s = 0 where delta = 0), summed in the frequency domain: one inverse FFT per
+term, O(n log n) per solve and O(n) per pass.  The midpoints are uniform,
+so a kernel-free oracle costs O(n log n).  With a kernel the continuum
+block's solve does too, and the level's solve over its eigenvalues, which
+interlace the midpoints, wherever they stay within 0.01 steps of the
+midpoint lattice (eps up to about 0.16 for the registry's separable
+kernel); beyond that the level's solve takes the direct O(n^2) sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +49,10 @@ _BLOCK_ENTRIES = 2**17    # doubles per Cauchy block (1 MB): 131 rows at n = 100
 _MAX_SWEEPS = 100     # bisection alone resolves a root in about 60
 MIN_BINS = 100        # fewest midpoint bins of the oracle grid
 _NEAR = 8             # poles on each side of a root's origin summed directly
-_REACH = 0.55         # the far-field series serves |tau| <= _REACH h: an inner root's
-                      # half gap, rounding allowed; each term gains _REACH / (_NEAR + 1)
+_REACH = 0.55         # the far-field series serves roots within _REACH steps of their
+                      # origin's lattice point: an inner root's half gap, offsets allowed
+_OFFSET_BOUND = 0.01  # largest offset of a pole from its lattice point that the series
+                      # serves; each term gains (_REACH + _OFFSET_BOUND) / (_NEAR + 1)
 _TERMS = 14           # < 1/16, so 14 terms leave under 1e-17 of the far sum
 _OFFSETS = np.r_[-_NEAR:0, 1:_NEAR + 1]
 
@@ -155,22 +163,39 @@ def _pole_gaps(p, origin, tau):
         yield sl, d
 
 
-def _uniform_step(p):
-    """The spacing h of poles p_j = p_0 + j h, to the rounding of the entries,
-    or None where ``p`` is not such a grid or too short for a far field."""
+def _lattice(p):
+    """The step h and offsets delta_j of poles p_j = p_0 + (j + delta_j) h on
+    the lattice through the end poles, or None where ``p`` is too short for
+    a far field or some |delta_j| exceeds _OFFSET_BOUND.  Poles uniform to
+    the rounding of their entries get delta = 0 exactly."""
     m = len(p)
     if m <= 2 * _NEAR + 1:
         return None
     h = (p[-1] - p[0]) / (m - 1)
-    dev = np.max(np.abs(p - (p[0] + h * np.arange(m))))
-    return h if dev <= 8.0 * _EPS * np.max(np.abs(p)) else None
+    dev = p - (p[0] + h * np.arange(m))
+    if np.max(np.abs(dev)) <= 8.0 * _EPS * np.max(np.abs(p)):
+        return h, np.zeros(m)
+    delta = dev / h
+    return (h, delta) if np.max(np.abs(delta)) <= _OFFSET_BOUND else None
 
 
-def _far_tables(W, terms):
-    """T[o, r] = sum over |o - j| > _NEAR of W_j / (o - j)^(r + 1) for r < terms
-    and every column of W: discrete convolutions, by real FFTs of length >= 2m
-    (so that no offset wraps round)."""
-    m = len(W)
+def _far_tables(W, delta, terms):
+    """U[o, r] for r < terms and every column of W: the far sum of poles
+    p_j = p_0 + (j + delta_j) h at a root of offset x from lattice point o,
+    sum over |o - j| > _NEAR of W_j / (o - j + x - delta_j), is
+    sum_r (-x)^r U[o, r].
+
+    Expanded in delta, U[o, r] = sum_s C(r + s, r) T_s[o, r + s], with
+    T_s[o, q] = sum over |o - j| > _NEAR of W_j delta_j^s / (o - j)^(q + 1):
+    discrete convolutions, by real FFTs of length >= 2m (so that no offset
+    wraps round), whose spectra are summed over s before one inverse
+    transform per r.  The powers stop at the least S with
+    (max|delta| / (_NEAR + 1))^(S + 1) below 1e-17; where delta = 0, S = 0
+    and U = T_0."""
+    ratio, S = np.max(np.abs(delta)) / (_NEAR + 1), 0
+    while ratio ** (S + 1) >= 1e-17:
+        S += 1
+    m, cols = W.shape
     size = sfft.next_fast_len(2 * m, real=True)
     k = np.arange(size, dtype=float)
     k = np.where(k < size - k, k, k - size)      # the offset o - j of each slot
@@ -178,7 +203,13 @@ def _far_tables(W, terms):
     np.divide(1.0, k, out=kern[0], where=np.abs(k) > _NEAR)
     for r in range(1, terms):
         np.multiply(kern[r - 1], kern[0], out=kern[r])
-    spec = sfft.rfft(kern, axis=1)[:, :, None] * sfft.rfft(W, n=size, axis=0)
+    K = sfft.rfft(kern, axis=1)[:, :, None]
+    powers = np.concatenate([W] + [W * delta[:, None] ** s for s in range(1, S + 1)], axis=1)
+    Wd = sfft.rfft(powers, n=size, axis=0).reshape(-1, S + 1, cols)
+    spec = K * Wd[:, 0]
+    for s in range(1, S + 1):
+        binom = np.array([math.comb(r + s, s) for r in range(terms - s)], dtype=float)
+        spec[:terms - s] += binom[:, None, None] * K[s:] * Wd[:, s]
     T = sfft.irfft(spec, n=size, axis=1)[:, :m]
     return np.ascontiguousarray(T.transpose(1, 0, 2))      # (m, terms, columns)
 
@@ -187,18 +218,23 @@ class _PoleSums:
     """The sums S_k = sum over j != o of W_j / (lam - p_j)^k, k = 1 and 2, of
     the weight columns W over ascending poles p, at roots lam = p_o + tau.
 
-    Where the poles are uniform, p_j = p_0 + j h, a root with
-    |tau| <= _REACH h splits its sum in two.  The 2 _NEAR poles around o are
-    summed directly, with the differences (p_o - p_j) + tau; the far ones are
-    the series S_1 = sum_r (-tau/h)^r T[o, r] / h, whose tables are built
-    once, by ``_far_tables``.  Every other root, and every root where the
-    poles are not uniform, takes the direct sum over all poles."""
+    Where the poles lie near a lattice, p_j = p_0 + (j + delta_j) h with
+    every |delta_j| <= _OFFSET_BOUND (``_lattice``), a root at offset
+    x = tau / h + delta_o from it with |x| <= _REACH splits its sum in two.
+    The 2 _NEAR poles around o are summed directly, with the differences
+    (p_o - p_j) + tau; the far ones are the series S_1 = sum_r (-x)^r U[o, r] / h,
+    whose tables are built once, by ``_far_tables``.  Uniform poles, as
+    the midpoints are, have delta = 0 and U the plain far tables; the
+    eigenvalues of a weakly coupled kernel block interlace the midpoints
+    close to their lattice.  Every other root, and every root where the
+    poles stray further, takes the direct sum over all poles."""
 
     def __init__(self, p, W):
         self.p, self.W = p, W
-        self.step = _uniform_step(p)
-        if self.step is not None:
-            self.tables = _far_tables(W, _TERMS + 1)
+        lattice = _lattice(p)
+        self.step, self.offset = (None, None) if lattice is None else lattice
+        if lattice is not None:
+            self.tables = _far_tables(W, self.offset, _TERMS + 1)
             # p_o - p_j and W_j of the near poles of every o; an infinite gap
             # stands for a neighbour beyond either end
             J = np.arange(len(p))[:, None] + _OFFSETS
@@ -212,18 +248,20 @@ class _PoleSums:
         p, W, h = self.p, self.W, self.step
         S1 = np.empty((len(tau), W.shape[1]))
         S2 = np.empty_like(S1) if squares else None
-        series = np.abs(tau) <= _REACH * h if h is not None else np.zeros(len(tau), bool)
+        series = (np.abs(tau + h * self.offset[origin]) <= _REACH * h if h is not None
+                  else np.zeros(len(tau), bool))
         rows = np.flatnonzero(series)
         if len(rows):
             o, t = origin[rows], tau[rows]
             inv = 1.0 / (self.near_gaps[o] + t[:, None])
-            x, To, Wn = -t[:, None] / h, self.tables[o], self.near_W[o]
+            x = -(t / h + self.offset[o])[:, None]
+            To, Wn = self.tables[o], self.near_W[o]
             far = To[:, _TERMS - 1]
             for r in range(_TERMS - 2, -1, -1):
                 far = far * x + To[:, r]
             S1[rows] = np.einsum("rk,rkc->rc", inv, Wn) + far / h
             if squares:
-                # the derivative of the series: sum_r (r + 1) (-tau/h)^r T[o, r + 1] / h^2
+                # the derivative of the series: sum_r (r + 1) (-x)^r U[o, r + 1] / h^2
                 far = _TERMS * To[:, _TERMS]
                 for r in range(_TERMS - 1, 0, -1):
                     far = far * x + r * To[:, r]
@@ -427,9 +465,11 @@ class SecularSystem:
 
 def secular_system(model: ModelSpec, n: int,
                    omega_max: float | None = None) -> SecularSystem | None:
-    """The structured solution of the matrix ``discretize`` builds, O(n log n)
-    without a kernel and O(n^2) with one, or None where the model has a
-    kernel without a real ``factor``."""
+    """The structured solution of the matrix ``discretize`` builds, or None
+    where the model has a kernel without a real ``factor``.  O(n log n)
+    without a kernel, and with one whose block's eigenvalues stay within
+    _OFFSET_BOUND steps of the midpoint lattice; else the level's solve is
+    O(n^2)."""
     kern = model.kernel if model.has_kernel() else None
     if kern is not None and kern.factor is None:
         return None

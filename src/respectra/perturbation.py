@@ -230,30 +230,36 @@ def pair_families(pairs) -> list:
     return out
 
 
-def _branch_orders(model: ModelSpec, pv: SampledPV, order: int, side: int) -> list:
+def _branch_orders(model: ModelSpec, pv: SampledPV, order: int) -> tuple[list, list]:
     """Orders 1..order (at most 2) of the continuous branch at the points of
-    ``pv``, one correction family each, without the atom.  With L = Vbar on
-    the right and V on the left and K(z, z') = g(z) g(z'): order 1 is
-    L(u)/(u - Omega) plus the kernel column g(u) g(z); order 2 is g(u) PV[L g]
-    / (u - Omega) plus the numerator B(z) L(u)/(u - Omega) + g(u) PV[g^2] g(z),
-    PV[f] = \\int f(z)/(u + side*i0 - z) dz."""
+    ``pv``, one correction family each, without the atom: the right (side
+    +1) and the left (side -1) lists.  With L = Vbar on the right and V on
+    the left and K(z, z') = g(z) g(z'): order 1 is L(u)/(u - Omega) plus the
+    kernel column g(u) g(z); order 2 is g(u) PV[L g] / (u - Omega) plus the
+    numerator B(z) L(u)/(u - Omega) + g(u) PV[g^2] g(z),
+    PV[f] = \\int f(z)/(u + side*i0 - z) dz, the four of both sides in one sweep."""
     u, om = pv.u, model.omega_level
     if np.any((u.imag == 0.0) & (np.abs(u - om) < 1e-12)):
         raise EvaluationError("curve point coincides with the discrete level")
-    level = eval_Vbar if side > 0 else eval_V
+    sides, levels = (+1, -1), (eval_Vbar, eval_V)
     g = partial(eval_kernel_factor, model) if model.has_kernel() else None
     gu = None if g is None else g(u)
-    d1 = level(model, u) / (u - om)
-    fams = [ContinuumFamily(model, pv, side, d1, kernel_coef=gu, atom=0.0)]
-    if order >= 2:
-        d2, k2 = np.zeros_like(d1), None
-        if g is not None:
-            # formed point by point, so that a one-point family holds the
-            # coefficients of the grid family's member bit for bit
-            J = pv.pointwise(g, side, lambda z: np.stack([level(model, z), g(z)], axis=-2))
-            d2, k2 = gu * J[:, 0] / (u - om), gu * J[:, 1]
-        fams.append(ContinuumFamily(model, pv, side, d2, coef=d1, kernel_coef=k2, atom=0.0))
-    return fams[:order]
+    if order >= 2 and g is not None:
+        # formed point by point, so that a one-point family holds the
+        # coefficients of the grid family's member bit for bit
+        J = pv.pointwise(g, np.repeat(sides, 2), lambda z: np.stack(
+            [row for level in levels for row in (level(model, z), g(z))], axis=-2))
+    branches = []
+    for k, (side, level) in enumerate(zip(sides, levels)):
+        d1 = level(model, u) / (u - om)
+        fams = [ContinuumFamily(model, pv, side, d1, kernel_coef=gu, atom=0.0)]
+        if order >= 2:
+            d2, k2 = np.zeros_like(d1), None
+            if g is not None:
+                d2, k2 = gu * J[:, 2 * k] / (u - om), gu * J[:, 2 * k + 1]
+            fams.append(ContinuumFamily(model, pv, side, d2, coef=d1, kernel_coef=k2, atom=0.0))
+        branches.append(fams[:order])
+    return tuple(branches)
 
 
 def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
@@ -275,7 +281,7 @@ def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
     u = complex(u)
     pv = SampledPV(grid, u)
     bare = (ContinuumFamily(model, pv, side, np.zeros(1)) for side in (+1, -1))
-    right, left = (_branch_orders(model, pv, order, side) for side in (+1, -1))
+    right, left = _branch_orders(model, pv, order)
     orders = [(u, *bare)] + [(0j, r, l) for r, l in zip(right, left)]
     totals = tuple(sum((o[slot] for o in orders[1:]), orders[0][slot]) for slot in (1, 2))
     return PerturbationSeries(tuple(orders), totals)
@@ -328,9 +334,8 @@ class BiorthogonalSystem:
         r, l = normalize_pair(disc.right_total(), disc.left_total(), grid)
         pv = SampledPV(grid)
         # order 0 is the unit atom of every member; the corrections add up
-        right, left = (sum(_branch_orders(model, pv, order, side),
-                           ContinuumFamily(model, pv, side, np.zeros(grid.n)))
-                       for side in (+1, -1))
+        right, left = (sum(orders, ContinuumFamily(model, pv, side, np.zeros(grid.n)))
+                       for side, orders in zip((+1, -1), _branch_orders(model, pv, order)))
         return cls(model, grid, disc.eigenvalue, r, l, right, left,
                    source=f"perturbation(order={order})", pole_result=None)
 

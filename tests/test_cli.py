@@ -131,7 +131,7 @@ def test_evolve_past_the_oracle_recurrence_is_config_error(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
 def test_evolve_oracle_needs_no_dense_eigh(tmp_path, monkeypatch, kernel):
-    # kernel-free and factored-kernel models take the O(n^2) secular oracle
+    # kernel-free and factored-kernel models take the secular oracle
     def dense(*args, **kwargs):
         raise AssertionError("evolve fell back to the dense O(n^3) oracle")
 
@@ -247,6 +247,19 @@ def test_validate_passes_on_a_coarse_default_model(tmp_path, capsys):
     # 1.7e-9 on the 100-node grid it had to itself)
     doc = {"command": "validate", "output_dir": str(tmp_path / "o"), "seed": 7}
     assert main(["--config", _write_cfg(tmp_path, doc), "--nodes", "100"]) == 0
+    _assert_validate_table(tmp_path / "o")
+    assert capsys.readouterr().out.count("  PASS  ") == 24
+
+
+def test_validate_builds_no_dense_oracle(tmp_path, monkeypatch, capsys):
+    # oracle_unitarity checks the secular oracle that evolve runs, not a
+    # dense eigendecomposition of its own
+    def dense(*args, **kwargs):
+        raise AssertionError("validate built the dense O(n^3) oracle")
+
+    monkeypatch.setattr(oracle, "discretize", dense)
+    doc = {"command": "validate", "output_dir": str(tmp_path / "o"), "seed": 7}
+    assert main(["--config", _write_cfg(tmp_path, doc), "--nodes", "200"]) == 0
     _assert_validate_table(tmp_path / "o")
     assert capsys.readouterr().out.count("  PASS  ") == 24
 
@@ -562,23 +575,42 @@ def test_artifacts_match_the_recorded_ones(tmp_path, name):
                 f"{fname}: {key} at {row}: {float(got[i])!r}, recorded {float(ref[i])!r}")
 
 
-def test_recording_refuses_without_rerecord():
-    # running this file as a script rewrites tests/golden only when asked to
+def _record(*args):
+    """Run this file as a script with ``args``: its completed process, after
+    checking that tests/golden kept every byte."""
     src = str(Path(cli.__file__).resolve().parents[1])
     before = sorted((p, p.read_bytes()) for p in GOLDEN.rglob("*") if p.is_file())
-    done = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert done.returncode != 0 and "--rerecord" in done.stderr
     assert sorted((p, p.read_bytes()) for p in GOLDEN.rglob("*") if p.is_file()) == before
+    return done
+
+
+def test_recording_refuses_without_rerecord():
+    # running this file as a script rewrites tests/golden only when asked to
+    done = _record()
+    assert done.returncode != 0 and "--rerecord" in done.stderr
+
+
+def test_recording_refuses_an_unknown_set():
+    # every name is checked before any set is re-recorded
+    done = _record("--rerecord", "validate", "no_such_set")
+    assert done.returncode != 0 and "no_such_set" in done.stderr
 
 
 if __name__ == "__main__":
-    # re-record tests/golden: PYTHONPATH=src python tests/test_cli.py --rerecord
+    # re-record tests/golden, every set or only the named ones:
+    # PYTHONPATH=src python tests/test_cli.py --rerecord [NAME ...]
     import tempfile
-    if sys.argv[1:] != ["--rerecord"]:
+    if sys.argv[1:2] != ["--rerecord"]:
         sys.exit("refusing to overwrite tests/golden, the artifacts the test suite "
-                 "compares against; pass --rerecord to re-record them")
-    for name in sorted(RERUN_CONFIGS):
+                 "compares against; pass --rerecord [NAME ...] to re-record them")
+    names = sys.argv[2:] or sorted(RERUN_CONFIGS)
+    unknown = [name for name in names if name not in RERUN_CONFIGS]
+    if unknown:
+        sys.exit(f"no recorded set named {', '.join(unknown)}; "
+                 f"the sets are {', '.join(sorted(RERUN_CONFIGS))}")
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
             out = _run(Path(tmp), name)
             shutil.rmtree(GOLDEN / name, ignore_errors=True)

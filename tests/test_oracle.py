@@ -8,9 +8,9 @@ from respectra import oracle
 from respectra.dynamics import _vector_on_grid
 from respectra.errors import ConfigError, EvaluationError
 from respectra.model import FormFactor2, make_model
-from respectra.oracle import (DiscretizedSystem, SecularSystem, _midpoint_grid, _pole_gaps,
-                              _PoleSums, _secular_roots, amplitude_curve, commutator_apply,
-                              discretize, oracle_system, propagate, secular_system)
+from respectra.oracle import (DiscretizedSystem, SecularSystem, _pole_gaps, _PoleSums,
+                              _secular_roots, amplitude_curve, commutator_apply, discretize,
+                              oracle_system, propagate, secular_system)
 from respectra.states import random_analytic
 
 _EPS = np.finfo(float).eps
@@ -143,38 +143,39 @@ def _direct_reduced(a, b, p, c, origin, tau):
        eps=st.floats(1e-4, 0.5), n=st.integers(100, 2000), kernel=st.booleans())
 def test_far_field_matches_the_direct_sums(family, param, omega, eps, n, kernel):
     # the secular function at the midpoint sweep and at the converged roots,
-    # series against direct, to the solver's own rounding bound; the whole
+    # series against direct, to the solver's own rounding bound, for every
+    # secular solve of the oracle: the level's over the midpoints, or with a
+    # kernel the kernel block's (diag(w) + g g^T) over the midpoints and the
+    # level's over its eigenvalues, with weights |Q^T v|^2; and the whole
     # oracle against the one that takes the direct sums everywhere
     m = make_model(family, [param], omega, eps,
                    kernel="separable_sqrt_exp" if kernel else None)
-    _, dw, w, v = _midpoint_grid(m, n, None)
-    if kernel:      # the kernel's own solve: diag(w) + g g^T
-        g = np.asarray(m.kernel.factor(w)).real * (eps * np.sqrt(dw))
-        a, b, c = 1.0, 0.0, g * g
-    else:
-        a, b, c = -omega, 1.0, (v * np.conj(v)).real
-    keep = c > (_EPS * w[-1]) ** 2
-    p, c = w[keep], c[keep]
-    sums = _PoleSums(p, c[:, None])
-    assert sums.step is not None
-    roots = _secular_roots(a, b, sums)
-    midpoints = (np.arange(len(p) - 1), 0.5 * (p[1:] - p[:-1]))
-    for origin, tau in (roots, midpoints):
-        F, _ = oracle._reduced(a, b, sums, origin, tau)
-        F_direct, s2 = _direct_reduced(a, b, p, c, origin, tau)
-        noise = np.abs(a) + b * np.abs(p[origin] + tau) + np.sqrt(np.sum(c) * s2)
-        assert np.max(np.abs(F - F_direct) / noise) <= 2.0 * _EPS
     s = secular_system(m, n)
-    with mock.patch.object(oracle, "_uniform_step", lambda p: None):
+    over_midpoints = s.kernel if kernel else s.arrow
+    for a, b, basis in ((-omega, 1.0, s.arrow), (1.0, 0.0, s.kernel)):
+        if basis is None:
+            continue
+        p, c = basis.p, (basis.z * np.conj(basis.z)).real
+        sums = _PoleSums(p, c[:, None])
+        if basis is over_midpoints:
+            assert sums.step is not None
+        roots = _secular_roots(a, b, sums)
+        midpoints = (np.arange(len(p) - 1), 0.5 * (p[1:] - p[:-1]))
+        for origin, tau in (roots, midpoints):
+            F, _ = oracle._reduced(a, b, sums, origin, tau)
+            F_direct, s2 = _direct_reduced(a, b, p, c, origin, tau)
+            noise = np.abs(a) + b * np.abs(p[origin] + tau) + np.sqrt(np.sum(c) * s2)
+            assert np.max(np.abs(F - F_direct) / noise) <= 2.0 * _EPS
+    with mock.patch.object(oracle, "_lattice", lambda p: None):
         d = secular_system(m, n)
     assert np.max(np.abs(s.eigenvalues - d.eigenvalues)) <= 1e-15
     assert np.max(np.abs(s.level_weights - d.level_weights)) <= 1e-15
 
 
-def test_uniform_poles_take_the_direct_sums_only_at_the_outer_roots(monkeypatch):
-    # a kernel-free oracle sends no inner root through the O(n) direct sums:
-    # at most the two outer roots, which may lie beyond the series' reach
-    n, seen = 4000, []
+def _direct_roots(monkeypatch):
+    """The (pole count, origins, offsets) of every set of roots that takes
+    the direct sums, recorded as the oracle solves."""
+    seen = []
 
     def recording(p, origin, tau):
         if len(tau):
@@ -182,12 +183,40 @@ def test_uniform_poles_take_the_direct_sums_only_at_the_outer_roots(monkeypatch)
         return _pole_gaps(p, origin, tau)
 
     monkeypatch.setattr(oracle, "_pole_gaps", recording)
-    for family, param in (("sqrt_exp", 1.0), ("lorentz_sqrt", 2.0)):
-        secular_system(make_model(family, [param], 1.0, 0.3), n)
+    return seen
+
+
+def test_uniform_poles_take_the_direct_sums_only_at_the_outer_roots(monkeypatch):
+    # no inner root of an oracle goes through the O(n) direct sums: at most
+    # the two outer roots, which may lie beyond the series' reach.  With a
+    # kernel at eps <= 0.1 this holds for the level's solve too, whose poles
+    # (the kernel block's eigenvalues) lie off the midpoint lattice by under
+    # 0.004 steps
+    n = 4000
+    seen = _direct_roots(monkeypatch)
+    for kernel, eps in ((None, 0.3), ("separable_sqrt_exp", 0.01), ("separable_sqrt_exp", 0.1)):
+        for family, param in (("sqrt_exp", 1.0), ("lorentz_sqrt", 2.0)):
+            s = secular_system(make_model(family, [param], 1.0, eps, kernel=kernel), n)
+            assert oracle._lattice(s.arrow.p) is not None
     for m, origin, tau in seen:
         assert len(tau) <= 2
         assert np.all(np.isin(origin, (0, m - 1)))
         assert np.all(np.abs(tau) > 0.5 * (20.0 / n))
+
+
+def test_poles_far_off_the_lattice_take_the_direct_sums(monkeypatch):
+    # at eps = 0.5 the kernel block's eigenvalues stray 0.08 steps from the
+    # midpoint lattice, past the series' bound: every root of the level's
+    # solve is summed directly
+    n = 1000
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.5, kernel="separable_sqrt_exp")
+    seen = _direct_roots(monkeypatch)
+    s = secular_system(m, n)
+    p = s.arrow.p
+    h = (p[-1] - p[0]) / (n - 1)
+    assert np.max(np.abs(p - p[0] - h * np.arange(n))) > oracle._OFFSET_BOUND * h
+    assert oracle._lattice(p) is None
+    assert any(count == n and len(tau) >= n - 1 for count, _, tau in seen)
 
 
 def test_amplitude_curve_is_the_phase_sum(default_model):
