@@ -20,7 +20,7 @@ from .liouville import (BlockObservable, GeneralizedState, LiouvilleGrids,
 from .model import (FormFactor, FormFactor2, ModelSpec, eval_V, eval_V2, eval_Vbar,
                     make_model, model_from_dict, separable_test_kernel)
 from .oracle import (DiscretizedSystem, SecularSystem, commutator_apply, discretize,
-                     oracle_system, propagate, secular_system)
+                     propagate, secular_system)
 from .perturbation import (BiorthogonalSystem, PerturbationSeries, normalize_pair,
                            pair_coeffs, perturb_continuous, perturb_discrete)
 from .states import AnalyticVector, random_analytic, unstable_state

@@ -34,7 +34,7 @@ from .liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality, evol
                         relaxation_curve, unstable_state_functional)
 from .model import (MODEL_SCHEMA, REQUIRED, ModelSpec, check_section, eval_V, eval_Vbar,
                     make_model, model_from_dict)
-from .oracle import MIN_BINS, oracle_system, recurrence_time
+from .oracle import MIN_BINS, recurrence_time, secular_system
 from .perturbation import BiorthogonalSystem, pair_coeffs, perturb_discrete
 from .states import AnalyticVector, random_analytic, real_axis_inner, real_axis_inner_H
 
@@ -386,7 +386,7 @@ def _validation_checks(model: ModelSpec):
     def oracle_unitarity(rng):
         # the oracle evolve runs; its eigenbasis U is unitary if and only if
         # it keeps every norm: sum_k |u_k^H v|^2 = 1 for a unit v
-        system = oracle_system(model, 300)
+        system = secular_system(model, 300)
         v = rng.standard_normal(system.dimension) + 1j * rng.standard_normal(system.dimension)
         v /= np.linalg.norm(v)
         return float(abs(np.sqrt(np.sum(system.modes(np.conj(v), v))) - 1.0)), 1e-12

@@ -2,8 +2,8 @@
 the finite-matrix reference amplitudes.
 
 The reference ("oracle") amplitudes propagate the midpoint-grid matrix of
-``respectra.oracle`` exactly: through its secular roots when the model has no
-kernel or a factored one, through a dense eigendecomposition otherwise.
+``respectra.oracle`` exactly, through its secular roots
+(``oracle.secular_system``), with or without a kernel.
 
 The spectral amplitude is the pole term plus the curve integral,
 A(t) = e^{-i lambda t} <Psi|f> <f~|Phi> + \\int du e^{-iut} <Psi|f_u><f~_u|Phi>;
@@ -23,7 +23,7 @@ import numpy as np
 from .contour import phase_sum
 from .errors import ConfigError
 from .model import ModelSpec, eval_V
-from .oracle import DiscretizedSystem, SecularSystem, amplitude_curve, oracle_system
+from .oracle import DiscretizedSystem, SecularSystem, amplitude_curve, secular_system
 from .perturbation import BiorthogonalSystem
 from .states import AnalyticVector, unstable_state
 
@@ -113,7 +113,7 @@ def oracle_amplitude(model: ModelSpec, psi: AnalyticVector, phi: AnalyticVector,
     """Reference amplitude of the n_levels-bin discretization of [0, cutoff]
     (exact propagation)."""
     ts = _check_times(t)
-    sys = oracle_system(model, n_levels)
+    sys = secular_system(model, n_levels)
     amps = amplitude_curve(sys, _vector_on_grid(psi, sys), _vector_on_grid(phi, sys), ts)
     return complex(amps[0]) if np.ndim(t) == 0 else amps
 

@@ -12,10 +12,11 @@ moments, which over many lambda are summed in blocks of rows.  The pole
 solve ends by counting the zeros in the strip with the argument principle:
 the winding of eta(u + i0) along the curve, at nodes addressed by index,
 closed by a return path on the first sheet above the axis.  A count other
-than 1 is refused, and so, before any iteration, is a bound level: eta(0-)
-> 0 puts a real zero of eta below the threshold.  The exact system solves
-its own pole on its sampled eta, then sweeps eta(u +- i0) at every node
-once, for the count and both families.
+than 1 is refused, and so, before any iteration, are an unresolved
+quadrature (\\int V Vbar / z, which is real, read as complex) and a bound
+level: eta(0-) > 0 puts a real zero of eta below the threshold.  The exact
+system solves its own pole on its sampled eta, then sweeps eta(u +- i0) at
+every node once, for the count and both families.
 
 This module is the ground truth the perturbative engine is checked against.
 """
@@ -173,15 +174,16 @@ def _count_zeros(eta: SampledEta,
     return count, float(np.min(np.abs(plus)))
 
 
-def _refuse_bound_state(eta: SampledEta) -> None:
-    """A BoundStateError if eta(0-) > 0, i.e. Re \\int V Vbar / z > Omega.
+def _refuse_bound_state(eta: SampledEta, m0: complex) -> None:
+    """A BoundStateError if eta(0-) = -Omega - Re m0 > 0, m0 = -\\int V Vbar / z
+    being eta's moment at 0.
 
     On the negative axis eta rises (eta' = 1 + \\int V Vbar / (lambda - x)^2)
     from -infinity, so it then has one real zero lambda_b < 0, a bound state
     below the threshold, which one bracketed solve finds."""
-    eta_real = lambda lam: float((lam - eta.omega - eta.moment(lam)).real)
-    if eta_real(0.0) <= 0.0:
+    if -eta.omega - m0.real <= 0.0:
         return
+    eta_real = lambda lam: float((lam - eta.omega - eta.moment(lam)).real)
     lo = -1.0
     while eta_real(lo) >= 0.0:
         lo *= 2.0
@@ -224,7 +226,13 @@ def _solve_pole(eta: SampledEta, tol: float = 1e-13) -> tuple[complex, float, in
     om, depth = eta.omega, eta.model.contour.depth
     if eta.free:
         return complex(om), 0.0, 0, "fixed_point"
-    _refuse_bound_state(eta)
+    m0 = eta.moment(0.0)      # -\int V Vbar / z, real in exact arithmetic
+    if abs(m0.imag) > 1e-6 * abs(m0):
+        raise ContourError(
+            f"the quadrature of eta is unresolved: \\int V Vbar / z, which is real, reads "
+            f"{-m0:.6g} on a contour of depth {depth:.6g}, the form factor's pole depth "
+            f"being {eta.model.form_factor.pole_depth}; add nodes or keep off the pole")
+    _refuse_bound_state(eta, m0)
     # the first iterate is the second-order estimate: if its width already
     # reaches the contour depth, the zero sits at or below the curve and the
     # strip quadrature of eta cannot see it

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .contour import MIN_NODES, ContourSpec
-from .errors import AnalyticityError, ConfigError, ContourError, EvaluationError
+from .errors import AnalyticityError, ConfigError, ContourError
 
 _REGION_SLACK_RE = 0.05
 _REGION_SLACK_IM = 0.05
@@ -43,22 +43,17 @@ class FormFactor:
 
 @dataclass(frozen=True)
 class FormFactor2:
-    """Continuum-continuum kernel, jointly analytic in both arguments.
+    """Continuum-continuum kernel K(z, z') = h(z) h(z'), held as its analytic
+    ``factor`` h.
 
-    Registry kernels must be regular (no delta component on the diagonal) and
-    Hermitian on the real axis.  A separable kernel fn2(z, z') = h(z) h(z')
-    with h real on the positive axis declares its ``factor`` h.  The
-    perturbative engine evaluates a kernel only through h and refuses one
-    without it; the oracle solves a factored kernel in O(n^2) and any other
-    by a dense eigh.
+    A kernel is regular (no delta component on the diagonal) and Hermitian
+    on the real axis, so h is real on the positive axis.  Every layer, the
+    perturbative engine and both oracles, evaluates it through h alone
+    (``eval_kernel_factor``).
     """
 
     family_id: str
-    fn2: Callable = field(repr=False)
-    factor: Callable | None = field(repr=False, default=None)
-
-    def eval2(self, z, zp):
-        return self.fn2(z, zp)
+    factor: Callable = field(repr=False)
 
 
 def _sqrt_exp(params):
@@ -104,8 +99,7 @@ def separable_test_kernel() -> FormFactor2:
     Separability keeps every second-order double integral one dimensional and
     the kernel is manifestly regular on the diagonal.
     """
-    h = _sqrt_exp((1.0,))
-    return FormFactor2("separable_sqrt_exp", lambda z, zp: h(z) * h(zp), factor=h)
+    return FormFactor2("separable_sqrt_exp", _sqrt_exp((1.0,)))
 
 
 @dataclass(frozen=True)
@@ -276,17 +270,11 @@ def eval_Vbar(model: ModelSpec, z):
 
 
 def eval_V2(model: ModelSpec, z, zp):
-    """Continuum-continuum kernel with its quadratic coupling factor."""
-    if model.kernel is None:
-        return np.zeros(np.broadcast(np.asarray(z), np.asarray(zp)).shape, dtype=complex) \
-            if (np.ndim(z) or np.ndim(zp)) else 0j
-    return model.coupling ** 2 * model.kernel.eval2(z, zp)
+    """Continuum-continuum kernel with its quadratic coupling factor,
+    g(z) g(z')."""
+    return eval_kernel_factor(model, z) * eval_kernel_factor(model, zp)
 
 
 def eval_kernel_factor(model: ModelSpec, z):
-    """g = coupling * h at z, coupling^2 K(z, z') = g(z) g(z'); refused with
-    an ``EvaluationError`` for a kernel that declares no factor h."""
-    if model.kernel.factor is None:
-        raise EvaluationError(f"kernel {model.kernel.family_id!r} declares no factor h, "
-                              "K = h(z) h(z'), which the perturbative engine needs")
+    """g = coupling * h at z, so that coupling^2 K(z, z') = g(z) g(z')."""
     return model.coupling * model.kernel.factor(z)

@@ -5,15 +5,16 @@ up sqrt(bin width) and the kernel a full bin width, which makes the (n+1) x
 (n+1) matrix Hermitian and the finite model exactly solvable.  All outputs
 carry (n, omega_max) so runs are reproducible.
 
-Two solvers share that matrix.  ``discretize`` assembles it and takes a dense
-O(n^3) eigendecomposition; it serves every kernel and is the cross-check.
-``secular_system`` never forms it: without a kernel the matrix is an
-arrowhead, and with a kernel K = h(z) h(z') declared through its ``factor``
-the continuum block is diagonal plus rank one.  Its eigenvalues are then the
-roots of a secular equation and every eigenvector component is closed-form
-(Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978; Gu & Eisenstat, SIAM J.
-Matrix Anal. Appl. 16, 1995).  ``oracle_system`` picks the structured solver
-wherever the model allows it.
+``secular_system`` is the oracle every run takes.  It never forms the
+matrix: without a kernel the matrix is an arrowhead, and with a kernel,
+K = h(z) h(z') held as its factor h, the continuum block is diagonal plus
+rank one.  Its eigenvalues are then the roots of a secular equation and
+every eigenvector component is closed-form (Bunch, Nielsen & Sorensen,
+Numer. Math. 31, 1978; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).
+``discretize`` assembles the same matrix and takes a dense O(n^3)
+eigendecomposition; with ``propagate`` and ``commutator_apply`` it is the
+independent cross-check that the tests hold the secular solve and the
+Liouville generator against, and no run calls it.
 
 Each sweep of the secular solver, the eigenvector norms and each projection
 sum over all poles for every root.  Summed directly that is O(n) per root
@@ -82,6 +83,8 @@ def _midpoint_grid(model: ModelSpec, n: int, omega_max: float | None):
         raise ConfigError(f"oracle discretization needs n >= {MIN_BINS}")
     if omega_max is None:
         omega_max = model.contour.cutoff
+    if not 0.0 < omega_max < math.inf:
+        raise ConfigError(f"oracle omega_max must be positive and finite, got {omega_max}")
     dw = omega_max / n
     w = (np.arange(n) + 0.5) * dw
     v = np.asarray(eval_V(model, w), dtype=complex) * np.sqrt(dw)
@@ -463,35 +466,27 @@ class SecularSystem:
         return bra * np.conj(ket)
 
 
-def secular_system(model: ModelSpec, n: int,
-                   omega_max: float | None = None) -> SecularSystem | None:
-    """The structured solution of the matrix ``discretize`` builds, or None
-    where the model has a kernel without a real ``factor``.  O(n log n)
+def secular_system(model: ModelSpec, n: int, omega_max: float | None = None) -> SecularSystem:
+    """The structured solution of the matrix ``discretize`` builds.  O(n log n)
     without a kernel, and with one whose block's eigenvalues stay within
     _OFFSET_BOUND steps of the midpoint lattice; else the level's solve is
-    O(n^2)."""
-    kern = model.kernel if model.has_kernel() else None
-    if kern is not None and kern.factor is None:
-        return None
+    O(n^2).  An ``EvaluationError`` refuses a kernel factor that is not
+    real on the axis (K would not be Hermitian) and a kernel block with
+    coincident eigenvalues, which no secular equation separates."""
     omega_max, dw, w, v = _midpoint_grid(model, n, omega_max)
     kernel = None
     poles, coupling = w, v
-    if kern is not None:
+    if model.has_kernel():
         g = np.asarray(eval_kernel_factor(model, w), dtype=complex) * np.sqrt(dw)
         if np.any(g.imag != 0.0):
-            return None
+            raise EvaluationError(f"kernel {model.kernel.family_id!r} has a factor that is not "
+                                  "real on the axis: K is not Hermitian")
         kernel = _SecularBasis.solve(1.0, 0.0, w, g.real)
-        if np.any(np.diff(kernel.values) <= 0.0):     # coincident poles: no secular form
-            return None
+        if np.any(np.diff(kernel.values) <= 0.0):
+            raise EvaluationError(f"kernel {model.kernel.family_id!r} gives coincident "
+                                  "eigenvalues of the continuum block: no secular form")
         poles, coupling = kernel.values, kernel.project(v[:, None])[:, 0]
     arrow = _SecularBasis.solve(-model.omega_level, 1.0, poles, coupling)
     return SecularSystem(n=n, omega_max=omega_max, grid=w, d_omega=dw,
                          eigenvalues=arrow.values, level_weights=arrow.level_weights(),
                          arrow=arrow, kernel=kernel)
-
-
-def oracle_system(model: ModelSpec, n: int,
-                  omega_max: float | None = None) -> SecularSystem | DiscretizedSystem:
-    """The structured solution where the model allows it, else the dense one."""
-    sys = secular_system(model, n, omega_max)
-    return sys if sys is not None else discretize(model, n, omega_max)

@@ -23,9 +23,8 @@ shift is identically zero and
                 - sum_{k>=2} lambda_k phi_{n-k}(z)] / (Omega - z),
     lambda_n = \\int Vbar(z) phi_{n-1}(z) dz .
 
-A kernel enters only through its factor, K(z, z') = g(z) g(z') (one without
-it is refused; the dense oracle serves it): every kernel term is g(z) times a
-coefficient.
+A kernel is its factor, K(z, z') = g(z) g(z') (``model.eval_kernel_factor``):
+every kernel term is g(z) times a coefficient.
 
 The continuous branch keeps the eigenvalue exactly at u (every correction
 vanishes because the kernel carries no delta component) and is implemented
@@ -141,7 +140,6 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
         grid = build_contour(model.contour)
     om = model.omega_level
     nodes = grid.nodes
-    # an unfactored kernel is refused here, at any order
     wg = grid.weights * eval_kernel_factor(model, nodes) if model.has_kernel() else None
     vbar = np.asarray(eval_Vbar(model, nodes), dtype=complex)
     lambdas = [complex(om)]

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .contour import ContourGrid
-from .model import ModelSpec, eval_V, eval_V2
+from .model import ModelSpec, eval_V, eval_kernel_factor
 
 _SIDES = ("lower", "upper", "both")
 
@@ -98,7 +98,8 @@ def real_axis_inner(psi: AnalyticVector, phi: AnalyticVector, grid: ContourGrid)
 def real_axis_inner_H(model: ModelSpec, psi: AnalyticVector, phi: AnalyticVector,
                       grid: ContourGrid) -> complex:
     """Reference <Psi|H|Phi> on ``grid``, a grid of the positive axis,
-    including the kernel term."""
+    including the kernel term, the rank-one product of the factor g's
+    quadratures against Psi and Phi."""
     w = grid.nodes.real
     ww = grid.weights.real
     pw = psi.at(w)
@@ -108,6 +109,6 @@ def real_axis_inner_H(model: ModelSpec, psi: AnalyticVector, phi: AnalyticVector
     out += np.sum(ww * w * pw * fw)
     out += np.sum(ww * v * pw) * phi.d + psi.d * np.sum(ww * np.conj(v) * fw)
     if model.has_kernel():
-        k = eval_V2(model, w[:, None], w[None, :])
-        out += (ww * pw) @ k @ (ww * fw)
+        wg = ww * eval_kernel_factor(model, w)
+        out += np.sum(wg * pw) * np.sum(wg * fw)
     return complex(out)

@@ -78,9 +78,9 @@ def test_region_guard(default_model):
 
 
 def test_separable_kernel_hermitian():
-    k = separable_test_kernel()
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.3, kernel=separable_test_kernel())
     w = np.linspace(0.1, 8.0, 6)
-    mat = np.asarray(k.eval2(w[:, None], w[None, :]))
+    mat = np.asarray(eval_V2(m, w[:, None], w[None, :]))
     assert np.max(np.abs(mat - mat.conj().T)) < 1e-15
 
 

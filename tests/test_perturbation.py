@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from respectra import perturbation
 from respectra.contour import ContourSpec, SampledPV, build_contour, pole_kernel_integral
-from respectra.dynamics import oracle_survival_curve, survival_curve
 from respectra.errors import ConfigError, DegeneratePairError, EvaluationError
 from respectra.friedrichs import SampledEta, find_pole
 from respectra.model import (FormFactor2, eval_V, eval_V2, eval_Vbar, make_model,
@@ -465,52 +464,12 @@ def test_pairing_on_the_own_grid_evaluates_no_kernel(default_spec):
     # factor again
     calls = []
     h = separable_test_kernel().factor
-    kernel = FormFactor2("counting", lambda z, zp: h(z) * h(zp),
-                         factor=lambda z: calls.append(1) or h(z))
+    kernel = FormFactor2("counting", lambda z: calls.append(1) or h(z))
     m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
     s = BiorthogonalSystem.from_perturbation(m, 2)
     calls.clear()
     pair_coeffs(s.disc_left, s.disc_right, s.grid)
     assert calls == []
-
-
-def test_kernel_reaches_the_engine_only_through_its_factor(default_spec):
-    # a kernel whose K(z, z') raises but whose factor is the registry's h:
-    # the perturbative system, its reconstructions and its survival curve
-    # run on the factor alone, and give the registry kernel's numbers
-    def refuse(z, zp):
-        raise AssertionError("K(z, z') evaluated")
-
-    registry = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, "separable_sqrt_exp")
-    m = replace(registry, kernel=FormFactor2("factor_only", refuse,
-                                             factor=registry.kernel.factor))
-    rng = np.random.default_rng(7)
-    psi, phi = random_analytic(rng), random_analytic(rng)
-    ts = np.linspace(0.0, 40.0, 9)
-
-    def run(model):
-        s = BiorthogonalSystem.from_perturbation(model, 2)
-        return (s.reconstruct_inner(psi, phi), s.reconstruct_H(psi, phi),
-                survival_curve(s, ts).amplitude)
-
-    for got, ref in zip(run(m), run(registry)):
-        assert np.array_equal(got, ref)
-
-
-def test_unfactored_kernel_is_refused(default_spec, default_grid):
-    # the engine takes a kernel only through its factor h; a kernel that
-    # declares none is refused by name, and the dense oracle still serves it
-    registry = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, "separable_sqrt_exp")
-    bare = replace(registry, kernel=FormFactor2("unfactored", registry.kernel.fn2))
-    for run in (lambda: perturb_discrete(bare, 2, default_grid),
-                lambda: perturb_continuous(bare, default_grid.nodes[40], 2, default_grid),
-                lambda: BiorthogonalSystem.from_perturbation(bare, 2, default_grid)):
-        with pytest.raises(EvaluationError, match="'unfactored'"):
-            run()
-    ts = np.linspace(0.0, 40.0, 9)
-    dense, secular = (oracle_survival_curve(model, ts, n_levels=300).survival
-                      for model in (bare, registry))
-    assert np.max(np.abs(dense - secular)) <= 1e-12
 
 
 def test_profile_off_its_grid_forms_each_order_once(default_model, axis_grid, monkeypatch):

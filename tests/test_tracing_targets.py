@@ -68,3 +68,12 @@ def test_every_public_function_is_called_exported_or_traced():
                 if not (referenced or fn.name in traced_methods):
                     unused.append(f"{module}.{cls.name}.{fn.name}")
     assert unused == []
+
+
+def test_only_the_model_reads_a_kernel_factor():
+    # a kernel is its factor h, and g = coupling * h is formed in one place,
+    # model.eval_kernel_factor: no other module reads the factor itself
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py")) if path.name != "model.py"
+               and any(isinstance(node, ast.Attribute) and node.attr == "factor"
+                       for node in ast.walk(ast.parse(path.read_text())))]
+    assert readers == []
