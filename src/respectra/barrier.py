@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .contour import ContourSpec
+from .contour import ContourSpec, _bracketed_root
 from .errors import AnalyticityError, ChannelClosedError, ConfigError, ConvergenceError
 from .model import FormFactor, ModelSpec
 
@@ -91,11 +90,14 @@ def solve_bound_state(spec: BarrierSpec) -> BoundState:
         # z = q a in (0, z0); kappa a = sqrt(z0^2 - z^2)
         return z * np.tan(z) - np.sqrt(z0**2 - z**2)
 
+    def match_prime(z):
+        return np.tan(z) + z / np.cos(z) ** 2 + z / np.sqrt(z0**2 - z**2)
+
     lo, hi = 1e-12, z0 * (1 - 1e-14)
     if match(lo) > 0 or match(hi) < 0:
         raise ConvergenceError("even matching equation lost its bracket; "
                                "inconsistent well parameters")
-    z = brentq(match, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    z = _bracketed_root(match, match_prime, lo, hi)
     q = z / a
     e1 = q**2 / s
     kappa = np.sqrt(s * (v0 - e1))

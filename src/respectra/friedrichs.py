@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.optimize import brentq
 
-from .contour import BLOCK_ENTRIES, ContourGrid, SampledPV, build_contour
+from .contour import BLOCK_ENTRIES, ContourGrid, SampledPV, _bracketed_root, build_contour
 from .errors import (BoundStateError, ContourError, ConvergenceError, DegeneratePairError,
                      EvaluationError)
 from .model import ModelSpec, eval_V, eval_Vbar
@@ -187,7 +186,7 @@ def _refuse_bound_state(eta: SampledEta, m0: complex) -> None:
     lo = -1.0
     while eta_real(lo) >= 0.0:
         lo *= 2.0
-    lam_b = brentq(eta_real, lo, 0.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    lam_b = _bracketed_root(eta_real, lambda lam: eta.prime(lam).real, lo, 0.0)
     raise BoundStateError(f"eta has a real zero at lambda = {lam_b:.6g} below the threshold: "
                           "the level is bound, and there is no resonance pole", energy=lam_b)
 

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
 from .contour import phase_sum
 from .errors import ConfigError, ConvergenceError, EvaluationError
@@ -182,6 +181,22 @@ def _lattice(p):
     return (h, delta) if np.max(np.abs(delta)) <= _OFFSET_BOUND else None
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth length 2^a 3^b 5^c >= n, which real FFTs take fastest."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _far_tables(W, delta, terms):
     """U[o, r] for r < terms and every column of W: the far sum of poles
     p_j = p_0 + (j + delta_j) h at a root of offset x from lattice point o,
@@ -199,21 +214,21 @@ def _far_tables(W, delta, terms):
     while ratio ** (S + 1) >= 1e-17:
         S += 1
     m, cols = W.shape
-    size = sfft.next_fast_len(2 * m, real=True)
+    size = _fast_len(2 * m)
     k = np.arange(size, dtype=float)
     k = np.where(k < size - k, k, k - size)      # the offset o - j of each slot
     kern = np.zeros((terms, size))
     np.divide(1.0, k, out=kern[0], where=np.abs(k) > _NEAR)
     for r in range(1, terms):
         np.multiply(kern[r - 1], kern[0], out=kern[r])
-    K = sfft.rfft(kern, axis=1)[:, :, None]
+    K = np.fft.rfft(kern, axis=1)[:, :, None]
     powers = np.concatenate([W] + [W * delta[:, None] ** s for s in range(1, S + 1)], axis=1)
-    Wd = sfft.rfft(powers, n=size, axis=0).reshape(-1, S + 1, cols)
+    Wd = np.fft.rfft(powers, n=size, axis=0).reshape(-1, S + 1, cols)
     spec = K * Wd[:, 0]
     for s in range(1, S + 1):
         binom = np.array([math.comb(r + s, s) for r in range(terms - s)], dtype=float)
         spec[:terms - s] += binom[:, None, None] * K[s:] * Wd[:, s]
-    T = sfft.irfft(spec, n=size, axis=1)[:, :m]
+    T = np.fft.irfft(spec, n=size, axis=1)[:, :m]
     return np.ascontiguousarray(T.transpose(1, 0, 2))      # (m, terms, columns)
 
 

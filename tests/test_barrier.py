@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
 from respectra import barrier
 from respectra.barrier import (BarrierSpec, BoundState, ScatteringState,
@@ -86,6 +88,17 @@ class TestBoundState:
             e_frac.append((v0 - bs.e1) / v0)   # binding fraction
         assert e_frac[0] > e_frac[1] > e_frac[2]
         assert e_frac[2] < 0.02
+
+    @given(a=st.floats(0.05, 5.0), strength=st.floats(0.01, 0.999))
+    def test_matches_brentq(self, a, strength):
+        # the bracketed Newton-bisection solve finds brentq's root of the even
+        # matching condition, z0 = a sqrt(2 v0) = strength pi / 2
+        v0 = 0.5 * (strength * np.pi / 2 / a) ** 2
+        spec = BarrierSpec(a=a, b=5 * a, v0=v0, v1=v0 / 2)
+        z0 = a * np.sqrt(2 * v0)
+        z = brentq(lambda z: z * np.tan(z) - np.sqrt(z0**2 - z**2), 1e-12, z0 * (1 - 1e-14),
+                   xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        assert abs(solve_bound_state(spec).q - z / a) <= 1e-14 * z / a
 
     def test_normalization_closed_form_vs_quad(self):
         spec = BarrierSpec(**SPEC_OPEN)
@@ -227,6 +240,19 @@ class TestResonanceWidth:
         model = to_friedrichs_model(spec, n_nodes=1600)
         lam2 = perturb_discrete(model, 2).eigenvalue
         assert abs(-2.0 * lam2.imag - res.width) / res.width < 1e-8
+
+    @pytest.mark.parametrize("n_nodes", [800, 1600, 3200])
+    @pytest.mark.parametrize("geometry", [(0.703, 10.67, 0.244, 0.0885),
+                                          (0.754, 10.41, 0.247, 0.0985),
+                                          (0.8, 10.0, 0.25, 0.092)])
+    def test_cross_check_does_not_drift_with_the_grid(self, geometry, n_nodes):
+        # -2 Im lambda_2 stays within 1e-9 of the closed-form width as the
+        # grid grows; Gauss weights that are inaccurate near the ends of a
+        # panel make the gap grow with n at the first two geometries
+        spec = BarrierSpec(*geometry)
+        width = resonance_width(spec).width
+        lam2 = perturb_discrete(to_friedrichs_model(spec, n_nodes=n_nodes), 2).eigenvalue
+        assert abs(-2.0 * lam2.imag - width) / width <= 1e-9
 
     def test_width_quadratic_in_drop(self):
         s1 = BarrierSpec(**SPEC_OPEN)

@@ -519,6 +519,24 @@ def test_rerun_is_byte_identical(tmp_path, name):
     assert runs[0] and runs[0] == runs[1]
 
 
+def test_the_cli_loads_no_scipy(tmp_path):
+    # a fresh process imports the CLI and runs spectrum, a kernel evolve and
+    # barrier; no scipy module is loaded then, neither by the import nor later
+    docs = [dict(RERUN_CONFIGS[name], output_dir=str(tmp_path / name))
+            for name in ("spectrum", "evolve_kernel", "barrier")]
+    code = ("import json, sys\n"
+            "from respectra.cli import main\n"
+            "for cfg in sys.argv[1:]:\n"
+            "    assert main(['--config', cfg]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    cfgs = [_write_cfg(tmp_path, doc, f"{i}.json") for i, doc in enumerate(docs)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, *cfgs], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 def _split(path: Path):
     """An artifact as (skeleton, float arrays, row labels): the floats of a
     JSON value or list, and every float column of a CSV, become 1-d arrays

@@ -1,15 +1,17 @@
 import math
 import re
+import time
 from functools import cache
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
 from hypothesis import example, given, strategies as st
 
-from respectra.contour import (MIN_NODES, PV_TILE, ContourSpec, SampledPV, _gauss, _stride,
-                               build_contour, integrate_contour, phase_sum, plemelj_integral,
-                               pole_kernel_integral, real_axis_grid)
+from respectra.contour import (ASYMPTOTIC_NODES, MIN_NODES, PV_TILE, ContourSpec, SampledPV,
+                               _gauss, _stride, build_contour, integrate_contour, phase_sum,
+                               plemelj_integral, pole_kernel_integral, real_axis_grid)
 from respectra.errors import ContourError, EvaluationError
 from respectra.liouville import LiouvilleSystem
 from respectra.model import make_form_factor, make_model
@@ -73,6 +75,58 @@ def test_cached_rules_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _reference_rule(n, x0):
+    """The node of the n-point Gauss-Legendre rule on [-1, 1] next to x0, by two
+    Newton steps at 40 digits from a start good to 1e-15, and its weight
+    2 (1 - x^2) / (n P_(n-1)(x))^2, with P_n and P_(n-1) from the three-term
+    recurrence."""
+    with mpmath.workdps(40):
+        def legendre(x):
+            p0, p1 = mpmath.mpf(1), x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            return p0, p1
+        x = mpmath.mpf(x0)
+        for _ in range(2):
+            p0, p1 = legendre(x)
+            x -= p1 * (1 - x * x) / (n * (p0 - x * p1))
+        return x, 2 * (1 - x * x) / (n * legendre(x)[0]) ** 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 99, 100, 101, 608, 2432, 10_000])
+def test_gauss_rule_matches_a_40_digit_reference(n):
+    # at the outer three nodes and the middle one (the rule is mirror
+    # symmetric): nodes within 4e-16 on [-1, 1], weights within 2e-15
+    # relative, and nodes below 1/2 within 4 eps relative on [0, 1]
+    s, w = _gauss(n)
+    for k in sorted({0, 1, 2, (n - 1) // 2} & set(range(n))):
+        x, weight = _reference_rule(n, 2 * s[k] - 1)
+        assert abs(2 * s[k] - 1 - x) <= 4e-16, k
+        assert abs(2 * w[k] - weight) <= 2e-15 * weight, k
+        assert abs(s[k] - (1 + x) / 2) <= 4 * np.finfo(float).eps * s[k], k
+
+
+def test_gauss_rule_is_mirror_symmetric_and_exact():
+    # on both sides of ASYMPTOTIC_NODES: the nodes above 1/2 are 1 minus those
+    # below, the weights a palindrome, and the moments of s^k, k < 24, exact
+    for n in range(1, 2 * ASYMPTOTIC_NODES):
+        s, w = _gauss.__wrapped__(n)
+        h = n // 2
+        assert np.array_equal(s[n - h:], 1.0 - s[:h][::-1]) and np.array_equal(w, w[::-1])
+        k = np.arange(min(2 * n, 24))
+        assert np.max(np.abs(w @ s[:, None] ** k * (k + 1) - 1.0)) <= 2e-15, n
+
+
+def test_gauss_rule_is_linear_time():
+    # 10^4 nodes in under 10 ms; a rule of O(n^2) work takes about a second
+    spent = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        _gauss.__wrapped__(10_000)
+        spent.append(time.perf_counter() - t0)
+    assert min(spent) < 0.010
 
 
 def test_conjugate_grid(default_grid):

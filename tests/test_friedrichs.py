@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
+from scipy.optimize import brentq
 
 from respectra.contour import ContourSpec, SampledPV, build_contour, real_axis_grid
 from respectra.errors import BoundStateError, ContourError, EvaluationError, RespectraError
@@ -275,6 +276,18 @@ def test_bound_level_is_refused_with_its_energy():
     assert info.value.energy == pytest.approx(-0.09972, abs=1e-5)
     with pytest.raises(BoundStateError):
         exact_system(m)
+
+
+def test_bound_state_energy_is_brentq_root():
+    # sqrt_exp (a = 1) at Omega = 1, eps = 1.1: \int V Vbar / x = 1.21 > Omega
+    # binds the level; its energy is brentq's root of Re eta below 0
+    m = make_model("sqrt_exp", [1.0], 1.0, 1.1)
+    with pytest.raises(BoundStateError) as info:
+        find_pole(m)
+    eta = SampledEta(m)
+    root = brentq(lambda lam: (lam - eta.omega - eta.moment(lam)).real, -8.0, 0.0,
+                  xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    assert abs(info.value.energy - root) <= 1e-14
 
 
 def test_unresolved_eta_quadrature_is_refused_by_name():

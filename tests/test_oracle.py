@@ -3,12 +3,13 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.fft import next_fast_len
 
 from respectra import oracle
 from respectra.dynamics import _vector_on_grid
 from respectra.errors import ConfigError, EvaluationError
 from respectra.model import FormFactor2, make_model, separable_test_kernel
-from respectra.oracle import (SecularSystem, _pole_gaps, _PoleSums, _secular_roots,
+from respectra.oracle import (SecularSystem, _fast_len, _pole_gaps, _PoleSums, _secular_roots,
                               amplitude_curve, commutator_apply, discretize, propagate,
                               secular_system)
 from respectra.states import random_analytic
@@ -235,6 +236,11 @@ def _direct_roots(monkeypatch):
 
     monkeypatch.setattr(oracle, "_pole_gaps", recording)
     return seen
+
+
+def test_fast_len_is_the_least_5_smooth_length():
+    assert [_fast_len(n) for n in range(1, 10_001)] == [
+        next_fast_len(n, real=True) for n in range(1, 10_001)]
 
 
 def test_uniform_poles_take_the_direct_sums_only_at_the_outer_roots(monkeypatch):
