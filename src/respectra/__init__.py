@@ -7,8 +7,8 @@ from .barrier import (BarrierResonance, BarrierSpec, even_scattering_state,
 from .contour import (ContourGrid, ContourSpec, build_contour, integrate_contour,
                       plemelj_integral, real_axis_grid)
 from .dynamics import (DecayCurve, decay_rate, exponential_approx, oracle_amplitude,
-                       oracle_survival_curve, survival_curve, transition_amplitude,
-                       transition_amplitude_curve, transition_amplitude_slope0)
+                       oracle_survival_curve, survival_curve, transition_amplitude_curve,
+                       transition_amplitude_slope0)
 from .errors import (AnalyticityError, BoundStateError, ChannelClosedError, ConfigError,
                      ContourError, ConvergenceError, DegeneratePairError, EvaluationError,
                      RespectraError)

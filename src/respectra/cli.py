@@ -34,7 +34,7 @@ from .liouville import (LiouvilleGrids, LiouvilleSystem, check_physicality, evol
                         relaxation_curve, unstable_state_functional)
 from .model import (MODEL_SCHEMA, REQUIRED, ModelSpec, check_section, eval_V, eval_Vbar,
                     make_model, model_from_dict)
-from .oracle import MIN_BINS, recurrence_time, secular_system
+from .oracle import MIN_BINS, secular_system
 from .perturbation import BiorthogonalSystem, pair_coeffs, perturb_discrete
 from .states import AnalyticVector, random_analytic, real_axis_inner, real_axis_inner_H
 
@@ -149,6 +149,14 @@ def _model_from_cfg(cfg: dict) -> ModelSpec:
     return model_from_dict(cfg["model"])
 
 
+def _system(cfg: dict, model: ModelSpec, grid) -> BiorthogonalSystem:
+    """The system of ``spectrum`` and ``evolve`` on ``grid``: exact, its pole
+    solved at ``tolerances.pole``, or with a kernel the order-2 one."""
+    if model.has_kernel():
+        return BiorthogonalSystem.from_perturbation(model, 2, grid)
+    return BiorthogonalSystem.from_exact(model, grid, _setting(cfg, "tolerances", "pole"))
+
+
 def _barrier_from_cfg(cfg: dict) -> barrier_mod.BarrierSpec:
     if "barrier" not in cfg:
         raise ConfigError("command 'barrier' needs a 'barrier' section")
@@ -161,8 +169,7 @@ def _barrier_from_cfg(cfg: dict) -> barrier_mod.BarrierSpec:
 
 def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     model = _model_from_cfg(cfg)
-    tol = _setting(cfg, "tolerances", "pole")
-    # one grid for every stage; the exact system solves the pole at the config tolerance
+    # one grid for every stage
     grid = build_contour(model.contour)
     ser = perturb_discrete(model, 2, grid)
     lam2 = ser.eigenvalue
@@ -172,8 +179,8 @@ def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
         "lambda_pert2": [lam2.real, lam2.imag],
         "order1_shift": [ser.lambda_at(1).real, ser.lambda_at(1).imag],
     }
+    system = _system(cfg, model, grid)
     if not model.has_kernel():
-        system = BiorthogonalSystem.from_exact(model, grid, tol)
         pole = system.pole_result
         payload.update({
             "lambda_exact": [pole.lambda_pole.real, pole.lambda_pole.imag],
@@ -185,7 +192,6 @@ def cmd_spectrum(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     else:
         payload.update({"lambda_exact": None,
                         "note": "kernel present: closed-form pole unavailable"})
-        system = BiorthogonalSystem.from_perturbation(model, 2, grid)
     _write_json(outdir / "spectrum.json", payload, cfg_hash)
     _write_json(outdir / "system.json", system.to_dict(), cfg_hash)
     return 0
@@ -195,19 +201,16 @@ def cmd_evolve(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     model = _model_from_cfg(cfg)
     ts = _time_grid(cfg, model)
     n_oracle = _setting(cfg, "grid", "oracle_n")
-    t_rec = recurrence_time(n_oracle, model.contour.cutoff)
+    # every phase exp(-i w_j t) of the oracle's midpoints returns to -1 at t_rec:
+    # past it the grid revives and the oracle column means nothing; refused
+    # before any spectral work
+    t_rec = 2.0 * np.pi * n_oracle / model.contour.cutoff
     if ts[-1] > t_rec:
-        # past it the midpoint grid revives and the oracle column means
-        # nothing; refused before any spectral work
         raise ConfigError(f"the oracle grid of oracle_n = {n_oracle} bins revives at "
                           f"t = {t_rec:.6g}, before the last time {ts[-1]:.6g}; "
                           f"oracle_n >= {math.ceil(n_oracle * ts[-1] / t_rec)} "
                           "covers the horizon")
-    if model.has_kernel():
-        system = BiorthogonalSystem.from_perturbation(model, 2)
-    else:
-        system = BiorthogonalSystem.from_exact(model)
-    spec_curve = survival_curve(system, ts)
+    spec_curve = survival_curve(_system(cfg, model, build_contour(model.contour)), ts)
     oracle_curve = oracle_survival_curve(model, ts, n_oracle)
     expo = exponential_approx(model, ts)
     _write_csv(outdir / "evolve.csv",
@@ -309,13 +312,13 @@ def _validation_checks(model: ModelSpec):
         f = lambda z: np.exp(-0.7 * z) * (1 + z)
         x0 = 0.9 * om + 0.3
         lhs = integrate_contour(qgrid, lambda z: f(z) / (x0 - z))
-        rhs = plemelj_integral(f, x0, "+i0", grid=rgrid)
+        rhs = plemelj_integral(f, x0, +1, grid=rgrid)
         return float(abs(lhs - rhs)), 1e-8
 
     def plemelj_conjugation(rng):
         f = lambda w: np.exp(-w)
-        a = plemelj_integral(f, 1.1, "+i0", grid=rgrid)
-        b = plemelj_integral(f, 1.1, "-i0", grid=rgrid)
+        a = plemelj_integral(f, 1.1, +1, grid=rgrid)
+        b = plemelj_integral(f, 1.1, -1, grid=rgrid)
         return float(abs(np.conj(a) - b)), 1e-12
 
     def quadrature_order(rng):
@@ -513,8 +516,12 @@ def main(argv=None) -> int:
         outdir = Path(cfg["output_dir"])
         cfg_hash = _config_hash(cfg)
         code = COMMANDS[cfg["command"]](cfg, outdir, cfg_hash)
-        if args.dump_grid and "model" in cfg:       # after it: a refused run writes nothing
-            grid = build_contour(_model_from_cfg(cfg).contour)
+        # after it, so a refused run writes nothing; barrier runs on no contour
+        if args.dump_grid and cfg["command"] != "barrier":
+            spec = _model_from_cfg(cfg).contour
+            if cfg["command"] == "liouville":       # the curve liouville runs on
+                spec = replace(spec, n_nodes=_setting(cfg, "grid", "liouville_n"))
+            grid = build_contour(spec)
             _write_csv(outdir / "grid.csv", ["node_re", "node_im", "weight_re", "weight_im"],
                        [grid.nodes.real, grid.nodes.imag, grid.weights.real, grid.weights.imag],
                        cfg_hash)

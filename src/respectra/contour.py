@@ -40,6 +40,7 @@ and an offset, so it takes about 2 sqrt(T) N exponentials instead of T N.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -64,10 +65,23 @@ STENCIL_DELTA = 1e-3
 NODE_TOL = 1e-12
 
 
+_scratch = threading.local()
+
+
+def _block_buffer(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) complex block in one buffer per thread that every block
+    reuses, so that no block above malloc's mmap threshold is mapped, faulted
+    in and unmapped per call; the next block overwrites it."""
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < rows * cols:
+        buf = _scratch.buf = np.empty(max(rows * cols, BLOCK_ENTRIES), dtype=complex)
+    return buf[:rows * cols].reshape(rows, cols)
+
+
 def _check_size(cutoff: float, n_nodes: int):
-    """Refuse a cutoff that is not positive (NaN included) or too few nodes."""
-    if not cutoff > 0:
-        raise ContourError(f"contour cutoff must be positive, got {cutoff}")
+    """Refuse a cutoff that is not positive and finite (NaN included) or too few nodes."""
+    if not 0 < cutoff < math.inf:
+        raise ContourError(f"contour cutoff must be positive and finite, got {cutoff}")
     if n_nodes < MIN_NODES:
         raise ContourError(f"n_nodes must be at least {MIN_NODES}, got {n_nodes}")
 
@@ -83,8 +97,8 @@ class ContourSpec:
     n_nodes: int = 200
 
     def __post_init__(self):
-        if not self.depth > 0:
-            raise ContourError(f"contour depth must be positive, got {self.depth}")
+        if not 0 < self.depth < math.inf:
+            raise ContourError(f"contour depth must be positive and finite, got {self.depth}")
         _check_size(self.cutoff, self.n_nodes)
         if self.shape not in _SHAPES:
             raise ContourError(f"unknown contour shape {self.shape!r}; choose from {_SHAPES}")
@@ -464,9 +478,10 @@ class SampledPV:
         self.log_term = np.log(self.u) - np.log(grid.cutoff - self.u)
 
     def _cauchy(self, rows: slice, cols: slice) -> np.ndarray:
-        """The tile C_ij = 1/(u_i - z_j) of points ``rows`` and nodes ``cols``,
-        0 where u_i is z_j (that sample is -h'(u_i), added from the stencil)."""
-        diff = self.u[rows, None] - self.grid.nodes[cols]
+        """The tile C_ij = 1/(u_i - z_j) of points ``rows`` and nodes ``cols`` in the
+        ``_block_buffer``, 0 where u_i is z_j (that sample is -h'(u_i), from the stencil)."""
+        u, z = self.u[rows], self.grid.nodes[cols]
+        diff = np.subtract.outer(u, z, out=_block_buffer(len(u), len(z)))
         j = self.node[rows] - cols.start
         r = np.nonzero((j >= 0) & (j < diff.shape[1]))[0]
         diff[r, j[r]] = np.inf
@@ -529,17 +544,13 @@ class SampledPV:
         return out if F is not None else out[:, 0]
 
 
-def plemelj_integral(f: Callable, x0: float, side: str, grid: ContourGrid) -> complex:
-    """Boundary value \\int_0^X f(w) / (x0 - w +- i0) dw.
+def plemelj_integral(f: Callable, x0: float, side: int, grid: ContourGrid) -> complex:
+    """Boundary value \\int_0^X f(w) / (x0 - w + side*i0) dw.
 
-    side "+i0" gives -i*pi*f(x0) - PV \\int f/(w - x0); side "-i0" is the
-    conjugate prescription +i*pi*f(x0) - PV \\int f/(w - x0).  Computed by
-    ``SampledPV`` at x0 on ``grid``, a real-axis grid of cutoff X.
+    ``side=+1`` gives -i*pi*f(x0) - PV \\int f/(w - x0); ``side=-1`` is the
+    conjugate prescription +i*pi*f(x0) - PV \\int f/(w - x0).  This is
+    ``pole_kernel_integral`` at x0 on ``grid``, a real-axis grid of cutoff X.
     """
-    signs = {"+i0": +1, "-i0": -1}
-    if side not in signs:
-        raise ValueError(f"side must be '+i0' or '-i0', got {side!r}")
-    X = grid.cutoff
-    if not 0 < x0 < X:
-        raise EvaluationError(f"principal-value point {x0} outside (0, {X})")
-    return complex(SampledPV(grid, x0)(f, signs[side])[0])
+    if not 0 < x0 < grid.cutoff:
+        raise EvaluationError(f"principal-value point {x0} outside (0, {grid.cutoff})")
+    return pole_kernel_integral(grid, f, x0, side)

@@ -2,14 +2,15 @@
 the finite-matrix reference amplitudes.
 
 The reference ("oracle") amplitudes propagate the midpoint-grid matrix of
-``respectra.oracle`` exactly, through its secular roots
-(``oracle.secular_system``), with or without a kernel.
+``respectra.oracle``, on the model's continuum [0, cutoff], exactly, through
+its secular roots (``oracle.secular_system``), with or without a kernel.
 
 The spectral amplitude is the pole term plus the curve integral,
 A(t) = e^{-i lambda t} <Psi|f> <f~|Phi> + \\int du e^{-iut} <Psi|f_u><f~_u|Phi>;
 on the deformed path every continuum factor decays for t > 0, which is the
 whole point of pushing the curve below the axis.  Negative times would turn
-those factors into growing exponentials and are refused.  Both amplitudes
+those factors into growing exponentials and are refused.  Every function of
+time takes a grid of times and returns an array over it.  Both amplitudes
 are a sum of m_k exp(-i z_k t) over a spectrum, the pole and the curve nodes
 or the oracle's eigenvalues, taken at every time by ``contour.phase_sum``.
 """
@@ -62,11 +63,6 @@ def transition_amplitude_curve(system: BiorthogonalSystem, psi: AnalyticVector,
                      np.append(a0 * b0, system.grid.weights * a * b))
 
 
-def transition_amplitude(system: BiorthogonalSystem, psi: AnalyticVector,
-                         phi: AnalyticVector, t: float) -> complex:
-    return complex(transition_amplitude_curve(system, psi, phi, [t])[0])
-
-
 def transition_amplitude_slope0(system: BiorthogonalSystem, psi: AnalyticVector,
                                 phi: AnalyticVector) -> float:
     """Exact d/dt of |amplitude|^2 at t = 0 from the mode sum."""
@@ -79,17 +75,14 @@ def transition_amplitude_slope0(system: BiorthogonalSystem, psi: AnalyticVector,
 
 def survival_curve(system: BiorthogonalSystem, t_grid) -> DecayCurve:
     """Survival of the bare level: amplitude and its squared modulus."""
-    psi = unstable_state()
-    amp = transition_amplitude_curve(system, psi, psi, t_grid)
-    return DecayCurve(np.atleast_1d(np.asarray(t_grid, dtype=float)),
-                      np.abs(amp) ** 2, amp)
+    psi, ts = unstable_state(), _check_times(t_grid)
+    amp = transition_amplitude_curve(system, psi, psi, ts)
+    return DecayCurve(ts, np.abs(amp) ** 2, amp)
 
 
-def exponential_approx(model: ModelSpec, t) -> np.ndarray | float:
-    """The textbook law exp(-2 pi V(Omega)^2 t)."""
-    ts = _check_times(t)
-    out = np.exp(-decay_rate(model) * ts)
-    return float(out[0]) if np.ndim(t) == 0 else out
+def exponential_approx(model: ModelSpec, ts) -> np.ndarray:
+    """The textbook law exp(-2 pi V(Omega)^2 t) on a grid of times."""
+    return np.exp(-decay_rate(model) * _check_times(ts))
 
 
 def default_time_grid(model: ModelSpec, n_points: int = 200, horizon: float = 5.0) -> np.ndarray:
@@ -109,18 +102,15 @@ def _vector_on_grid(vec: AnalyticVector, sys: DiscretizedSystem | SecularSystem)
 
 
 def oracle_amplitude(model: ModelSpec, psi: AnalyticVector, phi: AnalyticVector,
-                     t, n_levels: int = 2000) -> np.ndarray | complex:
-    """Reference amplitude of the n_levels-bin discretization of [0, cutoff]
-    (exact propagation)."""
-    ts = _check_times(t)
+                     ts, n_levels: int = 2000) -> np.ndarray:
+    """Reference amplitudes on a grid of times, of the n_levels-bin
+    discretization of [0, cutoff] (exact propagation)."""
+    ts = _check_times(ts)
     sys = secular_system(model, n_levels)
-    amps = amplitude_curve(sys, _vector_on_grid(psi, sys), _vector_on_grid(phi, sys), ts)
-    return complex(amps[0]) if np.ndim(t) == 0 else amps
+    return amplitude_curve(sys, _vector_on_grid(psi, sys), _vector_on_grid(phi, sys), ts)
 
 
 def oracle_survival_curve(model: ModelSpec, t_grid, n_levels: int = 2000) -> DecayCurve:
-    psi = unstable_state()
-    amp = oracle_amplitude(model, psi, psi, t_grid, n_levels)
-    amp = np.atleast_1d(amp)
-    return DecayCurve(np.atleast_1d(np.asarray(t_grid, dtype=float)),
-                      np.abs(amp) ** 2, amp)
+    psi, ts = unstable_state(), _check_times(t_grid)
+    amp = oracle_amplitude(model, psi, psi, ts, n_levels)
+    return DecayCurve(ts, np.abs(amp) ** 2, amp)

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .contour import BLOCK_ENTRIES, ContourGrid, SampledPV, _bracketed_root, build_contour
+from .contour import (BLOCK_ENTRIES, ContourGrid, SampledPV, _block_buffer, _bracketed_root,
+                      build_contour)
 from .errors import (BoundStateError, ContourError, ConvergenceError, DegeneratePairError,
                      EvaluationError)
 from .model import ModelSpec, eval_V, eval_Vbar
@@ -48,7 +49,8 @@ class SampledEta:
         self.free = model.coupling == 0.0
         self.vv = self._vv_at(self.grid.nodes)
         self.wvv = self.grid.weights * self.vv
-        self.spacing = float(np.median(np.abs(np.diff(self.grid.nodes))))
+        gaps = np.sort(np.abs(np.diff(self.grid.nodes)))    # np.median would import numpy.ma
+        self.spacing = float(np.mean(gaps[(len(gaps) - 1) // 2:len(gaps) // 2 + 1]))   # median
 
     def _vv_at(self, z):
         return eval_V(self.model, z) * eval_Vbar(self.model, z)
@@ -71,16 +73,17 @@ class SampledEta:
         flat, total = lam.ravel(), np.empty(lam.size, dtype=complex)
         rows = max(1, BLOCK_ENTRIES // self.grid.n)
         for a in range(0, flat.size, rows):
-            total[a:a + rows] = np.sum(self.terms(flat[a:a + rows], power), axis=-1)
+            lam_a = flat[a:a + rows]    # the summands of ``terms``, in the ``_block_buffer``
+            d = np.subtract.outer(lam_a, self.grid.nodes,
+                                  out=_block_buffer(len(lam_a), self.grid.n))
+            if power != 1:
+                d **= power
+            total[a:a + rows] = np.sum(np.divide(self.wvv, d, out=d), axis=-1)
         return total.reshape(lam.shape)
 
-    def off_curve(self, lam: complex) -> bool:
-        """Whether lambda keeps at least one node spacing from every node."""
-        return float(np.min(np.abs(self.grid.nodes - lam))) >= self.spacing
-
     def guard(self, lam: complex) -> None:
-        """Raise unless lambda is ``off_curve``, where eta's quadrature holds."""
-        if not self.off_curve(lam):
+        """Raise unless lambda is a node spacing off every node, where eta's quadrature holds."""
+        if not float(np.min(np.abs(self.grid.nodes - lam))) >= self.spacing:
             raise EvaluationError(
                 f"lambda={lam} lies within one node spacing of the contour; "
                 "the quadrature of eta is near-singular there")

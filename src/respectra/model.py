@@ -37,9 +37,6 @@ class FormFactor:
     fn: Callable = field(repr=False)
     pole_depth: float | None = None
 
-    def eval(self, z):
-        return self.fn(z)
-
 
 @dataclass(frozen=True)
 class FormFactor2:
@@ -258,7 +255,7 @@ def _check_region(model: ModelSpec, z):
 def eval_V(model: ModelSpec, z):
     """Coupling function at complex z inside the analyticity strip."""
     _check_region(model, z)
-    return model.coupling * model.form_factor.eval(z)
+    return model.coupling * model.form_factor.fn(z)
 
 
 def eval_Vbar(model: ModelSpec, z):
@@ -266,7 +263,7 @@ def eval_Vbar(model: ModelSpec, z):
     that are real on the positive axis."""
     zc = np.conj(np.asarray(z, dtype=complex))
     _check_region(model, zc)
-    return np.conj(model.coupling * model.form_factor.eval(zc))
+    return np.conj(model.coupling * model.form_factor.fn(zc))
 
 
 def eval_V2(model: ModelSpec, z, zp):

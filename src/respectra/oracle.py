@@ -1,9 +1,9 @@
 """Brute-force ground truth: the midpoint-grid Hermitian discretization of the model.
 
-The continuum is replaced by n midpoint bins on [0, omega_max]; couplings pick
-up sqrt(bin width) and the kernel a full bin width, which makes the (n+1) x
-(n+1) matrix Hermitian and the finite model exactly solvable.  All outputs
-carry (n, omega_max) so runs are reproducible.
+The model's continuum [0, X], X its contour cutoff, is replaced by n midpoint
+bins; couplings pick up sqrt(bin width) and the kernel a full bin width, which
+makes the (n+1) x (n+1) matrix Hermitian and the finite model exactly
+solvable.  All outputs carry (n, omega_max = X) so runs are reproducible.
 
 ``secular_system`` is the oracle every run takes.  It never forms the
 matrix: without a kernel the matrix is an arrowhead, and with a kernel,
@@ -76,29 +76,20 @@ class DiscretizedSystem:
         return (left_vec @ self.transform) * (self.transform.conj().T @ right_vec)
 
 
-def _midpoint_grid(model: ModelSpec, n: int, omega_max: float | None):
-    """(omega_max, bin width, midpoints, couplings V(w) sqrt(bin width))."""
+def _midpoint_grid(model: ModelSpec, n: int):
+    """(omega_max = cutoff, bin width, midpoints, couplings V(w) sqrt(bin width))."""
     if n < MIN_BINS:
         raise ConfigError(f"oracle discretization needs n >= {MIN_BINS}")
-    if omega_max is None:
-        omega_max = model.contour.cutoff
-    if not 0.0 < omega_max < math.inf:
-        raise ConfigError(f"oracle omega_max must be positive and finite, got {omega_max}")
+    omega_max = model.contour.cutoff
     dw = omega_max / n
     w = (np.arange(n) + 0.5) * dw
     v = np.asarray(eval_V(model, w), dtype=complex) * np.sqrt(dw)
     return float(omega_max), dw, w, v
 
 
-def recurrence_time(n: int, omega_max: float) -> float:
-    """2 pi n / omega_max: every midpoint phase exp(-i w_j t) returns to -1 there,
-    so the discretized continuum revives and stops standing for the real one."""
-    return 2.0 * np.pi * n / omega_max
-
-
-def discretize(model: ModelSpec, n: int, omega_max: float | None = None) -> DiscretizedSystem:
+def discretize(model: ModelSpec, n: int) -> DiscretizedSystem:
     """Midpoint-grid Hermitian matrix for the model; dense eigendecomposition."""
-    omega_max, dw, w, v = _midpoint_grid(model, n, omega_max)
+    omega_max, dw, w, v = _midpoint_grid(model, n)
     H = np.zeros((n + 1, n + 1), dtype=complex)
     H[0, 0] = model.omega_level
     np.fill_diagonal(H[1:, 1:], w)
@@ -481,14 +472,14 @@ class SecularSystem:
         return bra * np.conj(ket)
 
 
-def secular_system(model: ModelSpec, n: int, omega_max: float | None = None) -> SecularSystem:
+def secular_system(model: ModelSpec, n: int) -> SecularSystem:
     """The structured solution of the matrix ``discretize`` builds.  O(n log n)
     without a kernel, and with one whose block's eigenvalues stay within
     _OFFSET_BOUND steps of the midpoint lattice; else the level's solve is
     O(n^2).  An ``EvaluationError`` refuses a kernel factor that is not
     real on the axis (K would not be Hermitian) and a kernel block with
     coincident eigenvalues, which no secular equation separates."""
-    omega_max, dw, w, v = _midpoint_grid(model, n, omega_max)
+    omega_max, dw, w, v = _midpoint_grid(model, n)
     kernel = None
     poles, coupling = w, v
     if model.has_kernel():

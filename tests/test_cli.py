@@ -304,6 +304,18 @@ def test_spectrum_system_uses_the_config_pole(tmp_path):
     assert system["pole"] == spectrum["lambda_exact"]
 
 
+def test_evolve_solves_its_pole_at_the_config_tolerance(tmp_path):
+    # a loose pole tolerance moves the spectral survival and nothing else
+    cols = {}
+    for tol in (1e-13, 1e-4):
+        out = tmp_path / str(tol)
+        doc = dict(RERUN_CONFIGS["evolve"], output_dir=str(out), tolerances={"pole": tol})
+        assert main(["--config", _write_cfg(tmp_path, doc)]) == 0
+        cols[tol] = np.loadtxt(out / "evolve.csv", delimiter=",", skiprows=2)
+    moved = np.max(np.abs(cols[1e-4] - cols[1e-13]), axis=0)
+    assert moved[1] > 1e-6 and not np.any(moved[[0, 2, 3]])
+
+
 MALFORMED = {
     "contour_shape_unknown": {"command": "spectrum",
                               "model": dict(MODEL, contour={"shape": "circle"})},
@@ -473,11 +485,16 @@ def test_output_dir_that_is_a_file_is_config_error(tmp_path, capsys, via):
 
 
 def test_grid_dump_flag(tmp_path):
-    doc = {"command": "spectrum", "output_dir": str(tmp_path / "o"), "model": MODEL}
-    assert main(["--config", _write_cfg(tmp_path, doc), "--dump-grid"]) == 0
-    lines = (tmp_path / "o" / "grid.csv").read_text().splitlines()
-    assert lines[1] == "node_re,node_im,weight_re,weight_im"
-    assert len(lines) == 2 + MODEL["contour"]["n_nodes"]
+    # the curve the command ran on: the model's contour, or for liouville
+    # that contour at liouville_n nodes
+    for command, grid, n in (("spectrum", {}, MODEL["contour"]["n_nodes"]),
+                             ("liouville", {"liouville_n": 64, "t_points": 4}, 64)):
+        out = tmp_path / command
+        doc = {"command": command, "output_dir": str(out), "model": MODEL, "grid": grid}
+        assert main(["--config", _write_cfg(tmp_path, doc), "--dump-grid"]) == 0
+        lines = (out / "grid.csv").read_text().splitlines()
+        assert lines[1] == "node_re,node_im,weight_re,weight_im"
+        assert len(lines) == 2 + n, command
 
 
 KERNEL_MODEL = dict(MODEL, kernel="separable_sqrt_exp")
@@ -521,14 +538,17 @@ def test_rerun_is_byte_identical(tmp_path, name):
 
 def test_the_cli_loads_no_scipy(tmp_path):
     # a fresh process imports the CLI and runs spectrum, a kernel evolve and
-    # barrier; no scipy module is loaded then, neither by the import nor later
+    # barrier; no scipy module is loaded then, neither by the import nor
+    # later, and no numpy.ma (which np.median imports)
     docs = [dict(RERUN_CONFIGS[name], output_dir=str(tmp_path / name))
             for name in ("spectrum", "evolve_kernel", "barrier")]
     code = ("import json, sys\n"
             "from respectra.cli import main\n"
             "for cfg in sys.argv[1:]:\n"
             "    assert main(['--config', cfg]) == 0\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'scipy' or m.startswith('numpy.ma.')\n"
+            "                        or m == 'numpy.ma')))\n")
     cfgs = [_write_cfg(tmp_path, doc, f"{i}.json") for i, doc in enumerate(docs)]
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code, *cfgs], capture_output=True, text=True,

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 import mpmath
@@ -19,10 +20,11 @@ from respectra.oracle import secular_system
 
 
 def test_spec_validation():
-    with pytest.raises(ContourError):
-        ContourSpec(depth=-0.1)
-    with pytest.raises(ContourError):
-        ContourSpec(cutoff=0.0)
+    # a depth or cutoff that is not positive and finite is refused by its value
+    for name, value in (("depth", -0.1), ("depth", math.inf), ("cutoff", 0.0),
+                        ("cutoff", math.inf), ("cutoff", -math.inf)):
+        with pytest.raises(ContourError, match=f"{name} must be positive and finite, got {value}"):
+            ContourSpec(**{name: value})
     with pytest.raises(ContourError):
         ContourSpec(shape="circle")
     with pytest.raises(ContourError):
@@ -30,9 +32,11 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("cutoff, n, message", [
-    (0.0, 400, "cutoff must be positive, got 0.0"),
-    (-3.0, 400, "cutoff must be positive, got -3.0"),
-    (math.nan, 400, "cutoff must be positive, got nan"),
+    (0.0, 400, "cutoff must be positive and finite, got 0.0"),
+    (-3.0, 400, "cutoff must be positive and finite, got -3.0"),
+    (math.nan, 400, "cutoff must be positive and finite, got nan"),
+    (math.inf, 400, "cutoff must be positive and finite, got inf"),
+    (-math.inf, 400, "cutoff must be positive and finite, got -inf"),
     (20.0, 8, f"n_nodes must be at least {MIN_NODES}, got 8")])
 def test_real_axis_grid_refuses_by_the_names_it_was_given(cutoff, n, message):
     with pytest.raises(ContourError, match=re.escape(message)):
@@ -158,7 +162,7 @@ def test_deformation_identity(default_grid, axis_grid, rng):
     for k in range(20):
         ff = families[k % 3]
         c = rng.standard_normal(3)
-        f = lambda z, c=c, ff=ff: ff.eval(z) * (c[0] + c[1] * z + c[2] * z**2) * np.exp(-0.3 * z)
+        f = lambda z, c=c, ff=ff: ff.fn(z) * (c[0] + c[1] * z + c[2] * z**2) * np.exp(-0.3 * z)
         lhs = integrate_contour(default_grid, f)
         rhs = np.sum(axis_grid.weights.real * f(axis_grid.nodes.real))
         worst = max(worst, abs(lhs - rhs))
@@ -192,37 +196,38 @@ class TestPlemelj:
         # f(x0) = 0 kills the delta part: purely real result for real f
         x0 = 1.3
         f = lambda w: (w - x0) ** 2 * np.exp(-w)
-        val = plemelj_integral(f, x0, "+i0", grid=axis_grid)
+        val = plemelj_integral(f, x0, +1, grid=axis_grid)
         direct, _ = si.quad(lambda w: f(w) / (x0 - w), 0, 20.0, limit=400)
         assert abs(val.imag) < 1e-12
         assert abs(val.real - direct) < 1e-9
 
     def test_against_excision_oracle(self):
         f = lambda w: np.exp(-w)
-        val = plemelj_integral(f, 1.0, "+i0", grid=real_axis_grid(40.0, 500))
+        val = plemelj_integral(f, 1.0, +1, grid=real_axis_grid(40.0, 500))
         pv = _pv_excision_oracle(f, 1.0, 40.0)
         expect = -1j * np.pi * np.exp(-1.0) - pv
         assert abs(val - expect) < 1e-9
 
     def test_side_conjugation(self, axis_grid):
         f = lambda w: np.exp(-0.5 * w) * (1 + w)
-        a = plemelj_integral(f, 2.0, "+i0", grid=axis_grid)
-        b = plemelj_integral(f, 2.0, "-i0", grid=axis_grid)
+        a = plemelj_integral(f, 2.0, +1, grid=axis_grid)
+        b = plemelj_integral(f, 2.0, -1, grid=axis_grid)
         assert abs(np.conj(a) - b) < 1e-12
 
     def test_bad_side_and_range(self, axis_grid):
-        for side in ("up", +1, -1):
-            with pytest.raises(ValueError):
+        # one side convention, +1 or -1, as pole_kernel_integral takes it
+        for side in ("up", "+i0", 0, 2):
+            with pytest.raises(ValueError, match="side must be"):
                 plemelj_integral(np.exp, 1.0, side, grid=axis_grid)
         with pytest.raises(EvaluationError):
-            plemelj_integral(np.exp, 25.0, "+i0", grid=axis_grid)
+            plemelj_integral(np.exp, 25.0, +1, grid=axis_grid)
 
     def test_contour_consistency(self, default_grid, axis_grid):
         # the deformed integral of f/(x0 - z) equals the +i0 boundary value
         f = lambda z: np.exp(-0.8 * z) * (2.0 + z)
         for x0 in (0.7, 1.0, 3.5):
             lhs = integrate_contour(default_grid, lambda z: f(z) / (x0 - z))
-            rhs = plemelj_integral(f, x0, "+i0", grid=axis_grid)
+            rhs = plemelj_integral(f, x0, +1, grid=axis_grid)
             assert abs(lhs - rhs) < 1e-8
 
 
@@ -338,6 +343,18 @@ class TestCurvePV:
         # the same values as the block product, to rounding
         ref = SampledPV(grid)(h, sides, F)
         assert np.max(np.abs(full - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_concurrent_sweeps_keep_their_own_blocks():
+    # each thread forms its Cauchy tiles in a block buffer of its own: two
+    # threads sweeping at once get the single-thread results bit for bit
+    grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", 600))
+    fs = [lambda z, a=a: np.exp(-a * z) * (1 + z) for a in (0.3, 0.9)]
+    ref = [SampledPV(grid)(f, +1) for f in fs]
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(5):
+            got = pool.map(lambda f: SampledPV(grid)(f, +1), fs)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 def test_real_axis_grid_handles_quarter_powers():

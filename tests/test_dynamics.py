@@ -4,8 +4,7 @@ import pytest
 from respectra.contour import ContourSpec, build_contour
 from respectra.dynamics import (decay_rate, default_time_grid, exponential_approx,
                                 oracle_amplitude, oracle_survival_curve,
-                                survival_curve, transition_amplitude,
-                                transition_amplitude_curve,
+                                survival_curve, transition_amplitude_curve,
                                 transition_amplitude_slope0)
 from respectra.errors import ConfigError
 from respectra.model import make_model
@@ -32,23 +31,23 @@ def exact_sys(dyn_model, dyn_grid):
 
 def test_negative_time_refused(exact_sys):
     with pytest.raises(ConfigError):
-        transition_amplitude(exact_sys, unstable_state(), unstable_state(), -0.5)
+        transition_amplitude_curve(exact_sys, unstable_state(), unstable_state(), [0.0, -0.5])
     with pytest.raises(ConfigError):
-        exponential_approx(make_model("sqrt_exp", [1.0], 1.0, 0.1), -1.0)
+        exponential_approx(make_model("sqrt_exp", [1.0], 1.0, 0.1), [-1.0])
 
 
 def test_continuation_side_tags_enforced(exact_sys):
     lower_only = AnalyticVector(d=1.0, profile=lambda z: np.exp(-z), side="lower")
     upper_only = AnalyticVector(d=1.0, profile=lambda z: np.exp(-z), side="upper")
     with pytest.raises(ConfigError):
-        transition_amplitude(exact_sys, lower_only, unstable_state(), 1.0)
+        transition_amplitude_curve(exact_sys, lower_only, unstable_state(), [1.0])
     with pytest.raises(ConfigError):
-        transition_amplitude(exact_sys, unstable_state(), upper_only, 1.0)
+        transition_amplitude_curve(exact_sys, unstable_state(), upper_only, [1.0])
 
 
 def test_zero_time_reduces_to_inner_product(exact_sys, axis_grid, rng):
     psi, phi = random_analytic(rng), random_analytic(rng)
-    a0 = transition_amplitude(exact_sys, psi, phi, 0.0)
+    a0 = transition_amplitude_curve(exact_sys, psi, phi, [0.0])[0]
     assert abs(a0 - real_axis_inner(psi, phi, axis_grid)) < 1e-6
 
 
@@ -56,10 +55,10 @@ def test_free_limit_phase():
     m = make_model("sqrt_exp", [1.0], 1.0, 0.0)
     s = BiorthogonalSystem.from_exact(m)
     psi = unstable_state()
-    for t in (0.0, 0.7, 3.0):
-        a = transition_amplitude(s, psi, psi, t)
-        assert abs(a - np.exp(-1j * 1.0 * t)) < 1e-14
-        assert abs(abs(a) - 1.0) < 1e-14
+    ts = np.array([0.0, 0.7, 3.0])
+    a = transition_amplitude_curve(s, psi, psi, ts)
+    assert np.max(np.abs(a - np.exp(-1j * 1.0 * ts))) < 1e-14
+    assert np.max(np.abs(np.abs(a) - 1.0)) < 1e-14
 
 
 def test_survival_curve_initial_value(exact_sys, dyn_model):
@@ -70,11 +69,11 @@ def test_survival_curve_initial_value(exact_sys, dyn_model):
 
 
 def test_exponential_approx_values(dyn_model):
-    assert exponential_approx(dyn_model, 0.0) == 1.0
     rate = decay_rate(dyn_model)
-    assert abs(exponential_approx(dyn_model, 1.0 / rate) - np.exp(-1.0)) < 1e-15
+    at_0, at_tau = exponential_approx(dyn_model, [0.0, 1.0 / rate])
+    assert at_0 == 1.0 and abs(at_tau - np.exp(-1.0)) < 1e-15
     free = make_model("sqrt_exp", [1.0], 1.0, 0.0)
-    assert exponential_approx(free, 5.0) == 1.0
+    assert np.all(exponential_approx(free, [0.0, 5.0]) == 1.0)
 
 
 def test_survival_tracks_exponential(exact_sys, dyn_model):
@@ -135,13 +134,13 @@ def test_oracle_richardson(dyn_model):
 def test_oracle_free_limit():
     m = make_model("sqrt_exp", [1.0], 1.0, 0.0)
     psi = unstable_state()
-    a = oracle_amplitude(m, psi, psi, 1.3, n_levels=300)
-    assert abs(a - np.exp(-1.3j)) < 1e-12
+    a = oracle_amplitude(m, psi, psi, [1.3], n_levels=300)
+    assert a.shape == (1,) and abs(a[0] - np.exp(-1.3j)) < 1e-12
 
 
 def test_oracle_t0_unit(dyn_model):
     psi = unstable_state()
-    assert abs(oracle_amplitude(dyn_model, psi, psi, 0.0, n_levels=300) - 1.0) < 1e-13
+    assert abs(oracle_amplitude(dyn_model, psi, psi, [0.0], n_levels=300)[0] - 1.0) < 1e-13
 
 
 def test_kernel_dynamics_against_oracle(default_spec):

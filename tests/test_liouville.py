@@ -150,7 +150,7 @@ class TestZeroSector:
         # a constant phase keeps |V| but makes V complex on the positive axis
         ff = li_model.form_factor
         phased = replace(li_model, form_factor=FormFactor(
-            "phased", (), lambda z: np.exp(0.3j) * ff.eval(z)))
+            "phased", (), lambda z: np.exp(0.3j) * ff.fn(z)))
         with pytest.raises(EvaluationError, match="real on the positive axis"):
             LiouvilleSystem(phased)
 
