@@ -221,6 +221,10 @@ def cmd_evolve(cfg: dict, outdir: Path, cfg_hash: str) -> int:
 
 def cmd_liouville(cfg: dict, outdir: Path, cfg_hash: str) -> int:
     model = _model_from_cfg(cfg)
+    if model.has_kernel():
+        raise ConfigError(f"liouville needs a model without a continuum kernel, got kernel "
+                          f"{model.kernel.family_id!r}: the superoperator branch supports "
+                          "no continuum kernel")
     grids = LiouvilleGrids.for_model(model, n_nodes=_setting(cfg, "grid", "liouville_n"))
     lsys = LiouvilleSystem(model, grids)
     branches = {"decay": [lsys.lam_d], "invariant": [0.0],

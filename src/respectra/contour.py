@@ -52,8 +52,8 @@ from .errors import ContourError, ConvergenceError, EvaluationError
 _SHAPES = ("rectangle", "semi_ellipse")
 # fewest nodes of a contour
 MIN_NODES = 16
-# complex entries of a tile or a row block of the principal-value operator and
-# of a block of moment summands (256 kB: a tile stays in cache for its two uses)
+# complex entries of a tile or a row block of the principal-value operator
+# (256 kB: a tile stays in cache for its two uses)
 BLOCK_ENTRIES = 2**14
 # side of a square principal-value tile: 128 nodes by 128 nodes
 PV_TILE = math.isqrt(BLOCK_ENTRIES)

@@ -8,13 +8,13 @@ continuum pair needs the two boundary values eta(u +- i0) on the curve.
 
 ``SampledEta`` samples V Vbar once per grid and gives eta, eta' and the
 boundary values eta(u +- i0); the pole solve and the exact system read its
-moments, which over many lambda are summed in blocks of rows.  The pole
-solve ends by counting the zeros in the strip with the argument principle:
-the winding of eta(u + i0) along the curve, at nodes addressed by index,
-closed by a return path on the first sheet above the axis.  A count other
-than 1 is refused, and so, before any iteration, are an unresolved
-quadrature (\\int V Vbar / z, which is real, read as complex) and a bound
-level: eta(0-) > 0 puts a real zero of eta below the threshold.  The exact
+moments, each at one lambda.  The pole solve ends by counting the zeros in
+the strip with the argument principle: the winding of eta(u + i0) along the
+curve, at nodes addressed by index, closed above the axis, where eta has no
+zero, by its phases at the two ends 0 and X.  A count other than 1 is
+refused, and so, before any iteration, are an unresolved quadrature
+(\\int V Vbar / z, which is real, read as complex) and a bound level:
+eta(0-) > 0 puts a real zero of eta below the threshold.  The exact
 system solves its own pole on its sampled eta, then sweeps eta(u +- i0) at
 every node once, for the count and both families.
 
@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .contour import (BLOCK_ENTRIES, ContourGrid, SampledPV, _block_buffer, _bracketed_root,
-                      build_contour)
+from .contour import ContourGrid, SampledPV, _bracketed_root, build_contour
 from .errors import (BoundStateError, ContourError, ConvergenceError, DegeneratePairError,
                      EvaluationError)
 from .model import ModelSpec, eval_V, eval_Vbar
@@ -61,25 +60,9 @@ class SampledEta:
         d = np.asarray(lam)[..., None] - self.grid.nodes
         return self.wvv / (d if power == 1 else d ** power)   # complex x**1 is slow
 
-    def moment(self, lam, power: int = 1):
-        """sum_j w_j V Vbar(z_j) / (lambda - z_j)^power at a scalar lambda or
-        at every point of an array of them.  An array is summed in blocks of
-        rows of at most BLOCK_ENTRIES summands (one row at N above it), each
-        row the sum the scalar lambda takes, so no (len(lambda), N) table is
-        held."""
-        if np.ndim(lam) == 0:
-            return complex(np.sum(self.terms(lam, power)))
-        lam = np.asarray(lam)
-        flat, total = lam.ravel(), np.empty(lam.size, dtype=complex)
-        rows = max(1, BLOCK_ENTRIES // self.grid.n)
-        for a in range(0, flat.size, rows):
-            lam_a = flat[a:a + rows]    # the summands of ``terms``, in the ``_block_buffer``
-            d = np.subtract.outer(lam_a, self.grid.nodes,
-                                  out=_block_buffer(len(lam_a), self.grid.n))
-            if power != 1:
-                d **= power
-            total[a:a + rows] = np.sum(np.divide(self.wvv, d, out=d), axis=-1)
-        return total.reshape(lam.shape)
+    def moment(self, lam: complex, power: int = 1) -> complex:
+        """sum_j w_j V Vbar(z_j) / (lambda - z_j)^power at one lambda."""
+        return complex(np.sum(self.terms(lam, power), axis=-1))
 
     def guard(self, lam: complex) -> None:
         """Raise unless lambda is a node spacing off every node, where eta's quadrature holds."""
@@ -141,30 +124,24 @@ def _count_zeros(eta: SampledEta,
 
     The loop runs from 0 along the curve on eta(u + i0) (``plus``, at every
     node, or computed here at the sampled nodes, addressed by index) to X,
-    and back X -> X + ih -> ih -> 0 on the first sheet, h the depth (below
-    any form-factor pole), where eta has no zeros.  The return path is
-    bisected until no phase step exceeds pi/4; a step over pi/2 between
-    curve samples cannot be refined, so it is refused."""
+    and back X -> X + ih -> ih -> 0 above the axis, where eta is the first
+    sheet's and Im eta = Im lambda (1 + \\int |V|^2 / |lambda - x|^2 dx) > 0:
+    no zero there, and a turn of arg eta(0) - arg eta(X), both in [0, pi]
+    once their imaginary parts are clipped at 0, where exact arithmetic puts
+    them (eta(0) is real, Im eta(X + i0) = pi |V(X)|^2).  A step over pi/2
+    between curve samples cannot be refined, so it is refused."""
     if eta.free:
         return None, None
-    X, h, k = eta.model.contour.cutoff, eta.model.contour.depth, -(-eta.grid.n // COUNT_SAMPLES)
+    k = -(-eta.grid.n // COUNT_SAMPLES)
     samples = slice(None, None, k)
     u = eta.grid.nodes[samples]
     plus = eta.boundary(SampledPV(eta.grid, samples))[0] if plus is None else plus[samples]
-    back = np.concatenate([X + 1j * h * np.linspace(0.0, 1.0, 8), np.linspace(X, 0.0, 64)[1:-1]
-                           + 1j * h, 1j * h * np.linspace(1.0, 0.0, 8)])
-    vals = back - eta.omega - eta.moment(back)
-    while (bad := np.flatnonzero(np.abs(np.angle(vals[1:] / vals[:-1])) > np.pi / 4)).size:
-        if back.size > 4096:
-            raise ContourError("the phase of eta on the return path above the axis does not "
-                               "resolve; the zeros in the strip cannot be counted")
-        mid = 0.5 * (back[bad] + back[bad + 1])
-        back = np.insert(back, bad + 1, mid)
-        vals = np.insert(vals, bad + 1, mid - eta.omega - eta.moment(mid))
+    at_0, at_X = (lam - eta.omega - eta.moment(lam) for lam in (0.0, eta.model.contour.cutoff))
+    at_0, at_X = (complex(e.real, e.imag if e.imag > 0 else 0.0) for e in (at_0, at_X))
     # the curve from 0 (the return path's end) to X (its start)
-    curve = np.concatenate([vals[-1:], plus, vals[:1]])
+    curve = np.concatenate([[at_0], plus, [at_X]])
     steps = np.angle(curve[1:] / curve[:-1])
-    count = int(round((steps.sum() + np.angle(vals[1:] / vals[:-1]).sum()) / (2 * np.pi)))
+    count = int(round((steps.sum() + np.angle(at_0) - np.angle(at_X)) / (2 * np.pi)))
     if count != 1:
         raise ContourError(f"eta has {count} zeros in the strip, not 1; the single-pole "
                            "assumption fails for this model")

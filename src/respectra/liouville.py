@@ -31,7 +31,8 @@ Sign conventions: the evolution factor is exp(+i lambda t), which sends the
 decay eigenvalue lambda_d = 2 pi i V(Omega)^2 to the damping exp(-2 pi
 V(Omega)^2 t).  The curve-1 branch lives on the upper curve, the 1-curve
 branch on the lower one, and both second-order shifts point into the upper
-half plane, so every factor decays for t > 0.
+half plane, so every factor decays for t > 0; curves too coarse for the
+width can put an eigenvalue below the axis, which is a ``ContourError``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .contour import ContourGrid, build_contour, phase_sum, real_axis_grid
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, ContourError, EvaluationError
 from .friedrichs import SampledEta
 from .model import ModelSpec, eval_V
 
@@ -304,6 +305,13 @@ class LiouvilleSystem:
         self.decay_left = GeneralizedState(c1=1.0 + 0j, atoms=((om, -1.0 + 0j),))
         self._lam_u1 = self.lam_u1(self.grids.gamma_bar.nodes)
         self._lam_1u = self.lam_1u(self.grids.gamma.nodes)
+        # exp(i lambda t) grows where Im lambda < 0, and overflows into NaN
+        lowest = np.min(np.concatenate([[self.lam_d.imag], self._lam_u1.imag, self._lam_1u.imag]))
+        if not lowest >= 0.0:
+            golden = 2.0 * np.pi * abs(complex(eval_V(model, om))) ** 2
+            raise ContourError(f"a mode grows: an eigenvalue has Im {lowest:.3g} < 0, lambda_d = "
+                               f"{self.lam_d:.6g} against the golden rule's Im lambda_d = 2 pi "
+                               f"|V(Omega)|^2 = {golden:.6g}; add nodes to resolve the width")
 
     def lam_u1(self, u) -> np.ndarray:
         return np.asarray(u, dtype=complex) - self.model.omega_level + self.shift_lower

@@ -236,8 +236,12 @@ def model_from_dict(doc: dict) -> ModelSpec:
         except ContourError as e:
             # a contour the document asks for but cannot have is a config mistake
             raise ConfigError(str(e)) from e
-    return make_model(doc["family"], doc.get("params", ()), omega, float(doc["epsilon"]),
-                      cspec, doc.get("kernel"))
+    try:
+        return make_model(doc["family"], doc.get("params", ()), omega, float(doc["epsilon"]),
+                          cspec, doc.get("kernel"))
+    except AnalyticityError as e:
+        # so is a contour that reaches a singularity of the form factor it names
+        raise ConfigError(str(e)) from e
 
 
 def _check_region(model: ModelSpec, z):

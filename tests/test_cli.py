@@ -171,6 +171,51 @@ def test_liouville_trajectory_builds_no_state_per_time(tmp_path, monkeypatch):
     assert main(["--config", _write_cfg(tmp_path, doc)]) == 0
 
 
+@pytest.mark.parametrize("shape,n,a,omega,eps,depth,cutoff", [
+    ("rectangle", 91, 2.87449198647823, 5.721781224913234, 0.8239664543582123,
+     0.9489370286267742, 9.287873211454597),
+    ("semi_ellipse", 19, 2.3243752912337734, 5.295185071064273, 0.10106473051064621,
+     2.1319324267920767, 14.84818331580838),
+    ("rectangle", 89, 2.96511796295006, 4.293043206579401, 0.7529056769085614,
+     1.0098760198544998, 23.767919956193857)],
+    ids=["rectangle-91", "semi_ellipse-19", "rectangle-89"])
+def test_liouville_refuses_a_growing_mode(tmp_path, capsys, shape, n, a, omega, eps, depth,
+                                          cutoff):
+    # the curves do not resolve the golden-rule width 2 pi |V(Omega)|^2, so
+    # lambda_d (or a branch eigenvalue) falls below the axis and exp(i lambda
+    # t) would overflow the trajectory into NaN rows: refused, no artifact
+    doc = {"command": "liouville", "output_dir": str(tmp_path / "o"),
+           "model": {"family": "poly_exp", "params": [a], "omega": omega, "epsilon": eps,
+                     "contour": {"shape": shape, "depth": depth, "cutoff": cutoff}},
+           "grid": {"liouville_n": n, "t_points": 20}}
+    assert main(["--config", _write_cfg(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "a mode grows" in err and "2 pi |V(Omega)|^2" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_liouville_refuses_a_kernel_model(tmp_path, capsys):
+    # refused before any grid is built, as validate refuses it
+    doc = {"command": "liouville", "output_dir": str(tmp_path / "o"),
+           "model": dict(MODEL, kernel="separable_sqrt_exp")}
+    assert main(["--config", _write_cfg(tmp_path, doc)]) == 2
+    assert "supports no continuum kernel" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_form_factor_pole_inside_the_contour_is_config_error(tmp_path, capsys):
+    # lorentz_sqrt with s = 1.5 has a pole at depth 1.5, inside a contour of
+    # depth 2: a contour the document cannot have, refused as every command
+    # builds its model
+    doc = {"command": "spectrum", "output_dir": str(tmp_path / "o"),
+           "model": {"family": "lorentz_sqrt", "params": [1.5], "omega": 1.0, "epsilon": 0.1,
+                     "contour": {"depth": 2.0}}}
+    assert main(["--config", _write_cfg(tmp_path, doc)]) == 2
+    assert "config error: form factor 'lorentz_sqrt' has a singularity at depth 1.5, " \
+        "inside the contour depth 2.0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_barrier_outputs(tmp_path):
     doc = {"command": "barrier", "output_dir": str(tmp_path / "o"),
            "barrier": {"a": 0.8, "b": 10.0, "v0": 0.25, "v1": 0.092},

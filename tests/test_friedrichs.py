@@ -181,35 +181,83 @@ def test_pole_in_strip_or_typed_error(family, param, omega, eps, depth, shape, c
     assert 0.0 < lam.real < cutoff and -depth < lam.imag <= 0.0
     assert pr.residual <= tol
     assert pr.residual == abs(SampledEta(m, grid)(lam))
-    # the moments over an array of lambda are the scalar moments bit for
-    # bit, also over 4096 points, summed in many blocks of rows
-    se = SampledEta(m, grid)
-    for lams in (lam + np.array([0.0, 0.3, -0.2 + 0.1j, 1.0 - 0.05j]),
-                 lam + np.linspace(-0.5, 0.5, 4096) * (1.0 + 0.2j)):
-        for power in (1, 2):
-            ref = np.array([se.moment(x, power) for x in lams])
-            assert np.array_equal(se.moment(lams, power), ref)
 
 
-@pytest.mark.parametrize("case", ["node_sweep", "moment"])
-def test_no_table_per_node_pair_or_per_lambda(case):
-    # the node sweep with three targets and the moment over 4096 lambda hold
-    # neither an (N, N) nor a (4096, N) table: at n = 1600 these are 41 and
-    # 105 MB, the bound 4 MB
-    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, ContourSpec(0.5, 20.0, "rectangle", 1600))
-    grid = build_contour(m.contour)
-    eta = SampledEta(m, grid)
+def test_node_sweep_holds_no_table_per_node_pair():
+    # the node sweep with three targets holds no (N, N) table: at n = 1600
+    # that is 41 MB, the bound 4 MB
+    grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", 1600))
     h = lambda z: np.sqrt(z + 0j) * np.exp(-0.5 * z)
     F = lambda z: np.stack([np.exp(-a * z) for a in (0.3, 0.8, 1.5)], axis=-2)
-    run = {"node_sweep": lambda: SampledPV(grid)(h, np.array([+1, -1, +1]), F),
-           "moment": lambda: eta.moment(0.9 - 0.1j + np.linspace(-0.5, 0.5, 4096))}[case]
     tracemalloc.start()
     try:
-        run()
+        SampledPV(grid)(h, np.array([+1, -1, +1]), F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def _traced_count(eta: SampledEta) -> tuple[int, float]:
+    """The zero count of ``_count_zeros`` on the strided curve samples, its
+    loop closed by tracing eta on the return path X -> X + ih -> ih -> 0, h
+    the contour depth: 78 points, bisected until no phase step exceeds pi/4,
+    at most 4096 of them.  (count, min_boundary), or the ContourError of the
+    count."""
+    X, h, k = eta.model.contour.cutoff, eta.model.contour.depth, -(-eta.grid.n // COUNT_SAMPLES)
+    u = eta.grid.nodes[::k]
+    plus = eta.boundary(SampledPV(eta.grid, slice(None, None, k)))[0]
+    at = lambda lams: np.array([lam - eta.omega - eta.moment(lam) for lam in lams])
+    back = np.concatenate([X + 1j * h * np.linspace(0.0, 1.0, 8), np.linspace(X, 0.0, 64)[1:-1]
+                           + 1j * h, 1j * h * np.linspace(1.0, 0.0, 8)])
+    vals = at(back)
+    while (bad := np.flatnonzero(np.abs(np.angle(vals[1:] / vals[:-1])) > np.pi / 4)).size:
+        if back.size > 4096:
+            raise ContourError("the phase of eta on the return path above the axis does not "
+                               "resolve; the zeros in the strip cannot be counted")
+        mid = 0.5 * (back[bad] + back[bad + 1])
+        back = np.insert(back, bad + 1, mid)
+        vals = np.insert(vals, bad + 1, at(mid))
+    curve = np.concatenate([vals[-1:], plus, vals[:1]])
+    steps = np.angle(curve[1:] / curve[:-1])
+    count = int(round((steps.sum() + np.angle(vals[1:] / vals[:-1]).sum()) / (2 * np.pi)))
+    if count != 1:
+        raise ContourError(f"eta has {count} zeros in the strip, not 1; the single-pole "
+                           "assumption fails for this model")
+    j = int(np.argmax(np.abs(steps)))
+    if abs(steps[j]) > np.pi / 2:
+        where = "0" if j == 0 else f"node {(j - 1) * k} (u={complex(u[j - 1]):.5g})"
+        raise ContourError(f"eta(u + i0) turns by {steps[j]:.3f} rad in one step from {where} "
+                           "along the curve; its samples cannot fix the zero count")
+    return count, float(np.min(np.abs(plus)))
+
+
+@given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
+       param=st.floats(0.2, 3.0), omega=st.floats(0.2, 5.0), eps=st.floats(0.01, 0.8),
+       depth=st.floats(0.05, 2.5), shape=st.sampled_from(["rectangle", "semi_ellipse"]),
+       cutoff=st.floats(5.0, 30.0), n_nodes=st.integers(16, 899))
+def test_zero_count_closes_its_loop_from_two_corners(family, param, omega, eps, depth, shape,
+                                                     cutoff, n_nodes):
+    # eta has no zero above the axis, so its phases at 0 and X close the loop
+    # as tracing the return path does: the same count and min_boundary, or
+    # the same refusal, with no pole solve; and eta is taken off the curve at
+    # those two points alone
+    try:
+        m = make_model(family, [param], omega, eps, ContourSpec(depth, cutoff, shape, n_nodes))
+        eta = SampledEta(m)
+    except RespectraError:
+        return      # a form-factor singularity inside the contour depth, or X <= Omega
+    try:
+        want = _traced_count(eta)
+    except ContourError as e:
+        with pytest.raises(ContourError) as info:
+            _count_zeros(eta)
+        assert str(info.value) == str(e)
+        return
+    off_curve = []
+    eta.moment = lambda lam, power=1: off_curve.append(lam) or SampledEta.moment(eta, lam, power)
+    assert _count_zeros(eta) == want
+    assert off_curve == [0.0, cutoff]
 
 
 @given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
