@@ -19,10 +19,12 @@ three-term recurrence.  Nodes are within 5e-16 of the exact rule, and
 weights within 4e-15 relative (2e-15 at the ends and the middle).
 ``_bracketed_root`` is the one real root solve, of the bound-state energies.
 
-``SampledPV`` is the one principal-value quadrature.  It takes integrands as
-functions and evaluates them itself, at the nodes and at each curve point
-with its derivative stencil; ``pole_kernel_integral`` (a curve point) and
-``plemelj_integral`` (a point of a real-axis grid) are its one-point cases.
+``SampledPV`` is the one principal-value quadrature.  It sums integrands
+given as samples, at the nodes and at each curve point with its derivative
+stencil, so that a system samples its rows once and a pairing its vector
+once; called with functions it samples them itself and sums.
+``pole_kernel_integral`` (a curve point) and ``plemelj_integral`` (a point
+of a real-axis grid) are its one-point cases.
 Its points are every node, a slice of the nodes addressed by index, or any
 curve points.  Every integrand is one row shared by all points, so a block
 of the Cauchy matrix costs one reciprocal and one matrix product, for any
@@ -449,6 +451,12 @@ class SampledPV:
     points, and ``pointwise``, take blocks of rows over every node, each
     formed for one use.  ``side`` may differ per target, so several
     displaced-pole integrals of one set of points share a sweep.
+
+    ``sum`` is the one summation: it takes the integrands as samples, rows
+    at the nodes and values at each point and its stencil, so that a caller
+    holding them (a system's rows V, Vbar and g, a vector sampled once by
+    ``sample``) evaluates nothing again.  ``__call__`` and ``pointwise``
+    take integrands as functions, sample them and sum.
     """
 
     def __init__(self, grid: ContourGrid, u=None):
@@ -470,9 +478,9 @@ class SampledPV:
         # the step stays below |u_i|, clear of the branch point at the origin
         self._delta = STENCIL_DELTA * np.minimum(1.0, np.abs(self.u))
         d = self._delta * self._tangent
-        # u_i and its stencil, evaluated together
-        self._points = np.stack([self.u, self.u - 2 * d, self.u - d, self.u + d,
-                                 self.u + 2 * d], axis=-1)
+        # u_i and its stencil (M, 5), where integrands are sampled together
+        self.points = np.stack([self.u, self.u - 2 * d, self.u - d, self.u + d,
+                                self.u + 2 * d], axis=-1)
         # PV of the integral of dz/(u - z) from 0 to X; principal logs are
         # safe because u and X - u stay in the closed right half plane here
         self.log_term = np.log(self.u) - np.log(grid.cutoff - self.u)
@@ -487,6 +495,17 @@ class SampledPV:
         diff[r, j[r]] = np.inf
         return np.reciprocal(diff, out=diff)
 
+    def sample(self, f: Callable) -> tuple[np.ndarray, np.ndarray]:
+        """f at the nodes, (N,), and at each point and its stencil, (M, 5),
+        the point first.  Where the points are every node, f is evaluated
+        once, at the stencils, and its node row is their first column, copied
+        contiguous: a strided row gives ``sum``'s operands another memory
+        order, and the matrix products other last bits."""
+        at_points = np.asarray(f(self.points), dtype=complex)
+        if self.u is self.grid.nodes:
+            return at_points[:, 0].copy(), at_points
+        return np.asarray(f(self.grid.nodes), dtype=complex), at_points
+
     def __call__(self, h: Callable, side=0, F: Callable | None = None) -> np.ndarray:
         """PV at every point, minus side * i*pi * h(u_i) for side = +1/-1
         (the displaced-pole integral \\int h(z)/(u_i + side*i0 - z) dz).
@@ -499,26 +518,41 @@ class SampledPV:
         per target, shape (P,).  An integrand given per point, h of more
         than one row or F of more than one, is refused.
         """
-        return self._sweep(h, side, F, pointwise=False)
+        out = self.sum(*self._integrand(h, F), side)
+        return out if F is not None else out[:, 0]
 
     def pointwise(self, h: Callable, side, F: Callable) -> np.ndarray:
         """``__call__`` with each point's node sums a vector-matrix product of
         their own, so that a point rounds alike alone or in a block of any
         size, as a block's matrix product does not; at about twice its cost."""
-        return self._sweep(h, side, F, pointwise=True)
+        return self.sum(*self._integrand(h, F), side, pointwise=True)
 
-    def _sweep(self, h: Callable, side, F: Callable | None, pointwise: bool) -> np.ndarray:
-        w, n, t = self.grid.weights, self.grid.n, PV_TILE
+    def _integrand(self, h: Callable, F: Callable | None) -> tuple[np.ndarray, np.ndarray]:
+        """h F_p sampled for ``sum``: its rows w h F_p at the nodes and its
+        values at the points and their stencils."""
+        n = self.grid.n
         nodes = self.grid.nodes[None, :]
         hn = np.asarray(h(nodes), dtype=complex)
         Fn = np.ones((1, 1, n)) if F is None else np.asarray(F(nodes), dtype=complex)
         if hn.shape != (1, n) or Fn.ndim != 3 or Fn.shape[::2] != (1, n):
             raise EvaluationError(f"SampledPV integrates one row shared by every point, got "
                                   f"h {hn.shape} and F {Fn.shape} on {n} nodes")
-        G = np.concatenate([(w * hn * Fn[0]).T, w[:, None]], axis=1)     # (N, P + 1)
-        hp = np.asarray(h(self._points), dtype=complex)[:, None, :]      # (M, 1, 5)
+        hp = np.asarray(h(self.points), dtype=complex)[:, None, :]      # (M, 1, 5)
         if F is not None:
-            hp = hp * np.asarray(F(self._points), dtype=complex)         # (M, P, 5)
+            hp = hp * np.asarray(F(self.points), dtype=complex)         # (M, P, 5)
+        return self.grid.weights * hn * Fn[0], hp
+
+    def sum(self, rows: np.ndarray, at_points: np.ndarray, side=0,
+            pointwise: bool = False) -> np.ndarray:
+        """The principal values of P integrands given as samples, minus side
+        * i*pi times each at u_i, shape (M, P): ``rows`` (P, N) holds w_j
+        times integrand p at node j, ``at_points`` (M, P, 5) each integrand
+        at each point and its stencil, the point first.  ``side`` is a
+        scalar or one value per integrand; ``pointwise`` sums as
+        ``pointwise`` does."""
+        w, n, t = self.grid.weights, self.grid.n, PV_TILE
+        G = np.concatenate([rows.T, w[:, None]], axis=1)                 # (N, P + 1)
+        hp = at_points
         hu = hp[..., 0]                                                  # (M, P)
         S = np.zeros((len(self.u), G.shape[1]), dtype=complex)           # C @ G
         if self.u is self.grid.nodes and not pointwise:
@@ -533,15 +567,14 @@ class SampledPV:
         else:
             product = (lambda C, g: np.matmul(C[:, None, :], g)[:, 0]) if pointwise \
                 else np.matmul
-            rows = max(1, BLOCK_ENTRIES // n)
-            for a in range(0, len(self.u), rows):
-                I = slice(a, a + rows)
+            block = max(1, BLOCK_ENTRIES // n)
+            for a in range(0, len(self.u), block):
+                I = slice(a, a + block)
                 S[I] = product(self._cauchy(I, slice(0, n)), G)
         dh = (hp[..., 1] - 8 * hp[..., 2] + 8 * hp[..., 3] - hp[..., 4]) \
             / (12 * self._delta[:, None] * self._tangent[:, None])
-        out = S[:, :-1] - hu * S[:, -1:] - self.node_weight[:, None] * dh \
+        return S[:, :-1] - hu * S[:, -1:] - self.node_weight[:, None] * dh \
             + hu * self.log_term[:, None] - side * 1j * np.pi * hu
-        return out if F is not None else out[:, 0]
 
 
 def plemelj_integral(f: Callable, x0: float, side: int, grid: ContourGrid) -> complex:

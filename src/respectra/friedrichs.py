@@ -15,8 +15,10 @@ zero, by its phases at the two ends 0 and X.  A count other than 1 is
 refused, and so, before any iteration, are an unresolved quadrature
 (\\int V Vbar / z, which is real, read as complex) and a bound level:
 eta(0-) > 0 puts a real zero of eta below the threshold.  The exact
-system solves its own pole on its sampled eta, then sweeps eta(u +- i0) at
-every node once, for the count and both families.
+system solves its own pole on its sampled eta, then samples V and Vbar once
+at every node's stencil, a table its families keep as their rows, and
+sweeps eta(u +- i0) at every node once on them, for the count and both
+families.
 
 This module is the ground truth the perturbative engine is checked against.
 """
@@ -29,7 +31,7 @@ import numpy as np
 from .contour import ContourGrid, SampledPV, _bracketed_root, build_contour
 from .errors import (BoundStateError, ContourError, ConvergenceError, DegeneratePairError,
                      EvaluationError)
-from .model import ModelSpec, eval_V, eval_Vbar
+from .model import ModelSpec, SampledRows, eval_V, eval_Vbar
 
 
 class SampledEta:
@@ -87,12 +89,17 @@ class SampledEta:
     def boundary(self, pv: SampledPV | None = None) -> tuple[np.ndarray, np.ndarray]:
         """eta(u + i0) and eta(u - i0) at the points u of ``pv``, a
         ``SampledPV`` on this grid (every node by default): one curve
-        principal value plus or minus the half residue."""
+        principal value plus or minus the half residue.  V Vbar is sampled
+        at the points and their stencils alone; its node row is held."""
         pv = SampledPV(self.grid) if pv is None else pv
-        vv = self.vv if pv.u is self.grid.nodes else self._vv_at(pv.u)
-        J = pv(self._vv_at)
+        return self._boundary(pv, self._vv_at(pv.points))
+
+    def _boundary(self, pv: SampledPV, vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``boundary`` on the samples vv (M, 5) of V Vbar at the points of pv
+        and their stencils."""
+        J = pv.sum(self.wvv[None], vv[:, None, :])[:, 0]
         base = pv.u - self.omega
-        return base - (J - 1j * np.pi * vv), base - (J + 1j * np.pi * vv)
+        return base - (J - 1j * np.pi * vv[:, 0]), base - (J + 1j * np.pi * vv[:, 0])
 
 
 @dataclass(frozen=True)
@@ -264,15 +271,15 @@ class ExactEigvecs:
     on the left, norm = eta'(pole)^(-1/2).  The right continuum member at a
     node u is the unit atom at u plus Vbar(u)/eta(u+i0) times (level + pole
     term V(z)/(u+i0-z)); the left one mirrors it with V(u)/eta(u-i0).
-    ``pv`` is the node principal value eta(u +- i0) was swept on, which the
-    families pair through.
+    ``rows`` holds V and Vbar on the node principal value eta(u +- i0) was
+    swept on, which the families pair through.
     """
 
     model: ModelSpec
     grid: ContourGrid
     pole: PoleResult
     norm: complex
-    pv: SampledPV
+    rows: SampledRows
     eta_plus: np.ndarray
     eta_minus: np.ndarray
 
@@ -285,12 +292,13 @@ def exact_system(model: ModelSpec, grid: ContourGrid | None = None,
     model the solve refuses never pays for it."""
     eta = SampledEta(model, grid)
     solve = _solve_pole(eta, tol)
-    pv = SampledPV(eta.grid)
-    plus, minus = eta.boundary(pv)
+    rows = SampledRows(model, SampledPV(eta.grid))
+    # V and Vbar apart, for the families; their product has _vv_at's bits
+    plus, minus = eta._boundary(rows.pv, rows.points["V"] * rows.points["Vbar"])
     pole = PoleResult(*solve, *_count_zeros(eta, plus))
     lam = pole.lambda_pole
     ep = eta.prime(lam)
     if abs(ep) < 1e-8:
         raise DegeneratePairError(f"eta'({lam}) ~ 0: degenerate pole")
     return ExactEigvecs(model, eta.grid, pole, 1.0 / np.sqrt(ep),   # principal branch
-                        pv, plus, minus)
+                        rows, plus, minus)

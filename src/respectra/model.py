@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import MIN_NODES, ContourSpec
+from .contour import MIN_NODES, ContourSpec, SampledPV
 from .errors import AnalyticityError, ConfigError, ContourError
 
 _REGION_SLACK_RE = 0.05
@@ -279,3 +279,24 @@ def eval_V2(model: ModelSpec, z, zp):
 def eval_kernel_factor(model: ModelSpec, z):
     """g = coupling * h at z, so that coupling^2 K(z, z') = g(z) g(z')."""
     return model.coupling * model.kernel.factor(z)
+
+
+class SampledRows:
+    """The rows of one model on one ``SampledPV``, each sampled once by
+    ``SampledPV.sample``: V and Vbar, and with a kernel its factor g.
+
+    ``nodes[name]`` holds a row at the nodes, (N,), and ``points[name]`` at
+    each point of the principal value and its stencil, (M, 5), the point
+    first; the names are "V", "Vbar" and "g".  The families of a system
+    share one table, so a pairing reads the rows and evaluates none.
+    """
+
+    def __init__(self, model: ModelSpec, pv: SampledPV):
+        self.model = model
+        self.pv = pv
+        rows = {"V": eval_V, "Vbar": eval_Vbar}
+        if model.has_kernel():
+            rows["g"] = eval_kernel_factor
+        self.nodes, self.points = {}, {}
+        for name, row in rows.items():
+            self.nodes[name], self.points[name] = pv.sample(lambda z: row(model, z))

@@ -33,27 +33,51 @@ conjugate prescription on the left.  ``ContinuumFamily`` holds the vectors
 of a whole family of curve points as arrays, each numerator two coefficients
 of the rows B(z) and g(z) shared by every member, and pairs them all through
 one sampled curve principal value, ``SampledPV``; ``perturb_continuous``
-returns one-point families on ``SampledPV(grid, u)``.
+returns one-point families on ``SampledPV(grid, u)``.  The rows are carried
+as samples: a system samples V, Vbar and g once on its principal value, at
+the nodes and at each point's stencil (``model.SampledRows``), and its
+families share that table, from which the continuous branch's sweep and
+every pairing read them.  The exact discrete pair holds its node samples,
+formed from the same rows.
 ``pair_families`` pairs several families on one ``SampledPV`` in one sweep:
 the overlap tables of a reconstruction pair the right family with the bra
 and the left family with the ket, each row a target with its family's
-side.  A system keeps the tables of its last (Psi, Phi) pair, read-only, so
-the inner product and the generator of one pair cost one sweep.
+side.  Each vector is sampled once, as a ``SampledVector``: at the stencils,
+whose first column is its atoms and, at every node, its node row, which the
+discrete pair's pairing reads too, so a reconstruction evaluates no row.  A
+system keeps the tables of its last (Psi, Phi) pair, read-only, so the inner
+product and the generator of one pair cost one sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .contour import ContourGrid, SampledPV, build_contour
 from .errors import ConfigError, DegeneratePairError, EvaluationError
 from .friedrichs import PoleResult, exact_system
-from .model import ModelSpec, eval_V, eval_Vbar, eval_kernel_factor
+from .model import ModelSpec, SampledRows, eval_V, eval_Vbar, eval_kernel_factor
 from .states import AnalyticVector
+
+
+def _pair_on_nodes(weights: np.ndarray, left_d: complex, left: np.ndarray | None,
+                   right_d: complex, right: np.ndarray | None) -> complex:
+    """``pair_coeffs`` of two vectors given as their level parts and node
+    samples (None without a profile)."""
+    total = left_d * right_d
+    if left is not None and right is not None:
+        total += np.sum(weights * left * right)
+    return complex(total)
+
+
+def _held_profile(nodes: np.ndarray, samples: np.ndarray, profile: Callable) -> Callable:
+    """``profile``, returning its read-only ``samples`` when called on the
+    grid's own ``nodes`` array (that very object)."""
+    samples.flags.writeable = False
+    return lambda z: samples if z is nodes else profile(z)
 
 
 def pair_coeffs(left: AnalyticVector, right: AnalyticVector, grid: ContourGrid) -> complex:
@@ -164,25 +188,42 @@ def perturb_discrete(model: ModelSpec, order: int = 2,
     return PerturbationSeries(tuple(zip(lambdas, right, left)), tuple(totals))
 
 
+class SampledVector(NamedTuple):
+    """A vector sampled once on one ``SampledPV``: its level part ``d``, and
+    its profile at the nodes, (N,), and at each point and its stencil,
+    (M, 5), the point first (both None without a profile)."""
+
+    d: complex
+    nodes: np.ndarray | None
+    points: np.ndarray | None
+
+    @classmethod
+    def of(cls, vec: AnalyticVector, pv: SampledPV) -> "SampledVector":
+        if vec.profile is None:
+            return cls(vec.d, None, None)
+        return cls(vec.d, *pv.sample(vec.at))
+
+
 class ContinuumFamily:
     """Right (side=+1) or left (side=-1) continuum eigenvectors at the curve
-    points of ``pv`` (every node by default), held as arrays.
+    points of ``rows.pv``, held as arrays.
 
     Member i is ``d[i]`` on the level, ``atom`` times the unit atom at u_i
     (1 for a bare or exact family, 0 for a correction; a sum of families adds
     the weights) and the pole term N_i(z) / (u_i + side*i0 - z) with
     N_i(z) = coef[i] B(z) + kernel_coef[i] g(z), B = V on the right and Vbar
     on the left and g the kernel's factor (``eval_kernel_factor``); a part whose
-    array is None is absent.  Pairings hand each shared row to the principal
-    value as one target.  A single member is a one-point family, on
-    ``SampledPV(grid, u_i)``.
+    array is None is absent.  The rows B and g are read from ``rows``, the
+    ``SampledRows`` table the families of a system share, and pairings hand
+    each to the principal value as one target.  A single member is a
+    one-point family, on ``SampledPV(grid, u_i)``.
     """
 
-    def __init__(self, model: ModelSpec, pv: SampledPV, side: int, d,
-                 coef=None, kernel_coef=None, atom: float = 1.0):
-        self.model = model
-        self.pv = pv
-        self.u = pv.u
+    def __init__(self, rows: SampledRows, side: int, d, coef=None, kernel_coef=None,
+                 atom: float = 1.0):
+        self.rows = rows
+        self.pv = rows.pv
+        self.u = rows.pv.u
         self.side = side
         self.d = np.asarray(d, dtype=complex)
         self.coef, self.kernel_coef = (None if c is None else np.asarray(c, dtype=complex)
@@ -191,7 +232,7 @@ class ContinuumFamily:
 
     def __add__(self, other: "ContinuumFamily") -> "ContinuumFamily":
         add = lambda a, b: b if a is None else a if b is None else a + b
-        return ContinuumFamily(self.model, self.pv, self.side, self.d + other.d,
+        return ContinuumFamily(self.rows, self.side, self.d + other.d,
                                add(self.coef, other.coef),
                                add(self.kernel_coef, other.kernel_coef),
                                self.atom + other.atom)
@@ -200,62 +241,72 @@ class ContinuumFamily:
         """Bilinear pairing of every member with a vector, a level component
         plus one analytic profile: <vec|f_i> on the right, <f~_i|vec> on the
         left."""
-        return pair_families([(self, vec)])[0]
+        return pair_families([(self, SampledVector.of(vec, self.pv))])[0]
 
 
 def pair_families(pairs) -> list:
-    """``ContinuumFamily.pair`` for several (family, vector) pairs whose
-    families share one ``SampledPV``, in one sweep: each shared row of each
-    pair's numerators, times the pair's vector, is one target of a single
-    principal value, with its family's side."""
+    """``ContinuumFamily.pair`` for several (family, ``SampledVector``)
+    pairs whose families share one ``SampledPV``, in one sweep: each row of
+    each pair's numerators, from the family's table, times the pair's vector
+    is one target of a single principal value, with its family's side.  The
+    atoms read the vector at the points themselves, the first stencil column."""
     fams = [fam for fam, _ in pairs]
     pv = fams[0].pv
     if any(fam.pv is not pv for fam in fams):
         raise EvaluationError("families paired in one sweep must share their SampledPV")
     out = [vec.d * fam.d for fam, vec in pairs]
-    targets = []        # (pair, coefficients, vector, shared row)
+    at_nodes, at_points, sides, targets = [], [], [], []     # targets: (pair, coefficients)
     for p, (fam, vec) in enumerate(pairs):
-        if vec.profile is not None:
-            out[p] = out[p] + fam.atom * vec.at(pv.u)   # the atoms at u_i
-            rows = ((fam.coef, eval_V if fam.side > 0 else eval_Vbar),
-                    (fam.kernel_coef, eval_kernel_factor))
-            targets += [(p, c, vec, partial(row, fam.model)) for c, row in rows if c is not None]
+        if vec.points is not None:
+            out[p] = out[p] + fam.atom * vec.points[:, 0]   # the atoms at u_i
+            for c, name in ((fam.coef, "V" if fam.side > 0 else "Vbar"),
+                            (fam.kernel_coef, "g")):
+                if c is not None:
+                    at_nodes.append(vec.nodes * fam.rows.nodes[name])
+                    at_points.append(vec.points * fam.rows.points[name])
+                    sides.append(fam.side)
+                    targets.append((p, c))
     if targets:
-        F = lambda z: np.stack([vec.at(z) * row(z) for _, _, vec, row in targets], axis=-2)
-        J = pv(np.ones_like, np.array([fams[p].side for p, *_ in targets]), F)
-        for k, (p, c, _, _) in enumerate(targets):
+        J = pv.sum(pv.grid.weights * np.stack(at_nodes), np.stack(at_points, axis=-2),
+                   np.array(sides))
+        for k, (p, c) in enumerate(targets):
             out[p] = out[p] + c * J[:, k]
     return out
 
 
-def _branch_orders(model: ModelSpec, pv: SampledPV, order: int) -> tuple[list, list]:
+def _branch_orders(rows: SampledRows, order: int) -> tuple[list, list]:
     """Orders 1..order (at most 2) of the continuous branch at the points of
-    ``pv``, one correction family each, without the atom: the right (side
-    +1) and the left (side -1) lists.  With L = Vbar on the right and V on
-    the left and K(z, z') = g(z) g(z'): order 1 is L(u)/(u - Omega) plus the
-    kernel column g(u) g(z); order 2 is g(u) PV[L g] / (u - Omega) plus the
-    numerator B(z) L(u)/(u - Omega) + g(u) PV[g^2] g(z),
-    PV[f] = \\int f(z)/(u + side*i0 - z) dz, the four of both sides in one sweep."""
-    u, om = pv.u, model.omega_level
+    ``rows.pv``, one correction family each, without the atom: the right
+    (side +1) and the left (side -1) lists.  With L = Vbar on the right and V
+    on the left and K(z, z') = g(z) g(z'): order 1 is L(u)/(u - Omega) plus
+    the kernel column g(u) g(z); order 2 is g(u) PV[L g] / (u - Omega) plus
+    the numerator B(z) L(u)/(u - Omega) + g(u) PV[g^2] g(z),
+    PV[f] = \\int f(z)/(u + side*i0 - z) dz, the four of both sides in one
+    sweep, on the rows of the table."""
+    pv, om = rows.pv, rows.model.omega_level
+    u = pv.u
     if np.any((u.imag == 0.0) & (np.abs(u - om) < 1e-12)):
         raise EvaluationError("curve point coincides with the discrete level")
-    sides, levels = (+1, -1), (eval_Vbar, eval_V)
-    g = partial(eval_kernel_factor, model) if model.has_kernel() else None
-    gu = None if g is None else g(u)
-    if order >= 2 and g is not None:
+    sides, levels = (+1, -1), ("Vbar", "V")
+    kernel = "g" in rows.points
+    gu = rows.points["g"][:, 0] if kernel else None
+    if order >= 2 and kernel:
         # formed point by point, so that a one-point family holds the
         # coefficients of the grid family's member bit for bit
-        J = pv.pointwise(g, np.repeat(sides, 2), lambda z: np.stack(
-            [row for level in levels for row in (level(model, z), g(z))], axis=-2))
+        names = [name for level in levels for name in (level, "g")]
+        J = pv.sum(pv.grid.weights * rows.nodes["g"] * np.stack([rows.nodes[k] for k in names]),
+                   rows.points["g"][:, None, :]
+                   * np.stack([rows.points[k] for k in names], axis=-2),
+                   np.repeat(sides, 2), pointwise=True)
     branches = []
     for k, (side, level) in enumerate(zip(sides, levels)):
-        d1 = level(model, u) / (u - om)
-        fams = [ContinuumFamily(model, pv, side, d1, kernel_coef=gu, atom=0.0)]
+        d1 = rows.points[level][:, 0] / (u - om)
+        fams = [ContinuumFamily(rows, side, d1, kernel_coef=gu, atom=0.0)]
         if order >= 2:
             d2, k2 = np.zeros_like(d1), None
-            if g is not None:
+            if kernel:
                 d2, k2 = gu * J[:, 2 * k] / (u - om), gu * J[:, 2 * k + 1]
-            fams.append(ContinuumFamily(model, pv, side, d2, coef=d1, kernel_coef=k2, atom=0.0))
+            fams.append(ContinuumFamily(rows, side, d2, coef=d1, kernel_coef=k2, atom=0.0))
         branches.append(fams[:order])
     return tuple(branches)
 
@@ -276,11 +327,10 @@ def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
         raise ConfigError("continuous branch is implemented through order 2")
     if grid is None:
         grid = build_contour(model.contour)
-    u = complex(u)
-    pv = SampledPV(grid, u)
-    bare = (ContinuumFamily(model, pv, side, np.zeros(1)) for side in (+1, -1))
-    right, left = _branch_orders(model, pv, order)
-    orders = [(u, *bare)] + [(0j, r, l) for r, l in zip(right, left)]
+    rows = SampledRows(model, SampledPV(grid, complex(u)))
+    bare = (ContinuumFamily(rows, side, np.zeros(1)) for side in (+1, -1))
+    right, left = _branch_orders(rows, order)
+    orders = [(complex(u), *bare)] + [(0j, r, l) for r, l in zip(right, left)]
     totals = tuple(sum((o[slot] for o in orders[1:]), orders[0][slot]) for slot in (1, 2))
     return PerturbationSeries(tuple(orders), totals)
 
@@ -330,10 +380,10 @@ class BiorthogonalSystem:
             grid = build_contour(model.contour)
         disc = perturb_discrete(model, order, grid)
         r, l = normalize_pair(disc.right_total(), disc.left_total(), grid)
-        pv = SampledPV(grid)
+        rows = SampledRows(model, SampledPV(grid))
         # order 0 is the unit atom of every member; the corrections add up
-        right, left = (sum(orders, ContinuumFamily(model, pv, side, np.zeros(grid.n)))
-                       for side, orders in zip((+1, -1), _branch_orders(model, pv, order)))
+        right, left = (sum(orders, ContinuumFamily(rows, side, np.zeros(grid.n)))
+                       for side, orders in zip((+1, -1), _branch_orders(rows, order)))
         return cls(model, grid, disc.eigenvalue, r, l, right, left,
                    source=f"perturbation(order={order})", pole_result=None)
 
@@ -342,15 +392,19 @@ class BiorthogonalSystem:
                    tol: float = 1e-13) -> "BiorthogonalSystem":
         """Exact system, its pole solved at ``tol`` on its own sampled eta."""
         sysx = exact_system(model, grid, tol)
-        grid, lam, c = sysx.grid, sysx.pole.lambda_pole, sysx.norm
-        dr, dl = (AnalyticVector(complex(c), lambda z, b=b: c * b(model, z) / (lam - z))
-                  for b in (eval_V, eval_Vbar))
-        a_right = eval_Vbar(model, grid.nodes) / sysx.eta_plus
-        a_left = eval_V(model, grid.nodes) / sysx.eta_minus
+        grid, lam, c, rows = sysx.grid, sysx.pole.lambda_pole, sysx.norm, sysx.rows
+        nodes = grid.nodes
+        # the discrete pair c B(z) / (lambda - z), B = V on the right and Vbar
+        # on the left, holds its node samples, formed from the table's rows
+        dr, dl = (AnalyticVector(complex(c), _held_profile(
+                      nodes, c * rows.nodes[name] / (lam - nodes),
+                      lambda z, b=b: c * b(model, z) / (lam - z)))
+                  for name, b in (("V", eval_V), ("Vbar", eval_Vbar)))
+        a_right = rows.nodes["Vbar"] / sysx.eta_plus
+        a_left = rows.nodes["V"] / sysx.eta_minus
         # the families pair through the principal value eta was swept on
-        return cls(model, grid, lam, dr, dl,
-                   ContinuumFamily(model, sysx.pv, +1, a_right, a_right),
-                   ContinuumFamily(model, sysx.pv, -1, a_left, a_left), source="exact",
+        return cls(model, grid, lam, dr, dl, ContinuumFamily(rows, +1, a_right, a_right),
+                   ContinuumFamily(rows, -1, a_left, a_left), source="exact",
                    pole_result=sysx.pole)
 
     # -- reconstruction ------------------------------------------------------
@@ -360,14 +414,19 @@ class BiorthogonalSystem:
         The tables of the last pair are kept, keyed by the identity of
         ``psi`` and ``phi`` (both frozen, and held so that their ids stay
         taken), so ``reconstruct_inner`` then ``reconstruct_H`` on one pair
-        run one sweep.  The arrays are read-only: every caller shares them."""
+        run one sweep.  The arrays are read-only: every caller shares them.
+        Each vector is sampled once, on the families' principal value; the
+        discrete pair pairs with its node samples."""
         if self._overlap_memo is not None:
             memo_psi, memo_phi, tables = self._overlap_memo
             if memo_psi is psi and memo_phi is phi:
                 return tables
-        a_pole = pair_coeffs(psi, self.disc_right, self.grid)
-        b_pole = pair_coeffs(self.disc_left, phi, self.grid)
-        a, b = pair_families([(self.cont_right, psi), (self.cont_left, phi)])
+        ps, fs = (SampledVector.of(v, self.cont_right.pv) for v in (psi, phi))
+        w, nodes = self.grid.weights, self.grid.nodes
+        at_nodes = lambda v: None if v.profile is None else v.at(nodes)
+        a_pole = _pair_on_nodes(w, ps.d, ps.nodes, self.disc_right.d, at_nodes(self.disc_right))
+        b_pole = _pair_on_nodes(w, self.disc_left.d, at_nodes(self.disc_left), fs.d, fs.nodes)
+        a, b = pair_families([(self.cont_right, ps), (self.cont_left, fs)])
         a.flags.writeable = b.flags.writeable = False
         tables = (a_pole, b_pole, a, b)
         self._overlap_memo = (psi, phi, tables)

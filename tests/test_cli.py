@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import re
 import shutil
@@ -658,6 +659,56 @@ def test_artifacts_match_the_recorded_ones(tmp_path, name):
                 f"{fname}: {key} at {row}: {float(got[i])!r}, recorded {float(ref[i])!r}")
 
 
+def _moves(old: Path, new: Path) -> list:
+    """What re-recording the artifacts in ``old`` as those in ``new`` moves:
+    for each float array, 'file: key: move', its largest change relative to
+    the largest magnitude of the recorded array, and a line for each file or
+    array added, removed or reshaped and each file whose text or integers
+    changed."""
+    lines = []
+    olds, news = ({p.name for p in d.iterdir()} for d in (old, new))
+    lines += [f"{fname}: removed" for fname in sorted(olds - news)]
+    lines += [f"{fname}: new" for fname in sorted(news - olds)]
+    for fname in sorted(olds & news):
+        skeleton, arrays, _ = _split(new / fname)
+        ref_skeleton, ref_arrays, _ = _split(old / fname)
+        if skeleton != ref_skeleton:
+            lines.append(f"{fname}: text or integers changed")
+        for key, ref in ref_arrays.items():
+            got = arrays.get(key)
+            if got is None or got.shape != ref.shape:
+                lines.append(f"{fname}: {key}: shape {ref.shape} -> "
+                             f"{'removed' if got is None else got.shape}")
+                continue
+            move, scale = float(np.max(np.abs(got - ref))), float(np.max(np.abs(ref)))
+            rel = move / scale if scale > 0 else (math.inf if move > 0 else 0.0)
+            lines.append(f"{fname}: {key}: {rel:.3g}")
+        lines += [f"{fname}: {key}: new" for key in arrays if key not in ref_arrays]
+    return lines
+
+
+def test_rerecording_reports_each_arrays_largest_move(tmp_path):
+    # an array rewritten alike moves 0; a changed number moves its array by
+    # its change over the recorded maximum; a dropped file is named
+    old, new = tmp_path / "old", tmp_path / "new"
+    shutil.copytree(GOLDEN / "barrier", old)
+    shutil.copytree(GOLDEN / "barrier", new)
+    sweep = new / "barrier_sweep.csv"
+    lines = sweep.read_text().splitlines()
+    cells = lines[2].split(",")
+    width = float(cells[2])
+    cells[2] = repr(width * (1 + 1e-9))
+    sweep.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+    (new / "barrier.json").unlink()
+    widths = _split(old / "barrier_sweep.csv")[1]["width"]
+    assert _moves(old, new) == [
+        "barrier.json: removed",
+        "barrier_sweep.csv: b: 0",
+        "barrier_sweep.csv: barrier_length: 0",
+        f"barrier_sweep.csv: width: {width * 1e-9 / np.max(np.abs(widths)):.3g}",
+        "barrier_sweep.csv: k_tilde: 0"]
+
+
 def _record(*args):
     """Run this file as a script with ``args``: its completed process, after
     checking that tests/golden kept every byte."""
@@ -696,5 +747,8 @@ if __name__ == "__main__":
     for name in names:
         with tempfile.TemporaryDirectory() as tmp:
             out = _run(Path(tmp), name)
+            # each rewritten array's largest move against the old recording
+            moves = _moves(GOLDEN / name, out) if (GOLDEN / name).is_dir() else ["new set"]
+            print("\n".join(f"{name}/{line}" for line in moves))
             shutil.rmtree(GOLDEN / name, ignore_errors=True)
             shutil.copytree(out, GOLDEN / name)

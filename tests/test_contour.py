@@ -345,6 +345,33 @@ class TestCurvePV:
         assert np.max(np.abs(full - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@given(n=st.integers(MIN_NODES, 300), points=st.sampled_from(["every", "slice", "one"]),
+       start=st.integers(0, 299), step=st.integers(1, 40), side=st.sampled_from([+1, -1]),
+       targets=st.booleans())
+def test_summed_samples_are_the_function_sweep(n, points, start, step, side, targets):
+    # the one summation fed with samples taken by SampledPV.sample gives
+    # __call__ and pointwise on the same functions bit for bit, at every
+    # node (whose node rows are the stencils' first column, copied
+    # contiguous), at a slice of the nodes and at one node, with and without
+    # a target axis
+    grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", n))
+    pv = {"every": SampledPV(grid), "slice": SampledPV(grid, slice(start % n, None, step)),
+          "one": SampledPV(grid, grid.nodes[start % n])}[points]
+    h = lambda z: np.sqrt(z + 0j) * np.exp(-0.5 * z)
+    hn, hp = pv.sample(h)
+    assert hn.shape == (n,) and hn.flags.c_contiguous and hp.shape == (len(pv.u), 5)
+    if not targets:
+        got = pv.sum((grid.weights * hn)[None], hp[:, None, :], side)[:, 0]
+        assert got.tobytes() == pv(h, side).tobytes()
+        return
+    rows = (lambda z: np.exp(-z), h)
+    F = lambda z: np.stack([row(z) for row in rows], axis=-2)
+    Fn, Fp = zip(*(pv.sample(row) for row in rows))
+    samples = (grid.weights * hn * np.stack(Fn), hp[:, None, :] * np.stack(Fp, axis=-2))
+    assert pv.sum(*samples, side).tobytes() == pv(h, side, F).tobytes()
+    assert pv.sum(*samples, side, pointwise=True).tobytes() == pv.pointwise(h, side, F).tobytes()
+
+
 def test_concurrent_sweeps_keep_their_own_blocks():
     # each thread forms its Cauchy tiles in a block buffer of its own: two
     # threads sweeping at once get the single-thread results bit for bit

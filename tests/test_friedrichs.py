@@ -397,9 +397,9 @@ class TestExactSystem:
         # is refused before any sweep
         grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", 800))
         sweeps = []
-        call = SampledPV.__call__
-        monkeypatch.setattr(SampledPV, "__call__",
-                            lambda pv, *a, **kw: sweeps.append(pv) or call(pv, *a, **kw))
+        total = SampledPV.sum
+        monkeypatch.setattr(SampledPV, "sum",
+                            lambda pv, *a, **kw: sweeps.append(pv) or total(pv, *a, **kw))
         s = BiorthogonalSystem.from_exact(default_model, grid)
         assert [len(pv.u) for pv in sweeps] == [800]
         assert s.cont_right.pv is s.cont_left.pv is sweeps[0]

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,11 @@ from respectra import perturbation
 from respectra.contour import ContourSpec, SampledPV, build_contour, pole_kernel_integral
 from respectra.errors import ConfigError, DegeneratePairError, EvaluationError
 from respectra.friedrichs import SampledEta, find_pole
-from respectra.model import (FormFactor2, eval_V, eval_V2, eval_Vbar, make_model,
+from respectra.model import (FormFactor2, SampledRows, eval_V, eval_V2, eval_Vbar, make_model,
                              separable_test_kernel)
-from respectra.perturbation import (BiorthogonalSystem, ContinuumFamily, normalize_pair,
-                                    pair_coeffs, pair_families, perturb_continuous,
-                                    perturb_discrete)
+from respectra.perturbation import (BiorthogonalSystem, ContinuumFamily, SampledVector,
+                                    normalize_pair, pair_coeffs, pair_families,
+                                    perturb_continuous, perturb_discrete)
 from respectra.states import AnalyticVector, random_analytic, real_axis_inner, real_axis_inner_H
 
 # PV of w e^-w / (w - 1) over the positive axis, 40-digit reference
@@ -308,8 +309,8 @@ class TestSeparableKernel:
         vec = random_analytic(np.random.default_rng(3))
         for fam in (s.cont_right, s.cont_left):
             got = fam.pair(vec)[::5]
-            ref = np.array([ContinuumFamily(m, SampledPV(grid, fam.u[i]), fam.side,
-                                            fam.d[i:i + 1], fam.coef[i:i + 1],
+            ref = np.array([ContinuumFamily(SampledRows(m, SampledPV(grid, fam.u[i])),
+                                            fam.side, fam.d[i:i + 1], fam.coef[i:i + 1],
                                             fam.kernel_coef[i:i + 1]).pair(vec)[0]
                             for i in range(0, grid.n, 5)])
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -397,7 +398,7 @@ def test_factored_kernel_pairing_matches_the_direct_kernel(side):
     m = make_model("poly_exp", [1.0], 1.0, 0.1, spec, kernel="separable_sqrt_exp")
     grid = build_contour(spec)
     vec = random_analytic(np.random.default_rng(29))
-    o1, o2 = perturbation._branch_orders(m, SampledPV(grid), 2)[(1 - side) // 2]
+    o1, o2 = perturbation._branch_orders(SampledRows(m, SampledPV(grid)), 2)[(1 - side) // 2]
     for fam, orders in ((o1, (1,)), (o2, (2,)), (o1 + o2, (1, 2))):
         got = fam.pair(vec)
         for i in range(3, grid.n, 8):
@@ -578,9 +579,62 @@ def test_overlap_tables_of_the_last_pair_are_kept(default_spec, monkeypatch, ker
 
 
 def test_families_of_one_sweep_share_their_points(default_model, default_grid):
-    fams = [ContinuumFamily(default_model, SampledPV(default_grid), side,
+    fams = [ContinuumFamily(SampledRows(default_model, SampledPV(default_grid)), side,
                             np.zeros(default_grid.n), np.ones(default_grid.n))
             for side in (+1, -1)]
-    vec = random_analytic(np.random.default_rng(1))
+    vec = SampledVector.of(random_analytic(np.random.default_rng(1)), fams[0].pv)
     with pytest.raises(EvaluationError):
         pair_families([(fams[0], vec), (fams[1], vec)])
+
+
+def _counted_rows(monkeypatch) -> dict:
+    """Wrap eval_V, eval_Vbar and eval_kernel_factor, wherever the package
+    binds them, in counters of the shape each evaluation takes: name ->
+    list of shapes."""
+    calls = {}
+    for name in ("eval_V", "eval_Vbar", "eval_kernel_factor"):
+        real, seen = getattr(sys.modules["respectra.model"], name), calls.setdefault(name, [])
+        counting = lambda m, z, real=real, seen=seen: seen.append(np.shape(z)) or real(m, z)
+        for mod in [m for key, m in sys.modules.items() if key.startswith("respectra")]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
+def test_a_reconstruction_samples_each_vector_once_and_no_row(default_spec, monkeypatch,
+                                                              kernel):
+    # reconstruct_inner samples each vector's profile once, at the stencils
+    # of every node, and evaluates no row: the families read V, Vbar and g
+    # from their system's table, and the discrete pair pairs on the node
+    # samples it holds
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
+    s = (BiorthogonalSystem.from_exact(m) if kernel is None
+         else BiorthogonalSystem.from_perturbation(m, 2))
+    rng = np.random.default_rng(31)
+    shapes = []
+    psi, phi = (AnalyticVector(v.d, lambda z, p=v.profile: shapes.append(np.shape(z)) or p(z))
+                for v in (random_analytic(rng), random_analytic(rng)))
+    rows = _counted_rows(monkeypatch)
+    s.reconstruct_inner(psi, phi)
+    assert shapes == [(default_spec.n_nodes, 5)] * 2
+    assert rows == {"eval_V": [], "eval_Vbar": [], "eval_kernel_factor": []}
+
+
+def test_the_exact_system_samples_its_rows_once(monkeypatch):
+    # from_exact samples V and Vbar once at the nodes, for eta's moments,
+    # and once at the stencils of every node, for the boundary sweep and the
+    # families; find_pole's strided zero count samples them at its points'
+    # stencils alone
+    spec = ContourSpec(0.5, 20.0, "rectangle", 800)
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, spec)
+    grid = build_contour(spec)
+    rows = _counted_rows(monkeypatch)
+    BiorthogonalSystem.from_exact(m, grid)
+    assert rows == {"eval_V": [(800,), (800, 5)], "eval_Vbar": [(800,), (800, 5)],
+                    "eval_kernel_factor": []}
+    for seen in rows.values():
+        seen.clear()
+    find_pole(m, grid=grid)
+    assert rows == {"eval_V": [(800,), (200, 5)], "eval_Vbar": [(800,), (200, 5)],
+                    "eval_kernel_factor": []}
