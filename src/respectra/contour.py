@@ -448,15 +448,15 @@ class SampledPV:
     nodes by PV_TILE nodes and forms each tile off the diagonal once, for
     its row block as C and for its column block as -C^T: half the
     reciprocals, and the tile still in cache for its second product.  Other
-    points, and ``pointwise``, take blocks of rows over every node, each
+    points, and a ``pointwise`` sum, take blocks of rows over every node, each
     formed for one use.  ``side`` may differ per target, so several
     displaced-pole integrals of one set of points share a sweep.
 
     ``sum`` is the one summation: it takes the integrands as samples, rows
     at the nodes and values at each point and its stencil, so that a caller
     holding them (a system's rows V, Vbar and g, a vector sampled once by
-    ``sample``) evaluates nothing again.  ``__call__`` and ``pointwise``
-    take integrands as functions, sample them and sum.
+    ``sample``) evaluates nothing again.  ``__call__`` takes integrands as
+    functions, samples them and sums.
     """
 
     def __init__(self, grid: ContourGrid, u=None):
@@ -521,12 +521,6 @@ class SampledPV:
         out = self.sum(*self._integrand(h, F), side)
         return out if F is not None else out[:, 0]
 
-    def pointwise(self, h: Callable, side, F: Callable) -> np.ndarray:
-        """``__call__`` with each point's node sums a vector-matrix product of
-        their own, so that a point rounds alike alone or in a block of any
-        size, as a block's matrix product does not; at about twice its cost."""
-        return self.sum(*self._integrand(h, F), side, pointwise=True)
-
     def _integrand(self, h: Callable, F: Callable | None) -> tuple[np.ndarray, np.ndarray]:
         """h F_p sampled for ``sum``: its rows w h F_p at the nodes and its
         values at the points and their stencils."""
@@ -548,8 +542,10 @@ class SampledPV:
         * i*pi times each at u_i, shape (M, P): ``rows`` (P, N) holds w_j
         times integrand p at node j, ``at_points`` (M, P, 5) each integrand
         at each point and its stencil, the point first.  ``side`` is a
-        scalar or one value per integrand; ``pointwise`` sums as
-        ``pointwise`` does."""
+        scalar or one value per integrand.  With ``pointwise`` each point's
+        node sums are a vector-matrix product of their own, so that a point
+        rounds alike alone or in a block of any size, as a block's matrix
+        product does not; at about twice the cost."""
         w, n, t = self.grid.weights, self.grid.n, PV_TILE
         G = np.concatenate([rows.T, w[:, None]], axis=1)                 # (N, P + 1)
         hp = at_points

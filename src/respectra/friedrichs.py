@@ -6,19 +6,22 @@ between the path and the positive axis is the resonance pole; the residue
 derivative eta'(pole) fixes the normalization of the discrete pair, and the
 continuum pair needs the two boundary values eta(u +- i0) on the curve.
 
-``SampledEta`` samples V Vbar once per grid and gives eta, eta' and the
-boundary values eta(u +- i0); the pole solve and the exact system read its
-moments, each at one lambda.  The pole solve ends by counting the zeros in
-the strip with the argument principle: the winding of eta(u + i0) along the
-curve, at nodes addressed by index, closed above the axis, where eta has no
-zero, by its phases at the two ends 0 and X.  A count other than 1 is
+``SampledEta`` samples V and Vbar once per grid, with one region check
+(``model.sample_rows``), and gives eta, eta' and the boundary values
+eta(u +- i0); the pole solve and the exact system read its moments, each at
+one lambda, and ``liouville`` its V row.  A zero count on its own strided
+sweep samples them at its points' stencils after one more check.  The pole
+solve ends by counting the zeros in the strip with the argument principle:
+the winding of eta(u + i0) along the curve, at nodes addressed by index,
+closed above the axis, where eta has no zero, by its phases at the two ends
+0 and X.  A count other than 1 is
 refused, and so, before any iteration, are an unresolved quadrature
 (\\int V Vbar / z, which is real, read as complex) and a bound level:
 eta(0-) > 0 puts a real zero of eta below the threshold.  The exact
 system solves its own pole on its sampled eta, then samples V and Vbar once
-at every node's stencil, a table its families keep as their rows, and
-sweeps eta(u +- i0) at every node once on them, for the count and both
-families.
+at every node's stencil, after one check, a table its families keep as
+their rows, and sweeps eta(u +- i0) at every node once on them, for the
+count and both families: two checks in all, as for ``find_pole``.
 
 This module is the ground truth the perturbative engine is checked against.
 """
@@ -31,14 +34,16 @@ import numpy as np
 from .contour import ContourGrid, SampledPV, _bracketed_root, build_contour
 from .errors import (BoundStateError, ContourError, ConvergenceError, DegeneratePairError,
                      EvaluationError)
-from .model import ModelSpec, SampledRows, eval_V, eval_Vbar
+from .model import ModelSpec, SampledRows, sample_rows
 
 
 class SampledEta:
     """eta(lambda) = lambda - Omega - \\int V Vbar / (lambda - z) dz on one grid.
 
-    w_j V(z_j) Vbar(z_j) and the node spacing are sampled once; the moments,
-    eta, eta' and the boundary values eta(u +- i0) all read them.
+    V and Vbar are sampled at the nodes once, with one region check, and
+    so are w_j V(z_j) Vbar(z_j) and the node spacing; the moments, eta, eta'
+    and the boundary values eta(u +- i0) all read them, and ``v``, the V
+    row, gives ``liouville`` its level profile.
     """
 
     def __init__(self, model: ModelSpec, grid: ContourGrid | None = None):
@@ -48,13 +53,15 @@ class SampledEta:
         self.grid = build_contour(model.contour) if grid is None else grid
         self.omega = model.omega_level
         self.free = model.coupling == 0.0
-        self.vv = self._vv_at(self.grid.nodes)
+        self.v, self.vv = self._v_vv(self.grid.nodes)
         self.wvv = self.grid.weights * self.vv
         gaps = np.sort(np.abs(np.diff(self.grid.nodes)))    # np.median would import numpy.ma
         self.spacing = float(np.mean(gaps[(len(gaps) - 1) // 2:len(gaps) // 2 + 1]))   # median
 
-    def _vv_at(self, z):
-        return eval_V(self.model, z) * eval_Vbar(self.model, z)
+    def _v_vv(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """V and V Vbar at the points z, sampled after one region check."""
+        rows = sample_rows(self.model, z, ("V", "Vbar"))
+        return rows["V"], rows["V"] * rows["Vbar"]
 
     def terms(self, lam, power: int = 1) -> np.ndarray:
         """The summands w_j V Vbar(z_j) / (lambda - z_j)^power of a moment,
@@ -92,7 +99,7 @@ class SampledEta:
         principal value plus or minus the half residue.  V Vbar is sampled
         at the points and their stencils alone; its node row is held."""
         pv = SampledPV(self.grid) if pv is None else pv
-        return self._boundary(pv, self._vv_at(pv.points))
+        return self._boundary(pv, self._v_vv(pv.points)[1])
 
     def _boundary(self, pv: SampledPV, vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``boundary`` on the samples vv (M, 5) of V Vbar at the points of pv
@@ -293,7 +300,7 @@ def exact_system(model: ModelSpec, grid: ContourGrid | None = None,
     eta = SampledEta(model, grid)
     solve = _solve_pole(eta, tol)
     rows = SampledRows(model, SampledPV(eta.grid))
-    # V and Vbar apart, for the families; their product has _vv_at's bits
+    # V and Vbar apart, for the families; their product has _v_vv's bits
     plus, minus = eta._boundary(rows.pv, rows.points["V"] * rows.points["Vbar"])
     pole = PoleResult(*solve, *_count_zeros(eta, plus))
     lam = pole.lambda_pole

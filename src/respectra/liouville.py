@@ -12,12 +12,14 @@ symbolic (position, weight) and paired analytically, never sampled.
 Requires a coupling that is real on the positive axis and no
 continuum-continuum kernel; all branch formulas are second order.
 ``LiouvilleSystem`` is the one place that samples the two curves: one
-``friedrichs.SampledEta`` and the level profile a = V/(z - Omega) per curve
-give the decay mode, the branch eigenvalues, their shifts and left
-functionals, the pair normalizers and the relaxed states.  A relaxed state
-holds its curve densities as node samples on the system's grids (the
-kernel-block density as rank-one factor pairs) and pairs them only on those
-grids, which ``LiouvilleGrids`` builds from the lower curve alone.
+``friedrichs.SampledEta`` per curve, which samples V and Vbar there once
+after one region check, and the level profile a = V/(z - Omega) formed from
+that eta's own V row give the decay mode, the branch eigenvalues, their
+shifts and left functionals, the pair normalizers and the relaxed states.
+A relaxed state holds its curve densities as node samples on the system's
+grids (the kernel-block density as rank-one factor pairs) and pairs them
+only on those grids, which ``LiouvilleGrids`` builds from the lower curve
+alone.
 
 Relaxation takes a system and reads its model, its decay phase and its two
 branch sums, sum over the nodes of w exp(i lambda t), at many times at once;
@@ -258,13 +260,13 @@ class LiouvilleSystem:
     """Spectrum of the extended generator on one set of grids.
 
     This is the only code that samples the two curves: one ``SampledEta``
-    and the level profile a = V(z)/(z - Omega) per curve give the decay mode
-    (``lam_d``, ``decay_right``, ``decay_left``), the branch eigenvalues and
-    left functionals, the pair normalizers and the decay phase and branch
-    sums of ``evolve_state`` and ``relaxation_curve``.  Every left
-    functional is a ``GeneralizedState`` reduced to its level and diagonal
-    content, the part that pairs with the identity; its atoms in the curve
-    blocks are not kept.
+    per curve and the level profile a = V(z)/(z - Omega) from its V row give
+    the decay mode (``lam_d``, ``decay_right``, ``decay_left``), the branch
+    eigenvalues and left functionals, the pair normalizers and the decay
+    phase and branch sums of ``evolve_state`` and ``relaxation_curve``.
+    Every left functional is a ``GeneralizedState`` reduced to its level and
+    diagonal content, the part that pairs with the identity; its atoms in
+    the curve blocks are not kept.
     """
 
     def __init__(self, model: ModelSpec, grids: LiouvilleGrids | None = None):
@@ -277,8 +279,7 @@ class LiouvilleSystem:
                                   "window for the diagonal atom to be defined")
         self._etas = tuple(SampledEta(model, g)
                            for g in (self.grids.gamma, self.grids.gamma_bar))
-        self.a_lower, self.a_upper = (eval_V(model, e.grid.nodes) / (e.grid.nodes - om)
-                                      for e in self._etas)
+        self.a_lower, self.a_upper = (e.v / (e.grid.nodes - om) for e in self._etas)
         # \int V^2/(z - Omega) over the lower and over the upper curve
         lower, upper = (-e.moment(om) for e in self._etas)
         self.shift_lower, self.shift_upper = lower, -upper   # lam2 of u1 and of 1u

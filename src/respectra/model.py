@@ -5,6 +5,18 @@ The registry families are closed forms whose only branch point sits at the
 origin (principal square root, cut on the negative real axis), so every
 contour of bounded depth stays inside the analytic region.  The coupling
 constant multiplies the form factor linearly and the kernel quadratically.
+
+Every row of a model, V, Vbar(z) = conj(V(conj z)) and the kernel factor g,
+is evaluated at points checked against the declared analyticity region,
+which refuses a point off it rather than return a number there.
+``eval_V``, ``eval_Vbar`` and ``eval_kernel_factor`` check and evaluate one
+row; ``sample_rows`` checks a set of points once and then evaluates each row
+there once, the one check serving Vbar too, since the region is symmetric
+under conjugation.  So a table costs one check per point set: a system's
+``SampledRows`` on its principal value, ``friedrichs.SampledEta``'s node
+moments and each zero count's stencils, and the discrete branch's node rows
+(``perturbation.perturb_discrete``; ``from_perturbation`` hands it its
+table's node rows instead).
 """
 
 from __future__ import annotations
@@ -244,8 +256,13 @@ def model_from_dict(doc: dict) -> ModelSpec:
         raise ConfigError(str(e)) from e
 
 
-def _check_region(model: ModelSpec, z):
-    zs = np.asarray(z, dtype=complex)
+def _check_region(model: ModelSpec, *zs):
+    """Refuse unless every point of the arrays ``zs``, checked as one set,
+    lies in the model's declared analyticity region.  The region is
+    symmetric under conjugation, so a set passes exactly when its conjugate
+    does, and the check of z serves Vbar(z) = conj(V(conj z)) too."""
+    zs = (np.asarray(zs[0], dtype=complex) if len(zs) == 1
+          else np.concatenate([np.ravel(np.asarray(z, dtype=complex)) for z in zs]))
     sre = _REGION_SLACK_RE * max(1.0, model.contour.cutoff)
     sim = max(_REGION_SLACK_IM * model.contour.depth, 1e-2)
     ok = ((zs.real >= -0.01) & (zs.real <= model.contour.cutoff + sre)
@@ -256,18 +273,29 @@ def _check_region(model: ModelSpec, z):
                                "analyticity region of the model")
 
 
+def _row(model: ModelSpec, name: str, z):
+    """Row ``name`` of the model at z, unchecked: "V", the coupling function,
+    "Vbar", its conjugate extension conj(V(conj z)), or "g", the kernel
+    factor."""
+    if name == "V":
+        return model.coupling * model.form_factor.fn(z)
+    if name == "Vbar":
+        zc = np.conj(np.asarray(z, dtype=complex))
+        return np.conj(model.coupling * model.form_factor.fn(zc))
+    return model.coupling * model.kernel.factor(z)
+
+
 def eval_V(model: ModelSpec, z):
     """Coupling function at complex z inside the analyticity strip."""
     _check_region(model, z)
-    return model.coupling * model.form_factor.fn(z)
+    return _row(model, "V", z)
 
 
 def eval_Vbar(model: ModelSpec, z):
     """Conjugate-extension rule: conj(V(conj z)).  Equals eval_V for families
     that are real on the positive axis."""
-    zc = np.conj(np.asarray(z, dtype=complex))
-    _check_region(model, zc)
-    return np.conj(model.coupling * model.form_factor.fn(zc))
+    _check_region(model, z)
+    return _row(model, "Vbar", z)
 
 
 def eval_V2(model: ModelSpec, z, zp):
@@ -277,26 +305,49 @@ def eval_V2(model: ModelSpec, z, zp):
 
 
 def eval_kernel_factor(model: ModelSpec, z):
-    """g = coupling * h at z, so that coupling^2 K(z, z') = g(z) g(z')."""
-    return model.coupling * model.kernel.factor(z)
+    """g = coupling * h at z inside the analyticity strip, so that
+    coupling^2 K(z, z') = g(z) g(z')."""
+    _check_region(model, z)
+    return _row(model, "g", z)
+
+
+def sample_rows(model: ModelSpec, points, names=None) -> dict:
+    """The rows ``names`` of the model at ``points``, after one check of the
+    points against the analyticity region: name -> samples, each row
+    evaluated once.  ``names`` defaults to "V" and "Vbar", and "g" with a
+    kernel; ``points`` is an array, or a tuple of arrays checked as one set,
+    and each row has its shape."""
+    sets = points if isinstance(points, tuple) else (points,)
+    _check_region(model, *sets)
+    if names is None:
+        names = ("V", "Vbar", "g") if model.has_kernel() else ("V", "Vbar")
+    out = {}
+    for name in names:
+        at = tuple(np.asarray(_row(model, name, z), dtype=complex) for z in sets)
+        out[name] = at if isinstance(points, tuple) else at[0]
+    return out
 
 
 class SampledRows:
-    """The rows of one model on one ``SampledPV``, each sampled once by
-    ``SampledPV.sample``: V and Vbar, and with a kernel its factor g.
+    """The rows of one model on one ``SampledPV``, sampled once by
+    ``sample_rows`` with one region check: V and Vbar, and with a kernel its
+    factor g.
 
     ``nodes[name]`` holds a row at the nodes, (N,), and ``points[name]`` at
     each point of the principal value and its stencil, (M, 5), the point
-    first; the names are "V", "Vbar" and "g".  The families of a system
-    share one table, so a pairing reads the rows and evaluates none.
+    first; the names are "V", "Vbar" and "g".  Where the points are every
+    node, each row is evaluated at the stencils alone, and its node row is
+    their first column, copied contiguous as ``SampledPV.sample`` copies it.
+    The families of a system share one table, so a pairing reads the rows
+    and evaluates none, and so does the discrete branch of
+    ``BiorthogonalSystem.from_perturbation``, on the node rows.
     """
 
     def __init__(self, model: ModelSpec, pv: SampledPV):
         self.model = model
         self.pv = pv
-        rows = {"V": eval_V, "Vbar": eval_Vbar}
-        if model.has_kernel():
-            rows["g"] = eval_kernel_factor
+        every = pv.u is pv.grid.nodes
+        rows = sample_rows(model, pv.points if every else (pv.grid.nodes, pv.points))
         self.nodes, self.points = {}, {}
-        for name, row in rows.items():
-            self.nodes[name], self.points[name] = pv.sample(lambda z: row(model, z))
+        for name, at in rows.items():
+            self.nodes[name], self.points[name] = (at[:, 0].copy(), at) if every else at

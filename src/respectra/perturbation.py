@@ -24,7 +24,13 @@ shift is identically zero and
     lambda_n = \\int Vbar(z) phi_{n-1}(z) dz .
 
 A kernel is its factor, K(z, z') = g(z) g(z') (``model.eval_kernel_factor``):
-every kernel term is g(z) times a coefficient.
+every kernel term is g(z) times a coefficient.  The branch reads V, Vbar
+and g at its points as given rows: ``perturb_discrete`` samples them at the
+nodes once, with one region check (``model.sample_rows``), and an order-n
+series of any n evaluates each row once, not once per order and side;
+``BiorthogonalSystem.from_perturbation`` hands it the node rows of its
+``SampledRows`` table, so its discrete branch evaluates none.  Off its grid
+a profile samples its side's row and g once at the points it is called on.
 
 The continuous branch keeps the eigenvalue exactly at u (every correction
 vanishes because the kernel carries no delta component) and is implemented
@@ -36,9 +42,9 @@ one sampled curve principal value, ``SampledPV``; ``perturb_continuous``
 returns one-point families on ``SampledPV(grid, u)``.  The rows are carried
 as samples: a system samples V, Vbar and g once on its principal value, at
 the nodes and at each point's stencil (``model.SampledRows``), and its
-families share that table, from which the continuous branch's sweep and
-every pairing read them.  The exact discrete pair holds its node samples,
-formed from the same rows.
+families share that table, from which the discrete branch, the continuous
+branch's sweep and every pairing read them.  The exact discrete pair holds
+its node samples, formed from the same rows.
 ``pair_families`` pairs several families on one ``SampledPV`` in one sweep:
 the overlap tables of a reconstruction pair the right family with the bra
 and the left family with the ket, each row a target with its family's
@@ -59,7 +65,7 @@ import numpy as np
 from .contour import ContourGrid, SampledPV, build_contour
 from .errors import ConfigError, DegeneratePairError, EvaluationError
 from .friedrichs import PoleResult, exact_system
-from .model import ModelSpec, SampledRows, eval_V, eval_Vbar, eval_kernel_factor
+from .model import ModelSpec, SampledRows, eval_V, eval_Vbar, sample_rows
 from .states import AnalyticVector
 
 
@@ -84,10 +90,9 @@ def pair_coeffs(left: AnalyticVector, right: AnalyticVector, grid: ContourGrid) 
     """Bilinear pairing <left|right> on the curve: d d plus the quadrature of
     the product of the two profiles (none when either is missing).
     Continuum members pair through ``ContinuumFamily.pair``."""
-    total = left.d * right.d
-    if left.profile is not None and right.profile is not None:
-        total += np.sum(grid.weights * left.at(grid.nodes) * right.at(grid.nodes))
-    return complex(total)
+    both = left.profile is not None and right.profile is not None
+    left_n, right_n = (v.at(grid.nodes) if both else None for v in (left, right))
+    return _pair_on_nodes(grid.weights, left.d, left_n, right.d, right_n)
 
 
 @dataclass(frozen=True)
@@ -113,19 +118,24 @@ class PerturbationSeries:
         return self.totals[1]
 
 
-def _discrete_order(model: ModelSpec, wg: np.ndarray | None, side: int, lambdas: list,
-                    lower: list, samples: list, z: np.ndarray) -> np.ndarray:
-    """phi_n (side=+1) or psi_n (side=-1) of the discrete branch at the points
+# the coupling row of each side of the discrete branch: V on the right, Vbar on the left
+_SIDE_ROW = {+1: "V", -1: "Vbar"}
+
+
+def _discrete_order(om: float, z: np.ndarray, b: np.ndarray, g: np.ndarray | None,
+                    wg: np.ndarray | None, lambdas: list, lower: list,
+                    samples: list) -> np.ndarray:
+    """phi_n (b = V) or psi_n (b = Vbar) of the discrete branch at the points
     z, n = len(lower) + 1, from the lower orders at z, ``lower``, and
-    lambda_0..lambda_{n-1}; the kernel column is g(z) times the sum of ``wg``,
-    w_j g(z_j) (None without a kernel), times ``samples[n - 2]``."""
-    om = model.omega_level
+    lambda_0..lambda_{n-1}; b and the kernel factor g are the rows at z.  The
+    kernel column is g times the sum of ``wg``, w_j g(z_j) (None without a
+    kernel), times ``samples[n - 2]``."""
     n = len(lower) + 1
     if n == 1:
-        return (eval_V if side > 0 else eval_Vbar)(model, z) / (om - z)
+        return b / (om - z)
     acc = np.zeros_like(z)
     if wg is not None:
-        acc = acc + eval_kernel_factor(model, z) * np.sum(wg * samples[n - 2])
+        acc = acc + g * np.sum(wg * samples[n - 2])
     for k in range(2, n):
         acc = acc - lambdas[k] * lower[n - k - 1]
     return acc / (om - z)
@@ -135,16 +145,21 @@ def _discrete_profile(model: ModelSpec, nodes: np.ndarray, wg, side: int, lambda
                       samples: list, first: int, last: int) -> Callable:
     """The sum of orders first..last of the discrete branch as a profile,
     added left to right.  Called on the grid's own ``nodes`` array it sums
-    their node samples; at any other points it forms orders 1..last there
-    once, each from the lower ones at those points."""
+    their node samples; at any other points it samples its side's row and,
+    from order 2 with a kernel, g there once, and forms orders 1..last
+    there once, each from the lower ones at those points."""
+    names = (_SIDE_ROW[side],) + (("g",) if wg is not None and last >= 2 else ())
+
     def fn(z):
         if z is nodes:
             vals = samples
         else:
             z = np.asarray(z, dtype=complex)
             zz, vals = np.atleast_1d(z), []
+            rows = sample_rows(model, zz, names)
             for _ in range(last):
-                vals.append(_discrete_order(model, wg, side, lambdas, vals, samples, zz))
+                vals.append(_discrete_order(model.omega_level, zz, rows[names[0]],
+                                            rows.get("g"), wg, lambdas, vals, samples))
         out = vals[first - 1]
         for v in vals[first:last]:
             out = out + v
@@ -155,25 +170,32 @@ def _discrete_profile(model: ModelSpec, nodes: np.ndarray, wg, side: int, lambda
 
 def perturb_discrete(model: ModelSpec, order: int = 2,
                      grid: ContourGrid | None = None) -> PerturbationSeries:
-    """Discrete branch through the requested order, which may be any; each
-    order is formed on the nodes once, from the node samples of the lower
-    ones."""
-    if order < 0:
-        raise ConfigError("order must be non-negative")
+    """Discrete branch through the requested order, which may be any; V, Vbar
+    and g are sampled at the nodes once, and each order is formed on the
+    nodes once, from them and the node samples of the lower ones."""
     if grid is None:
         grid = build_contour(model.contour)
+    return _discrete_series(model, grid, order, sample_rows(model, grid.nodes))
+
+
+def _discrete_series(model: ModelSpec, grid: ContourGrid, order: int,
+                     rows: dict) -> PerturbationSeries:
+    """``perturb_discrete`` on the rows at the grid's nodes: name -> (N,),
+    "V", "Vbar" and, with a kernel, "g"."""
+    if order < 0:
+        raise ConfigError("order must be non-negative")
     om = model.omega_level
-    nodes = grid.nodes
-    wg = grid.weights * eval_kernel_factor(model, nodes) if model.has_kernel() else None
-    vbar = np.asarray(eval_Vbar(model, nodes), dtype=complex)
+    nodes, w = grid.nodes, grid.weights
+    g = rows.get("g")
+    wg = None if g is None else w * g
     lambdas = [complex(om)]
     samples = {+1: [], -1: []}        # node samples of phi_n / psi_n
     for n in range(1, order + 1):
         # the gauge leaves no diagonal matrix element: lambda_1 vanishes exactly
-        lambdas.append(0j if n == 1 else
-                       complex(np.sum(grid.weights * vbar * samples[+1][-1])))
+        lambdas.append(0j if n == 1 else complex(np.sum(w * rows["Vbar"] * samples[+1][-1])))
         for side in (+1, -1):
-            col = _discrete_order(model, wg, side, lambdas, samples[side], samples[side], nodes)
+            col = _discrete_order(om, nodes, rows[_SIDE_ROW[side]], g, wg, lambdas,
+                                  samples[side], samples[side])
             col.flags.writeable = False
             samples[side].append(col)
     right, left = ([AnalyticVector(d=1.0 + 0j)]
@@ -321,7 +343,8 @@ def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
     d-component and in pole terms with the outgoing kernel (right) / its
     conjugate (left).  The totals are the members that
     ``BiorthogonalSystem.from_perturbation`` holds at u, and the pairings of
-    the orders add up to the pairing of the total.
+    the orders add up to the pairing of the total.  Its table samples the
+    rows at the nodes and at u's stencil after one region check of both.
     """
     if order < 0 or order > 2:
         raise ConfigError("continuous branch is implemented through order 2")
@@ -378,9 +401,10 @@ class BiorthogonalSystem:
             raise ConfigError("continuous branch is implemented through order 2")
         if grid is None:
             grid = build_contour(model.contour)
-        disc = perturb_discrete(model, order, grid)
-        r, l = normalize_pair(disc.right_total(), disc.left_total(), grid)
         rows = SampledRows(model, SampledPV(grid))
+        # the discrete branch reads the table's node rows and evaluates none
+        disc = _discrete_series(model, grid, order, rows.nodes)
+        r, l = normalize_pair(disc.right_total(), disc.left_total(), grid)
         # order 0 is the unit atom of every member; the corrections add up
         right, left = (sum(orders, ContinuumFamily(rows, side, np.zeros(grid.n)))
                        for side, orders in zip((+1, -1), _branch_orders(rows, order)))

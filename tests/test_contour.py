@@ -334,15 +334,25 @@ class TestCurvePV:
         # bit; at n = 257 the blocks hold 127, 127 and 3 points
         grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", n))
         h = lambda z: np.sqrt(z + 0j) * np.exp(-0.5 * z)
-        F = lambda z: np.stack([np.exp(-z), h(z)], axis=-2)
+        rows = (lambda z: np.exp(-z), h)
+        F = lambda z: np.stack([row(z) for row in rows], axis=-2)
         sides = np.array([+1, -1])
-        full = SampledPV(grid).pointwise(h, sides, F)
+        pointwise = lambda pv: pv.sum(*_sampled(pv, h, rows), sides, pointwise=True)
+        full = pointwise(SampledPV(grid))
         for i in range(n):
-            assert np.array_equal(SampledPV(grid, grid.nodes[i]).pointwise(h, sides, F),
-                                  full[i:i + 1])
+            assert np.array_equal(pointwise(SampledPV(grid, grid.nodes[i])), full[i:i + 1])
         # the same values as the block product, to rounding
         ref = SampledPV(grid)(h, sides, F)
         assert np.max(np.abs(full - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _sampled(pv: SampledPV, h, rows) -> tuple:
+    """h F_p for each function F_p of ``rows``, sampled by ``pv.sample`` as
+    ``SampledPV.sum`` takes it: w h F_p at the nodes and h F_p at the points
+    and their stencils."""
+    hn, hp = pv.sample(h)
+    Fn, Fp = zip(*(pv.sample(row) for row in rows))
+    return pv.grid.weights * hn * np.stack(Fn), hp[:, None, :] * np.stack(Fp, axis=-2)
 
 
 @given(n=st.integers(MIN_NODES, 300), points=st.sampled_from(["every", "slice", "one"]),
@@ -350,7 +360,8 @@ class TestCurvePV:
        targets=st.booleans())
 def test_summed_samples_are_the_function_sweep(n, points, start, step, side, targets):
     # the one summation fed with samples taken by SampledPV.sample gives
-    # __call__ and pointwise on the same functions bit for bit, at every
+    # __call__ on the same functions bit for bit, and so does its pointwise
+    # sum the pointwise sum of the samples __call__ takes, at every
     # node (whose node rows are the stencils' first column, copied
     # contiguous), at a slice of the nodes and at one node, with and without
     # a target axis
@@ -366,10 +377,10 @@ def test_summed_samples_are_the_function_sweep(n, points, start, step, side, tar
         return
     rows = (lambda z: np.exp(-z), h)
     F = lambda z: np.stack([row(z) for row in rows], axis=-2)
-    Fn, Fp = zip(*(pv.sample(row) for row in rows))
-    samples = (grid.weights * hn * np.stack(Fn), hp[:, None, :] * np.stack(Fp, axis=-2))
+    samples = _sampled(pv, h, rows)
     assert pv.sum(*samples, side).tobytes() == pv(h, side, F).tobytes()
-    assert pv.sum(*samples, side, pointwise=True).tobytes() == pv.pointwise(h, side, F).tobytes()
+    assert (pv.sum(*samples, side, pointwise=True).tobytes()
+            == pv.sum(*pv._integrand(h, F), side, pointwise=True).tobytes())
 
 
 def test_concurrent_sweeps_keep_their_own_blocks():

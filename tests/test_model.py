@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from respectra.contour import ContourSpec
 from respectra.errors import AnalyticityError, ConfigError
-from respectra.model import (ModelSpec, eval_V, eval_V2, eval_Vbar, make_model,
-                             model_from_dict, separable_test_kernel)
+from respectra.model import (ModelSpec, eval_V, eval_V2, eval_Vbar, eval_kernel_factor,
+                             make_model, model_from_dict, sample_rows, separable_test_kernel)
 from respectra.states import random_analytic, real_axis_inner
 import scipy.integrate as si
 
@@ -75,6 +75,61 @@ def test_region_guard(default_model):
         eval_V(default_model, 5.0 - 3.0j)
     with pytest.raises(AnalyticityError):
         eval_V(default_model, 40.0 + 0j)
+
+
+def test_one_point_outside_the_region_is_refused_by_every_evaluator():
+    # g is checked like V and Vbar: off the declared region none of the
+    # three returns a number
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, kernel="separable_sqrt_exp")
+    for evaluate in (eval_V, eval_Vbar, eval_kernel_factor):
+        with pytest.raises(AnalyticityError):
+            evaluate(m, 5.0 - 3.0j)
+
+
+# the declared region of REGION_MODEL: -0.01 <= Re z <= 20 + 1, |Im z| <= 0.5 + 0.025
+REGION_MODEL = make_model("sqrt_exp", [1.0], 1.0, 0.1, ContourSpec(0.5, 20.0, "rectangle", 64),
+                          "separable_sqrt_exp")
+REGION_RE, REGION_IM = (-0.01, 21.0), 0.525
+_EDGES = [REGION_RE[0], REGION_RE[1], np.nextafter(REGION_RE[0], -1.0),
+          np.nextafter(REGION_RE[1], 99.0)]
+REGION_POINTS = st.one_of(
+    # inside
+    st.builds(complex, st.floats(0.0, 20.0), st.floats(-0.5, 0.5)),
+    # on an edge, or one ulp beyond it
+    st.builds(complex, st.sampled_from(_EDGES), st.floats(-0.5, 0.5)),
+    st.builds(complex, st.floats(0.0, 20.0),
+              st.sampled_from([REGION_IM, -REGION_IM, np.nextafter(REGION_IM, 1.0)])),
+    # outside, and NaN
+    st.builds(complex, st.floats(-5.0, 40.0), st.floats(-3.0, 3.0)),
+    st.sampled_from([complex(np.nan, 0.0), complex(1.0, np.nan)]))
+
+
+def _refusal(evaluate, z):
+    try:
+        evaluate(z)
+    except AnalyticityError as e:
+        return str(e)
+    return None
+
+
+@given(points=st.lists(REGION_POINTS, min_size=1, max_size=6), conjugates=st.booleans())
+def test_one_check_refuses_what_each_evaluator_refuses(points, conjugates):
+    # the sampler's one region check refuses exactly the point sets that
+    # eval_V, eval_Vbar and eval_kernel_factor refuse, with their message,
+    # and those are the sets with a point outside the region or NaN; a set
+    # it takes gives each evaluator's values bit for bit
+    z = np.array(points + [p.conjugate() for p in points] * conjugates)
+    m = REGION_MODEL
+    inside = np.all((z.real >= REGION_RE[0]) & (z.real <= REGION_RE[1])
+                    & (np.abs(z.imag) <= REGION_IM))
+    refusals = {_refusal(lambda z: f(m, z), z)
+                for f in (eval_V, eval_Vbar, eval_kernel_factor, sample_rows)}
+    assert len(refusals) == 1
+    assert (refusals == {None}) == bool(inside)
+    if inside:
+        rows = sample_rows(m, z)
+        for name, f in (("V", eval_V), ("Vbar", eval_Vbar), ("g", eval_kernel_factor)):
+            assert rows[name].tobytes() == np.asarray(f(m, z), dtype=complex).tobytes()
 
 
 def test_separable_kernel_hermitian():

@@ -1,14 +1,15 @@
-import sys
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from respectra import perturbation
+from respectra import model as model_module, perturbation
 from respectra.contour import ContourSpec, SampledPV, build_contour, pole_kernel_integral
-from respectra.errors import ConfigError, DegeneratePairError, EvaluationError
+from respectra.errors import AnalyticityError, ConfigError, DegeneratePairError, EvaluationError
 from respectra.friedrichs import SampledEta, find_pole
+from respectra.liouville import LiouvilleGrids, LiouvilleSystem
 from respectra.model import (FormFactor2, SampledRows, eval_V, eval_V2, eval_Vbar, make_model,
                              separable_test_kernel)
 from respectra.perturbation import (BiorthogonalSystem, ContinuumFamily, SampledVector,
@@ -480,17 +481,10 @@ def test_profile_off_its_grid_forms_each_order_once(default_model, axis_grid, mo
     # off its grid an order-n profile forms orders 1..n there once, so it
     # evaluates the coupling once at any order; a profile that called the
     # lower profiles would make Fibonacci-many calls, 377 at order 16
-    calls = []
-
-    def counting(*args, _real=perturbation.eval_V):
-        calls.append(1)
-        return _real(*args)
-
-    monkeypatch.setattr(perturbation, "eval_V", counting)
     profile = perturb_discrete(default_model, 16).orders[16][1]
-    calls.clear()
+    rows = _counted_rows(monkeypatch)
     profile.at(axis_grid.nodes)
-    assert len(calls) <= 1
+    assert len(rows["V"]) <= 1
 
 
 @pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
@@ -588,17 +582,22 @@ def test_families_of_one_sweep_share_their_points(default_model, default_grid):
 
 
 def _counted_rows(monkeypatch) -> dict:
-    """Wrap eval_V, eval_Vbar and eval_kernel_factor, wherever the package
-    binds them, in counters of the shape each evaluation takes: name ->
-    list of shapes."""
-    calls = {}
-    for name in ("eval_V", "eval_Vbar", "eval_kernel_factor"):
-        real, seen = getattr(sys.modules["respectra.model"], name), calls.setdefault(name, [])
-        counting = lambda m, z, real=real, seen=seen: seen.append(np.shape(z)) or real(m, z)
-        for mod in [m for key, m in sys.modules.items() if key.startswith("respectra")]:
-            if getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, counting)
+    """Count at the one seam every row goes through, ``model._row`` and
+    ``model._check_region``: "V", "Vbar" and "g" -> the shape of each
+    evaluation of that row, and "checks" -> the shapes of the point sets of
+    each region check."""
+    calls = {"V": [], "Vbar": [], "g": [], "checks": []}
+    row, check = model_module._row, model_module._check_region
+    monkeypatch.setattr(model_module, "_row", lambda m, name, z: calls[name].append(np.shape(z))
+                        or row(m, name, z))
+    monkeypatch.setattr(model_module, "_check_region", lambda m, *zs: calls["checks"].append(
+        tuple(np.shape(z) for z in zs)) or check(m, *zs))
     return calls
+
+
+def _clear(calls: dict):
+    for seen in calls.values():
+        seen.clear()
 
 
 @pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
@@ -618,23 +617,73 @@ def test_a_reconstruction_samples_each_vector_once_and_no_row(default_spec, monk
     rows = _counted_rows(monkeypatch)
     s.reconstruct_inner(psi, phi)
     assert shapes == [(default_spec.n_nodes, 5)] * 2
-    assert rows == {"eval_V": [], "eval_Vbar": [], "eval_kernel_factor": []}
+    assert rows == {"V": [], "Vbar": [], "g": [], "checks": []}
 
 
 def test_the_exact_system_samples_its_rows_once(monkeypatch):
     # from_exact samples V and Vbar once at the nodes, for eta's moments,
     # and once at the stencils of every node, for the boundary sweep and the
-    # families; find_pole's strided zero count samples them at its points'
-    # stencils alone
+    # families, with one region check per point set; find_pole's strided
+    # zero count samples them at its points' stencils alone
     spec = ContourSpec(0.5, 20.0, "rectangle", 800)
     m = make_model("sqrt_exp", [1.0], 1.0, 0.1, spec)
     grid = build_contour(spec)
     rows = _counted_rows(monkeypatch)
     BiorthogonalSystem.from_exact(m, grid)
-    assert rows == {"eval_V": [(800,), (800, 5)], "eval_Vbar": [(800,), (800, 5)],
-                    "eval_kernel_factor": []}
-    for seen in rows.values():
-        seen.clear()
+    assert rows == {"V": [(800,), (800, 5)], "Vbar": [(800,), (800, 5)], "g": [],
+                    "checks": [((800,),), ((800, 5),)]}
+    _clear(rows)
     find_pole(m, grid=grid)
-    assert rows == {"eval_V": [(800,), (200, 5)], "eval_Vbar": [(800,), (200, 5)],
-                    "eval_kernel_factor": []}
+    assert rows == {"V": [(800,), (200, 5)], "Vbar": [(800,), (200, 5)], "g": [],
+                    "checks": [((800,),), ((200, 5),)]}
+
+
+def test_a_perturbative_system_samples_each_row_once(monkeypatch):
+    # an order-2 kernel system samples V, Vbar and g once each, at the
+    # stencils of every node, with one region check: its discrete branch
+    # reads the table's node rows.  perturb_discrete samples each node row
+    # once at any order, and an off-grid total its side's row and g once.
+    # LiouvilleSystem samples V and Vbar once per curve, besides the
+    # coupling check of its model on seven axis points
+    n = 44
+    spec = ContourSpec(0.5, 20.0, "rectangle", n)
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.06, spec, "separable_sqrt_exp")
+    grid = build_contour(spec)
+    rows = _counted_rows(monkeypatch)
+    BiorthogonalSystem.from_perturbation(m, 2, grid)
+    assert rows == {"V": [(n, 5)], "Vbar": [(n, 5)], "g": [(n, 5)], "checks": [((n, 5),)]}
+    _clear(rows)
+    series = perturb_discrete(m, 6, grid)
+    assert rows == {"V": [(n,)], "Vbar": [(n,)], "g": [(n,)], "checks": [((n,),)]}
+    _clear(rows)
+    z = grid.nodes.copy()
+    series.right_total().at(z)
+    series.left_total().at(z)
+    assert rows == {"V": [(n,)], "Vbar": [(n,)], "g": [(n,)] * 2, "checks": [((n,),)] * 2}
+    kernel_free = make_model("sqrt_exp", [1.0], 1.0, 0.06, spec)
+    _clear(rows)
+    LiouvilleSystem(kernel_free, LiouvilleGrids(grid))
+    assert rows == {"V": [(7,), (n,), (n,)], "Vbar": [(n,), (n,)], "g": [],
+                    "checks": [((7,),), ((n,),), ((n,),)]}
+
+
+def test_a_one_point_table_checks_its_nodes_and_stencils_at_once(monkeypatch):
+    # a table on a one-point principal value samples its rows at the nodes
+    # and at the point's stencil after one check of both sets, which refuses
+    # a point outside the region in either set with the message of that set
+    spec = ContourSpec(0.5, 20.0, "rectangle", 64)
+    m = make_model("sqrt_exp", [1.0], 1.0, 0.1, spec)
+    grid = build_contour(spec)
+    rows = _counted_rows(monkeypatch)
+    perturb_continuous(m, grid.nodes[20], 2, grid)
+    assert rows == {"V": [(64,), (1, 5)], "Vbar": [(64,), (1, 5)], "g": [],
+                    "checks": [((64,), (1, 5))]}
+    deep = build_contour(replace(spec, depth=0.8))       # nodes below the region
+    for pv in (SampledPV(grid, 30.0 - 0.5j), SampledPV(deep, 1.0 - 0.5j)):
+        _clear(rows)
+        with pytest.raises(AnalyticityError) as refused:
+            SampledRows(m, pv)
+        assert rows == {"V": [], "Vbar": [], "g": [], "checks": [((64,), (1, 5))]}
+        bad = pv.points if pv.grid is grid else pv.grid.nodes
+        with pytest.raises(AnalyticityError, match=re.escape(str(refused.value))):
+            eval_V(m, bad)

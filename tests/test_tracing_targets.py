@@ -2,8 +2,8 @@
 package must fail here, not only under ``perfbench/run.py --trace 1``.  The
 package keeps no public function or method that only tests call: each
 function is called in ``src``, exported from the package or wrapped by the
-tracer, and each method or property of a class is referenced by name in
-``src`` or wrapped by the tracer."""
+tracer, and each method or property of a class is referenced as an
+attribute (``x.name``) in ``src`` or wrapped by the tracer."""
 
 import ast
 import importlib.util
@@ -35,6 +35,11 @@ def _names(tree) -> set:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _attributes(tree) -> set:
+    """The names a piece of syntax refers to as an attribute, ``x.name``."""
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
 def test_every_public_function_is_called_exported_or_traced():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in init.body
@@ -54,8 +59,9 @@ def test_every_public_function_is_called_exported_or_traced():
             called = any(fn.name in _names(stmt) for stmt in statements if stmt is not fn)
             if not (called or fn.name in exported or fn.name in traced):
                 unused.append(f"{module}.{fn.name}")
-        # a public method or property: referenced by name from any other
-        # statement of the package, its own class included, or traced
+        # a public method or property: referenced as an attribute from any
+        # other statement of the package, its own class included, or traced;
+        # a bare name (a parameter or a local of the same name) is no use
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -63,7 +69,7 @@ def test_every_public_function_is_called_exported_or_traced():
             for fn in cls.body:
                 if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
                     continue
-                referenced = any(fn.name in _names(stmt)
+                referenced = any(fn.name in _attributes(stmt)
                                  for stmt in others + [m for m in cls.body if m is not fn])
                 if not (referenced or fn.name in traced_methods):
                     unused.append(f"{module}.{cls.name}.{fn.name}")
