@@ -46,8 +46,13 @@ class BarrierSpec:
         if self.b < MIN_RATIO * self.a:
             raise ConfigError(f"need b >= {MIN_RATIO} a so the outer region "
                               "is weakly coupled")
-        # Python floats: an extreme section overflows to inf without a warning
-        z0 = self.a * math.sqrt(2 * self.mu * self.v0) / self.hbar
+        # Python floats: an extreme section overflows to inf, or underflows
+        # to 0, without a warning
+        s = 2 * self.mu / (self.hbar * self.hbar) if self.hbar * self.hbar else math.inf
+        z0 = self.a * math.sqrt(s * self.v0)
+        if not (0 < s < math.inf and 0 < z0 < math.inf):
+            raise ConfigError(f"2 mu/hbar^2 = {s} and a sqrt(2 mu v0)/hbar = {z0} must be "
+                              "positive and finite")
         if z0 >= np.pi / 2:
             raise ConfigError("a sqrt(2 mu v0)/hbar must stay below pi/2 for a "
                               "single even bound state")
@@ -94,7 +99,7 @@ def solve_bound_state(spec: BarrierSpec) -> BoundState:
         return np.tan(z) + z / np.cos(z) ** 2 + z / np.sqrt(z0**2 - z**2)
 
     lo, hi = 1e-12, z0 * (1 - 1e-14)
-    if match(lo) > 0 or match(hi) < 0:
+    if not (lo < hi and match(lo) < 0 < match(hi)):
         raise ConvergenceError("even matching equation lost its bracket; "
                                "inconsistent well parameters")
     z = _bracketed_root(match, match_prime, lo, hi)

@@ -274,7 +274,14 @@ def _validation_checks(model: ModelSpec):
     # the identity and Liouville checks need adequate resolution even for coarse configs
     qgrid = build_contour(replace(model.contour, n_nodes=max(200, model.contour.n_nodes)))
     rgrid = real_axis_grid(model.contour.cutoff, 400)
-    om, X = model.omega_level, model.contour.cutoff
+    om, X, depth = model.omega_level, model.contour.cutoff, model.contour.depth
+
+    def inside(z: complex) -> complex:
+        # z moved into 0 < Re z < X, |Im z| <= depth, each part only where it lies outside
+        re = z.real if 0 < z.real < X else 0.5 * X
+        im = z.imag if abs(z.imag) <= depth else math.copysign(0.5 * depth, z.imag)
+        return complex(re, im)
+
     # objects several checks read are built once, on first use; a build that
     # raises fails every check that reads it
     _series = cache(lambda: perturb_discrete(model, 2, grid))
@@ -282,8 +289,8 @@ def _validation_checks(model: ModelSpec):
     _lsys = cache(lambda: LiouvilleSystem(model, LiouvilleGrids(qgrid)))
 
     def schwarz_reflection(rng):
-        z = (rng.uniform(0.2, X * 0.8, 100)
-             + 1j * rng.uniform(-model.contour.depth, model.contour.depth, 100))
+        lo = 0.2 if 0.2 < X * 0.8 else X * 0.4
+        z = rng.uniform(lo, X * 0.8, 100) + 1j * rng.uniform(-depth, depth, 100)
         lhs = np.conj(np.asarray(eval_V(model, np.conj(z))))
         rhs = np.asarray(eval_Vbar(model, z))
         return float(np.max(np.abs(lhs - rhs))), 1e-14
@@ -291,7 +298,7 @@ def _validation_checks(model: ModelSpec):
     def coupling_linearity(rng):
         m2 = make_model(model.form_factor.family_id, model.form_factor.params,
                         om, 2 * model.coupling, model.contour)
-        z = 0.7 + 0.2j
+        z = inside(0.7 + 0.2j)
         return float(abs(eval_V(m2, z) - 2 * eval_V(model, z))), 1e-15
 
     def path_measure(rng):
@@ -314,15 +321,16 @@ def _validation_checks(model: ModelSpec):
 
     def plemelj_consistency(rng):
         f = lambda z: np.exp(-0.7 * z) * (1 + z)
-        x0 = 0.9 * om + 0.3
+        x0 = inside(0.9 * om + 0.3).real
         lhs = integrate_contour(qgrid, lambda z: f(z) / (x0 - z))
         rhs = plemelj_integral(f, x0, +1, grid=rgrid)
         return float(abs(lhs - rhs)), 1e-8
 
     def plemelj_conjugation(rng):
         f = lambda w: np.exp(-w)
-        a = plemelj_integral(f, 1.1, +1, grid=rgrid)
-        b = plemelj_integral(f, 1.1, -1, grid=rgrid)
+        x0 = inside(1.1).real
+        a = plemelj_integral(f, x0, +1, grid=rgrid)
+        b = plemelj_integral(f, x0, -1, grid=rgrid)
         return float(abs(np.conj(a) - b)), 1e-12
 
     def quadrature_order(rng):
@@ -399,8 +407,7 @@ def _validation_checks(model: ModelSpec):
         return float(abs(np.sqrt(np.sum(system.modes(np.conj(v), v))) - 1.0)), 1e-12
 
     def liouville_decay_mode(rng):
-        v = complex(eval_V(model, om))
-        return float(abs(_lsys().lam_d - 2j * np.pi * (v * np.conj(v)).real)), 1e-10
+        return float(abs(_lsys().lam_d - 1j * decay_rate(model))), 1e-10
 
     def liouville_physicality(rng):
         lsys = _lsys()

@@ -22,16 +22,16 @@ weights within 4e-15 relative (2e-15 at the ends and the middle).
 ``SampledPV`` is the one principal-value quadrature.  It sums integrands
 given as samples, at the nodes and at each curve point with its derivative
 stencil, so that a system samples its rows once and a pairing its vector
-once; called with functions it samples them itself and sums.
+once; called with one function it samples it and sums.
 ``pole_kernel_integral`` (a curve point) and ``plemelj_integral`` (a point
 of a real-axis grid) are its one-point cases.
 Its points are every node, a slice of the nodes addressed by index, or any
-curve points.  Every integrand is one row shared by all points, so a block
-of the Cauchy matrix costs one reciprocal and one matrix product, for any
-number of targets, each with its own side of the pole.  Blocks hold at most
-BLOCK_ENTRIES entries.  At every node the Cauchy matrix is antisymmetric bit
-for bit, so that sweep takes square tiles and forms each tile off the
-diagonal once, for two products.
+curve points, none included.  Every integrand is one row shared by all
+points, so a block of the Cauchy matrix costs one reciprocal and one matrix
+product, for any number of integrands, each with its own side of the pole.
+Blocks hold at most BLOCK_ENTRIES entries.  At every node the Cauchy matrix
+is antisymmetric bit for bit, so that sweep takes square tiles and forms
+each tile off the diagonal once, for two products.
 
 ``phase_sum`` is the one time sum, sum_j m_j exp(-i z_j t) on a grid of
 times, shared by the spectral amplitude, the oracle's mode sum and the
@@ -430,18 +430,18 @@ def pole_kernel_integral(grid: ContourGrid, h: Callable, u: complex, side: int) 
 
 
 class SampledPV:
-    """Principal values PV \\int h(z) F_p(z)/(u_i - z) dz of integrands shared
-    by every point, at many curve points at once.
+    """Principal values PV \\int h_p(z)/(u_i - z) dz of integrands shared by
+    every point, at many curve points at once.
 
-    The points u_i are every node (``u=None``), a slice of the nodes,
-    addressed by index, or curve points, matched to the nodes by
+    The points u_i are every node (``u=None``, ``every_node``), a slice of
+    the nodes, addressed by index, or curve points, matched to the nodes by
     ``node_indices``.  The singularity is subtracted globally, PV = \\int
     [h(z) - h(u_i)]/(u_i - z) dz + h(u_i) PV \\int dz/(u_i - z), the second
     factor in closed form.  Where u_i is a node, the removable 0/0 sample is
     -h'(u_i) from a five-point stencil along the tangent, of step
     STENCIL_DELTA * min(1, |u_i|) so that it never reaches the branch point
-    at the origin.  The node sums C @ [w h F_p | w], with C_ij = 1/(u_i -
-    z_j) and the last column the row sum the subtraction needs, are formed
+    at the origin.  The node sums C @ [w h_p | w], with C_ij = 1/(u_i - z_j)
+    and the last column the row sum the subtraction needs, are formed
     BLOCK_ENTRIES entries at a time, so no (M, N) operator is held.  At
     every node C is antisymmetric bit for bit (IEEE subtraction and the
     complex reciprocal are odd), so the sweep takes square tiles of PV_TILE
@@ -449,18 +449,20 @@ class SampledPV:
     its row block as C and for its column block as -C^T: half the
     reciprocals, and the tile still in cache for its second product.  Other
     points, and a ``pointwise`` sum, take blocks of rows over every node, each
-    formed for one use.  ``side`` may differ per target, so several
+    formed for one use.  ``side`` may differ per integrand, so several
     displaced-pole integrals of one set of points share a sweep.
 
     ``sum`` is the one summation: it takes the integrands as samples, rows
     at the nodes and values at each point and its stencil, so that a caller
     holding them (a system's rows V, Vbar and g, a vector sampled once by
-    ``sample``) evaluates nothing again.  ``__call__`` takes integrands as
-    functions, samples them and sums.
+    ``sample``) evaluates nothing again.  ``__call__`` is ``sample`` of one
+    function followed by ``sum``.
     """
 
     def __init__(self, grid: ContourGrid, u=None):
         self.grid = grid
+        # at every node a node row is the stencils' first column, and sums tile
+        self.every_node = u is None
         if u is None:
             self.u, self.node = grid.nodes, np.arange(grid.n)
         elif isinstance(u, slice):
@@ -500,41 +502,24 @@ class SampledPV:
         the point first.  Where the points are every node, f is evaluated
         once, at the stencils, and its node row is their first column, copied
         contiguous: a strided row gives ``sum``'s operands another memory
-        order, and the matrix products other last bits."""
+        order, and the matrix products other last bits.  Elsewhere the node
+        row is evaluated on its own, and a function of more than one row
+        there, one per point, is refused."""
         at_points = np.asarray(f(self.points), dtype=complex)
-        if self.u is self.grid.nodes:
+        if self.every_node:
             return at_points[:, 0].copy(), at_points
-        return np.asarray(f(self.grid.nodes), dtype=complex), at_points
-
-    def __call__(self, h: Callable, side=0, F: Callable | None = None) -> np.ndarray:
-        """PV at every point, minus side * i*pi * h(u_i) for side = +1/-1
-        (the displaced-pole integral \\int h(z)/(u_i + side*i0 - z) dz).
-
-        ``h(z)`` takes curve points of any shape and returns h there, one
-        row (1, N) at the nodes (1, N).  With ``F`` the integrand is h(z)
-        F_p(z) for targets p, ``F(z)`` of shape (1, P, N) at the nodes and
-        (M, P, 5) at the points and their stencils (M, 5), and the result
-        is (M, P) instead of (M,); ``side`` is then a scalar or one value
-        per target, shape (P,).  An integrand given per point, h of more
-        than one row or F of more than one, is refused.
-        """
-        out = self.sum(*self._integrand(h, F), side)
-        return out if F is not None else out[:, 0]
-
-    def _integrand(self, h: Callable, F: Callable | None) -> tuple[np.ndarray, np.ndarray]:
-        """h F_p sampled for ``sum``: its rows w h F_p at the nodes and its
-        values at the points and their stencils."""
-        n = self.grid.n
-        nodes = self.grid.nodes[None, :]
-        hn = np.asarray(h(nodes), dtype=complex)
-        Fn = np.ones((1, 1, n)) if F is None else np.asarray(F(nodes), dtype=complex)
-        if hn.shape != (1, n) or Fn.ndim != 3 or Fn.shape[::2] != (1, n):
+        at_nodes = np.asarray(f(self.grid.nodes), dtype=complex)
+        if at_nodes.shape != (self.grid.n,):
             raise EvaluationError(f"SampledPV integrates one row shared by every point, got "
-                                  f"h {hn.shape} and F {Fn.shape} on {n} nodes")
-        hp = np.asarray(h(self.points), dtype=complex)[:, None, :]      # (M, 1, 5)
-        if F is not None:
-            hp = hp * np.asarray(F(self.points), dtype=complex)         # (M, P, 5)
-        return self.grid.weights * hn * Fn[0], hp
+                                  f"{at_nodes.shape} on {self.grid.n} nodes")
+        return at_nodes, at_points
+
+    def __call__(self, h: Callable, side=0) -> np.ndarray:
+        """PV at every point, minus side * i*pi * h(u_i) for side = +1/-1
+        (the displaced-pole integral \\int h(z)/(u_i + side*i0 - z) dz), of
+        one integrand ``h``, a function of curve points of any shape."""
+        at_nodes, at_points = self.sample(h)
+        return self.sum((self.grid.weights * at_nodes)[None], at_points[:, None, :], side)[:, 0]
 
     def sum(self, rows: np.ndarray, at_points: np.ndarray, side=0,
             pointwise: bool = False) -> np.ndarray:
@@ -551,7 +536,7 @@ class SampledPV:
         hp = at_points
         hu = hp[..., 0]                                                  # (M, P)
         S = np.zeros((len(self.u), G.shape[1]), dtype=complex)           # C @ G
-        if self.u is self.grid.nodes and not pointwise:
+        if self.every_node and not pointwise:
             for a in range(0, n, t):
                 I = slice(a, a + t)
                 S[I] += self._cauchy(I, I) @ G[I]

@@ -6,22 +6,18 @@ between the path and the positive axis is the resonance pole; the residue
 derivative eta'(pole) fixes the normalization of the discrete pair, and the
 continuum pair needs the two boundary values eta(u +- i0) on the curve.
 
-``SampledEta`` samples V and Vbar once per grid, with one region check
-(``model.sample_rows``), and gives eta, eta' and the boundary values
-eta(u +- i0); the pole solve and the exact system read its moments, each at
-one lambda, and ``liouville`` its V row.  A zero count on its own strided
-sweep samples them at its points' stencils after one more check.  The pole
-solve ends by counting the zeros in the strip with the argument principle:
-the winding of eta(u + i0) along the curve, at nodes addressed by index,
-closed above the axis, where eta has no zero, by its phases at the two ends
-0 and X.  A count other than 1 is
-refused, and so, before any iteration, are an unresolved quadrature
-(\\int V Vbar / z, which is real, read as complex) and a bound level:
-eta(0-) > 0 puts a real zero of eta below the threshold.  The exact
-system solves its own pole on its sampled eta, then samples V and Vbar once
-at every node's stencil, after one check, a table its families keep as
-their rows, and sweeps eta(u +- i0) at every node once on them, for the
-count and both families: two checks in all, as for ``find_pole``.
+``SampledEta`` reads one ``model.SampledRows`` table of V and Vbar: its
+moments, eta and eta' the node rows, and its boundary values eta(u +- i0),
+one sweep at the table's own points, the point rows.  The pole solve ends by
+counting the zeros in the strip with the argument principle: the winding of
+eta(u + i0) at every ceil(n/200)-th node, addressed by index, closed above
+the axis, where eta has no zero, by its phases at the ends 0 and X.  A count
+other than 1 is refused, and so, before any iteration, are an unresolved
+quadrature (\\int V Vbar / z, which is real, read as complex) and a bound
+level: eta(0-) > 0 puts a real zero of eta below the threshold.
+``find_pole`` samples its table at the nodes and the count's points'
+stencils, the exact system at every node's stencil, a table its families
+keep as their rows: one check each.  Each sweeps once its pole is solved.
 
 This module is the ground truth the perturbative engine is checked against.
 """
@@ -34,34 +30,31 @@ import numpy as np
 from .contour import ContourGrid, SampledPV, _bracketed_root, build_contour
 from .errors import (BoundStateError, ContourError, ConvergenceError, DegeneratePairError,
                      EvaluationError)
-from .model import ModelSpec, SampledRows, sample_rows
+from .model import ModelSpec, SampledRows
 
 
 class SampledEta:
-    """eta(lambda) = lambda - Omega - \\int V Vbar / (lambda - z) dz on one grid.
+    """eta(lambda) = lambda - Omega - \\int V Vbar / (lambda - z) dz on the
+    grid of one ``SampledRows`` table of a kernel-free model.
 
-    V and Vbar are sampled at the nodes once, with one region check, and
-    so are w_j V(z_j) Vbar(z_j) and the node spacing; the moments, eta, eta'
-    and the boundary values eta(u +- i0) all read them, and ``v``, the V
-    row, gives ``liouville`` its level profile.
+    The moments, eta and eta' read w_j V(z_j) Vbar(z_j), formed once from the
+    table's node rows, and ``boundary`` reads its point rows; ``v``, the V
+    node row, gives ``liouville`` its level profile.
     """
 
-    def __init__(self, model: ModelSpec, grid: ContourGrid | None = None):
-        if model.has_kernel():
+    def __init__(self, rows: SampledRows):
+        if rows.model.has_kernel():
             raise EvaluationError("exact solution requires a vanishing continuum kernel")
-        self.model = model
-        self.grid = build_contour(model.contour) if grid is None else grid
-        self.omega = model.omega_level
-        self.free = model.coupling == 0.0
-        self.v, self.vv = self._v_vv(self.grid.nodes)
+        self.rows = rows
+        self.model = rows.model
+        self.grid = rows.pv.grid
+        self.omega = self.model.omega_level
+        self.free = self.model.coupling == 0.0
+        self.v = rows.nodes["V"]
+        self.vv = self.v * rows.nodes["Vbar"]
         self.wvv = self.grid.weights * self.vv
         gaps = np.sort(np.abs(np.diff(self.grid.nodes)))    # np.median would import numpy.ma
         self.spacing = float(np.mean(gaps[(len(gaps) - 1) // 2:len(gaps) // 2 + 1]))   # median
-
-    def _v_vv(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """V and V Vbar at the points z, sampled after one region check."""
-        rows = sample_rows(self.model, z, ("V", "Vbar"))
-        return rows["V"], rows["V"] * rows["Vbar"]
 
     def terms(self, lam, power: int = 1) -> np.ndarray:
         """The summands w_j V Vbar(z_j) / (lambda - z_j)^power of a moment,
@@ -93,19 +86,16 @@ class SampledEta:
             return 1.0 + 0j
         return complex(1.0 + self.moment(lam, 2))
 
-    def boundary(self, pv: SampledPV | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """eta(u + i0) and eta(u - i0) at the points u of ``pv``, a
-        ``SampledPV`` on this grid (every node by default): one curve
-        principal value plus or minus the half residue.  V Vbar is sampled
-        at the points and their stencils alone; its node row is held."""
-        pv = SampledPV(self.grid) if pv is None else pv
-        return self._boundary(pv, self._v_vv(pv.points)[1])
-
-    def _boundary(self, pv: SampledPV, vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``boundary`` on the samples vv (M, 5) of V Vbar at the points of pv
-        and their stencils."""
-        J = pv.sum(self.wvv[None], vv[:, None, :])[:, 0]
+    def boundary(self) -> tuple[np.ndarray, np.ndarray]:
+        """eta(u + i0) and eta(u - i0) at the points u of the table's
+        ``SampledPV``: one curve principal value of V Vbar, from the table's
+        rows, plus or minus the half residue; u - Omega at zero coupling."""
+        pv, points = self.rows.pv, self.rows.points
         base = pv.u - self.omega
+        if self.free:
+            return base, base
+        vv = points["V"] * points["Vbar"]
+        J = pv.sum(self.wvv[None], vv[:, None, :])[:, 0]
         return base - (J - 1j * np.pi * vv[:, 0]), base - (J + 1j * np.pi * vv[:, 0])
 
 
@@ -130,26 +120,28 @@ COUNT_SAMPLES = 200
 MAX_ITER = 200
 
 
-def _count_zeros(eta: SampledEta,
-                 plus: np.ndarray | None = None) -> tuple[int | None, float | None]:
+def _count_points(grid: ContourGrid) -> slice:
+    """The nodes, addressed by index, at which the zero count reads eta(u + i0)."""
+    return slice(None, None, -(-grid.n // COUNT_SAMPLES))
+
+
+def _count_zeros(eta: SampledEta, plus: np.ndarray) -> tuple[int | None, float | None]:
     """Zeros of eta in the strip by the argument principle, and the least
     |eta(u + i0)| on the curve samples; a ContourError unless the count is 1.
     At zero coupling no count runs: (None, None).
 
-    The loop runs from 0 along the curve on eta(u + i0) (``plus``, at every
-    node, or computed here at the sampled nodes, addressed by index) to X,
-    and back X -> X + ih -> ih -> 0 above the axis, where eta is the first
-    sheet's and Im eta = Im lambda (1 + \\int |V|^2 / |lambda - x|^2 dx) > 0:
-    no zero there, and a turn of arg eta(0) - arg eta(X), both in [0, pi]
-    once their imaginary parts are clipped at 0, where exact arithmetic puts
-    them (eta(0) is real, Im eta(X + i0) = pi |V(X)|^2).  A step over pi/2
-    between curve samples cannot be refined, so it is refused."""
+    The loop runs from 0 along the curve on eta(u + i0), ``plus``, at the
+    nodes of ``_count_points``, to X, and back X -> X + ih -> ih -> 0 above
+    the axis, where eta is the first sheet's and Im eta = Im lambda (1 +
+    \\int |V|^2 / |lambda - x|^2 dx) > 0: no zero there, and a turn of arg
+    eta(0) - arg eta(X), both in [0, pi] once their imaginary parts are
+    clipped at 0, where exact arithmetic puts them (eta(0) is real, Im eta(X
+    + i0) = pi |V(X)|^2).  A step over pi/2 between curve samples cannot be
+    refined, so it is refused."""
     if eta.free:
         return None, None
-    k = -(-eta.grid.n // COUNT_SAMPLES)
-    samples = slice(None, None, k)
+    samples = _count_points(eta.grid)
     u = eta.grid.nodes[samples]
-    plus = eta.boundary(SampledPV(eta.grid, samples))[0] if plus is None else plus[samples]
     at_0, at_X = (lam - eta.omega - eta.moment(lam) for lam in (0.0, eta.model.contour.cutoff))
     at_0, at_X = (complex(e.real, e.imag if e.imag > 0 else 0.0) for e in (at_0, at_X))
     # the curve from 0 (the return path's end) to X (its start)
@@ -161,7 +153,7 @@ def _count_zeros(eta: SampledEta,
                            "assumption fails for this model")
     j = int(np.argmax(np.abs(steps)))
     if abs(steps[j]) > np.pi / 2:
-        where = "0" if j == 0 else f"node {(j - 1) * k} (u={complex(u[j - 1]):.5g})"
+        where = "0" if j == 0 else f"node {(j - 1) * samples.step} (u={complex(u[j - 1]):.5g})"
         raise ContourError(f"eta(u + i0) turns by {steps[j]:.3f} rad in one step from {where} "
                            "along the curve; its samples cannot fix the zero count")
     return count, float(np.min(np.abs(plus)))
@@ -205,12 +197,14 @@ def find_pole(model: ModelSpec, tol: float = 1e-13,
 
     A plain fixed-point iteration lambda <- Omega + \\int V Vbar/(lambda - z)
     starting at Omega is tried first; Newton on eta is the fallback, each for
-    at most MAX_ITER iterations.  The zeros in the strip are then counted,
-    and a count other than 1 is a ContourError.  A bound level, eta(0-) > 0,
-    is a BoundStateError.
+    at most MAX_ITER iterations.  The zeros in the strip are then counted on
+    one sweep at the count's curve samples, and a count other than 1 is a
+    ContourError.  A bound level, eta(0-) > 0, is a BoundStateError.  One
+    table holds V and Vbar at the nodes and at those samples' stencils.
     """
-    eta = SampledEta(model, grid)
-    return PoleResult(*_solve_pole(eta, tol), *_count_zeros(eta))
+    grid = build_contour(model.contour) if grid is None else grid
+    eta = SampledEta(SampledRows(model, SampledPV(grid, _count_points(grid))))
+    return PoleResult(*_solve_pole(eta, tol), *_count_zeros(eta, eta.boundary()[0]))
 
 
 def _solve_pole(eta: SampledEta, tol: float = 1e-13) -> tuple[complex, float, int, str]:
@@ -293,19 +287,19 @@ class ExactEigvecs:
 
 def exact_system(model: ModelSpec, grid: ContourGrid | None = None,
                  tol: float = 1e-13) -> ExactEigvecs:
-    """Solve the model exactly on one sampled eta: the pole at ``tol``, whose
-    zero count reads the boundary sweep, the normalization and both
-    eigenvector families.  The sweep runs once the solve has its pole, so a
-    model the solve refuses never pays for it."""
-    eta = SampledEta(model, grid)
+    """Solve the model exactly on one table of V and Vbar at every node's
+    stencil: the pole at ``tol`` on its node rows, the boundary sweep at
+    every node, whose samples the zero count reads, the normalization and
+    both eigenvector families.  The sweep runs once the solve has its pole,
+    so a model the solve refuses never pays for it."""
+    grid = build_contour(model.contour) if grid is None else grid
+    eta = SampledEta(SampledRows(model, SampledPV(grid)))
     solve = _solve_pole(eta, tol)
-    rows = SampledRows(model, SampledPV(eta.grid))
-    # V and Vbar apart, for the families; their product has _v_vv's bits
-    plus, minus = eta._boundary(rows.pv, rows.points["V"] * rows.points["Vbar"])
-    pole = PoleResult(*solve, *_count_zeros(eta, plus))
+    plus, minus = eta.boundary()
+    pole = PoleResult(*solve, *_count_zeros(eta, plus[_count_points(grid)]))
     lam = pole.lambda_pole
     ep = eta.prime(lam)
     if abs(ep) < 1e-8:
         raise DegeneratePairError(f"eta'({lam}) ~ 0: degenerate pole")
-    return ExactEigvecs(model, eta.grid, pole, 1.0 / np.sqrt(ep),   # principal branch
-                        rows, plus, minus)
+    return ExactEigvecs(model, grid, pole, 1.0 / np.sqrt(ep),   # principal branch
+                        eta.rows, plus, minus)

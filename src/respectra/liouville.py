@@ -12,10 +12,11 @@ symbolic (position, weight) and paired analytically, never sampled.
 Requires a coupling that is real on the positive axis and no
 continuum-continuum kernel; all branch formulas are second order.
 ``LiouvilleSystem`` is the one place that samples the two curves: one
-``friedrichs.SampledEta`` per curve, which samples V and Vbar there once
-after one region check, and the level profile a = V/(z - Omega) formed from
-that eta's own V row give the decay mode, the branch eigenvalues, their
-shifts and left functionals, the pair normalizers and the relaxed states.
+``friedrichs.SampledEta`` per curve, on a ``model.SampledRows`` table of V
+and Vbar at that curve's nodes alone, sampled once after one region check,
+and the level profile a = V/(z - Omega) formed from that eta's own V row
+give the decay mode, the branch eigenvalues, their shifts and left
+functionals, the pair normalizers and the relaxed states.
 A relaxed state holds its curve densities as node samples on the system's
 grids (the kernel-block density as rank-one factor pairs) and pairs them
 only on those grids, which ``LiouvilleGrids`` builds from the lower curve
@@ -44,10 +45,11 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import ContourGrid, build_contour, phase_sum, real_axis_grid
+from .contour import ContourGrid, SampledPV, build_contour, phase_sum, real_axis_grid
+from .dynamics import decay_rate
 from .errors import ConfigError, ContourError, EvaluationError
 from .friedrichs import SampledEta
-from .model import ModelSpec, eval_V
+from .model import ModelSpec, SampledRows, eval_V
 
 
 def _require_liouville_model(model: ModelSpec):
@@ -260,10 +262,11 @@ class LiouvilleSystem:
     """Spectrum of the extended generator on one set of grids.
 
     This is the only code that samples the two curves: one ``SampledEta``
-    per curve and the level profile a = V(z)/(z - Omega) from its V row give
-    the decay mode (``lam_d``, ``decay_right``, ``decay_left``), the branch
-    eigenvalues and left functionals, the pair normalizers and the decay
-    phase and branch sums of ``evolve_state`` and ``relaxation_curve``.
+    per curve, on a table of its nodes alone, and the level profile a =
+    V(z)/(z - Omega) from its V row give the decay mode (``lam_d``,
+    ``decay_right``, ``decay_left``), the branch eigenvalues and left
+    functionals, the pair normalizers and the decay phase and branch sums of
+    ``evolve_state`` and ``relaxation_curve``.
     Every left functional is a ``GeneralizedState`` reduced to its level and
     diagonal content, the part that pairs with the identity; its atoms in
     the curve blocks are not kept.
@@ -277,7 +280,7 @@ class LiouvilleSystem:
         if not 0.0 < om < self.grids.gamma.cutoff:
             raise EvaluationError("the resonance position must lie inside the continuum "
                                   "window for the diagonal atom to be defined")
-        self._etas = tuple(SampledEta(model, g)
+        self._etas = tuple(SampledEta(SampledRows(model, SampledPV(g, ())))
                            for g in (self.grids.gamma, self.grids.gamma_bar))
         self.a_lower, self.a_upper = (e.v / (e.grid.nodes - om) for e in self._etas)
         # \int V^2/(z - Omega) over the lower and over the upper curve
@@ -309,10 +312,10 @@ class LiouvilleSystem:
         # exp(i lambda t) grows where Im lambda < 0, and overflows into NaN
         lowest = np.min(np.concatenate([[self.lam_d.imag], self._lam_u1.imag, self._lam_1u.imag]))
         if not lowest >= 0.0:
-            golden = 2.0 * np.pi * abs(complex(eval_V(model, om))) ** 2
             raise ContourError(f"a mode grows: an eigenvalue has Im {lowest:.3g} < 0, lambda_d = "
                                f"{self.lam_d:.6g} against the golden rule's Im lambda_d = 2 pi "
-                               f"|V(Omega)|^2 = {golden:.6g}; add nodes to resolve the width")
+                               f"|V(Omega)|^2 = {decay_rate(model):.6g}; add nodes to resolve "
+                               "the width")
 
     def lam_u1(self, u) -> np.ndarray:
         return np.asarray(u, dtype=complex) - self.model.omega_level + self.shift_lower

@@ -12,11 +12,10 @@ which refuses a point off it rather than return a number there.
 ``eval_V``, ``eval_Vbar`` and ``eval_kernel_factor`` check and evaluate one
 row; ``sample_rows`` checks a set of points once and then evaluates each row
 there once, the one check serving Vbar too, since the region is symmetric
-under conjugation.  So a table costs one check per point set: a system's
-``SampledRows`` on its principal value, ``friedrichs.SampledEta``'s node
-moments and each zero count's stencils, and the discrete branch's node rows
-(``perturbation.perturb_discrete``; ``from_perturbation`` hands it its
-table's node rows instead).
+under conjugation.  So a table costs one check: ``SampledRows`` samples
+one on a principal value, for a system's families, ``friedrichs.SampledEta``
+and each ``liouville`` curve; the discrete branch samples its node rows so
+too (``perturbation.perturb_discrete``).
 """
 
 from __future__ import annotations
@@ -335,19 +334,23 @@ class SampledRows:
 
     ``nodes[name]`` holds a row at the nodes, (N,), and ``points[name]`` at
     each point of the principal value and its stencil, (M, 5), the point
-    first; the names are "V", "Vbar" and "g".  Where the points are every
-    node, each row is evaluated at the stencils alone, and its node row is
-    their first column, copied contiguous as ``SampledPV.sample`` copies it.
-    The families of a system share one table, so a pairing reads the rows
-    and evaluates none, and so does the discrete branch of
-    ``BiorthogonalSystem.from_perturbation``, on the node rows.
+    first; the names are "V", "Vbar" and "g".  One check covers the nodes
+    and the stencils; where the points are every node, each row is evaluated
+    at the stencils alone, and its node row is their first column, copied
+    contiguous as ``SampledPV.sample`` copies it, and where there are none,
+    at the nodes alone.  The families of a system, its discrete branch and
+    ``friedrichs.SampledEta`` read one table and evaluate no row.
     """
 
     def __init__(self, model: ModelSpec, pv: SampledPV):
         self.model = model
         self.pv = pv
-        every = pv.u is pv.grid.nodes
-        rows = sample_rows(model, pv.points if every else (pv.grid.nodes, pv.points))
-        self.nodes, self.points = {}, {}
-        for name, at in rows.items():
-            self.nodes[name], self.points[name] = (at[:, 0].copy(), at) if every else at
+        if pv.every_node:
+            self.points = sample_rows(model, pv.points)
+            self.nodes = {name: at[:, 0].copy() for name, at in self.points.items()}
+        elif len(pv.u):
+            rows = sample_rows(model, (pv.grid.nodes, pv.points))
+            self.nodes, self.points = ({name: at[i] for name, at in rows.items()} for i in (0, 1))
+        else:
+            self.nodes = sample_rows(model, pv.grid.nodes)
+            self.points = {name: np.empty(pv.points.shape, dtype=complex) for name in self.nodes}

@@ -11,7 +11,7 @@ from respectra.barrier import (BarrierSpec, BoundState, ScatteringState,
                                bound_state_residual, coupling_vs_k,
                                even_scattering_state, matrix_elements, resonance_width,
                                solve_bound_state, to_friedrichs_model, width_sweep)
-from respectra.errors import ChannelClosedError, ConfigError
+from respectra.errors import ChannelClosedError, ConfigError, ConvergenceError
 from respectra.perturbation import perturb_discrete
 
 # channel-open acceptance parameters: chosen so the doubled-drop run stays
@@ -70,8 +70,24 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             BarrierSpec(a=1.0, b=6.0, v0=0.3, v1=0.4)
 
+    def test_scales_must_be_positive_and_finite(self):
+        # hbar^2 underflows to 0, so 2 mu / hbar^2 is not finite; and
+        # 2 mu v0 / hbar^2 underflows to 0, so z0 is not positive
+        with pytest.raises(ConfigError, match="positive and finite"):
+            BarrierSpec(a=1.0, b=10.0, v0=1e-300, v1=1e-301, mu=1e-300, hbar=1e-300)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            BarrierSpec(a=1.0, b=10.0, v0=1e-300, v1=1e-301, mu=1e-300)
+
 
 class TestBoundState:
+    @pytest.mark.parametrize("a", [1e-100, 1e-300])
+    def test_a_well_too_thin_for_the_bracket_is_refused(self, a):
+        # z0 below the bracket's lower end 1e-12 inverts the bracket; the
+        # match there is NaN at a = 1e-300, and the solve still refuses
+        spec = BarrierSpec(a=a, b=1.0, v0=0.3, v1=0.1)
+        with pytest.raises(ConvergenceError, match="lost its bracket"):
+            solve_bound_state(spec)
+
     def test_against_bisection_oracle(self):
         spec = BarrierSpec(**SPEC_OPEN)
         bs = solve_bound_state(spec)

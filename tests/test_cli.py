@@ -278,6 +278,21 @@ def test_validate_reports_every_check_when_some_fail(tmp_path, capsys):
         assert re.search(rf"^{name} +FAIL  eta has 2 zeros in the strip", table, re.M)
 
 
+@pytest.mark.parametrize("window", [{"cutoff": 0.2, "depth": 0.5}, {"cutoff": 1.0, "depth": 0.05}],
+                         ids=["cutoff0.2", "depth0.05"])
+def test_validate_samples_inside_a_small_window(tmp_path, capsys, window):
+    # every check samples inside (0, X) and the model's region, however
+    # small the window: all 24 rows are written, and no check fails for a
+    # point outside the window or the region
+    model = dict(MODEL, omega=0.1, contour=dict(window, n_nodes=64))
+    doc = {"command": "validate", "output_dir": str(tmp_path / "o"), "model": model, "seed": 7}
+    assert main(["--config", _write_cfg(tmp_path, doc)]) in (0, 3)
+    rows = [row.split(",") for row in
+            (tmp_path / "o" / "validate.csv").read_text().splitlines()[2:]]
+    assert [row[0] for row in rows] == VALIDATE_CHECKS
+    assert not re.search(r"FAIL .*(outside|analyticity region)", capsys.readouterr().out)
+
+
 def test_validate_without_a_model_takes_the_node_override(tmp_path):
     # a model-less validate config checks the default model, and --nodes
     # sizes its contour like any other model's

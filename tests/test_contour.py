@@ -275,7 +275,7 @@ class TestCurvePV:
         # antisymmetric tiles; a sweep repeats bit for bit.  The sizes are
         # below one tile, one tile, one tile and a node, and several tiles
         # and a rest
-        F = lambda z: np.stack([np.ones_like(z), np.exp(-0.3 * z)], axis=-2)
+        rows = (np.ones_like, lambda z: np.exp(-0.3 * z))
         for n in (16, PV_TILE, PV_TILE + 1, 800):
             grid = build_contour(ContourSpec(0.5, 20.0, shape, n))
             z, w, X = grid.nodes, grid.weights, grid.cutoff
@@ -289,9 +289,10 @@ class TestCurvePV:
                     - side * 1j * np.pi * h(u)
             got = SampledPV(grid)(h, side)
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
-            tiled = SampledPV(grid)(h, side, F)
-            assert SampledPV(grid)(h, side, F).tobytes() == tiled.tobytes()
-            points = SampledPV(grid, grid.nodes.copy())(h, side, F)
+            swept = lambda pv: pv.sum(*_sampled(pv, h, rows), side)
+            tiled = swept(SampledPV(grid))
+            assert swept(SampledPV(grid)).tobytes() == tiled.tobytes()
+            points = swept(SampledPV(grid, grid.nodes.copy()))
             assert np.max(np.abs(tiled - points)) <= 1e-14 * np.max(np.abs(points))
 
     def test_sampled_rows_targets_and_off_node_points(self, default_grid):
@@ -304,12 +305,12 @@ class TestCurvePV:
         a = np.array([0.3, 0.8, 1.5])
         h = lambda z: np.sqrt(z + 0j) * np.exp(-0.6 * z)
         F = lambda z, ap: np.exp(-ap * z) * (1 + z)
-        Fp = lambda z: F(z[:, None, :], a[:, None])
         pv = SampledPV(grid, u)
         got = pv(h, +1)
-        got_f = pv(h, -1, F=Fp)
+        samples = _sampled(pv, h, [lambda z, ap=ap: F(z, ap) for ap in a])
+        got_f = pv.sum(*samples, -1)
         sides = np.array([+1, -1, +1])
-        got_s = pv(h, sides, F=Fp)
+        got_s = pv.sum(*samples, sides)
         for i, ui in enumerate(u):
             ref = pole_kernel_integral(grid, h, ui, +1)
             assert abs(got[i] - ref) <= 1e-13 * abs(ref)
@@ -319,14 +320,12 @@ class TestCurvePV:
                     assert abs(res[i, p] - ref) <= 1e-13 * abs(ref)
 
     def test_per_point_integrand_refused(self, default_grid):
-        # an integrand of one row per point, h or F, is refused rather than
-        # read as if it were shared
+        # an integrand of one row per point is refused rather than read as
+        # if it were shared
         pv = SampledPV(default_grid, default_grid.nodes[::25])
         c = np.linspace(0.4, 1.2, len(pv.u))[:, None]
         with pytest.raises(EvaluationError, match="one row shared"):
             pv(lambda z: np.exp(-c * z), +1)
-        with pytest.raises(EvaluationError, match="one row shared"):
-            pv(np.ones_like, +1, F=lambda z: np.exp(-c[:, None] * z[:, None, :]))
 
     @pytest.mark.parametrize("n", [44, 257])
     def test_pointwise_rounds_each_point_alike_in_any_block(self, n):
@@ -335,14 +334,14 @@ class TestCurvePV:
         grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", n))
         h = lambda z: np.sqrt(z + 0j) * np.exp(-0.5 * z)
         rows = (lambda z: np.exp(-z), h)
-        F = lambda z: np.stack([row(z) for row in rows], axis=-2)
         sides = np.array([+1, -1])
         pointwise = lambda pv: pv.sum(*_sampled(pv, h, rows), sides, pointwise=True)
         full = pointwise(SampledPV(grid))
         for i in range(n):
             assert np.array_equal(pointwise(SampledPV(grid, grid.nodes[i])), full[i:i + 1])
         # the same values as the block product, to rounding
-        ref = SampledPV(grid)(h, sides, F)
+        pv = SampledPV(grid)
+        ref = pv.sum(*_sampled(pv, h, rows), sides)
         assert np.max(np.abs(full - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -360,11 +359,10 @@ def _sampled(pv: SampledPV, h, rows) -> tuple:
        targets=st.booleans())
 def test_summed_samples_are_the_function_sweep(n, points, start, step, side, targets):
     # the one summation fed with samples taken by SampledPV.sample gives
-    # __call__ on the same functions bit for bit, and so does its pointwise
-    # sum the pointwise sum of the samples __call__ takes, at every
-    # node (whose node rows are the stencils' first column, copied
-    # contiguous), at a slice of the nodes and at one node, with and without
-    # a target axis
+    # __call__ on the same function bit for bit, at every node (whose node
+    # rows are the stencils' first column, copied contiguous), at a slice of
+    # the nodes and at one node; with several integrands each column is
+    # __call__ on their product to rounding, in a block or point by point
     grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", n))
     pv = {"every": SampledPV(grid), "slice": SampledPV(grid, slice(start % n, None, step)),
           "one": SampledPV(grid, grid.nodes[start % n])}[points]
@@ -376,11 +374,10 @@ def test_summed_samples_are_the_function_sweep(n, points, start, step, side, tar
         assert got.tobytes() == pv(h, side).tobytes()
         return
     rows = (lambda z: np.exp(-z), h)
-    F = lambda z: np.stack([row(z) for row in rows], axis=-2)
     samples = _sampled(pv, h, rows)
-    assert pv.sum(*samples, side).tobytes() == pv(h, side, F).tobytes()
-    assert (pv.sum(*samples, side, pointwise=True).tobytes()
-            == pv.sum(*pv._integrand(h, F), side, pointwise=True).tobytes())
+    ref = np.stack([pv(lambda z, row=row: h(z) * row(z), side) for row in rows], axis=-1)
+    for got in (pv.sum(*samples, side), pv.sum(*samples, side, pointwise=True)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_concurrent_sweeps_keep_their_own_blocks():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 from scipy.optimize import brentq
 
-from respectra.contour import ContourSpec, SampledPV, build_contour, real_axis_grid
+from respectra.contour import MIN_NODES, ContourSpec, SampledPV, build_contour, real_axis_grid
 from respectra.errors import BoundStateError, ContourError, EvaluationError, RespectraError
 from respectra.friedrichs import (COUNT_SAMPLES, SampledEta, _count_zeros, exact_system,
                                   find_pole)
-from respectra.model import (default_contour, eval_V, eval_Vbar, make_model,
+from respectra.model import (SampledRows, default_contour, eval_V, eval_Vbar, make_model,
                              separable_test_kernel)
 from respectra.perturbation import BiorthogonalSystem, pair_coeffs
 from respectra.states import AnalyticVector, random_analytic, real_axis_inner, real_axis_inner_H
@@ -20,21 +20,29 @@ from respectra.states import AnalyticVector, random_analytic, real_axis_inner, r
 POLE_REF_EPS01 = 0.996941194255540769088 - 0.011675012185118667783j
 
 
+def _eta(model, grid=None, u=()) -> SampledEta:
+    """eta of ``model`` on one table of its rows at the nodes of ``grid``
+    (the model's contour by default) and at the stencils of the points u of
+    a ``SampledPV``: none by default, every node for None."""
+    grid = build_contour(model.contour) if grid is None else grid
+    return SampledEta(SampledRows(model, SampledPV(grid, u)))
+
+
 def test_eta_free_limit(default_grid):
     m = make_model("sqrt_exp", [1.0], 1.0, 0.0)
-    assert SampledEta(m, default_grid)(0.7 - 0.2j) == (0.7 - 0.2j) - 1.0
+    assert _eta(m, default_grid)(0.7 - 0.2j) == (0.7 - 0.2j) - 1.0
 
 
 def test_eta_boundary_value_on_axis(default_model, default_grid):
     # limit onto the real level from inside the strip: imaginary part is
     # +pi eps^2 Omega e^-Omega
-    val = SampledEta(default_model, default_grid)(1.0 + 0j)
+    val = _eta(default_model, default_grid)(1.0 + 0j)
     assert abs(val.imag - np.pi * 0.01 * np.exp(-1.0)) < 1e-12
 
 
 def test_eta_is_analytic(default_model, default_grid, rng):
     # Cauchy-Riemann via central differences at random strip points
-    eta = SampledEta(default_model, default_grid)
+    eta = _eta(default_model, default_grid)
     for _ in range(4):
         lam = complex(rng.uniform(0.5, 5.0), rng.uniform(-0.3, -0.05))
         h = 1e-6
@@ -45,11 +53,11 @@ def test_eta_is_analytic(default_model, default_grid, rng):
 
 def test_eta_near_contour_guard(default_model, default_grid):
     with pytest.raises(EvaluationError):
-        SampledEta(default_model, default_grid)(complex(default_grid.nodes[50]) + 1e-4j)
+        _eta(default_model, default_grid)(complex(default_grid.nodes[50]) + 1e-4j)
 
 
 def test_eta_prime_matches_difference_quotient(default_model, default_grid):
-    eta = SampledEta(default_model, default_grid)
+    eta = _eta(default_model, default_grid)
     lam = 0.9 - 0.1j
     h = 1e-6
     fd = (eta(lam + h) - eta(lam - h)) / (2 * h)
@@ -58,8 +66,7 @@ def test_eta_prime_matches_difference_quotient(default_model, default_grid):
 
 def test_eta_side_jump(default_model, default_grid):
     u = complex(default_grid.nodes[default_grid.n // 3])
-    ep, em = (complex(b[0]) for b in
-              SampledEta(default_model, default_grid).boundary(SampledPV(default_grid, u)))
+    ep, em = (complex(b[0]) for b in _eta(default_model, default_grid, u).boundary())
     v2 = eval_V(default_model, u) * eval_Vbar(default_model, u)
     assert abs((ep - em) - 2j * np.pi * v2) < 1e-13
 
@@ -68,7 +75,7 @@ def test_kernel_rejected(default_spec):
     m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec,
                    kernel=separable_test_kernel())
     with pytest.raises(EvaluationError):
-        SampledEta(m)(0.9 - 0.1j)
+        _eta(m)(0.9 - 0.1j)
 
 
 class TestFindPole:
@@ -180,7 +187,7 @@ def test_pole_in_strip_or_typed_error(family, param, omega, eps, depth, shape, c
     lam = pr.lambda_pole
     assert 0.0 < lam.real < cutoff and -depth < lam.imag <= 0.0
     assert pr.residual <= tol
-    assert pr.residual == abs(SampledEta(m, grid)(lam))
+    assert pr.residual == abs(_eta(m, grid)(lam))
 
 
 def test_node_sweep_holds_no_table_per_node_pair():
@@ -188,10 +195,14 @@ def test_node_sweep_holds_no_table_per_node_pair():
     # that is 41 MB, the bound 4 MB
     grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", 1600))
     h = lambda z: np.sqrt(z + 0j) * np.exp(-0.5 * z)
-    F = lambda z: np.stack([np.exp(-a * z) for a in (0.3, 0.8, 1.5)], axis=-2)
+    pv = SampledPV(grid)
     tracemalloc.start()
     try:
-        SampledPV(grid)(h, np.array([+1, -1, +1]), F)
+        hp = pv.sample(h)[1][:, None, :]
+        Fp = np.stack([pv.sample(lambda z: np.exp(-a * z))[1] for a in (0.3, 0.8, 1.5)],
+                      axis=-2)
+        at_points = hp * Fp
+        pv.sum(grid.weights * at_points[:, :, 0].T, at_points, np.array([+1, -1, +1]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -199,14 +210,15 @@ def test_node_sweep_holds_no_table_per_node_pair():
 
 
 def _traced_count(eta: SampledEta) -> tuple[int, float]:
-    """The zero count of ``_count_zeros`` on the strided curve samples, its
+    """The zero count of ``_count_zeros`` on the strided curve samples, the
+    points of eta's table, its
     loop closed by tracing eta on the return path X -> X + ih -> ih -> 0, h
     the contour depth: 78 points, bisected until no phase step exceeds pi/4,
     at most 4096 of them.  (count, min_boundary), or the ContourError of the
     count."""
     X, h, k = eta.model.contour.cutoff, eta.model.contour.depth, -(-eta.grid.n // COUNT_SAMPLES)
     u = eta.grid.nodes[::k]
-    plus = eta.boundary(SampledPV(eta.grid, slice(None, None, k)))[0]
+    plus = eta.boundary()[0]
     at = lambda lams: np.array([lam - eta.omega - eta.moment(lam) for lam in lams])
     back = np.concatenate([X + 1j * h * np.linspace(0.0, 1.0, 8), np.linspace(X, 0.0, 64)[1:-1]
                            + 1j * h, 1j * h * np.linspace(1.0, 0.0, 8)])
@@ -244,19 +256,20 @@ def test_zero_count_closes_its_loop_from_two_corners(family, param, omega, eps, 
     # those two points alone
     try:
         m = make_model(family, [param], omega, eps, ContourSpec(depth, cutoff, shape, n_nodes))
-        eta = SampledEta(m)
+        eta = _eta(m, u=slice(None, None, -(-n_nodes // COUNT_SAMPLES)))
     except RespectraError:
         return      # a form-factor singularity inside the contour depth, or X <= Omega
+    plus = eta.boundary()[0]
     try:
         want = _traced_count(eta)
     except ContourError as e:
         with pytest.raises(ContourError) as info:
-            _count_zeros(eta)
+            _count_zeros(eta, plus)
         assert str(info.value) == str(e)
         return
     off_curve = []
     eta.moment = lambda lam, power=1: off_curve.append(lam) or SampledEta.moment(eta, lam, power)
-    assert _count_zeros(eta) == want
+    assert _count_zeros(eta, plus) == want
     assert off_curve == [0.0, cutoff]
 
 
@@ -273,16 +286,37 @@ def test_one_zero_over_the_benchmark_ranges(family, param, s, omega, eps, shape,
                    default_contour(omega, n_nodes, shape=shape))
     grid = build_contour(m.contour)
     pr = find_pole(m, grid=grid)
-    eta = SampledEta(m, grid)
     k = -(-n_nodes // COUNT_SAMPLES)
-    plus = eta.boundary(SampledPV(grid, grid.nodes[::k]))[0]
+    plus = _eta(m, grid, grid.nodes[::k]).boundary()[0]
     assert pr.zero_count == 1 and pr.min_boundary == float(np.min(np.abs(plus)))
-    strided, swept = _count_zeros(eta), _count_zeros(eta, eta.boundary()[0])
+    # the count on a strided table's sweep, and on every node's sweep strided
+    tables = ((_eta(m, grid, slice(None, None, k)), slice(None)),
+              (_eta(m, grid, None), slice(None, None, k)))
+    strided, swept = (_count_zeros(eta, eta.boundary()[0][at]) for eta, at in tables)
     assert strided[0] == swept[0] == 1
     assert swept[1] == pytest.approx(strided[1], rel=1e-14)
     again = exact_system(m, grid).pole
     assert again.lambda_pole == pr.lambda_pole and again.zero_count == 1
     assert again.min_boundary == pytest.approx(pr.min_boundary, rel=1e-12)
+
+
+@given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
+       param=st.floats(0.8, 1.25), s=st.floats(1.5, 3.0), omega=st.floats(0.5, 2.0),
+       eps=st.floats(0.05, 0.9), shape=st.sampled_from(["rectangle", "semi_ellipse"]),
+       n_nodes=st.integers(MIN_NODES, 900), node=st.integers(0, 899))
+def test_every_table_sweeps_the_same_boundary_values(family, param, s, omega, eps, shape,
+                                                     n_nodes, node):
+    # eta(u + i0) swept on the count's strided table, on a one-point table
+    # and on the every-node table agrees at the nodes they share, within
+    # 1e-13 relative
+    m = make_model(family, [s if family == "lorentz_sqrt" else param], omega, eps,
+                   default_contour(omega, n_nodes, shape=shape))
+    grid = build_contour(m.contour)
+    every = _eta(m, grid, None).boundary()[0]
+    k, i = -(-n_nodes // COUNT_SAMPLES), node % n_nodes
+    for u, at in ((slice(None, None, k), slice(None, None, k)), (grid.nodes[i], [i])):
+        got = _eta(m, grid, u).boundary()[0]
+        assert np.max(np.abs(got - every[at]) / np.abs(every[at])) <= 1e-13
 
 
 @given(family=st.sampled_from(["sqrt_exp", "poly_exp", "lorentz_sqrt"]),
@@ -332,7 +366,7 @@ def test_bound_state_energy_is_brentq_root():
     m = make_model("sqrt_exp", [1.0], 1.0, 1.1)
     with pytest.raises(BoundStateError) as info:
         find_pole(m)
-    eta = SampledEta(m)
+    eta = _eta(m)
     root = brentq(lambda lam: (lam - eta.omega - eta.moment(lam)).real, -8.0, 0.0,
                   xtol=1e-15, rtol=4 * np.finfo(float).eps)
     assert abs(info.value.energy - root) <= 1e-14
@@ -363,7 +397,7 @@ def test_bound_state_refused_iff_eta_is_positive_below_threshold(family, param, 
     # quadrature there is the quadrature's error, which the real solve ignores
     try:
         m = make_model(family, [param], omega, eps, ContourSpec(depth, 20.0, shape, n_nodes))
-        eta = SampledEta(m)
+        eta = _eta(m)
     except RespectraError:
         return      # a form-factor singularity inside the contour depth
     moment = complex(np.sum(eta.wvv / eta.grid.nodes))

@@ -178,7 +178,8 @@ class TestNormalizePair:
         ser = perturb_discrete(default_model, 2, default_grid)
         r, _ = normalize_pair(ser.right_total(), ser.left_total(), default_grid)
         pole = find_pole(default_model, grid=default_grid)
-        exact = 1.0 / np.sqrt(SampledEta(default_model, default_grid).prime(pole.lambda_pole))
+        eta = SampledEta(SampledRows(default_model, SampledPV(default_grid, ())))
+        exact = 1.0 / np.sqrt(eta.prime(pole.lambda_pole))
         assert abs(r.d - exact) < default_model.coupling ** 4
 
 
@@ -621,21 +622,21 @@ def test_a_reconstruction_samples_each_vector_once_and_no_row(default_spec, monk
 
 
 def test_the_exact_system_samples_its_rows_once(monkeypatch):
-    # from_exact samples V and Vbar once at the nodes, for eta's moments,
-    # and once at the stencils of every node, for the boundary sweep and the
-    # families, with one region check per point set; find_pole's strided
-    # zero count samples them at its points' stencils alone
+    # from_exact samples V and Vbar once, at the stencils of every node,
+    # after one region check: one table for eta's moments, the boundary
+    # sweep and the families.  find_pole samples its table at the nodes and
+    # at the stencils of its zero count's strided points, one check covering
+    # both sets
     spec = ContourSpec(0.5, 20.0, "rectangle", 800)
     m = make_model("sqrt_exp", [1.0], 1.0, 0.1, spec)
     grid = build_contour(spec)
     rows = _counted_rows(monkeypatch)
     BiorthogonalSystem.from_exact(m, grid)
-    assert rows == {"V": [(800,), (800, 5)], "Vbar": [(800,), (800, 5)], "g": [],
-                    "checks": [((800,),), ((800, 5),)]}
+    assert rows == {"V": [(800, 5)], "Vbar": [(800, 5)], "g": [], "checks": [((800, 5),)]}
     _clear(rows)
     find_pole(m, grid=grid)
     assert rows == {"V": [(800,), (200, 5)], "Vbar": [(800,), (200, 5)], "g": [],
-                    "checks": [((800,),), ((200, 5),)]}
+                    "checks": [((800,), (200, 5))]}
 
 
 def test_a_perturbative_system_samples_each_row_once(monkeypatch):

@@ -83,3 +83,13 @@ def test_only_the_model_reads_a_kernel_factor():
                and any(isinstance(node, ast.Attribute) and node.attr == "factor"
                        for node in ast.walk(ast.parse(path.read_text())))]
     assert readers == []
+
+
+def test_only_the_model_and_the_discrete_branch_sample_rows():
+    # every table of rows is sampled at one seam: model.SampledRows, and the
+    # discrete branch's node rows in perturbation; no other module calls
+    # sample_rows
+    callers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if any(isinstance(node, ast.Call) and "sample_rows" in _names(node.func)
+                      for node in ast.walk(ast.parse(path.read_text())))]
+    assert callers == ["model.py", "perturbation.py"]
