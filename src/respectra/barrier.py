@@ -39,8 +39,8 @@ class BarrierSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if min(self.a, self.b, self.v0, self.mu, self.hbar) <= 0:
-            raise ConfigError("a, b, v0, mu, hbar must all be positive")
+        if not all(0 < x < math.inf for x in (self.a, self.b, self.v0, self.mu, self.hbar)):
+            raise ConfigError("a, b, v0, mu, hbar must all be positive and finite")
         if not 0 < self.v1 < self.v0:
             raise ConfigError("need 0 < v1 < v0 for a barrier to appear")
         if self.b < MIN_RATIO * self.a:

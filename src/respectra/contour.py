@@ -42,6 +42,7 @@ and an offset, so it takes about 2 sqrt(T) N exponentials instead of T N.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,9 +82,11 @@ def _block_buffer(rows: int, cols: int) -> np.ndarray:
 
 
 def _check_size(cutoff: float, n_nodes: int):
-    """Refuse a cutoff that is not positive and finite (NaN included) or too few nodes."""
+    """Refuse a cutoff not positive and finite, or a node count not an integer >= MIN_NODES."""
     if not 0 < cutoff < math.inf:
         raise ContourError(f"contour cutoff must be positive and finite, got {cutoff}")
+    if not isinstance(n_nodes, numbers.Integral):
+        raise ContourError(f"n_nodes must be an integer, got {n_nodes!r}")
     if n_nodes < MIN_NODES:
         raise ContourError(f"n_nodes must be at least {MIN_NODES}, got {n_nodes}")
 
@@ -448,15 +451,17 @@ class SampledPV:
     nodes by PV_TILE nodes and forms each tile off the diagonal once, for
     its row block as C and for its column block as -C^T: half the
     reciprocals, and the tile still in cache for its second product.  Other
-    points, and a ``pointwise`` sum, take blocks of rows over every node, each
-    formed for one use.  ``side`` may differ per integrand, so several
-    displaced-pole integrals of one set of points share a sweep.
+    points take blocks of rows over every node, each formed for one use, and
+    agree with the tiles to rounding.  ``side`` may differ per integrand, so
+    several displaced-pole integrals of one set of points share a sweep.
 
-    ``sum`` is the one summation: it takes the integrands as samples, rows
-    at the nodes and values at each point and its stencil, so that a caller
-    holding them (a system's rows V, Vbar and g, a vector sampled once by
-    ``sample``) evaluates nothing again.  ``__call__`` is ``sample`` of one
-    function followed by ``sum``.
+    ``sampled_at`` alone says where integrands are sampled: the stencils at
+    every node, the nodes and the stencils at some points, the nodes alone
+    with none (which set up nothing else); ``split`` makes samples taken
+    there a node row and point stencils.  ``sum`` is the one summation, of
+    integrands given as samples (a system's rows V, Vbar and g from
+    ``model.SampledRows``, a vector from ``sample``), and ``__call__`` is
+    ``sample`` of one function followed by ``sum``.
     """
 
     def __init__(self, grid: ContourGrid, u=None):
@@ -469,7 +474,11 @@ class SampledPV:
             self.u, self.node = grid.nodes[u], np.arange(grid.n)[u]
         else:
             self.u = np.atleast_1d(np.asarray(u, dtype=complex))
-            self.node = grid.node_indices(self.u)
+            self.node = grid.node_indices(self.u) if len(self.u) else None
+        if not len(self.u):
+            # integrands are sampled at the nodes alone, and nothing is summed
+            self.sampled_at = (grid.nodes,)
+            return
         if np.any((self.u == 0) | (self.u == grid.cutoff)):
             raise EvaluationError("principal value undefined at a contour endpoint")
         on = self.node >= 0
@@ -480,9 +489,10 @@ class SampledPV:
         # the step stays below |u_i|, clear of the branch point at the origin
         self._delta = STENCIL_DELTA * np.minimum(1.0, np.abs(self.u))
         d = self._delta * self._tangent
-        # u_i and its stencil (M, 5), where integrands are sampled together
         self.points = np.stack([self.u, self.u - 2 * d, self.u - d, self.u + d,
                                 self.u + 2 * d], axis=-1)
+        # u_i and its stencil (M, 5); at every node the stencils hold the nodes
+        self.sampled_at = (self.points,) if self.every_node else (grid.nodes, self.points)
         # PV of the integral of dz/(u - z) from 0 to X; principal logs are
         # safe because u and X - u stay in the closed right half plane here
         self.log_term = np.log(self.u) - np.log(grid.cutoff - self.u)
@@ -497,18 +507,21 @@ class SampledPV:
         diff[r, j[r]] = np.inf
         return np.reciprocal(diff, out=diff)
 
-    def sample(self, f: Callable) -> tuple[np.ndarray, np.ndarray]:
-        """f at the nodes, (N,), and at each point and its stencil, (M, 5),
-        the point first.  Where the points are every node, f is evaluated
-        once, at the stencils, and its node row is their first column, copied
-        contiguous: a strided row gives ``sum``'s operands another memory
-        order, and the matrix products other last bits.  Elsewhere the node
-        row is evaluated on its own, and a function of more than one row
-        there, one per point, is refused."""
-        at_points = np.asarray(f(self.points), dtype=complex)
+    def split(self, samples: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Samples taken at ``sampled_at`` as the node row, (N,), and the
+        point stencils, (M, 5), the point first.  At every node the node row
+        is the stencils' first column, copied contiguous: a strided row gives
+        ``sum``'s operands another memory order, and its products other bits."""
         if self.every_node:
-            return at_points[:, 0].copy(), at_points
-        at_nodes = np.asarray(f(self.grid.nodes), dtype=complex)
+            return samples[0][:, 0].copy(), samples[0]
+        if len(samples) == 1:
+            return samples[0], np.empty((0, 5), dtype=complex)
+        return samples
+
+    def sample(self, f: Callable) -> tuple[np.ndarray, np.ndarray]:
+        """f at ``sampled_at``, ``split``; one row per point at the nodes is refused."""
+        at_nodes, at_points = self.split(tuple(np.asarray(f(z), dtype=complex)
+                                               for z in self.sampled_at))
         if at_nodes.shape != (self.grid.n,):
             raise EvaluationError(f"SampledPV integrates one row shared by every point, got "
                                   f"{at_nodes.shape} on {self.grid.n} nodes")
@@ -521,22 +534,18 @@ class SampledPV:
         at_nodes, at_points = self.sample(h)
         return self.sum((self.grid.weights * at_nodes)[None], at_points[:, None, :], side)[:, 0]
 
-    def sum(self, rows: np.ndarray, at_points: np.ndarray, side=0,
-            pointwise: bool = False) -> np.ndarray:
+    def sum(self, rows: np.ndarray, at_points: np.ndarray, side=0) -> np.ndarray:
         """The principal values of P integrands given as samples, minus side
         * i*pi times each at u_i, shape (M, P): ``rows`` (P, N) holds w_j
         times integrand p at node j, ``at_points`` (M, P, 5) each integrand
         at each point and its stencil, the point first.  ``side`` is a
-        scalar or one value per integrand.  With ``pointwise`` each point's
-        node sums are a vector-matrix product of their own, so that a point
-        rounds alike alone or in a block of any size, as a block's matrix
-        product does not; at about twice the cost."""
+        scalar or one value per integrand."""
         w, n, t = self.grid.weights, self.grid.n, PV_TILE
         G = np.concatenate([rows.T, w[:, None]], axis=1)                 # (N, P + 1)
         hp = at_points
         hu = hp[..., 0]                                                  # (M, P)
         S = np.zeros((len(self.u), G.shape[1]), dtype=complex)           # C @ G
-        if self.every_node and not pointwise:
+        if self.every_node:
             for a in range(0, n, t):
                 I = slice(a, a + t)
                 S[I] += self._cauchy(I, I) @ G[I]
@@ -546,12 +555,10 @@ class SampledPV:
                     S[I] += C @ G[J]
                     S[J] -= C.T @ G[I]
         else:
-            product = (lambda C, g: np.matmul(C[:, None, :], g)[:, 0]) if pointwise \
-                else np.matmul
             block = max(1, BLOCK_ENTRIES // n)
             for a in range(0, len(self.u), block):
                 I = slice(a, a + block)
-                S[I] = product(self._cauchy(I, slice(0, n)), G)
+                S[I] = self._cauchy(I, slice(0, n)) @ G
         dh = (hp[..., 1] - 8 * hp[..., 2] + 8 * hp[..., 3] - hp[..., 4]) \
             / (12 * self._delta[:, None] * self._tangent[:, None])
         return S[:, :-1] - hu * S[:, -1:] - self.node_weight[:, None] * dh \

@@ -38,9 +38,9 @@ class DecayCurve:
 
 def _check_times(ts) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts < 0):
-        raise ConfigError("negative times are refused: the lower-curve decomposition "
-                          "would produce growing exponentials")
+    if not np.all((ts >= 0) & (ts < np.inf)):
+        raise ConfigError("times must be non-negative and finite: at a negative one a "
+                          "decaying mode would grow exponentially")
     return ts
 
 

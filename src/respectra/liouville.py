@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .contour import ContourGrid, SampledPV, build_contour, phase_sum, real_axis_grid
-from .dynamics import decay_rate
+from .dynamics import _check_times, decay_rate
 from .errors import ConfigError, ContourError, EvaluationError
 from .friedrichs import SampledEta
 from .model import ModelSpec, SampledRows, eval_V
@@ -364,10 +364,8 @@ class LiouvilleSystem:
 # --------------------------------------------------------------------------
 
 def _admit(rho0: GeneralizedState, ts: np.ndarray) -> None:
-    """Refuse negative times and an initial functional off the invariant sector."""
-    if np.any(ts < 0):
-        raise ConfigError("negative times are refused: upper-shifted eigenvalues "
-                          "would grow exponentially")
+    """Refuse the times ``dynamics`` refuses and a functional off the invariant sector."""
+    _check_times(ts)
     if not rho0.is_p0_supported():
         raise ConfigError("relaxation supports functionals on the invariant sector "
                           "(population, diagonal atoms, diagonal density) only")

@@ -96,8 +96,8 @@ def make_form_factor(family_id: str, params=()) -> FormFactor:
     params = tuple(float(p) for p in params)
     if not lo <= len(params) <= hi:
         raise ConfigError(f"family {family_id!r} takes {lo}..{hi} params, got {len(params)}")
-    if any(p <= 0 for p in params):
-        raise ConfigError(f"family {family_id!r} params must be positive, got {params}")
+    if not all(0 < p < math.inf for p in params):
+        raise ConfigError(f"family {family_id!r} params must be positive and finite, got {params}")
     return FormFactor(family_id, params, entry["build"](params), entry["pole_depth"](params))
 
 
@@ -121,10 +121,9 @@ class ModelSpec:
     contour: ContourSpec = field(default_factory=ContourSpec)
 
     def __post_init__(self):
-        if not self.omega_level > 0:
-            raise ConfigError(f"omega_level must be positive, got {self.omega_level}")
-        if self.coupling < 0:
-            raise ConfigError(f"coupling must be non-negative, got {self.coupling}")
+        _check_level(self.omega_level)
+        if not 0 <= self.coupling < math.inf:
+            raise ConfigError(f"coupling must be non-negative and finite, got {self.coupling}")
         if self.contour.cutoff <= self.omega_level:
             raise ConfigError("contour cutoff must exceed the discrete level")
         pd = self.form_factor.pole_depth
@@ -137,9 +136,15 @@ class ModelSpec:
         return self.kernel is not None and self.coupling > 0
 
 
+def _check_level(omega_level: float):
+    if not 0 < omega_level < math.inf:
+        raise ConfigError(f"omega_level must be positive and finite, got {omega_level}")
+
+
 def default_contour(omega_level: float, n_nodes: int = 200,
                     shape: str = "rectangle") -> ContourSpec:
     """Default path: rectangle of depth 0.5 truncated at max(20, 10*level)."""
+    _check_level(omega_level)
     return ContourSpec(depth=0.5, cutoff=max(20.0, 10.0 * omega_level),
                        shape=shape, n_nodes=n_nodes)
 
@@ -334,23 +339,14 @@ class SampledRows:
 
     ``nodes[name]`` holds a row at the nodes, (N,), and ``points[name]`` at
     each point of the principal value and its stencil, (M, 5), the point
-    first; the names are "V", "Vbar" and "g".  One check covers the nodes
-    and the stencils; where the points are every node, each row is evaluated
-    at the stencils alone, and its node row is their first column, copied
-    contiguous as ``SampledPV.sample`` copies it, and where there are none,
-    at the nodes alone.  The families of a system, its discrete branch and
+    first; the names are "V", "Vbar" and "g".  They are sampled at
+    ``pv.sampled_at``, one check covering every set there, and ``pv.split``.
+    The families of a system, its discrete branch and
     ``friedrichs.SampledEta`` read one table and evaluate no row.
     """
 
     def __init__(self, model: ModelSpec, pv: SampledPV):
         self.model = model
         self.pv = pv
-        if pv.every_node:
-            self.points = sample_rows(model, pv.points)
-            self.nodes = {name: at[:, 0].copy() for name, at in self.points.items()}
-        elif len(pv.u):
-            rows = sample_rows(model, (pv.grid.nodes, pv.points))
-            self.nodes, self.points = ({name: at[i] for name, at in rows.items()} for i in (0, 1))
-        else:
-            self.nodes = sample_rows(model, pv.grid.nodes)
-            self.points = {name: np.empty(pv.points.shape, dtype=complex) for name in self.nodes}
+        rows = {name: pv.split(at) for name, at in sample_rows(model, pv.sampled_at).items()}
+        self.nodes, self.points = ({name: at[i] for name, at in rows.items()} for i in (0, 1))

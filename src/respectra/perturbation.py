@@ -39,12 +39,12 @@ conjugate prescription on the left.  ``ContinuumFamily`` holds the vectors
 of a whole family of curve points as arrays, each numerator two coefficients
 of the rows B(z) and g(z) shared by every member, and pairs them all through
 one sampled curve principal value, ``SampledPV``; ``perturb_continuous``
-returns one-point families on ``SampledPV(grid, u)``.  The rows are carried
-as samples: a system samples V, Vbar and g once on its principal value, at
-the nodes and at each point's stencil (``model.SampledRows``), and its
-families share that table, from which the discrete branch, the continuous
-branch's sweep and every pairing read them.  The exact discrete pair holds
-its node samples, formed from the same rows.
+returns one-point families on ``SampledPV(grid, u)``, at a node the grid
+family's member to rounding.  The rows are carried as samples: a system
+samples V, Vbar and g once where its principal value samples
+(``model.SampledRows``), and its families share that table, from which the
+discrete branch, the continuous branch's sweep and every pairing read them.
+The exact discrete pair holds its node samples, formed from the same rows.
 ``pair_families`` pairs several families on one ``SampledPV`` in one sweep:
 the overlap tables of a reconstruction pair the right family with the bra
 and the left family with the ket, each row a target with its family's
@@ -313,13 +313,11 @@ def _branch_orders(rows: SampledRows, order: int) -> tuple[list, list]:
     kernel = "g" in rows.points
     gu = rows.points["g"][:, 0] if kernel else None
     if order >= 2 and kernel:
-        # formed point by point, so that a one-point family holds the
-        # coefficients of the grid family's member bit for bit
         names = [name for level in levels for name in (level, "g")]
         J = pv.sum(pv.grid.weights * rows.nodes["g"] * np.stack([rows.nodes[k] for k in names]),
                    rows.points["g"][:, None, :]
                    * np.stack([rows.points[k] for k in names], axis=-2),
-                   np.repeat(sides, 2), pointwise=True)
+                   np.repeat(sides, 2))
     branches = []
     for k, (side, level) in enumerate(zip(sides, levels)):
         d1 = rows.points[level][:, 0] / (u - om)
@@ -341,7 +339,7 @@ def perturb_continuous(model: ModelSpec, u: complex, order: int = 2,
     The eigenvalue stays exactly u.  Order 0 is the bare member (no level
     part, the unit atom at u); the corrections carry no atom and live in the
     d-component and in pole terms with the outgoing kernel (right) / its
-    conjugate (left).  The totals are the members that
+    conjugate (left).  The totals are, to rounding, the members that
     ``BiorthogonalSystem.from_perturbation`` holds at u, and the pairings of
     the orders add up to the pairing of the total.  Its table samples the
     rows at the nodes and at u's stencil after one region check of both.

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,12 @@ class TestSpecValidation:
             BarrierSpec(a=1.0, b=10.0, v0=1e-300, v1=1e-301, mu=1e-300, hbar=1e-300)
         with pytest.raises(ConfigError, match="positive and finite"):
             BarrierSpec(a=1.0, b=10.0, v0=1e-300, v1=1e-301, mu=1e-300)
+        # a scale that is not positive, or not finite, is refused before any
+        # is formed from it
+        for field in ({"a": 0.0}, {"b": math.nan}, {"b": math.inf}, {"v0": math.inf},
+                      {"mu": math.nan}, {"hbar": math.inf}):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                BarrierSpec(**dict(dict(a=0.8, b=10.0, v0=0.25, v1=0.092), **field))
 
 
 class TestBoundState:

@@ -29,6 +29,11 @@ def test_spec_validation():
         ContourSpec(shape="circle")
     with pytest.raises(ContourError):
         ContourSpec(n_nodes=8)
+    # a node count that is not an integer is refused by its value; a numpy
+    # integer is one
+    with pytest.raises(ContourError, match="n_nodes must be an integer, got 200.5"):
+        ContourSpec(n_nodes=200.5)
+    assert build_contour(ContourSpec(n_nodes=np.int64(64))).n == 64
 
 
 @pytest.mark.parametrize("cutoff, n, message", [
@@ -37,7 +42,8 @@ def test_spec_validation():
     (math.nan, 400, "cutoff must be positive and finite, got nan"),
     (math.inf, 400, "cutoff must be positive and finite, got inf"),
     (-math.inf, 400, "cutoff must be positive and finite, got -inf"),
-    (20.0, 8, f"n_nodes must be at least {MIN_NODES}, got 8")])
+    (20.0, 8, f"n_nodes must be at least {MIN_NODES}, got 8"),
+    (20.0, 100.5, "n_nodes must be an integer, got 100.5")])
 def test_real_axis_grid_refuses_by_the_names_it_was_given(cutoff, n, message):
     with pytest.raises(ContourError, match=re.escape(message)):
         real_axis_grid(cutoff, n)
@@ -327,23 +333,6 @@ class TestCurvePV:
         with pytest.raises(EvaluationError, match="one row shared"):
             pv(lambda z: np.exp(-c * z), +1)
 
-    @pytest.mark.parametrize("n", [44, 257])
-    def test_pointwise_rounds_each_point_alike_in_any_block(self, n):
-        # a point swept alone gives its row of the whole-grid sweep bit for
-        # bit; at n = 257 the blocks hold 127, 127 and 3 points
-        grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", n))
-        h = lambda z: np.sqrt(z + 0j) * np.exp(-0.5 * z)
-        rows = (lambda z: np.exp(-z), h)
-        sides = np.array([+1, -1])
-        pointwise = lambda pv: pv.sum(*_sampled(pv, h, rows), sides, pointwise=True)
-        full = pointwise(SampledPV(grid))
-        for i in range(n):
-            assert np.array_equal(pointwise(SampledPV(grid, grid.nodes[i])), full[i:i + 1])
-        # the same values as the block product, to rounding
-        pv = SampledPV(grid)
-        ref = pv.sum(*_sampled(pv, h, rows), sides)
-        assert np.max(np.abs(full - ref)) <= 1e-14 * np.max(np.abs(ref))
-
 
 def _sampled(pv: SampledPV, h, rows) -> tuple:
     """h F_p for each function F_p of ``rows``, sampled by ``pv.sample`` as
@@ -362,7 +351,7 @@ def test_summed_samples_are_the_function_sweep(n, points, start, step, side, tar
     # __call__ on the same function bit for bit, at every node (whose node
     # rows are the stencils' first column, copied contiguous), at a slice of
     # the nodes and at one node; with several integrands each column is
-    # __call__ on their product to rounding, in a block or point by point
+    # __call__ on their product to rounding
     grid = build_contour(ContourSpec(0.5, 20.0, "rectangle", n))
     pv = {"every": SampledPV(grid), "slice": SampledPV(grid, slice(start % n, None, step)),
           "one": SampledPV(grid, grid.nodes[start % n])}[points]
@@ -376,8 +365,8 @@ def test_summed_samples_are_the_function_sweep(n, points, start, step, side, tar
     rows = (lambda z: np.exp(-z), h)
     samples = _sampled(pv, h, rows)
     ref = np.stack([pv(lambda z, row=row: h(z) * row(z), side) for row in rows], axis=-1)
-    for got in (pv.sum(*samples, side), pv.sum(*samples, side, pointwise=True)):
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    got = pv.sum(*samples, side)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_concurrent_sweeps_keep_their_own_blocks():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,12 @@ def test_negative_time_refused(exact_sys):
         transition_amplitude_curve(exact_sys, unstable_state(), unstable_state(), [0.0, -0.5])
     with pytest.raises(ConfigError):
         exponential_approx(make_model("sqrt_exp", [1.0], 1.0, 0.1), [-1.0])
+    # so is a time that is not finite, on the spectral and on the oracle side
+    for t in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="non-negative and finite"):
+            survival_curve(exact_sys, [0.0, t])
+        with pytest.raises(ConfigError, match="non-negative and finite"):
+            oracle_survival_curve(exact_sys.model, [0.0, t])
 
 
 def test_continuation_side_tags_enforced(exact_sys):
@@ -43,6 +51,8 @@ def test_continuation_side_tags_enforced(exact_sys):
         transition_amplitude_curve(exact_sys, lower_only, unstable_state(), [1.0])
     with pytest.raises(ConfigError):
         transition_amplitude_curve(exact_sys, unstable_state(), upper_only, [1.0])
+    with pytest.raises(ValueError, match="side must be one of"):
+        AnalyticVector(d=1.0, side="middle")
 
 
 def test_zero_time_reduces_to_inner_product(exact_sys, axis_grid, rng):

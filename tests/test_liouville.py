@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,9 @@ class TestEvolution:
     def test_negative_time_refused(self, li_sys):
         with pytest.raises(ConfigError):
             evolve_state(li_sys, unstable_state_functional(), -1.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="non-negative and finite"):
+                evolve_state(li_sys, unstable_state_functional(), t)
 
     def test_non_invariant_input_refused(self, li_grids, li_sys):
         rho = GeneralizedState(c1=1.0 + 0j, f_om1=np.zeros(li_grids.gamma_bar.n, complex),
@@ -359,8 +363,9 @@ class TestRelaxationCurve:
                 assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_refuses_what_evolve_state_refuses(self, li_model, li_grids, li_sys):
-        with pytest.raises(ConfigError):
-            relaxation_curve(li_sys, unstable_state_functional(), [0.0, 1.0, -1.0])
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                relaxation_curve(li_sys, unstable_state_functional(), [0.0, 1.0, bad])
         rho = GeneralizedState(c1=1.0 + 0j, f_om1=np.zeros(li_grids.gamma_bar.n, complex),
                                grids=li_grids)
         with pytest.raises(ConfigError):

@@ -1,4 +1,6 @@
 import copy
+import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +39,17 @@ def test_analyticity_guard():
 def test_unknown_family():
     with pytest.raises(ConfigError):
         make_model("gauss", [1.0], 1.0, 0.1)
+    # a family given parameters it cannot take, or a kernel it does not know
+    for family, params, message in (("sqrt_exp", [1.0, 2.0], "takes 0..1 params"),
+                                    ("lorentz_sqrt", [], "takes 1..1 params"),
+                                    ("sqrt_exp", [0.0], "positive and finite, got (0.0,)"),
+                                    ("sqrt_exp", [math.nan], "positive and finite, got (nan,)"),
+                                    ("lorentz_sqrt", [math.inf], "finite, got (inf,)"),
+                                    ("lorentz_sqrt", [math.nan], "finite, got (nan,)")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            make_model(family, params, 1.0, 0.1)
+    with pytest.raises(ConfigError, match="unknown kernel 'gauss'"):
+        make_model("sqrt_exp", [1.0], 1.0, 0.1, kernel="gauss")
 
 
 def test_spec_invariants():
@@ -47,6 +60,17 @@ def test_spec_invariants():
     with pytest.raises(ConfigError):
         make_model("sqrt_exp", [1.0], 30.0, 0.1,
                    ContourSpec(depth=0.5, cutoff=20.0, n_nodes=64))
+    # a level or coupling that is not finite is refused by its value, the
+    # level before any default contour is built from it
+    spec = ContourSpec(depth=0.5, cutoff=20.0, n_nodes=64)
+    for omega, eps, contour, message in (
+            (1.0, math.nan, None, "coupling must be non-negative and finite, got nan"),
+            (1.0, math.inf, spec, "coupling must be non-negative and finite, got inf"),
+            (math.inf, 0.1, None, "omega_level must be positive and finite, got inf"),
+            (math.nan, 0.1, None, "omega_level must be positive and finite, got nan"),
+            (math.nan, 0.1, spec, "omega_level must be positive and finite, got nan")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            make_model("sqrt_exp", [1.0], omega, eps, contour)
 
 
 def test_schwarz_reflection(default_model, rng):
@@ -161,6 +185,9 @@ def test_model_from_dict_rejects_unknown_keys():
                          "contour": {"deep": 2}})
     with pytest.raises(ConfigError):
         model_from_dict({"family": "sqrt_exp", "epsilon": 0.1})
+    with pytest.raises(ConfigError, match="n_nodes must be an integer, got 64.5"):
+        model_from_dict({"family": "sqrt_exp", "omega": 1.0, "epsilon": 0.1,
+                         "contour": {"n_nodes": 64.5}})
 
 
 

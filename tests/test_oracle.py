@@ -78,6 +78,8 @@ def test_propagate_shape_guard(default_model):
     d = discretize(default_model, 150)
     with pytest.raises(ConfigError):
         propagate(d, np.zeros(5), 1.0)
+    with pytest.raises(ConfigError, match="operator has shape"):
+        commutator_apply(d, np.zeros((5, 5)))
 
 
 def test_commutator_identity(default_model):

@@ -201,9 +201,14 @@ def test_biorthogonality_residual_scaling(default_spec, default_grid):
 @pytest.mark.parametrize("order", [3, 4])
 def test_system_refuses_continuum_orders_it_does_not_build(default_model, default_grid, order):
     # the continuous branch stops at order 2; a system labelled with a higher
-    # order would hold a second-order continuum
+    # order would hold a second-order continuum.  The discrete branch takes
+    # any order but a negative one
     with pytest.raises(ConfigError, match="continuous branch is implemented through order 2"):
         BiorthogonalSystem.from_perturbation(default_model, order, default_grid)
+    with pytest.raises(ConfigError, match="continuous branch is implemented through order 2"):
+        perturb_continuous(default_model, default_grid.nodes[20], order, default_grid)
+    with pytest.raises(ConfigError, match="order must be non-negative"):
+        perturb_discrete(default_model, 2 - order, default_grid)
 
 
 def test_projector_algebra(rng):
@@ -411,20 +416,24 @@ def test_factored_kernel_pairing_matches_the_direct_kernel(side):
 @pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])
 def test_one_point_series_is_the_assembled_member(default_spec, default_grid, kernel):
     # perturb_continuous at node u_i sums to the member that from_perturbation
-    # holds at u_i: the same arrays, and the same pairing up to rounding
+    # holds at u_i: at every node the same arrays to rounding, and the same
+    # pairing up to rounding
     m = make_model("sqrt_exp", [1.0], 1.0, 0.1, default_spec, kernel)
     s = BiorthogonalSystem.from_perturbation(m, 2, default_grid)
     vec = random_analytic(np.random.default_rng(23))
-    for i in (7, default_grid.n // 2, default_grid.n - 3):
+    eps = np.finfo(float).eps
+    for i in range(default_grid.n):
         ser = perturb_continuous(m, default_grid.nodes[i], 2, default_grid)
         for member, fam in ((ser.right_total(), s.cont_right),
                             (ser.left_total(), s.cont_left)):
             assert member.side == fam.side
             for got, ref in ((member.d, fam.d), (member.coef, fam.coef),
                              (member.kernel_coef, fam.kernel_coef)):
-                assert got is ref is None or np.array_equal(got, ref[i:i + 1])
-            got, ref = member.pair(vec)[0], fam.pair(vec)[i]
-            assert abs(got - ref) <= 1e-13 * abs(ref)
+                assert got is ref is None or \
+                    np.max(np.abs(got - ref[i:i + 1])) <= 4 * eps * np.max(np.abs(ref))
+            if i in (7, default_grid.n // 2, default_grid.n - 3):
+                got, ref = member.pair(vec)[0], fam.pair(vec)[i]
+                assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("kernel", [None, "separable_sqrt_exp"])

@@ -93,3 +93,11 @@ def test_only_the_model_and_the_discrete_branch_sample_rows():
                if any(isinstance(node, ast.Call) and "sample_rows" in _names(node.func)
                       for node in ast.walk(ast.parse(path.read_text())))]
     assert callers == ["model.py", "perturbation.py"]
+
+
+def test_only_the_principal_value_reads_where_it_samples():
+    # SampledPV alone decides where an integrand is sampled: no module but
+    # contour reads every_node, and the others follow its sampled_at and split
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if "every_node" in _attributes(ast.parse(path.read_text()))]
+    assert readers == ["contour.py"]
